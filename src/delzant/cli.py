@@ -16,8 +16,21 @@ import os
 import sys
 
 from . import __version__
-from .counting import DEFAULT_BUDGET, count_points, count_report, ehrhart_interpolate
-from .errors import DelzantError, FormulaViolationError, NotDelzantError
+from .counting import (
+    DEFAULT_BUDGET,
+    count_points,
+    count_report,
+    ehrhart_interpolate,
+    read_count,
+    tight_histogram,
+)
+from .errors import (
+    DelzantError,
+    FormulaViolationError,
+    NotDelzantError,
+    PolytopeParseError,
+    UsageError,
+)
 from .hilbert import cross_check, cy_hilbert_polynomial
 from .operators import (
     boundary_count_formula,
@@ -33,7 +46,6 @@ BUDGET_ENV = "DELZANT_BUDGET"
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
-EXIT_USAGE = 2
 
 
 def _face_key_text(active_set) -> str:
@@ -124,21 +136,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args):
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise PolytopeParseError(
+            f"input is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     return parse_polytope_file(text, normalize=args.normalize)
 
 
 def _budget(args) -> int:
+    """The enumeration budget: --budget, else $DELZANT_BUDGET, else the default."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+        budget, source = args.budget, "--budget"
+    elif (env := os.environ.get(BUDGET_ENV)) is not None:
+        source = f"{BUDGET_ENV}={env!r}"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"{source} is not an integer") from None
+    else:
+        return DEFAULT_BUDGET
+    if budget < 1:
+        raise UsageError(f"{source} must be a positive integer, got {budget}")
+    return budget
 
 
 def _polytope_json(spec) -> dict:
@@ -270,9 +295,11 @@ def cmd_volume_poly(args, spec) -> int:
 def cmd_count(args, spec) -> int:
     charts = _require_delzant(spec)
     region, face = args.region
-    value = count_points(
-        spec, args.k, region, face=face, budget=_budget(args), charts=charts
-    )
+    if face is not None and face[-1] >= spec.num_facets:
+        raise UsageError(
+            f"--region face: facet {face[-1] + 1} does not exist, "
+            f"the polytope has {spec.num_facets} facets"
+        )
     region_text = region if face is None else "face=" + ",".join(
         str(i + 1) for i in face
     )
@@ -281,15 +308,16 @@ def cmd_count(args, spec) -> int:
         "polytope": _polytope_json(spec),
         "k": args.k,
         "region": region_text,
-        "count": value,
     }
     if args.output == "json":
-        # the JSON report mirrors the full CountReport, not just the one region
+        # the JSON report mirrors the full CountReport, not just the one
+        # region; both are read from one enumeration of the dilate
+        histogram = tight_histogram(spec, args.k, budget=args.budget, charts=charts)
+        value = read_count(histogram, region, face)
         lattice = build_face_lattice(spec, charts)
-        report = count_report(
-            spec, lattice, args.k, budget=_budget(args), charts=charts
-        )
+        report = count_report(spec, lattice, args.k, histogram=histogram)
         payload.update(
+            count=value,
             total=report.total,
             interior=report.interior,
             boundary=report.boundary,
@@ -297,6 +325,10 @@ def cmd_count(args, spec) -> int:
                 {"active_set": [i + 1 for i in key], "count": report.per_face[key]}
                 for key in sorted(report.per_face)
             ],
+        )
+    else:
+        value = count_points(
+            spec, args.k, region, face=face, budget=args.budget, charts=charts
         )
     _emit(args, payload, [str(value)], [("k", args.k), ("region", region_text), ("count", value)])
     return EXIT_OK
@@ -307,18 +339,14 @@ def cmd_ehrhart(args, spec) -> int:
     applied_text = None
     if args.method == "operator":
         if args.kind == "interior":
-            print(
-                "error: --method operator supports kinds full and boundary only",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise UsageError("--method operator supports kinds full and boundary only")
         lattice = build_face_lattice(spec, charts)
         vol = volume_polynomial(spec, lattice)
         result = symbolic_ehrhart(spec, vol, args.kind)
         applied_text = operator_applied_polynomial(spec, vol, args.kind).to_text()
     else:
         result = ehrhart_interpolate(
-            spec, args.kind, budget=_budget(args), charts=charts
+            spec, args.kind, budget=args.budget, charts=charts
         )
     payload = {
         "command": "ehrhart",
@@ -362,7 +390,7 @@ def _cmd_operator_count(args, spec, kind: str) -> int:
 
 
 def cmd_hilbert_cy(args, spec) -> int:
-    report = cy_hilbert_polynomial(spec, budget=_budget(args))
+    report = cy_hilbert_polynomial(spec, budget=args.budget)
     per_face = [
         {
             "active_set": [i + 1 for i in key],
@@ -396,7 +424,7 @@ def cmd_hilbert_cy(args, spec) -> int:
 
 
 def cmd_cross_check(args, spec) -> int:
-    report = cross_check(spec, budget=_budget(args))
+    report = cross_check(spec, budget=args.budget)
     payload = {
         "command": "cross-check",
         "polytope": _polytope_json(spec),
@@ -432,6 +460,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.budget = _budget(args)
+        if args.command == "count" and args.k < 1:
+            raise UsageError(f"--k must be a positive integer, got {args.k}")
         spec = _load_spec(args)
         return COMMANDS[args.command](args, spec)
     except DelzantError as exc:

@@ -2,9 +2,11 @@
 
 This is the ground-truth side of every identity in the package: points of
 the integer bounding box of the k-fold dilate are enumerated one by one
-and classified against the facet inequalities.  Counts are fitted by exact
-interpolation, and every fit must predict one extra count correctly before
-it is accepted as a polynomial.
+and classified against the facet inequalities.  One enumeration gives a
+histogram of the inside points by their tight-facet bitmask, from which
+the full, interior, boundary and every face count of that dilate are read.
+Counts are fitted by exact interpolation, and every fit must predict one
+extra count correctly before it is accepted as a polynomial.
 """
 
 from __future__ import annotations
@@ -48,9 +50,16 @@ def _bounding_box(spec: HalfSpaceSpec, k: int, charts):
     return lows, highs
 
 
-def _count_slab(normals, bounds, region, equality_set, lows, highs, axis0_range):
+def _tight_masks(normals, bounds, lows, highs, axis0_range) -> dict[int, int]:
+    """Classify every point of one slab of the box; count the inside ones by mask.
+
+    Bit j of a point's mask is set when the point lies on facet j.  Most
+    inside points are interior (mask 0), so those are tallied in a plain
+    counter and only boundary points touch the dictionary.
+    """
     m = len(lows)
-    count = 0
+    histogram: dict[int, int] = {}
+    interior = 0
     ranges = [axis0_range] + [range(lows[c], highs[c] + 1) for c in range(1, m)]
     for point in product(*ranges):
         inside = True
@@ -66,18 +75,102 @@ def _count_slab(normals, bounds, region, equality_set, lows, highs, axis0_range)
                 tight |= 1 << j
         if not inside:
             continue
-        if region == "full":
-            count += 1
-        elif region == "interior":
-            if tight == 0:
-                count += 1
-        elif region == "boundary":
-            if tight != 0:
-                count += 1
-        else:  # face
-            if tight & equality_set == equality_set:
-                count += 1
-    return count
+        if tight:
+            histogram[tight] = histogram.get(tight, 0) + 1
+        else:
+            interior += 1
+    if interior:
+        histogram[0] = interior
+    return histogram
+
+
+def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts, slabs: int):
+    """The tight-mask histogram of the k-fold dilate, after the budget check."""
+    if charts is None:
+        charts = enumerate_vertices(spec)
+    lows, highs = _bounding_box(spec, k, charts)
+    size = 1
+    for lo, hi in zip(lows, highs):
+        size *= hi - lo + 1
+    if size > budget:
+        raise BudgetExceededError(required=size, budget=budget)
+
+    normals = spec.normals()
+    bounds = [k * o for o in spec.offsets()]
+    axis0 = range(lows[0], highs[0] + 1)
+    if slabs <= 1 or len(axis0) <= 1:
+        return _tight_masks(normals, bounds, lows, highs, axis0)
+    chunk = max(1, (len(axis0) + slabs - 1) // slabs)
+    pieces = [
+        range(axis0[i], min(axis0[i] + chunk, highs[0] + 1))
+        for i in range(0, len(axis0), chunk)
+    ]
+    histogram: dict[int, int] = {}
+    with ThreadPoolExecutor(max_workers=len(pieces)) as pool:
+        futures = [
+            pool.submit(_tight_masks, normals, bounds, lows, highs, piece)
+            for piece in pieces
+        ]
+        for future in futures:
+            for mask, count in future.result().items():
+                histogram[mask] = histogram.get(mask, 0) + count
+    return histogram
+
+
+def tight_histogram(
+    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None
+) -> dict[int, int]:
+    """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
+
+    One enumeration of the bounding box (checked against ``budget``) with
+    the same naive classifier as ``count_points``; every region of the
+    dilate can then be read off with ``read_count``.  On a simple polytope
+    each key is 0 or the active set of a face, as a bitmask.
+    """
+    if k < 1:
+        raise ValueError("dilation k must be a positive integer")
+    return _enumerate(spec, k, budget, charts, 1)
+
+
+def read_count(histogram: dict[int, int], region: str = "full", face=None) -> int:
+    """One region's count from a tight-mask histogram.
+
+    full is every point, interior the points of mask 0, boundary the rest;
+    the face cut out by a facet index set S is the sum over masks that
+    contain S (a superset sum, so an empty intersection reads zero).
+    """
+    if region == "full":
+        return sum(histogram.values())
+    if region == "interior":
+        return histogram.get(0, 0)
+    if region == "boundary":
+        return sum(histogram.values()) - histogram.get(0, 0)
+    if region == "face":
+        wanted = 0
+        for i in face:
+            wanted |= 1 << i
+        return sum(n for mask, n in histogram.items() if mask & wanted == wanted)
+    raise ValueError(f"unknown region {region!r}")
+
+
+def histogram_face_counter(
+    spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET, charts=None
+):
+    """A (facet index set, k) -> face count function, one enumeration per k.
+
+    The histograms live in a dict owned by the returned function, so they
+    are shared by the calls of one computation and by nothing else.
+    """
+    if charts is None:
+        charts = enumerate_vertices(spec)
+    histograms: dict[int, dict[int, int]] = {}
+
+    def face_counter(face, k):
+        if k not in histograms:
+            histograms[k] = tight_histogram(spec, k, budget=budget, charts=charts)
+        return read_count(histograms[k], "face", face)
+
+    return face_counter
 
 
 def count_points(
@@ -95,50 +188,23 @@ def count_points(
     region 'face' counts the points of the face cut out by the given facet
     index set; an empty intersection simply counts zero.  The enumeration
     domain is the bounding box of the dilated vertices; its size is checked
-    against ``budget`` before any work happens.
+    against ``budget`` before any work happens.  Each call runs its own
+    enumeration, so a count from here is independent of any histogram
+    another caller holds.
     """
     if k < 1:
         raise ValueError("dilation k must be a positive integer")
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
-    equality_set = 0
     if region == "face":
         if face is None:
             raise ValueError("region 'face' needs a facet index set")
         for i in face:
             if not 0 <= i < spec.num_facets:
                 raise ValueError(f"facet index {i} out of range")
-            equality_set |= 1 << i
     elif face is not None:
         raise ValueError("facet index set is only meaningful with region 'face'")
-
-    if charts is None:
-        charts = enumerate_vertices(spec)
-    lows, highs = _bounding_box(spec, k, charts)
-    size = 1
-    for lo, hi in zip(lows, highs):
-        size *= hi - lo + 1
-    if size > budget:
-        raise BudgetExceededError(required=size, budget=budget)
-
-    normals = spec.normals()
-    bounds = [k * o for o in spec.offsets()]
-    axis0 = range(lows[0], highs[0] + 1)
-    if slabs <= 1 or len(axis0) <= 1:
-        return _count_slab(normals, bounds, region, equality_set, lows, highs, axis0)
-    chunk = max(1, (len(axis0) + slabs - 1) // slabs)
-    pieces = [
-        range(axis0[i], min(axis0[i] + chunk, highs[0] + 1))
-        for i in range(0, len(axis0), chunk)
-    ]
-    with ThreadPoolExecutor(max_workers=len(pieces)) as pool:
-        futures = [
-            pool.submit(
-                _count_slab, normals, bounds, region, equality_set, lows, highs, piece
-            )
-            for piece in pieces
-        ]
-        return sum(f.result() for f in futures)
+    return read_count(_enumerate(spec, k, budget, charts, slabs), region, face)
 
 
 def count_report(
@@ -148,16 +214,19 @@ def count_report(
     *,
     budget: int = DEFAULT_BUDGET,
     charts=None,
+    histogram: dict[int, int] | None = None,
 ) -> CountReport:
-    """Counts of the dilate, its interior and boundary, and every proper face."""
-    if charts is None:
-        charts = enumerate_vertices(spec)
-    total = count_points(spec, k, "full", budget=budget, charts=charts)
-    interior = count_points(spec, k, "interior", budget=budget, charts=charts)
+    """Counts of the dilate, its interior and boundary, and every proper face.
+
+    All of them are read from one tight-mask histogram, built here unless
+    the caller passes the histogram of the same dilate.
+    """
+    if histogram is None:
+        histogram = tight_histogram(spec, k, budget=budget, charts=charts)
+    total = read_count(histogram, "full")
+    interior = read_count(histogram, "interior")
     per_face = {
-        rec.active_set: count_points(
-            spec, k, "face", face=rec.active_set, budget=budget, charts=charts
-        )
+        rec.active_set: read_count(histogram, "face", rec.active_set)
         for rec in lattice.proper_faces()
     }
     return CountReport(

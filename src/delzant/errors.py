@@ -17,6 +17,12 @@ class DelzantError(Exception):
     exit_code = 1
 
 
+class UsageError(DelzantError):
+    """A flag or environment value is out of range or malformed."""
+
+    exit_code = 2
+
+
 class PolytopeParseError(DelzantError):
     """Input file rejected.  ``line`` is 1-based, 0 means whole-file."""
 

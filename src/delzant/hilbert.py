@@ -18,6 +18,7 @@ from .counting import (
     EhrhartPoly,
     count_points,
     ehrhart_interpolate,
+    histogram_face_counter,
     interpolate_counts,
 )
 from .errors import DisagreementError, NotDelzantError
@@ -52,16 +53,12 @@ def inclusion_exclusion_levels(
     Level l runs over every size-l subset of facets, resolves it through
     the face lattice (empty intersections count zero), and carries the
     sign (-1)^(l+1).  Returns a list of (level, sign, count_sum) triples.
+    By default every face count is read from one tight-mask histogram of
+    the k-fold dilate.
     """
     d = spec.num_facets
     if face_counter is None:
-        if charts is None:
-            charts = enumerate_vertices(spec)
-
-        def face_counter(subset, kk):
-            return count_points(
-                spec, kk, "face", face=subset, budget=budget, charts=charts
-            )
+        face_counter = histogram_face_counter(spec, budget=budget, charts=charts)
 
     levels = []
     for size in range(1, d + 1):
@@ -111,8 +108,9 @@ def cy_hilbert_polynomial(
 ) -> HilbertReport:
     """Boundary Hilbert polynomial, three ways, with mandatory agreement.
 
-    Face counts are cached across the inclusion-exclusion fit and the
-    per-face table, which both interpolate from the same brute counts.
+    The inclusion-exclusion fit and the per-face table read their face
+    counts from one tight-mask histogram per dilation k.  The oracle route
+    enumerates every dilate again on its own.
     """
     charts = enumerate_vertices(spec)
     validation = validate_delzant(spec, charts)
@@ -122,16 +120,7 @@ def cy_hilbert_polynomial(
     vol = volume_polynomial(spec, lattice)
     m = spec.dim
 
-    cache: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def face_counter(subset, k):
-        key = (subset, k)
-        if key not in cache:
-            cache[key] = count_points(
-                spec, k, "face", face=subset, budget=budget, charts=charts
-            )
-        return cache[key]
-
+    face_counter = histogram_face_counter(spec, budget=budget, charts=charts)
     via_faces = interpolate_counts(
         lambda k: inclusion_exclusion_count(
             spec, lattice, k, budget=budget, charts=charts, face_counter=face_counter

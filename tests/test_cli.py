@@ -149,6 +149,30 @@ class TestJsonOutput:
         assert by_set[(3,)] == 3  # the dilated hypotenuse carries 3 points
         assert by_set[(1, 2)] == 1
 
+    def test_count_payload_comes_from_one_enumeration(
+        self, poly_file, capsys, monkeypatch
+    ):
+        import delzant.counting as counting_mod
+
+        dilations = []
+        original = counting_mod._enumerate
+
+        def recording(spec, k, *args):
+            dilations.append(k)
+            return original(spec, k, *args)
+
+        monkeypatch.setattr(counting_mod, "_enumerate", recording)
+        code, out, _ = run(
+            capsys,
+            "count", "--k", "3", "--region", "face=2", "--output", "json",
+            poly_file("cube_unit"),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 16
+        assert len(payload["per_face"]) == 26
+        assert dilations == [3]
+
     def test_ehrhart_operator_payload_carries_audit_polynomial(
         self, poly_file, capsys
     ):
@@ -212,6 +236,47 @@ class TestExitCodes:
         )
         assert code == 2
         assert "full and boundary" in err
+
+    @staticmethod
+    def assert_one_line_usage_error(code, err, *words):
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    def test_dilation_zero_is_usage_error(self, poly_file, capsys):
+        code, _, err = run(capsys, "count", "--k", "0", poly_file("simplex_2"))
+        self.assert_one_line_usage_error(code, err, "--k", "0")
+
+    def test_negative_dilation_is_usage_error(self, poly_file, capsys):
+        code, _, err = run(capsys, "count", "--k", "-3", poly_file("simplex_2"))
+        self.assert_one_line_usage_error(code, err, "--k", "-3")
+
+    def test_face_index_beyond_facet_count_is_usage_error(self, poly_file, capsys):
+        code, _, err = run(
+            capsys, "count", "--region", "face=99", "--output", "json",
+            poly_file("simplex_2"),
+        )
+        self.assert_one_line_usage_error(code, err, "99", "3 facets")
+
+    def test_malformed_budget_env_is_usage_error(self, poly_file, capsys, monkeypatch):
+        monkeypatch.setenv("DELZANT_BUDGET", "abc")
+        code, _, err = run(capsys, "count", poly_file("simplex_2"))
+        self.assert_one_line_usage_error(code, err, "DELZANT_BUDGET", "abc")
+
+    def test_negative_budget_is_usage_error(self, poly_file, capsys):
+        code, _, err = run(
+            capsys, "count", "--budget", "-1", poly_file("simplex_2")
+        )
+        self.assert_one_line_usage_error(code, err, "--budget", "-1")
+
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.poly"
+        path.write_bytes(b"\xff\xfedim 2\n")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
 
     def test_missing_file_is_1(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.poly")

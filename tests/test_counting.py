@@ -4,13 +4,17 @@ from math import comb
 import pytest
 
 from delzant.corpus import DELZANT_CORPUS, load
+import delzant.counting as counting_mod
 from delzant.counting import (
     count_points,
     count_report,
     ehrhart_interpolate,
     interpolate_counts,
+    read_count,
+    tight_histogram,
 )
 from delzant.errors import BudgetExceededError, NotPolynomialError
+from delzant.hilbert import cy_hilbert_polynomial
 from delzant.polynomial import UniPoly
 
 
@@ -59,6 +63,70 @@ class TestCountPoints:
             serial = count_points(spec, 3, region)
             assert count_points(spec, 3, region, slabs=4) == serial
             assert count_points(spec, 3, region, slabs=13) == serial
+
+
+def _mask(active_set):
+    return sum(1 << i for i in active_set)
+
+
+class TestTightHistogram:
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reads_equal_separate_enumerations(self, name, k, prepare):
+        p = prepare(name)
+        histogram = tight_histogram(p.spec, k, charts=p.charts)
+        for region in ("full", "interior", "boundary"):
+            assert read_count(histogram, region) == count_points(
+                p.spec, k, region, charts=p.charts
+            )
+        # every face, plus facet sets that cut out nothing and the empty set
+        facet_sets = {rec.active_set for rec in p.lattice.faces.values()}
+        facet_sets.add(tuple(range(p.spec.num_facets)))
+        facet_sets.update(
+            (i, j)
+            for i in range(p.spec.num_facets)
+            for j in range(i + 1, p.spec.num_facets)
+        )
+        for face in sorted(facet_sets):
+            assert read_count(histogram, "face", face) == count_points(
+                p.spec, k, "face", face=face, charts=p.charts
+            ), face
+        assert read_count(histogram, "face", ()) == read_count(histogram, "full")
+
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_keys_are_face_active_sets(self, name, prepare):
+        p = prepare(name)
+        active = {_mask(key) for key in p.lattice.faces}
+        for k in (1, 2, 3):
+            histogram = tight_histogram(p.spec, k, charts=p.charts)
+            assert set(histogram) <= active
+            assert all(n > 0 for n in histogram.values())
+        # a lattice polytope of dim m has an interior point at k = m + 1, and so
+        # has each face in its relative interior: then every face is a key
+        k = p.spec.dim + 1
+        assert set(tight_histogram(p.spec, k, charts=p.charts)) == active
+
+    def test_argument_errors(self):
+        spec = load("simplex_2")
+        with pytest.raises(ValueError):
+            tight_histogram(spec, 0)
+        with pytest.raises(BudgetExceededError):
+            tight_histogram(load("cube_2"), 50, budget=1000)
+        with pytest.raises(ValueError):
+            read_count({0: 1}, "everything")
+
+    def test_hilbert_builds_one_histogram_per_dilation(self, monkeypatch):
+        built = []
+        original = counting_mod.tight_histogram
+
+        def recording(spec, k, **kwargs):
+            built.append(k)
+            return original(spec, k, **kwargs)
+
+        monkeypatch.setattr(counting_mod, "tight_histogram", recording)
+        cy_hilbert_polynomial(load("cube_unit"))
+        # m = 3: the facets' degree-2 fits need k = 1..3 and the probe k = 4
+        assert built == [1, 2, 3, 4]
 
 
 class TestCountReport:
