@@ -32,12 +32,7 @@ from .errors import (
     UsageError,
 )
 from .hilbert import cross_check, cy_hilbert_polynomial
-from .operators import (
-    boundary_count_formula,
-    khovanskii_count,
-    operator_applied_polynomial,
-    symbolic_ehrhart,
-)
+from .operators import applied_count, applied_ehrhart, operator_applied_polynomial
 from .polyfile import parse_polytope_file
 from .polytope import build_face_lattice, enumerate_vertices, validate_delzant
 from .volume import boundary_volume_polynomial, volume_polynomial
@@ -69,8 +64,15 @@ def _parse_region(text: str):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError: one 'error:' line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delzant",
         description="Exact lattice point counts and Hilbert polynomials "
         "for Delzant polytopes.",
@@ -264,30 +266,33 @@ def cmd_volume_poly(args, spec) -> int:
     boundary = boundary_volume_polynomial(vol)
     at_anchor = vol.poly.evaluate(spec.offsets())
     boundary_at_anchor = boundary.poly.evaluate(spec.offsets())
+    volume_text = vol.poly.to_text()
+    boundary_text = boundary.poly.to_text()
+    facet_texts = [p.to_text() for p in boundary.per_facet]
     payload = {
         "command": "volume-poly",
         "polytope": _polytope_json(spec),
-        "volume": vol.poly.to_text(),
+        "volume": volume_text,
         "volume_at_anchor": str(at_anchor),
-        "boundary_volume": boundary.poly.to_text(),
+        "boundary_volume": boundary_text,
         "boundary_volume_at_anchor": str(boundary_at_anchor),
-        "per_facet": [p.to_text() for p in boundary.per_facet],
+        "per_facet": facet_texts,
     }
     lines = [
-        f"volume: {vol.poly.to_text()}",
+        f"volume: {volume_text}",
         f"volume at anchor: {at_anchor}",
-        f"boundary volume: {boundary.poly.to_text()}",
+        f"boundary volume: {boundary_text}",
         f"boundary volume at anchor: {boundary_at_anchor}",
     ]
     rows = [
-        ("volume", vol.poly.to_text()),
+        ("volume", volume_text),
         ("volume_at_anchor", at_anchor),
-        ("boundary_volume", boundary.poly.to_text()),
+        ("boundary_volume", boundary_text),
         ("boundary_volume_at_anchor", boundary_at_anchor),
     ]
-    for i, p in enumerate(boundary.per_facet, start=1):
-        lines.append(f"facet {i}: {p.to_text()}")
-        rows.append((f"facet_{i}", p.to_text()))
+    for i, text in enumerate(facet_texts, start=1):
+        lines.append(f"facet {i}: {text}")
+        rows.append((f"facet_{i}", text))
     _emit(args, payload, lines, rows)
     return EXIT_OK
 
@@ -342,8 +347,9 @@ def cmd_ehrhart(args, spec) -> int:
             raise UsageError("--method operator supports kinds full and boundary only")
         lattice = build_face_lattice(spec, charts)
         vol = volume_polynomial(spec, lattice)
-        result = symbolic_ehrhart(spec, vol, args.kind)
-        applied_text = operator_applied_polynomial(spec, vol, args.kind).to_text()
+        applied = operator_applied_polynomial(spec, vol, args.kind)
+        result = applied_ehrhart(applied, vol, args.kind)
+        applied_text = applied.to_text()
     else:
         result = ehrhart_interpolate(
             spec, args.kind, budget=args.budget, charts=charts
@@ -367,24 +373,20 @@ def _cmd_operator_count(args, spec, kind: str) -> int:
     charts = _require_delzant(spec)
     lattice = build_face_lattice(spec, charts)
     vol = volume_polynomial(spec, lattice)
-    if kind == "full":
-        value = khovanskii_count(spec, vol)
-        command = "khovanskii"
-    else:
-        value = boundary_count_formula(spec, vol)
-        command = "boundary-formula"
     applied = operator_applied_polynomial(spec, vol, kind)
+    value = applied_count(applied, vol, kind)
+    applied_text = applied.to_text()
     payload = {
-        "command": command,
+        "command": "khovanskii" if kind == "full" else "boundary-formula",
         "polytope": _polytope_json(spec),
         "count": value,
-        "operator_applied": applied.to_text(),
+        "operator_applied": applied_text,
     }
     _emit(
         args,
         payload,
         [str(value)],
-        [("count", value), ("operator_applied", applied.to_text())],
+        [("count", value), ("operator_applied", applied_text)],
     )
     return EXIT_OK
 
@@ -457,9 +459,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.budget = _budget(args)
         if args.command == "count" and args.k < 1:
             raise UsageError(f"--k must be a positive integer, got {args.k}")

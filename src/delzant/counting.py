@@ -11,7 +11,6 @@ extra count correctly before it is accepted as a polynomial.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -105,6 +104,10 @@ def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts, slabs: int):
         range(axis0[i], min(axis0[i] + chunk, highs[0] + 1))
         for i in range(0, len(axis0), chunk)
     ]
+    # imported here, not at module level: concurrent.futures loads logging,
+    # traceback and queue, a cost every other command would pay
+    from concurrent.futures import ThreadPoolExecutor
+
     histogram: dict[int, int] = {}
     with ThreadPoolExecutor(max_workers=len(pieces)) as pool:
         futures = [

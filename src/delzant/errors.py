@@ -3,7 +3,7 @@
 Every library-level failure derives from DelzantError and carries an
 ``exit_code`` used by the command line frontend.  The codes are disjoint:
 
-    2  usage / bad flag combination (argparse also uses 2)
+    2  usage: a bad flag, flag combination or environment value
     3  input file cannot be parsed
     4  polytope structure rejected (not Delzant, not simple, unbounded, ...)
     5  enumeration budget exceeded
@@ -99,10 +99,6 @@ class BudgetExceededError(DelzantError):
         super().__init__(
             f"enumeration needs {required} point classifications, budget is {budget}"
         )
-
-
-class DegenerateTriangulationError(DelzantError):
-    exit_code = 6
 
 
 class ChamberCrossedError(DelzantError):

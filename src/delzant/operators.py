@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from .counting import EhrhartPoly
@@ -138,40 +139,50 @@ def boundary_operator_product(nvars: int, order: int) -> OperatorProduct:
 
 
 def _apply_single_variable(series: SeriesSpec, var: int, p: MultiPoly) -> MultiPoly:
-    result = MultiPoly.zero(p.nvars)
-    derivative = p
-    j = 0
-    while not derivative.is_zero() and j <= series.order:
-        c = series.coefficients[j]
-        if c != 0:
-            result = result + derivative * c
-        derivative = derivative.differentiate(var)
-        j += 1
-    return result
+    """sum_j s_j (d/do_var)^j p in one pass: x^e -> sum_j s_j e!/(e-j)! x^(e-j)."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms().items():
+        e = exps[var]
+        falling = coeff
+        for j in range(min(e, series.order) + 1):
+            s = series.coefficients[j]
+            if s:
+                key = exps[:var] + (e - j,) + exps[var + 1 :]
+                out[key] = out.get(key, 0) + s * falling
+            falling *= e - j
+    return MultiPoly(p.nvars, out)
 
 
 def _apply_sum_factor(series: SeriesSpec, p: MultiPoly) -> MultiPoly:
-    result = MultiPoly.zero(p.nvars)
-    derivative = p
-    j = 0
-    while not derivative.is_zero() and j <= series.order:
-        c = series.coefficients[j]
-        if c != 0:
-            result = result + derivative * c
-        summed = MultiPoly.zero(p.nvars)
-        for var in range(p.nvars):
-            summed = summed + derivative.differentiate(var)
-        derivative = summed
-        j += 1
-    return result
+    """sum_j s_j D^j p for the summed derivative D, in one pass.
+
+    D^j x^e = j! sum over f <= e with |f| = j of prod_i C(e_i, f_i) x^(e-f),
+    so each term spreads over its sub-exponents f at once.
+    """
+    weights = [c * factorial(j) for j, c in enumerate(series.coefficients)]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.terms().items():
+        support = [i for i, e in enumerate(exps) if e]
+        for picks in product(*(range(exps[i] + 1) for i in support)):
+            j = sum(picks)
+            if j > series.order or not weights[j]:
+                continue
+            key = list(exps)
+            value = weights[j] * coeff
+            for i, f in zip(support, picks):
+                key[i] -= f
+                value *= comb(exps[i], f)
+            key = tuple(key)
+            out[key] = out.get(key, 0) + value
+    return MultiPoly(p.nvars, out)
 
 
 def apply_operator_product(op: OperatorProduct, p: MultiPoly) -> MultiPoly:
     """Expand the operator product against a polynomial, exactly.
 
     The factors commute, so they are applied one variable at a time with
-    the sum factor last; a truncation order below the target degree is an
-    error rather than a silent cutoff.
+    the sum factor last, each in one pass over the terms.  A truncation
+    order below the target degree is an error rather than a silent cutoff.
     """
     if p.nvars != op.nvars:
         raise ValueError(f"operator is over {op.nvars} variables, polynomial over {p.nvars}")
@@ -199,40 +210,15 @@ def apply_operator_product(op: OperatorProduct, p: MultiPoly) -> MultiPoly:
     return result
 
 
-def _require_nonnegative_integer(value: Fraction, what: str, detail: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise FormulaViolationError(
-            f"{what} evaluated to {value}, not a nonnegative integer; {detail}"
-        )
-    return int(value)
-
-
-def khovanskii_count(spec, vol: VolumePolynomial) -> int:
-    """Lattice point count via the Todd operator product on the volume."""
-    applied = apply_operator_product(todd_product(vol.poly.nvars, vol.degree), vol.poly)
-    value = applied.evaluate(vol.anchor)
-    return _require_nonnegative_integer(
-        value,
-        "Todd operator count",
-        f"operator-applied polynomial {applied.to_text()} at {vol.anchor}",
-    )
-
-
-def boundary_count_formula(spec, vol: VolumePolynomial) -> int:
-    """Boundary lattice point count via the A-hat operator product."""
-    boundary = boundary_volume_polynomial(vol)
-    op = boundary_operator_product(vol.poly.nvars, max(vol.degree - 1, 0))
-    applied = apply_operator_product(op, boundary.poly)
-    value = applied.evaluate(vol.anchor)
-    return _require_nonnegative_integer(
-        value,
-        "A-hat boundary count",
-        f"operator-applied polynomial {applied.to_text()} at {vol.anchor}",
-    )
+_COUNT_NAMES = {"full": "Todd operator count", "boundary": "A-hat boundary count"}
 
 
 def operator_applied_polynomial(spec, vol: VolumePolynomial, kind: str) -> MultiPoly:
-    """The intermediate operator-applied polynomial, exposed for audit output."""
+    """Todd product on the volume (full) or A-hat product on the boundary volume.
+
+    The count and the Ehrhart polynomial of the kind are both read from
+    this one polynomial (``applied_count``, ``applied_ehrhart``).
+    """
     if kind == "full":
         return apply_operator_product(todd_product(vol.poly.nvars, vol.degree), vol.poly)
     if kind == "boundary":
@@ -242,7 +228,33 @@ def operator_applied_polynomial(spec, vol: VolumePolynomial, kind: str) -> Multi
     raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
 
 
+def applied_count(applied: MultiPoly, vol: VolumePolynomial, kind: str) -> int:
+    """The lattice point count: the applied polynomial at the anchor offsets."""
+    value = applied.evaluate(vol.anchor)
+    if value.denominator != 1 or value < 0:
+        raise FormulaViolationError(
+            f"{_COUNT_NAMES[kind]} evaluated to {value}, not a nonnegative integer; "
+            f"operator-applied polynomial {applied.to_text()} at {vol.anchor}"
+        )
+    return int(value)
+
+
+def applied_ehrhart(applied: MultiPoly, vol: VolumePolynomial, kind: str) -> EhrhartPoly:
+    """The Ehrhart polynomial: substitute offsets -> k * anchor."""
+    return EhrhartPoly(poly=applied.substitute_dilation(vol.anchor), kind=kind)
+
+
+def khovanskii_count(spec, vol: VolumePolynomial) -> int:
+    """Lattice point count via the Todd operator product on the volume."""
+    return applied_count(operator_applied_polynomial(spec, vol, "full"), vol, "full")
+
+
+def boundary_count_formula(spec, vol: VolumePolynomial) -> int:
+    """Boundary lattice point count via the A-hat operator product."""
+    applied = operator_applied_polynomial(spec, vol, "boundary")
+    return applied_count(applied, vol, "boundary")
+
+
 def symbolic_ehrhart(spec, vol: VolumePolynomial, kind: str) -> EhrhartPoly:
     """Ehrhart polynomial via operators: apply, then substitute offsets -> k * anchor."""
-    applied = operator_applied_polynomial(spec, vol, kind)
-    return EhrhartPoly(poly=applied.substitute_dilation(vol.anchor), kind=kind)
+    return applied_ehrhart(operator_applied_polynomial(spec, vol, kind), vol, kind)

@@ -1,16 +1,25 @@
 """Symbolic volume and boundary-volume polynomials of a polytope family.
 
 The volume of the family Delta(o_1, ..., o_d) near the anchor offsets is a
-single polynomial of degree m in the offsets.  It is computed by coning a
-fixed combinatorial triangulation of the boundary from a base vertex: each
-maximal simplex contributes det(v_i - v_0)/m! with the determinant taken
-over the symbolic vertex coordinates (linear forms in the offsets) and its
-sign frozen at the anchor.
+single polynomial of degree m in the offsets, valid in the chamber of the
+anchor.  It comes from the Lawrence/Brion vertex formula.  At a simple
+vertex v with facet normal matrix N_v (rows n_a for a in the active set
+A_v) the edges leave v along the columns of -N_v^{-1}; for a direction xi
+orthogonal to no edge, with c = N_v^{-T} xi,
+
+    vol(o) = (1/m!) sum_v (sum_{a in A_v} c_a o_a)^m / (|det N_v| prod_a c_a)
+
+(Lawrence, "Polytope volume computation", Math. Comp. 1991; Brion 1988).
+xi is the first point (1, b, b^2, ...) of the moment curve, b >= 2, with
+every c_a nonzero; the sum does not depend on it.  Each power is expanded
+by the multinomial theorem, and the vertex terms are summed as integers
+over one shared denominator.
 
 The boundary volume is the derivative sum over all offsets; per facet it
 equals the Euclidean facet volume divided by the length of the primitive
-facet normal, which is also computed directly from a lattice basis of the
-facet hyperplane as an independent cross-check.
+facet normal.  The numeric oracle and the direct facet volumes share no
+code with the vertex formula: they triangulate the polytope (or facet) at
+concrete coordinates and sum simplex determinants.
 """
 
 from __future__ import annotations
@@ -19,12 +28,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm, prod
 
-from .errors import ChamberCrossedError, DegenerateTriangulationError
+from .errors import ChamberCrossedError
 from .linalg import int_inverse_unimodular, mat_vec, ring_det, unimodular_for_normal
 from .polynomial import MultiPoly
-from .polytope import FaceLattice, HalfSpaceSpec, feasible_vertex_points
+from .polytope import (
+    FaceLattice,
+    HalfSpaceSpec,
+    VertexChart,
+    _sort_key,
+    feasible_vertex_points,
+)
 
 
 @dataclass(frozen=True)
@@ -40,28 +55,129 @@ class BoundaryVolumePolynomial:
     per_facet: tuple[MultiPoly, ...]
 
 
-def _vertex_key(anchor):
-    return (sum(anchor), tuple(anchor))
+def _edge_pairings(chart: VertexChart, xi) -> list[Fraction]:
+    """c = N_v^{-T} xi: one entry per active facet of the vertex."""
+    m = len(xi)
+    return [sum(chart.inverse[r][j] * xi[r] for r in range(m)) for j in range(m)]
 
 
-def _triangulate(faces, key, apex: str):
+def _moment_direction(charts, m: int) -> tuple[int, ...]:
+    """(1, b, ..., b^(m-1)) for the least b >= 2 that pairs to nonzero everywhere.
+
+    Each c_a is a nonzero polynomial in b of degree below m, so at most
+    (m - 1) values of b fail per entry and the search ends.
+    """
+    b = 2
+    while True:
+        xi = tuple(b**r for r in range(m))
+        if all(c != 0 for chart in charts for c in _edge_pairings(chart, xi)):
+            return xi
+        b += 1
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total, -1, -1)
+        for rest in _compositions(total - first, parts - 1)
+    ]
+
+
+def _lawrence_volume(charts, nvars: int, xi) -> MultiPoly:
+    """The vertex formula for direction xi, summed exactly.
+
+    Per vertex, c is scaled to an integer vector C (the term is homogeneous
+    of degree 0 in c), so the vertex contributes
+    prod_a C_a^e_a / (prod_a e_a! * den_v) to the coefficient of o^e, with
+    den_v = |det N_v| prod_a C_a.  Numerators are summed over the lcm of
+    the den_v; only the final coefficients become Fractions.
+    """
+    m = len(xi)
+    vertices = []
+    for chart in charts:
+        c = _edge_pairings(chart, xi)
+        if any(x == 0 for x in c):
+            raise ValueError(f"direction {xi} is orthogonal to an edge at {chart.anchor}")
+        scale = lcm(*(x.denominator for x in c))
+        pairings = [int(x * scale) for x in c]
+        vertices.append((chart.active_set, pairings, abs(chart.det) * prod(pairings)))
+    common = lcm(*(abs(den) for _, _, den in vertices))
+    splits = _compositions(m, m)
+    numerators: dict[tuple[int, ...], int] = {}
+    for active, pairings, den in vertices:
+        weight = common // den
+        powers = [[c**e for e in range(m + 1)] for c in pairings]
+        for split in splits:
+            value = weight
+            exps = [0] * nvars
+            for j, e in enumerate(split):
+                if e:
+                    value *= powers[j][e]
+                    exps[active[j]] = e
+            key = tuple(exps)
+            numerators[key] = numerators.get(key, 0) + value
+    return MultiPoly(
+        nvars,
+        {
+            exps: Fraction(value, common * prod(factorial(e) for e in exps))
+            for exps, value in numerators.items()
+            if value
+        },
+    )
+
+
+def volume_polynomial(spec: HalfSpaceSpec, lattice: FaceLattice) -> VolumePolynomial:
+    """Degree-m volume polynomial, valid in the chamber of the anchor offsets."""
+    charts = lattice.faces[()].charts
+    xi = _moment_direction(charts, spec.dim)
+    poly = _lawrence_volume(charts, spec.num_facets, xi)
+    return VolumePolynomial(poly=poly, degree=spec.dim, anchor=spec.offsets())
+
+
+def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomial:
+    """Sum of the offset derivatives of the volume, kept per facet.
+
+    Most monomials occur in several facet derivatives; they share one
+    exponent tuple, so the d derivatives take little more room than one.
+    """
+    nvars = vol.poly.nvars
+    per_facet: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(nvars)]
+    total: dict[tuple[int, ...], Fraction] = {}
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for exps, coeff in vol.poly.terms().items():
+        for i, e in enumerate(exps):
+            if e:
+                key = exps[:i] + (e - 1,) + exps[i + 1 :]
+                key = keys.setdefault(key, key)
+                value = coeff * e
+                per_facet[i][key] = value
+                total[key] = total.get(key, 0) + value
+    return BoundaryVolumePolynomial(
+        poly=MultiPoly(nvars, total),
+        per_facet=tuple(MultiPoly(nvars, terms) for terms in per_facet),
+    )
+
+
+def _triangulate(faces, key):
     """Recursive coning triangulation of the face with the given active set.
 
     ``faces`` maps active sets to (dim, vertex list); vertices are any
-    objects with ``anchor`` and ``active_set`` attributes.  Returns tuples
-    of dim+1 vertices each.
+    objects with ``anchor`` and ``active_set`` attributes.  Each face is
+    coned from its least vertex.  Returns tuples of dim+1 vertices each.
     """
     dim, vertices = faces[key]
     if dim == 0:
         return [(vertices[0],)]
-    pick = max if apex == "greatest" else min
-    base = pick(vertices, key=lambda v: _vertex_key(v.anchor))
+    base = min(vertices, key=lambda v: _sort_key(v.anchor))
     simplices = []
     for j in sorted(set(i for v in vertices for i in v.active_set) - set(key)):
         child = tuple(sorted(key + (j,)))
         if child not in faces or j in base.active_set:
             continue
-        for simplex in _triangulate(faces, child, apex):
+        for simplex in _triangulate(faces, child):
             simplices.append((base,) + simplex)
     return simplices
 
@@ -74,42 +190,6 @@ def _faces_by_key(points, m):
             for subset in combinations(vertex.active_set, size):
                 members.setdefault(subset, []).append(vertex)
     return {key: (m - len(key), vs) for key, vs in members.items()}
-
-
-def volume_polynomial(
-    spec: HalfSpaceSpec, lattice: FaceLattice, apex: str = "least"
-) -> VolumePolynomial:
-    """Degree-m volume polynomial, valid in the chamber of the anchor offsets."""
-    m = spec.dim
-    anchor = spec.offsets()
-    faces = {key: (rec.dim, list(rec.charts)) for key, rec in lattice.faces.items()}
-    total = MultiPoly.zero(spec.num_facets)
-    for simplex in _triangulate(faces, (), apex):
-        base = simplex[0]
-        rows = [
-            [v.symbolic[c] - base.symbolic[c] for c in range(m)]
-            for v in simplex[1:]
-        ]
-        det = ring_det(rows)
-        value = det.evaluate(anchor)
-        if value == 0:
-            raise DegenerateTriangulationError(
-                f"triangulation simplex through {base.anchor} is degenerate at the anchor"
-            )
-        total = total + det if value > 0 else total - det
-    poly = total * Fraction(1, factorial(m))
-    return VolumePolynomial(poly=poly, degree=m, anchor=anchor)
-
-
-def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomial:
-    """Sum of the offset derivatives of the volume, kept per facet."""
-    per_facet = tuple(
-        vol.poly.differentiate(i) for i in range(vol.poly.nvars)
-    )
-    total = MultiPoly.zero(vol.poly.nvars)
-    for p in per_facet:
-        total = total + p
-    return BoundaryVolumePolynomial(poly=total, per_facet=per_facet)
 
 
 class _SamplePoint:
@@ -146,7 +226,7 @@ def numeric_volume_at(spec: HalfSpaceSpec, sample) -> Fraction:
     points = [_SamplePoint(anchor, active) for anchor, active in at_sample]
     faces = _faces_by_key(points, m)
     total = Fraction(0)
-    for simplex in _triangulate(faces, (), "least"):
+    for simplex in _triangulate(faces, ()):
         base = simplex[0]
         rows = [
             [v.anchor[c] - base.anchor[c] for c in range(m)]
@@ -212,7 +292,7 @@ def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -
         if facet in key
     }
     total = Fraction(0)
-    for simplex in _triangulate(faces, (), "least"):
+    for simplex in _triangulate(faces, ()):
         base = coords[simplex[0].active_set]
         rows = [
             [coords[v.active_set][c] - base[c] for c in range(m - 1)]

@@ -173,6 +173,38 @@ class TestJsonOutput:
         assert len(payload["per_face"]) == 26
         assert dilations == [3]
 
+    @pytest.mark.parametrize(
+        "argv, order, field, value",
+        [
+            (("khovanskii",), 3, "count", 8),
+            (("boundary-formula",), 2, "count", 8),
+            (("ehrhart", "--method", "operator", "--kind", "full"), 3,
+             "polynomial", "k^3 + 3k^2 + 3k + 1"),
+            (("ehrhart", "--method", "operator", "--kind", "boundary"), 2,
+             "polynomial", "6k^2 + 2"),
+        ],
+        ids=["khovanskii", "boundary-formula", "ehrhart-full", "ehrhart-boundary"],
+    )
+    def test_operator_payload_comes_from_one_application(
+        self, argv, order, field, value, poly_file, capsys, monkeypatch
+    ):
+        import delzant.operators as operators_mod
+
+        orders = []
+        original = operators_mod.apply_operator_product
+
+        def recording(op, p):
+            orders.append(op.truncation_order)
+            return original(op, p)
+
+        monkeypatch.setattr(operators_mod, "apply_operator_product", recording)
+        code, out, _ = run(capsys, *argv, "--output", "json", poly_file("cube_unit"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[field] == value
+        assert payload["operator_applied"]
+        assert orders == [order]
+
     def test_ehrhart_operator_payload_carries_audit_polynomial(
         self, poly_file, capsys
     ):
@@ -269,6 +301,16 @@ class TestExitCodes:
             capsys, "count", "--budget", "-1", poly_file("simplex_2")
         )
         self.assert_one_line_usage_error(code, err, "--budget", "-1")
+
+    def test_malformed_face_region_is_one_line_usage_error(self, poly_file, capsys):
+        code, _, err = run(
+            capsys, "count", "--region", "face=x", poly_file("simplex_2")
+        )
+        self.assert_one_line_usage_error(code, err, "--region", "face=x")
+
+    def test_non_integer_dilation_is_one_line_usage_error(self, poly_file, capsys):
+        code, _, err = run(capsys, "count", "--k", "abc", poly_file("simplex_2"))
+        self.assert_one_line_usage_error(code, err, "--k", "abc")
 
     def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "binary.poly"

@@ -1,12 +1,14 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.errors import ChamberCrossedError
 from delzant.polynomial import MultiPoly
+from delzant.polytope import HalfSpaceSpec, build_face_lattice, enumerate_vertices
 from delzant.volume import (
+    _lawrence_volume,
     boundary_volume_polynomial,
     chamber_samples,
     facet_volume_direct,
@@ -20,6 +22,31 @@ SAMPLE_COUNT_CAP = 40  # full >= C(d+m, m) sweep runs in the acceptance suite
 
 def variables(n):
     return [MultiPoly.variable(n, i) for i in range(n)]
+
+
+def product_spec(*factors):
+    """P x Q x ...: each factor's facets, padded with zeros to the full dimension."""
+    dim = sum(f.dim for f in factors)
+    facets, shift = [], 0
+    for f in factors:
+        for normal, offset in f.facets:
+            facets.append(((0,) * shift + normal + (0,) * (dim - shift - f.dim), offset))
+        shift += f.dim
+    return HalfSpaceSpec(dim, facets)
+
+
+def volume_of(spec):
+    charts = enumerate_vertices(spec)
+    return volume_polynomial(spec, build_face_lattice(spec, charts)).poly
+
+
+def embed(poly, shift, nvars):
+    """poly with its variables renumbered from ``shift`` on, in ``nvars`` variables."""
+    width = poly.nvars
+    return MultiPoly(
+        nvars,
+        {(0,) * shift + e + (0,) * (nvars - shift - width): c for e, c in poly.terms().items()},
+    )
 
 
 class TestVolumePolynomial:
@@ -52,9 +79,47 @@ class TestVolumePolynomial:
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_apex_choice_does_not_matter(self, name, prepare):
+        # the direction xi is the vertex formula's only free choice, as the
+        # cone apex is the triangulation's: two generic directions, one sum
         p = prepare(name)
-        other = volume_polynomial(p.spec, p.lattice, apex="greatest")
-        assert other.poly == p.vol.poly
+        charts = p.lattice.faces[()].charts
+        m, d = p.spec.dim, p.spec.num_facets
+        first = _lawrence_volume(charts, d, (3, -5, 7, 11)[:m])
+        second = _lawrence_volume(charts, d, (17, 2, -13, 19)[:m])
+        assert first == second == p.vol.poly
+
+    def test_direction_orthogonal_to_an_edge_is_refused(self, prepare):
+        p = prepare("square_unit")
+        with pytest.raises(ValueError, match="orthogonal to an edge"):
+            _lawrence_volume(p.lattice.faces[()].charts, 4, (1, 0))
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("simplex_2", "simplex_3"),
+            ("simplex_2", "simplex_2", "segment_unit"),
+            ("segment_unit",) * 5,
+        ],
+        ids=lambda names: "x".join(names),
+    )
+    def test_product_volume_is_product_of_volumes(self, names):
+        factors = [load(name) for name in names]
+        nvars = sum(f.num_facets for f in factors)
+        expected, shift = MultiPoly.constant(nvars, 1), 0
+        for f in factors:
+            expected = expected * embed(volume_of(f), shift, nvars)
+            shift += f.num_facets
+        assert volume_of(product_spec(*factors)) == expected
+
+    def test_standard_6_simplex(self):
+        m = 6
+        facets = [(tuple(-int(i == j) for j in range(m)), 0) for i in range(m)]
+        spec = HalfSpaceSpec(m, facets + [((1,) * m, 1)])
+        total = sum(variables(m + 1), MultiPoly.zero(m + 1))
+        power = MultiPoly.constant(m + 1, 1)
+        for _ in range(m):
+            power = power * total
+        assert volume_of(spec) == power * Fraction(1, factorial(m))
 
 
 class TestBoundaryVolume:
