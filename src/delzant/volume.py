@@ -140,8 +140,8 @@ def volume_polynomial(spec: HalfSpaceSpec, lattice: FaceLattice) -> VolumePolyno
 def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomial:
     """Sum of the offset derivatives of the volume, kept per facet.
 
-    Most monomials occur in several facet derivatives; they share one
-    exponent tuple, so the d derivatives take little more room than one.
+    A monomial that occurs in several facet derivatives is keyed by one
+    shared exponent tuple in all of them.
     """
     nvars = vol.poly.nvars
     per_facet: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(nvars)]

@@ -9,6 +9,7 @@ from delzant.polynomial import MultiPoly
 from delzant.polytope import HalfSpaceSpec, build_face_lattice, enumerate_vertices
 from delzant.volume import (
     _lawrence_volume,
+    _moment_direction,
     boundary_volume_polynomial,
     chamber_samples,
     facet_volume_direct,
@@ -38,6 +39,13 @@ def product_spec(*factors):
 def volume_of(spec):
     charts = enumerate_vertices(spec)
     return volume_polynomial(spec, build_face_lattice(spec, charts)).poly
+
+
+def matches_oracle(spec, poly, samples=6):
+    return all(
+        poly.evaluate(sample) == numeric_volume_at(spec, sample)
+        for sample in chamber_samples(spec, samples)
+    )
 
 
 def embed(poly, shift, nvars):
@@ -92,6 +100,18 @@ class TestVolumePolynomial:
         p = prepare("square_unit")
         with pytest.raises(ValueError, match="orthogonal to an edge"):
             _lawrence_volume(p.lattice.faces[()].charts, 4, (1, 0))
+
+    def test_direction_search_skips_b_orthogonal_to_an_edge(self):
+        # the trapezoid 0 <= y <= 1, 0 <= x <= 4 - 2y: at (2, 1) and (4, 0)
+        # xi = (1, 2) pairs to 0 with an edge, so the search takes b = 3
+        spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 2), 4)])
+        assert _moment_direction(enumerate_vertices(spec), 2) == (1, 3)
+        assert matches_oracle(spec, volume_of(spec))
+
+    def test_vertex_weight_carries_the_determinant(self):
+        # simple but not Delzant: the vertex (1, 0) has |det N_v| = 2
+        spec = load("triangle_det2")
+        assert matches_oracle(spec, volume_of(spec))
 
     @pytest.mark.parametrize(
         "names",
