@@ -58,6 +58,8 @@ def _parse_region(text: str):
             raise argparse.ArgumentTypeError(f"bad face index list in {text!r}")
         if not indices or any(i < 0 for i in indices):
             raise argparse.ArgumentTypeError(f"bad face index list in {text!r}")
+        if len(set(indices)) != len(indices):
+            raise argparse.ArgumentTypeError(f"repeated facet index in {text!r}")
         return "face", indices
     raise argparse.ArgumentTypeError(
         f"unknown region {text!r}; use full, interior, boundary, or face=1,2"

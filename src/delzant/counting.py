@@ -49,41 +49,49 @@ def _bounding_box(spec: HalfSpaceSpec, k: int, charts):
     return lows, highs
 
 
-def _tight_masks(normals, bounds, lows, highs, axis0_range) -> dict[int, int]:
-    """Classify every point of one slab of the box; count the inside ones by mask.
+def _tight_masks(normals, bounds, lows, highs) -> dict[int, int]:
+    """Classify every point of the box; count the inside ones by mask.
 
-    Bit j of a point's mask is set when the point lies on facet j.  Most
-    inside points are interior (mask 0), so those are tallied in a plain
-    counter and only boundary points touch the dictionary.
+    The box is walked one fibre at a time along the last axis.  For each
+    prefix (x_0..x_{m-2}) the slack b_j - sum_{c<m-1} n_j[c] x_c of every
+    facet is computed once; each point x of the fibre is then tested in
+    facet order against its exact residual slack_j - n_j[m-1] x, leaving
+    at the first facet it violates.  Bit j of a point's mask is set when
+    the point lies on facet j.  Most inside points are interior (mask 0),
+    so those are tallied in a plain counter and only boundary points touch
+    the dictionary.
     """
     m = len(lows)
     histogram: dict[int, int] = {}
     interior = 0
-    ranges = [axis0_range] + [range(lows[c], highs[c] + 1) for c in range(1, m)]
-    for point in product(*ranges):
-        inside = True
-        tight = 0
-        for j, normal in enumerate(normals):
-            value = 0
-            for c in range(m):
-                value += normal[c] * point[c]
-            if value > bounds[j]:
-                inside = False
-                break
-            if value == bounds[j]:
-                tight |= 1 << j
-        if not inside:
-            continue
-        if tight:
-            histogram[tight] = histogram.get(tight, 0) + 1
-        else:
-            interior += 1
+    heads = [normal[: m - 1] for normal in normals]
+    tails = [(normal[m - 1], 1 << j) for j, normal in enumerate(normals)]
+    prefixes = product(*(range(lows[c], highs[c] + 1) for c in range(m - 1)))
+    fibre = range(lows[m - 1], highs[m - 1] + 1)
+    for prefix in prefixes:
+        rows = [
+            (b - sum(a * x for a, x in zip(head, prefix)), last, bit)
+            for b, head, (last, bit) in zip(bounds, heads, tails)
+        ]
+        for x in fibre:
+            tight = 0
+            for slack, last, bit in rows:
+                r = slack - last * x
+                if r < 0:
+                    break
+                if r == 0:
+                    tight |= bit
+            else:
+                if tight:
+                    histogram[tight] = histogram.get(tight, 0) + 1
+                else:
+                    interior += 1
     if interior:
         histogram[0] = interior
     return histogram
 
 
-def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts, slabs: int):
+def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts):
     """The tight-mask histogram of the k-fold dilate, after the budget check."""
     if charts is None:
         charts = enumerate_vertices(spec)
@@ -93,31 +101,8 @@ def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts, slabs: int):
         size *= hi - lo + 1
     if size > budget:
         raise BudgetExceededError(required=size, budget=budget)
-
-    normals = spec.normals()
     bounds = [k * o for o in spec.offsets()]
-    axis0 = range(lows[0], highs[0] + 1)
-    if slabs <= 1 or len(axis0) <= 1:
-        return _tight_masks(normals, bounds, lows, highs, axis0)
-    chunk = max(1, (len(axis0) + slabs - 1) // slabs)
-    pieces = [
-        range(axis0[i], min(axis0[i] + chunk, highs[0] + 1))
-        for i in range(0, len(axis0), chunk)
-    ]
-    # imported here, not at module level: concurrent.futures loads logging,
-    # traceback and queue, a cost every other command would pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    histogram: dict[int, int] = {}
-    with ThreadPoolExecutor(max_workers=len(pieces)) as pool:
-        futures = [
-            pool.submit(_tight_masks, normals, bounds, lows, highs, piece)
-            for piece in pieces
-        ]
-        for future in futures:
-            for mask, count in future.result().items():
-                histogram[mask] = histogram.get(mask, 0) + count
-    return histogram
+    return _tight_masks(spec.normals(), bounds, lows, highs)
 
 
 def tight_histogram(
@@ -132,7 +117,7 @@ def tight_histogram(
     """
     if k < 1:
         raise ValueError("dilation k must be a positive integer")
-    return _enumerate(spec, k, budget, charts, 1)
+    return _enumerate(spec, k, budget, charts)
 
 
 def read_count(histogram: dict[int, int], region: str = "full", face=None) -> int:
@@ -184,7 +169,6 @@ def count_points(
     face=None,
     budget: int = DEFAULT_BUDGET,
     charts=None,
-    slabs: int = 1,
 ) -> int:
     """Exact lattice point count of the k-fold dilate (or a region of it).
 
@@ -207,7 +191,7 @@ def count_points(
                 raise ValueError(f"facet index {i} out of range")
     elif face is not None:
         raise ValueError("facet index set is only meaningful with region 'face'")
-    return read_count(_enumerate(spec, k, budget, charts, slabs), region, face)
+    return read_count(_enumerate(spec, k, budget, charts), region, face)
 
 
 def count_report(

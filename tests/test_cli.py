@@ -308,6 +308,12 @@ class TestExitCodes:
         )
         self.assert_one_line_usage_error(code, err, "--region", "face=x")
 
+    def test_repeated_face_index_is_one_line_usage_error(self, poly_file, capsys):
+        code, _, err = run(
+            capsys, "count", "--region", "face=1,1", poly_file("simplex_2")
+        )
+        self.assert_one_line_usage_error(code, err, "repeated", "face=1,1")
+
     def test_non_integer_dilation_is_one_line_usage_error(self, poly_file, capsys):
         code, _, err = run(capsys, "count", "--k", "abc", poly_file("simplex_2"))
         self.assert_one_line_usage_error(code, err, "--k", "abc")
