@@ -1,10 +1,14 @@
-"""Byte-for-byte golden outputs of the symbolic commands on the corpus.
+"""Byte-for-byte golden outputs of every command on the corpus.
 
-Covers volume-poly, khovanskii, boundary-formula and ehrhart --method
-operator (kinds full and boundary) in every output format on every
-Delzant corpus file: the volume polynomial and the operator route must
-print exactly what ``golden/symbolic.json`` holds.  Re-record only when
-an output change is intended:
+``golden/symbolic.json`` covers volume-poly, khovanskii, boundary-formula
+and ehrhart --method operator (kinds full and boundary) in every output
+format on every Delzant corpus file: the volume polynomial and the
+operator route must print exactly what it holds.  ``golden/commands.json``
+covers the other commands (validate, faces, count in four regions,
+ehrhart by interpolation in three kinds, hilbert-cy and cross-check) in
+every output format on every corpus file, the two negative ones
+included, and also pins what they write to stderr.  Re-record both only
+when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -19,37 +23,69 @@ from pathlib import Path
 import pytest
 
 from delzant.cli import main
-from delzant.corpus import DELZANT_CORPUS, corpus_text
+from delzant.corpus import DELZANT_CORPUS, corpus_names, corpus_text
 
-GOLDEN = Path(__file__).with_name("golden") / "symbolic.json"
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
-COMMANDS = (
+SYMBOLIC_COMMANDS = (
     ("volume-poly",),
     ("khovanskii",),
     ("boundary-formula",),
     ("ehrhart", "--method", "operator", "--kind", "full"),
     ("ehrhart", "--method", "operator", "--kind", "boundary"),
 )
+OTHER_COMMANDS = (
+    ("validate",),
+    ("faces",),
+    ("count", "--k", "2", "--region", "full"),
+    ("count", "--k", "2", "--region", "interior"),
+    ("count", "--k", "2", "--region", "boundary"),
+    ("count", "--k", "2", "--region", "face=1"),
+    ("ehrhart", "--kind", "full"),
+    ("ehrhart", "--kind", "interior"),
+    ("ehrhart", "--kind", "boundary"),
+    ("hilbert-cy",),
+    ("cross-check",),
+)
 FORMATS = ("text", "json", "tsv")
+
+# golden file -> (commands, corpus names, whether stderr is pinned too)
+GOLDENS = {
+    "symbolic.json": (SYMBOLIC_COMMANDS, DELZANT_CORPUS, False),
+    "commands.json": (OTHER_COMMANDS, corpus_names(), True),
+}
 
 
 def _key(command, fmt, name):
     return " ".join(command) + f" --output {fmt} {name}"
 
 
-def _run(command, fmt, path):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _run(command, fmt, path, with_stderr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*command, "--output", fmt, str(path)])
-    return {"exit": code, "stdout": out.getvalue()}
+    result = {"exit": code, "stdout": out.getvalue()}
+    if with_stderr:
+        result["stderr"] = err.getvalue()
+    return result
 
 
 def _write_corpus(directory: Path) -> dict:
     paths = {}
-    for name in DELZANT_CORPUS:
+    for name in corpus_names():
         paths[name] = directory / f"{name}.poly"
         paths[name].write_text(corpus_text(name), encoding="utf-8")
     return paths
+
+
+def _cases(filename):
+    commands, names, _ = GOLDENS[filename]
+    return [(name, command) for name in names for command in commands]
+
+
+def _case_id(case):
+    name, command = case
+    return name + "-" + "-".join(command).replace("--", "")
 
 
 @pytest.fixture(scope="module")
@@ -59,29 +95,46 @@ def corpus_paths(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {
+        filename: json.loads((GOLDEN_DIR / filename).read_text(encoding="utf-8"))
+        for filename in GOLDENS
+    }
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: "-".join(c).replace("--", ""))
-@pytest.mark.parametrize("name", DELZANT_CORPUS)
-def test_symbolic_output_matches_golden(name, command, corpus_paths, golden):
+def _check(filename, name, command, corpus_paths, golden):
+    with_stderr = GOLDENS[filename][2]
     for fmt in FORMATS:
         key = _key(command, fmt, name)
-        assert _run(command, fmt, corpus_paths[name]) == golden[key], key
+        got = _run(command, fmt, corpus_paths[name], with_stderr)
+        assert got == golden[filename][key], key
+
+
+@pytest.mark.parametrize("case", _cases("symbolic.json"), ids=_case_id)
+def test_symbolic_output_matches_golden(case, corpus_paths, golden):
+    _check("symbolic.json", *case, corpus_paths, golden)
+
+
+@pytest.mark.parametrize("case", _cases("commands.json"), ids=_case_id)
+def test_command_output_matches_golden(case, corpus_paths, golden):
+    _check("commands.json", *case, corpus_paths, golden)
 
 
 def record() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_corpus(Path(tmp))
-        outputs = {
-            _key(command, fmt, name): _run(command, fmt, paths[name])
-            for name in DELZANT_CORPUS
-            for command in COMMANDS
-            for fmt in FORMATS
-        }
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(outputs)} outputs to {GOLDEN}")
+        for filename, (commands, names, with_stderr) in GOLDENS.items():
+            outputs = {
+                _key(command, fmt, name): _run(command, fmt, paths[name], with_stderr)
+                for name in names
+                for command in commands
+                for fmt in FORMATS
+            }
+            path = GOLDEN_DIR / filename
+            path.write_text(
+                json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            print(f"wrote {len(outputs)} outputs to {path}")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from delzant.errors import UnboundedError
 from delzant.linalg import (
     det_cofactor,
     int_det,
@@ -15,6 +16,7 @@ from delzant.linalg import (
     solve_exact,
     unimodular_for_normal,
 )
+from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 
 
 def random_matrix(rng, n, lo=-5, hi=5):
@@ -107,3 +109,28 @@ class TestRingDet:
             for _ in range(20):
                 m = random_matrix(rng, n)
                 assert ring_det(m) == int_det(m)
+
+
+class TestRankDeficientRay:
+    """A rank-deficient normal set is unbounded along a kernel vector.
+
+    The expected rays are the ones the elimination has always reported:
+    the first free column set to one, scaled to the least integer vector.
+    """
+
+    @pytest.mark.parametrize(
+        "dim, normals, ray",
+        [
+            (3, [(2, 0, 3), (0, 2, -1), (-2, 0, -3), (0, -2, 1)], (-3, 1, 2)),
+            (
+                4,
+                [(1, 2, 0, 1), (-1, -2, 0, -1), (0, 1, 1, 1), (0, -1, -1, -1), (1, 3, 1, 2)],
+                (2, -1, 1, 0),
+            ),
+        ],
+    )
+    def test_unbounded_error_names_the_kernel_ray(self, dim, normals, ray):
+        spec = HalfSpaceSpec(dim, [(normal, 1) for normal in normals])
+        with pytest.raises(UnboundedError) as err:
+            enumerate_vertices(spec)
+        assert err.value.ray == ray
