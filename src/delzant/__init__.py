@@ -37,6 +37,7 @@ from .polytope import (
     enumerate_vertices,
     validate_delzant,
 )
+from .prepared import Prepared
 from .volume import (
     BoundaryVolumePolynomial,
     VolumePolynomial,
@@ -58,6 +59,7 @@ __all__ = [
     "HilbertReport",
     "MultiPoly",
     "OperatorProduct",
+    "Prepared",
     "Scalar",
     "SeriesSpec",
     "UniPoly",

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .counting import (
@@ -22,7 +23,6 @@ from .counting import (
     count_report,
     ehrhart_interpolate,
     read_count,
-    tight_histogram,
 )
 from .errors import (
     DelzantError,
@@ -32,10 +32,9 @@ from .errors import (
     UsageError,
 )
 from .hilbert import cross_check, cy_hilbert_polynomial
-from .operators import applied_count, applied_ehrhart, operator_applied_polynomial
+from .operators import applied_count, applied_ehrhart
 from .polyfile import parse_polytope_file
-from .polytope import build_face_lattice, enumerate_vertices, validate_delzant
-from .volume import boundary_volume_polynomial, volume_polynomial
+from .prepared import Prepared
 
 BUDGET_ENV = "DELZANT_BUDGET"
 
@@ -181,8 +180,10 @@ def _polytope_json(spec) -> dict:
     }
 
 
-def _emit(args, payload: dict, text_lines: list[str], tsv_rows: list[tuple]) -> None:
+def _emit(args, prep, payload: dict, text_lines: list[str], tsv_rows: list[tuple]) -> None:
+    """Print one report; the JSON payload also carries the polytope."""
     if args.output == "json":
+        payload = {**payload, "polytope": _polytope_json(prep.spec)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.output == "tsv":
         for row in tsv_rows:
@@ -192,20 +193,10 @@ def _emit(args, payload: dict, text_lines: list[str], tsv_rows: list[tuple]) -> 
             print(line)
 
 
-def _require_delzant(spec):
-    charts = enumerate_vertices(spec)
-    report = validate_delzant(spec, charts)
-    if not report.ok:
-        raise NotDelzantError(report)
-    return charts
-
-
-def cmd_validate(args, spec) -> int:
-    charts = enumerate_vertices(spec)
-    report = validate_delzant(spec, charts)
+def cmd_validate(args, prep) -> int:
+    charts, report = prep.charts, prep.report
     payload = {
         "command": "validate",
-        "polytope": _polytope_json(spec),
         "delzant": report.ok,
         "vertices": len(charts),
         "failures": [
@@ -223,19 +214,17 @@ def cmd_validate(args, spec) -> int:
         coords = ", ".join(str(c) for c in f.anchor)
         lines.append(f"vertex ({coords}): det {f.det} != +-1")
         rows.append(("failure", f"({coords})", f.det))
-    _emit(args, payload, lines, rows)
+    _emit(args, prep, payload, lines, rows)
     return EXIT_OK if report.ok else NotDelzantError.exit_code
 
 
-def cmd_faces(args, spec) -> int:
-    charts = _require_delzant(spec)
-    lattice = build_face_lattice(spec, charts)
+def cmd_faces(args, prep) -> int:
+    lattice = prep.lattice
     records = sorted(
         lattice.faces.values(), key=lambda r: (-r.dim, r.active_set)
     )
     payload = {
         "command": "faces",
-        "polytope": _polytope_json(spec),
         "euler_sum": lattice.euler_sum(),
         "faces": [
             {
@@ -246,9 +235,7 @@ def cmd_faces(args, spec) -> int:
             for rec in records
         ],
     }
-    by_dim: dict[int, int] = {}
-    for rec in records:
-        by_dim[rec.dim] = by_dim.get(rec.dim, 0) + 1
+    by_dim = Counter(rec.dim for rec in records)
     profile = ", ".join(f"{by_dim[d]} of dim {d}" for d in sorted(by_dim))
     lines = [f"faces: {len(records)} ({profile})"]
     rows = []
@@ -257,15 +244,12 @@ def cmd_faces(args, spec) -> int:
         vertices = " ".join(str(c.anchor_ints()) for c in rec.charts)
         lines.append(f"F {label}: dim {rec.dim}, vertices {vertices}")
         rows.append((label, rec.dim, len(rec.charts)))
-    _emit(args, payload, lines, rows)
+    _emit(args, prep, payload, lines, rows)
     return EXIT_OK
 
 
-def cmd_volume_poly(args, spec) -> int:
-    charts = _require_delzant(spec)
-    lattice = build_face_lattice(spec, charts)
-    vol = volume_polynomial(spec, lattice)
-    boundary = boundary_volume_polynomial(vol)
+def cmd_volume_poly(args, prep) -> int:
+    spec, vol, boundary = prep.spec, prep.vol, prep.boundary
     at_anchor = vol.poly.evaluate(spec.offsets())
     boundary_at_anchor = boundary.poly.evaluate(spec.offsets())
     volume_text = vol.poly.to_text()
@@ -273,7 +257,6 @@ def cmd_volume_poly(args, spec) -> int:
     facet_texts = [p.to_text() for p in boundary.per_facet]
     payload = {
         "command": "volume-poly",
-        "polytope": _polytope_json(spec),
         "volume": volume_text,
         "volume_at_anchor": str(at_anchor),
         "boundary_volume": boundary_text,
@@ -295,12 +278,12 @@ def cmd_volume_poly(args, spec) -> int:
     for i, text in enumerate(facet_texts, start=1):
         lines.append(f"facet {i}: {text}")
         rows.append((f"facet_{i}", text))
-    _emit(args, payload, lines, rows)
+    _emit(args, prep, payload, lines, rows)
     return EXIT_OK
 
 
-def cmd_count(args, spec) -> int:
-    charts = _require_delzant(spec)
+def cmd_count(args, prep) -> int:
+    spec = prep.spec
     region, face = args.region
     if face is not None and face[-1] >= spec.num_facets:
         raise UsageError(
@@ -312,17 +295,15 @@ def cmd_count(args, spec) -> int:
     )
     payload = {
         "command": "count",
-        "polytope": _polytope_json(spec),
         "k": args.k,
         "region": region_text,
     }
     if args.output == "json":
         # the JSON report mirrors the full CountReport, not just the one
         # region; both are read from one enumeration of the dilate
-        histogram = tight_histogram(spec, args.k, budget=args.budget, charts=charts)
+        histogram = prep.histogram(args.k)
         value = read_count(histogram, region, face)
-        lattice = build_face_lattice(spec, charts)
-        report = count_report(spec, lattice, args.k, histogram=histogram)
+        report = count_report(histogram, prep.lattice, args.k)
         payload.update(
             count=value,
             total=report.total,
@@ -335,30 +316,26 @@ def cmd_count(args, spec) -> int:
         )
     else:
         value = count_points(
-            spec, args.k, region, face=face, budget=args.budget, charts=charts
+            spec, args.k, region, face=face, budget=prep.budget, charts=prep.charts
         )
-    _emit(args, payload, [str(value)], [("k", args.k), ("region", region_text), ("count", value)])
+    _emit(args, prep, payload, [str(value)], [("k", args.k), ("region", region_text), ("count", value)])
     return EXIT_OK
 
 
-def cmd_ehrhart(args, spec) -> int:
-    charts = _require_delzant(spec)
+def cmd_ehrhart(args, prep) -> int:
     applied_text = None
     if args.method == "operator":
         if args.kind == "interior":
             raise UsageError("--method operator supports kinds full and boundary only")
-        lattice = build_face_lattice(spec, charts)
-        vol = volume_polynomial(spec, lattice)
-        applied = operator_applied_polynomial(spec, vol, args.kind)
-        result = applied_ehrhart(applied, vol, args.kind)
+        applied = prep.applied(args.kind)
+        result = applied_ehrhart(applied, prep.vol, args.kind)
         applied_text = applied.to_text()
     else:
         result = ehrhart_interpolate(
-            spec, args.kind, budget=args.budget, charts=charts
+            prep.spec, args.kind, budget=prep.budget, charts=prep.charts
         )
     payload = {
         "command": "ehrhart",
-        "polytope": _polytope_json(spec),
         "kind": args.kind,
         "method": args.method,
         "polynomial": result.to_text(),
@@ -367,25 +344,22 @@ def cmd_ehrhart(args, spec) -> int:
     }
     lines = [f"{args.kind} Ehrhart: {result.to_text()}"]
     rows = [("kind", args.kind), ("method", args.method), ("polynomial", result.to_text())]
-    _emit(args, payload, lines, rows)
+    _emit(args, prep, payload, lines, rows)
     return EXIT_OK
 
 
-def _cmd_operator_count(args, spec, kind: str) -> int:
-    charts = _require_delzant(spec)
-    lattice = build_face_lattice(spec, charts)
-    vol = volume_polynomial(spec, lattice)
-    applied = operator_applied_polynomial(spec, vol, kind)
-    value = applied_count(applied, vol, kind)
+def _cmd_operator_count(args, prep, kind: str) -> int:
+    applied = prep.applied(kind)
+    value = applied_count(applied, prep.vol, kind)
     applied_text = applied.to_text()
     payload = {
         "command": "khovanskii" if kind == "full" else "boundary-formula",
-        "polytope": _polytope_json(spec),
         "count": value,
         "operator_applied": applied_text,
     }
     _emit(
         args,
+        prep,
         payload,
         [str(value)],
         [("count", value), ("operator_applied", applied_text)],
@@ -393,19 +367,18 @@ def _cmd_operator_count(args, spec, kind: str) -> int:
     return EXIT_OK
 
 
-def cmd_hilbert_cy(args, spec) -> int:
-    report = cy_hilbert_polynomial(spec, budget=args.budget)
+def cmd_hilbert_cy(args, prep) -> int:
+    report = cy_hilbert_polynomial(prep)
     per_face = [
         {
             "active_set": [i + 1 for i in key],
-            "dim": spec.dim - len(key),
+            "dim": prep.spec.dim - len(key),
             "polynomial": report.per_face[key].to_text(),
         }
         for key in sorted(report.per_face)
     ]
     payload = {
         "command": "hilbert-cy",
-        "polytope": _polytope_json(spec),
         "agree": report.agree,
         "by_inclusion_exclusion": report.by_inclusion_exclusion.to_text(),
         "by_operator_formula": report.by_operator_formula.to_text(),
@@ -423,15 +396,14 @@ def cmd_hilbert_cy(args, spec) -> int:
     for key in sorted(report.per_face):
         lines.append(f"face {_face_key_text(key)}: {report.per_face[key].to_text()}")
         rows.append((f"face {_face_key_text(key)}", report.per_face[key].to_text()))
-    _emit(args, payload, lines, rows)
+    _emit(args, prep, payload, lines, rows)
     return EXIT_OK
 
 
-def cmd_cross_check(args, spec) -> int:
-    report = cross_check(spec, budget=args.budget)
+def cmd_cross_check(args, prep) -> int:
+    report = cross_check(prep)
     payload = {
         "command": "cross-check",
-        "polytope": _polytope_json(spec),
         "ok": report.ok,
         "checks": [
             {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
@@ -443,7 +415,7 @@ def cmd_cross_check(args, spec) -> int:
     passed = sum(1 for c in report.checks if c.ok)
     lines.append(f"cross-check: {passed}/{len(report.checks)} checks passed")
     rows = [(c.name, "pass" if c.ok else "fail", c.detail) for c in report.checks]
-    _emit(args, payload, lines, rows)
+    _emit(args, prep, payload, lines, rows)
     return EXIT_OK if report.ok else FormulaViolationError.exit_code
 
 
@@ -453,8 +425,8 @@ COMMANDS = {
     "volume-poly": cmd_volume_poly,
     "count": cmd_count,
     "ehrhart": cmd_ehrhart,
-    "khovanskii": lambda args, spec: _cmd_operator_count(args, spec, "full"),
-    "boundary-formula": lambda args, spec: _cmd_operator_count(args, spec, "boundary"),
+    "khovanskii": lambda args, prep: _cmd_operator_count(args, prep, "full"),
+    "boundary-formula": lambda args, prep: _cmd_operator_count(args, prep, "boundary"),
     "hilbert-cy": cmd_hilbert_cy,
     "cross-check": cmd_cross_check,
 }
@@ -466,8 +438,10 @@ def main(argv=None) -> int:
         args.budget = _budget(args)
         if args.command == "count" and args.k < 1:
             raise UsageError(f"--k must be a positive integer, got {args.k}")
-        spec = _load_spec(args)
-        return COMMANDS[args.command](args, spec)
+        prep = Prepared(_load_spec(args), args.budget)
+        if args.command != "validate":
+            prep.require_delzant()
+        return COMMANDS[args.command](args, prep)
     except DelzantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -141,26 +141,6 @@ def read_count(histogram: dict[int, int], region: str = "full", face=None) -> in
     raise ValueError(f"unknown region {region!r}")
 
 
-def histogram_face_counter(
-    spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET, charts=None
-):
-    """A (facet index set, k) -> face count function, one enumeration per k.
-
-    The histograms live in a dict owned by the returned function, so they
-    are shared by the calls of one computation and by nothing else.
-    """
-    if charts is None:
-        charts = enumerate_vertices(spec)
-    histograms: dict[int, dict[int, int]] = {}
-
-    def face_counter(face, k):
-        if k not in histograms:
-            histograms[k] = tight_histogram(spec, k, budget=budget, charts=charts)
-        return read_count(histograms[k], "face", face)
-
-    return face_counter
-
-
 def count_points(
     spec: HalfSpaceSpec,
     k: int,
@@ -194,22 +174,9 @@ def count_points(
     return read_count(_enumerate(spec, k, budget, charts), region, face)
 
 
-def count_report(
-    spec: HalfSpaceSpec,
-    lattice: FaceLattice,
-    k: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    charts=None,
-    histogram: dict[int, int] | None = None,
-) -> CountReport:
-    """Counts of the dilate, its interior and boundary, and every proper face.
-
-    All of them are read from one tight-mask histogram, built here unless
-    the caller passes the histogram of the same dilate.
-    """
-    if histogram is None:
-        histogram = tight_histogram(spec, k, budget=budget, charts=charts)
+def count_report(histogram: dict[int, int], lattice: FaceLattice, k: int) -> CountReport:
+    """Counts of the k-fold dilate, its interior and boundary, and every
+    proper face, all read from the dilate's tight-mask histogram."""
     total = read_count(histogram, "full")
     interior = read_count(histogram, "interior")
     per_face = {

@@ -12,54 +12,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .counting import (
-    DEFAULT_BUDGET,
     EhrhartPoly,
     count_points,
     ehrhart_interpolate,
-    histogram_face_counter,
     interpolate_counts,
+    read_count,
 )
-from .errors import DisagreementError, NotDelzantError
+from .errors import DisagreementError
 from .operators import boundary_count_formula, khovanskii_count, symbolic_ehrhart
-from .polytope import (
-    FaceLattice,
-    HalfSpaceSpec,
-    build_face_lattice,
-    enumerate_vertices,
-    validate_delzant,
-)
-from .volume import (
-    boundary_volume_polynomial,
-    chamber_samples,
-    facet_volume_sum,
-    numeric_volume_at,
-    volume_polynomial,
-)
+from .polytope import enumerate_vertices
+from .prepared import Prepared
+from .volume import chamber_samples, facet_volume_sum, numeric_volume_at
 
 
-def inclusion_exclusion_levels(
-    spec: HalfSpaceSpec,
-    lattice: FaceLattice,
-    k: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    charts=None,
-    face_counter=None,
-):
+def inclusion_exclusion_levels(prep: Prepared, k: int):
     """Per-level terms of the alternating face-count sum.
 
     Level l runs over every size-l subset of facets, resolves it through
     the face lattice (empty intersections count zero), and carries the
     sign (-1)^(l+1).  Returns a list of (level, sign, count_sum) triples.
-    By default every face count is read from one tight-mask histogram of
-    the k-fold dilate.
+    Every face count is read from the one tight-mask histogram of the
+    k-fold dilate.
     """
-    d = spec.num_facets
-    if face_counter is None:
-        face_counter = histogram_face_counter(spec, budget=budget, charts=charts)
-
+    d = prep.spec.num_facets
+    lattice = prep.lattice
+    histogram = prep.histogram(k)
     levels = []
     for size in range(1, d + 1):
         sign = -1 if size % 2 == 0 else 1
@@ -68,27 +48,14 @@ def inclusion_exclusion_levels(
             record = lattice.resolve(subset)
             if record is None:
                 continue
-            subtotal += face_counter(record.active_set, k)
+            subtotal += read_count(histogram, "face", record.active_set)
         levels.append((size, sign, subtotal))
     return levels
 
 
-def inclusion_exclusion_count(
-    spec: HalfSpaceSpec,
-    lattice: FaceLattice,
-    k: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    charts=None,
-    face_counter=None,
-) -> int:
+def inclusion_exclusion_count(prep: Prepared, k: int) -> int:
     """Boundary lattice point count of the k-fold dilate by inclusion-exclusion."""
-    return sum(
-        sign * subtotal
-        for _, sign, subtotal in inclusion_exclusion_levels(
-            spec, lattice, k, budget=budget, charts=charts, face_counter=face_counter
-        )
-    )
+    return sum(sign * subtotal for _, sign, subtotal in inclusion_exclusion_levels(prep, k))
 
 
 @dataclass(frozen=True)
@@ -99,44 +66,28 @@ class HilbertReport:
     agree: bool
     per_face: dict[tuple[int, ...], EhrhartPoly]
 
-    def boundary_polynomial(self) -> EhrhartPoly:
-        return self.by_oracle
 
-
-def cy_hilbert_polynomial(
-    spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET
-) -> HilbertReport:
+def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     """Boundary Hilbert polynomial, three ways, with mandatory agreement.
 
     The inclusion-exclusion fit and the per-face table read their face
-    counts from one tight-mask histogram per dilation k.  The oracle route
-    enumerates every dilate again on its own.
+    counts from the polytope's one tight-mask histogram per dilation k.
+    The oracle route enumerates every dilate again on its own.  Raises
+    NotDelzantError on invalid input.
     """
-    charts = enumerate_vertices(spec)
-    validation = validate_delzant(spec, charts)
-    if not validation.ok:
-        raise NotDelzantError(validation)
-    lattice = build_face_lattice(spec, charts)
-    vol = volume_polynomial(spec, lattice)
-    m = spec.dim
-
-    face_counter = histogram_face_counter(spec, budget=budget, charts=charts)
+    spec = prep.require_delzant().spec
     via_faces = interpolate_counts(
-        lambda k: inclusion_exclusion_count(
-            spec, lattice, k, budget=budget, charts=charts, face_counter=face_counter
-        ),
-        max(m - 1, 0),
-        "boundary",
+        lambda k: inclusion_exclusion_count(prep, k), max(spec.dim - 1, 0), "boundary"
     )
-    by_operator = symbolic_ehrhart(spec, vol, "boundary")
+    by_operator = symbolic_ehrhart(prep, "boundary")
     by_oracle = ehrhart_interpolate(
-        spec, "boundary", budget=budget, charts=charts
+        spec, "boundary", budget=prep.budget, charts=prep.charts
     )
 
     per_face = {}
-    for record in lattice.proper_faces():
+    for record in prep.lattice.proper_faces():
         per_face[record.active_set] = interpolate_counts(
-            lambda k, subset=record.active_set: face_counter(subset, k),
+            lambda k, face=record.active_set: read_count(prep.histogram(k), "face", face),
             record.dim,
             "face",
             face=record.active_set,
@@ -176,19 +127,13 @@ class CrossCheckReport:
     checks: tuple[CheckResult, ...]
 
 
-def cross_check(spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET) -> CrossCheckReport:
+def cross_check(prep: Prepared) -> CrossCheckReport:
     """Run every identity the package asserts against one polytope.
 
     Raises NotDelzantError on invalid input; on valid input always returns
     a report, with each failed identity recorded rather than raised.
     """
-    charts = enumerate_vertices(spec)
-    validation = validate_delzant(spec, charts)
-    if not validation.ok:
-        raise NotDelzantError(validation)
-    lattice = build_face_lattice(spec, charts)
-    vol = volume_polynomial(spec, lattice)
-    boundary = boundary_volume_polynomial(vol)
+    spec, charts, budget = prep.require_delzant().spec, prep.charts, prep.budget
     m = spec.dim
     checks: list[CheckResult] = []
 
@@ -199,32 +144,23 @@ def cross_check(spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET) -> CrossCh
         except Exception as exc:  # recorded, not raised: this is a report
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
 
-    def check_khovanskii():
-        formula = khovanskii_count(spec, vol)
-        brute = count_points(spec, 1, "full", budget=budget, charts=charts)
-        if formula != brute:
-            raise AssertionError(f"operator count {formula} != brute count {brute}")
-        return f"count {formula}"
-
-    def check_boundary_formula():
-        formula = boundary_count_formula(spec, vol)
-        brute = count_points(spec, 1, "boundary", budget=budget, charts=charts)
+    def check_formula(operator_count, region):
+        formula = operator_count(prep)
+        brute = count_points(spec, 1, region, budget=budget, charts=charts)
         if formula != brute:
             raise AssertionError(f"operator count {formula} != brute count {brute}")
         return f"count {formula}"
 
     def check_inclusion_exclusion():
         for k in range(1, 6):
-            via_faces = inclusion_exclusion_count(
-                spec, lattice, k, budget=budget, charts=charts
-            )
+            via_faces = inclusion_exclusion_count(prep, k)
             brute = count_points(spec, k, "boundary", budget=budget, charts=charts)
             if via_faces != brute:
                 raise AssertionError(f"k={k}: {via_faces} != {brute}")
         return "k = 1..5"
 
     def check_hilbert():
-        report = cy_hilbert_polynomial(spec, budget=budget)
+        report = cy_hilbert_polynomial(prep)
         return f"boundary Ehrhart {report.by_oracle.to_text()}"
 
     def check_reciprocity():
@@ -237,28 +173,26 @@ def cross_check(spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET) -> CrossCh
         return "k = 1..5"
 
     def check_facet_volumes():
-        derivative_sum = boundary.poly.evaluate(spec.offsets())
-        direct = facet_volume_sum(spec, lattice)
+        derivative_sum = prep.boundary.poly.evaluate(spec.offsets())
+        direct = facet_volume_sum(spec, prep.lattice)
         if derivative_sum != direct:
             raise AssertionError(f"{derivative_sum} != {direct}")
         return f"boundary volume {derivative_sum}"
 
     def check_volume_samples():
-        from math import comb
-
         wanted = comb(spec.num_facets + m, m)
         for sample in chamber_samples(spec, wanted):
-            via_poly = vol.poly.evaluate(sample)
+            via_poly = prep.vol.poly.evaluate(sample)
             via_geometry = numeric_volume_at(spec, sample)
             if via_poly != via_geometry:
                 raise AssertionError(f"at {sample}: {via_poly} != {via_geometry}")
         return f"{wanted} samples"
 
     def check_euler():
-        total = lattice.euler_sum()
+        total = prep.lattice.euler_sum()
         if total != 1:
             raise AssertionError(f"alternating face sum {total} != 1")
-        return f"{len(lattice.faces)} faces"
+        return f"{len(prep.lattice.faces)} faces"
 
     def check_dilation():
         base = sorted(c.anchor for c in charts)
@@ -270,8 +204,8 @@ def cross_check(spec: HalfSpaceSpec, *, budget: int = DEFAULT_BUDGET) -> CrossCh
         return "k = 1..3"
 
     run("delzant", lambda: f"{len(charts)} vertices, all determinants +-1")
-    run("khovanskii_vs_count", check_khovanskii)
-    run("boundary_formula_vs_count", check_boundary_formula)
+    run("khovanskii_vs_count", lambda: check_formula(khovanskii_count, "full"))
+    run("boundary_formula_vs_count", lambda: check_formula(boundary_count_formula, "boundary"))
     run("inclusion_exclusion_vs_count", check_inclusion_exclusion)
     run("hilbert_three_way", check_hilbert)
     run("reciprocity", check_reciprocity)

@@ -8,6 +8,7 @@ floating point anywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -73,44 +74,69 @@ def ring_det(rows):
     return total
 
 
+def _gauss_jordan(a, ncols: int) -> list[int]:
+    """Reduce the Fraction rows ``a`` in place, over their first ``ncols``
+    columns, to reduced row echelon form; returns the pivot columns.
+
+    Any further columns (a right-hand side, an identity block) are carried
+    along, which is how one elimination solves, inverts and finds kernels.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return pivots
+
+
 def solve_exact(rows, rhs) -> list[Fraction]:
     """Solve a square linear system exactly.  Raises ValueError if singular."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    if len(_gauss_jordan(a, n)) < n:
+        raise ValueError("singular system")
     return [a[i][n] for i in range(n)]
 
 
 def invert_exact(rows) -> list[list[Fraction]]:
     """Exact inverse of a square matrix via Gauss-Jordan over Fraction."""
     n = len(rows)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if len(_gauss_jordan(a, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a]
+
+
+def kernel_vector(rows):
+    """Nonzero integer kernel vector of a matrix, or None at full column rank.
+
+    The first free column of the reduced echelon form is set to 1 and the
+    vector is cleared of denominators.
+    """
+    m = len(rows[0])
     a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv[k], inv[pivot] = inv[pivot], inv[k]
-        f = 1 / a[k][k]
-        a[k] = [x * f for x in a[k]]
-        inv[k] = [x * f for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return inv
+    pivots = _gauss_jordan(a, m)
+    if len(pivots) == m:
+        return None
+    free = next(c for c in range(m) if c not in pivots)
+    vec = [Fraction(0)] * m
+    vec[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -a[r][free]
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(int(x * den) for x in vec)
 
 
 def mat_mul(a, b):

@@ -26,7 +26,7 @@ from math import comb, factorial
 from .counting import EhrhartPoly
 from .errors import FormulaViolationError, TruncationError
 from .polynomial import MultiPoly
-from .volume import VolumePolynomial, boundary_volume_polynomial
+from .volume import VolumePolynomial
 
 SERIES_NAMES = ("Td", "Ahat", "invAhat")
 
@@ -83,9 +83,6 @@ class SeriesSpec:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-    def coefficient(self, j: int) -> Fraction:
-        return self.coefficients[j] if j <= self.order else Fraction(0)
 
 
 def series_coefficients(name: str, order: int) -> SeriesSpec:
@@ -213,21 +210,6 @@ def apply_operator_product(op: OperatorProduct, p: MultiPoly) -> MultiPoly:
 _COUNT_NAMES = {"full": "Todd operator count", "boundary": "A-hat boundary count"}
 
 
-def operator_applied_polynomial(spec, vol: VolumePolynomial, kind: str) -> MultiPoly:
-    """Todd product on the volume (full) or A-hat product on the boundary volume.
-
-    The count and the Ehrhart polynomial of the kind are both read from
-    this one polynomial (``applied_count``, ``applied_ehrhart``).
-    """
-    if kind == "full":
-        return apply_operator_product(todd_product(vol.poly.nvars, vol.degree), vol.poly)
-    if kind == "boundary":
-        boundary = boundary_volume_polynomial(vol)
-        op = boundary_operator_product(vol.poly.nvars, max(vol.degree - 1, 0))
-        return apply_operator_product(op, boundary.poly)
-    raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
-
-
 def applied_count(applied: MultiPoly, vol: VolumePolynomial, kind: str) -> int:
     """The lattice point count: the applied polynomial at the anchor offsets."""
     value = applied.evaluate(vol.anchor)
@@ -244,17 +226,17 @@ def applied_ehrhart(applied: MultiPoly, vol: VolumePolynomial, kind: str) -> Ehr
     return EhrhartPoly(poly=applied.substitute_dilation(vol.anchor), kind=kind)
 
 
-def khovanskii_count(spec, vol: VolumePolynomial) -> int:
-    """Lattice point count via the Todd operator product on the volume."""
-    return applied_count(operator_applied_polynomial(spec, vol, "full"), vol, "full")
+def khovanskii_count(prep) -> int:
+    """Lattice point count of a ``Prepared`` polytope via the Todd operator
+    product on the volume."""
+    return applied_count(prep.applied("full"), prep.vol, "full")
 
 
-def boundary_count_formula(spec, vol: VolumePolynomial) -> int:
+def boundary_count_formula(prep) -> int:
     """Boundary lattice point count via the A-hat operator product."""
-    applied = operator_applied_polynomial(spec, vol, "boundary")
-    return applied_count(applied, vol, "boundary")
+    return applied_count(prep.applied("boundary"), prep.vol, "boundary")
 
 
-def symbolic_ehrhart(spec, vol: VolumePolynomial, kind: str) -> EhrhartPoly:
+def symbolic_ehrhart(prep, kind: str) -> EhrhartPoly:
     """Ehrhart polynomial via operators: apply, then substitute offsets -> k * anchor."""
-    return applied_ehrhart(operator_applied_polynomial(spec, vol, kind), vol, kind)
+    return applied_ehrhart(prep.applied(kind), prep.vol, kind)

@@ -21,7 +21,7 @@ from .errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from .linalg import int_det, invert_exact, kernel_direction, solve_exact
+from .linalg import int_det, invert_exact, kernel_direction, kernel_vector, solve_exact
 from .polynomial import MultiPoly
 
 
@@ -149,37 +149,6 @@ def feasible_vertex_points(normals, offsets):
     return sorted(found.items(), key=lambda kv: _sort_key(kv[0]))
 
 
-def _row_space_kernel(normals, m):
-    """Nonzero integer kernel vector of the row space, or None if full rank."""
-    a = [[Fraction(x) for x in n] for n in normals]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        f = a[row][col]
-        a[row] = [x / f for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[row])]
-        pivot_cols.append(col)
-        row += 1
-    if row == m:
-        return None
-    free = next(c for c in range(m) if c not in pivot_cols)
-    vec = [Fraction(0)] * m
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivot_cols):
-        vec[col] = -a[r][free]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return tuple(int(x * den) for x in vec)
-
-
 def recession_ray(normals):
     """A nonzero integer ray of {x : x . n_i <= 0 for all i}, or None.
 
@@ -189,7 +158,7 @@ def recession_ray(normals):
     the kernel direction of some m-1 of the normals.
     """
     m = len(normals[0])
-    kernel = _row_space_kernel(normals, m)
+    kernel = kernel_vector(normals)
     if kernel is not None:
         return kernel
 
@@ -269,7 +238,6 @@ class DelzantFailure:
 class DelzantReport:
     ok: bool
     failures: tuple[DelzantFailure, ...]
-    charts: tuple[VertexChart, ...]
 
     def summary(self) -> str:
         if self.ok:
@@ -297,7 +265,7 @@ def validate_delzant(spec: HalfSpaceSpec, charts=None) -> DelzantReport:
         for c in charts
         if c.det not in (1, -1)
     )
-    return DelzantReport(ok=not failures, failures=failures, charts=tuple(charts))
+    return DelzantReport(ok=not failures, failures=failures)
 
 
 @dataclass(frozen=True)
@@ -307,27 +275,19 @@ class FaceRecord:
     charts: tuple[VertexChart, ...]
 
 
+@dataclass(frozen=True)
 class FaceLattice:
     """All faces of a simple polytope, keyed by their active facet set.
 
     For a simple polytope every nonempty intersection of facets is a face
     whose active set is exactly the intersecting index set, so resolution
-    is a dictionary lookup.  Subsets seen to resolve to nothing are
-    memoized in ``known_empty``.
+    is a dictionary lookup.
     """
 
-    def __init__(self, spec: HalfSpaceSpec, faces: dict[tuple[int, ...], FaceRecord]):
-        self.spec = spec
-        self.dim = spec.dim
-        self.faces = faces
-        self.known_empty: set[tuple[int, ...]] = set()
+    faces: dict[tuple[int, ...], FaceRecord]
 
     def resolve(self, subset: Iterable[int]) -> FaceRecord | None:
-        key = tuple(sorted(subset))
-        record = self.faces.get(key)
-        if record is None:
-            self.known_empty.add(key)
-        return record
+        return self.faces.get(tuple(sorted(subset)))
 
     def proper_faces(self) -> list[FaceRecord]:
         return [rec for key, rec in sorted(self.faces.items()) if key]
@@ -337,14 +297,12 @@ class FaceLattice:
         return sum((-1) ** rec.dim for rec in self.faces.values())
 
 
-def build_face_lattice(spec: HalfSpaceSpec, charts=None) -> FaceLattice:
+def build_face_lattice(spec: HalfSpaceSpec, charts) -> FaceLattice:
     """Enumerate every face from vertex active sets.
 
     Requires a Delzant-validated (in particular simple) polytope: each face
     is spanned by the vertices whose active sets contain its index set.
     """
-    if charts is None:
-        charts = enumerate_vertices(spec)
     m = spec.dim
     members: dict[tuple[int, ...], list[VertexChart]] = {}
     for chart in charts:
@@ -355,7 +313,7 @@ def build_face_lattice(spec: HalfSpaceSpec, charts=None) -> FaceLattice:
         key: FaceRecord(active_set=key, dim=m - len(key), charts=tuple(vs))
         for key, vs in members.items()
     }
-    return FaceLattice(spec, faces)
+    return FaceLattice(faces)
 
 
 def contains_lattice_point(spec: HalfSpaceSpec, x: Sequence[int], k: int) -> str:

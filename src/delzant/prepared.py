@@ -1,0 +1,90 @@
+"""One polytope's derived data, each stage built once, on first use.
+
+Every answer of the package comes from one chain per polytope: vertex
+charts -> Delzant report -> face lattice -> volume polynomial -> boundary
+volume, then the Todd and A-hat operator products applied to those, and
+the tight-mask histogram of each dilate for the face counts.  A command
+or report holds one ``Prepared`` and reads every stage from it, so each
+is built at most once however many checks read it.  The brute comparison
+values do not come from here: ``count_points`` and ``ehrhart_interpolate``
+enumerate on their own on every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from . import counting, operators, polytope, volume
+from .errors import NotDelzantError
+from .polynomial import MultiPoly
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """A polytope and its lazily built stages.
+
+    ``budget`` bounds each enumeration: the histograms built here and the
+    brute counts that readers run with ``budget=prep.budget``.  Reading
+    ``charts`` raises if the family is degenerate (unbounded, empty, not
+    simple, redundant); reading ``lattice`` or anything built on it raises
+    NotDelzantError unless every vertex is unimodular.
+    """
+
+    spec: polytope.HalfSpaceSpec
+    budget: int = counting.DEFAULT_BUDGET
+    _applied: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _histograms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def charts(self) -> tuple[polytope.VertexChart, ...]:
+        return tuple(polytope.enumerate_vertices(self.spec))
+
+    @cached_property
+    def report(self) -> polytope.DelzantReport:
+        return polytope.validate_delzant(self.spec, self.charts)
+
+    def require_delzant(self) -> Prepared:
+        """This object, once its Delzant report passes."""
+        if not self.report.ok:
+            raise NotDelzantError(self.report)
+        return self
+
+    @cached_property
+    def lattice(self) -> polytope.FaceLattice:
+        return polytope.build_face_lattice(self.require_delzant().spec, self.charts)
+
+    @cached_property
+    def vol(self) -> volume.VolumePolynomial:
+        return volume.volume_polynomial(self.spec, self.lattice)
+
+    @cached_property
+    def boundary(self) -> volume.BoundaryVolumePolynomial:
+        return volume.boundary_volume_polynomial(self.vol)
+
+    def applied(self, kind: str) -> MultiPoly:
+        """The Todd product on the volume (full) or the A-hat product on the
+        boundary volume (boundary), applied once per kind.
+
+        The count and the Ehrhart polynomial of the kind are both read from
+        this one polynomial (``operators.applied_count``, ``applied_ehrhart``).
+        """
+        if kind not in self._applied:
+            nvars, m = self.spec.num_facets, self.spec.dim
+            if kind == "full":
+                op, target = operators.todd_product(nvars, m), self.vol.poly
+            elif kind == "boundary":
+                op = operators.boundary_operator_product(nvars, max(m - 1, 0))
+                target = self.boundary.poly
+            else:
+                raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
+            self._applied[kind] = operators.apply_operator_product(op, target)
+        return self._applied[kind]
+
+    def histogram(self, k: int) -> dict[int, int]:
+        """The tight-mask histogram of the k-fold dilate, enumerated once per k."""
+        if k not in self._histograms:
+            self._histograms[k] = counting.tight_histogram(
+                self.spec, k, budget=self.budget, charts=self.charts
+            )
+        return self._histograms[k]

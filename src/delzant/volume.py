@@ -27,8 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, lcm, prod
+from typing import NamedTuple
 
 from .errors import ChamberCrossedError
 from .linalg import int_inverse_unimodular, mat_vec, ring_det, unimodular_for_normal
@@ -38,6 +38,7 @@ from .polytope import (
     HalfSpaceSpec,
     VertexChart,
     _sort_key,
+    build_face_lattice,
     feasible_vertex_points,
 )
 
@@ -164,11 +165,13 @@ def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomia
 def _triangulate(faces, key):
     """Recursive coning triangulation of the face with the given active set.
 
-    ``faces`` maps active sets to (dim, vertex list); vertices are any
-    objects with ``anchor`` and ``active_set`` attributes.  Each face is
-    coned from its least vertex.  Returns tuples of dim+1 vertices each.
+    ``faces`` maps active sets to face records (``dim`` and ``charts``);
+    vertices are any objects with ``anchor`` and ``active_set`` attributes.
+    Each face is coned from its least vertex.  Returns tuples of dim+1
+    vertices each.
     """
-    dim, vertices = faces[key]
+    record = faces[key]
+    dim, vertices = record.dim, record.charts
     if dim == 0:
         return [(vertices[0],)]
     base = min(vertices, key=lambda v: _sort_key(v.anchor))
@@ -182,22 +185,9 @@ def _triangulate(faces, key):
     return simplices
 
 
-def _faces_by_key(points, m):
-    """Face map for _triangulate from (vertex-like, active_set) data."""
-    members: dict[tuple[int, ...], list] = {}
-    for vertex in points:
-        for size in range(m + 1):
-            for subset in combinations(vertex.active_set, size):
-                members.setdefault(subset, []).append(vertex)
-    return {key: (m - len(key), vs) for key, vs in members.items()}
-
-
-class _SamplePoint:
-    __slots__ = ("anchor", "active_set")
-
-    def __init__(self, anchor, active_set):
-        self.anchor = anchor
-        self.active_set = active_set
+class _SamplePoint(NamedTuple):
+    anchor: tuple[Fraction, ...]
+    active_set: tuple[int, ...]
 
 
 def _incidence(points):
@@ -224,9 +214,8 @@ def numeric_volume_at(spec: HalfSpaceSpec, sample) -> Fraction:
         )
     m = spec.dim
     points = [_SamplePoint(anchor, active) for anchor, active in at_sample]
-    faces = _faces_by_key(points, m)
     total = Fraction(0)
-    for simplex in _triangulate(faces, ()):
+    for simplex in _triangulate(build_face_lattice(spec, points).faces, ()):
         base = simplex[0]
         rows = [
             [v.anchor[c] - base.anchor[c] for c in range(m)]
@@ -287,7 +276,7 @@ def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -
         y = mat_vec(u_inv, chart.anchor_ints())
         coords[chart.active_set] = y[1:]
     faces = {
-        tuple(sorted(set(key) - {facet})): (rec.dim, list(rec.charts))
+        tuple(sorted(set(key) - {facet})): rec
         for key, rec in lattice.faces.items()
         if facet in key
     }

@@ -1,32 +1,17 @@
-from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
 
 from delzant.corpus import load
-from delzant.polytope import build_face_lattice, enumerate_vertices, validate_delzant
-from delzant.volume import volume_polynomial
-
-
-@dataclass(frozen=True)
-class Prepared:
-    spec: object
-    charts: tuple
-    lattice: object
-    vol: object
+from delzant.prepared import Prepared
 
 
 @lru_cache(maxsize=None)
 def _prepare(name: str) -> Prepared:
-    spec = load(name)
-    charts = tuple(enumerate_vertices(spec))
-    assert validate_delzant(spec, charts).ok
-    lattice = build_face_lattice(spec, charts)
-    vol = volume_polynomial(spec, lattice)
-    return Prepared(spec=spec, charts=charts, lattice=lattice, vol=vol)
+    return Prepared(load(name)).require_delzant()
 
 
 @pytest.fixture(scope="session")
 def prepare():
-    """Session-cached loader: name -> (spec, charts, lattice, vol)."""
+    """Session-cached loader: name -> the corpus member's Delzant ``Prepared``."""
     return _prepare

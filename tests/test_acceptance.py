@@ -27,6 +27,7 @@ from delzant.operators import (
 )
 from delzant.polynomial import UniPoly, euler_expansion_identity
 from delzant.polytope import enumerate_vertices, validate_delzant
+from delzant.prepared import Prepared
 from delzant.volume import (
     boundary_volume_polynomial,
     chamber_samples,
@@ -59,7 +60,7 @@ def test_criterion_01_projective_hypersurface_hilbert_polynomials(capsys, tmp_pa
     }
     watch = Stopwatch(5.0)
     for name, poly in expected.items():
-        report = cy_hilbert_polynomial(load(name))
+        report = cy_hilbert_polynomial(Prepared(load(name)))
         assert report.agree is True
         assert report.by_inclusion_exclusion.poly == poly
         assert report.by_operator_formula.poly == poly
@@ -77,7 +78,7 @@ def test_criterion_02_todd_operator_count_is_executable_theorem(prepare):
     watch = Stopwatch(30.0)
     for name in DELZANT_CORPUS:
         p = prepare(name)
-        formula = khovanskii_count(p.spec, p.vol)
+        formula = khovanskii_count(p)
         brute = count_points(p.spec, 1, "full", charts=p.charts)
         assert formula == brute, name
     elapsed = watch.check()
@@ -88,7 +89,7 @@ def test_criterion_03_ahat_boundary_count_is_executable_theorem(prepare):
     watch = Stopwatch(30.0)
     for name in DELZANT_CORPUS:
         p = prepare(name)
-        formula = boundary_count_formula(p.spec, p.vol)
+        formula = boundary_count_formula(p)
         brute = count_points(p.spec, 1, "boundary", charts=p.charts)
         assert formula == brute, name
     elapsed = watch.check()
@@ -100,9 +101,7 @@ def test_criterion_04_inclusion_exclusion_matches_brute_force(prepare):
     for name in DELZANT_CORPUS:
         p = prepare(name)
         for k in range(1, 6):
-            via_faces = inclusion_exclusion_count(
-                p.spec, p.lattice, k, charts=p.charts
-            )
+            via_faces = inclusion_exclusion_count(p, k)
             brute = count_points(p.spec, k, "boundary", charts=p.charts)
             assert via_faces == brute, (name, k)
     elapsed = watch.check()
@@ -174,7 +173,7 @@ def test_criterion_09_volume_oracle_agreement(prepare):
     print(f"ACCEPTANCE 9: PASS ({total} chamber samples, all exact)")
 
 
-def test_criterion_10_negative_paths(prepare, monkeypatch):
+def test_criterion_10_negative_paths(monkeypatch):
     # det-2 triangle: validation failure names the offending vertex
     report = validate_delzant(load("triangle_det2"))
     assert not report.ok
@@ -190,7 +189,7 @@ def test_criterion_10_negative_paths(prepare, monkeypatch):
     # identity, and corrupting the A-hat constant breaks criterion 3.  The
     # criterion-4 identity compares two series-free enumeration routes, so no
     # series corruption can reach it by construction.
-    p = prepare("simplex_2")
+    p = Prepared(load("simplex_2"))  # its own pipeline, built under the mutation
     good_bernoulli = operators.bernoulli_numbers(8)
 
     def corrupted_bernoulli(order):
@@ -201,12 +200,12 @@ def test_criterion_10_negative_paths(prepare, monkeypatch):
     monkeypatch.setattr(operators, "bernoulli_numbers", corrupted_bernoulli)
     brute = count_points(p.spec, 1, "full", charts=p.charts)
     try:
-        assert khovanskii_count(p.spec, p.vol) != brute
+        assert khovanskii_count(p) != brute
     except FormulaViolationError:
         pass
     monkeypatch.undo()
 
-    q = prepare("simplex_3")
+    q = Prepared(load("simplex_3"))
     good_ahat = series_coefficients("Ahat", 10)
 
     def corrupted_series(name, order):
@@ -220,7 +219,7 @@ def test_criterion_10_negative_paths(prepare, monkeypatch):
     monkeypatch.setattr(operators, "series_coefficients", corrupted_series)
     brute_boundary = count_points(q.spec, 1, "boundary", charts=q.charts)
     try:
-        assert boundary_count_formula(q.spec, q.vol) != brute_boundary
+        assert boundary_count_formula(q) != brute_boundary
     except FormulaViolationError:
         pass
     monkeypatch.undo()

@@ -19,6 +19,7 @@ from delzant.errors import BudgetExceededError, NotPolynomialError
 from delzant.hilbert import cy_hilbert_polynomial
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
+from delzant.prepared import Prepared
 
 
 class TestCountPoints:
@@ -120,7 +121,7 @@ class TestTightHistogram:
             return original(spec, k, **kwargs)
 
         monkeypatch.setattr(counting_mod, "tight_histogram", recording)
-        cy_hilbert_polynomial(load("cube_unit"))
+        cy_hilbert_polynomial(Prepared(load("cube_unit")))
         # m = 3: the facets' degree-2 fits need k = 1..3 and the probe k = 4
         assert built == [1, 2, 3, 4]
 
@@ -204,14 +205,14 @@ class TestCountReport:
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_total_splits_into_interior_and_boundary(self, name, prepare):
         p = prepare(name)
-        report = count_report(p.spec, p.lattice, 2, charts=p.charts)
+        report = count_report(p.histogram(2), p.lattice, 2)
         assert report.total == report.interior + report.boundary
         brute_boundary = count_points(p.spec, 2, "boundary", charts=p.charts)
         assert report.boundary == brute_boundary
 
     def test_per_face_monotone_under_inclusion(self, prepare):
         p = prepare("cube_unit")
-        report = count_report(p.spec, p.lattice, 2, charts=p.charts)
+        report = count_report(p.histogram(2), p.lattice, 2)
         for small, count_small in report.per_face.items():
             for large, count_large in report.per_face.items():
                 if set(small) <= set(large):

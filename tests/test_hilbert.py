@@ -14,6 +14,7 @@ from delzant.hilbert import (
     inclusion_exclusion_levels,
 )
 from delzant.polynomial import UniPoly, euler_expansion_levels
+from delzant.prepared import Prepared
 
 
 def binomial_poly(shift, m):
@@ -29,24 +30,24 @@ class TestInclusionExclusion:
         # three edges of the doubled simplex have 3 points each, three
         # vertices have 1, the triple intersection is empty: 9 - 3 + 0 = 6
         p = prepare("simplex_2")
-        levels = inclusion_exclusion_levels(p.spec, p.lattice, 2, charts=p.charts)
+        levels = inclusion_exclusion_levels(p, 2)
         assert levels == [(1, 1, 9), (2, -1, 3), (3, 1, 0)]
-        assert inclusion_exclusion_count(p.spec, p.lattice, 2, charts=p.charts) == 6
+        assert inclusion_exclusion_count(p, 2) == 6
 
     def test_square_k1(self, prepare):
         # 4 edges of 2 points each minus 4 corners; parallel pairs are empty
         p = prepare("square_unit")
-        assert inclusion_exclusion_count(p.spec, p.lattice, 1, charts=p.charts) == 4
+        assert inclusion_exclusion_count(p, 1) == 4
 
     def test_segment_k5(self, prepare):
         p = prepare("segment_unit")
-        assert inclusion_exclusion_count(p.spec, p.lattice, 5, charts=p.charts) == 2
+        assert inclusion_exclusion_count(p, 5) == 2
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_equals_brute_boundary_count(self, name, k, prepare):
         p = prepare(name)
-        via_faces = inclusion_exclusion_count(p.spec, p.lattice, k, charts=p.charts)
+        via_faces = inclusion_exclusion_count(p, k)
         assert via_faces == count_points(p.spec, k, "boundary", charts=p.charts)
 
     def test_sign_pattern_parallels_product_expansion(self, prepare):
@@ -55,9 +56,7 @@ class TestInclusionExclusion:
         p = prepare("cube_unit")
         face_signs = [
             sign
-            for _, sign, _ in inclusion_exclusion_levels(
-                p.spec, p.lattice, 1, charts=p.charts
-            )
+            for _, sign, _ in inclusion_exclusion_levels(p, 1)
         ]
         ring_signs = [sign for _, sign, _ in euler_expansion_levels(6)]
         assert face_signs == ring_signs
@@ -73,7 +72,7 @@ class TestCyHilbertPolynomial:
         ],
     )
     def test_projective_space_hypersurfaces(self, name, coeffs):
-        report = cy_hilbert_polynomial(load(name))
+        report = cy_hilbert_polynomial(Prepared(load(name)))
         expected = UniPoly(coeffs)
         assert report.agree
         assert report.by_inclusion_exclusion.poly == expected
@@ -83,13 +82,13 @@ class TestCyHilbertPolynomial:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_simplex_boundary_matches_binomial_difference(self, m):
         # boundary Ehrhart of the unit m-simplex: C(k+m, m) - C(k-1, m)
-        report = cy_hilbert_polynomial(load(f"simplex_{m}"))
+        report = cy_hilbert_polynomial(Prepared(load(f"simplex_{m}")))
         expected = binomial_poly(m, m) - binomial_poly(-1, m)
         assert report.by_oracle.poly == expected
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_simplex_facets_carry_lower_simplex_ehrhart(self, m):
-        report = cy_hilbert_polynomial(load(f"simplex_{m}"))
+        report = cy_hilbert_polynomial(Prepared(load(f"simplex_{m}")))
         expected = binomial_poly(m - 1, m - 1)
         facet_keys = [key for key in report.per_face if len(key) == 1]
         assert len(facet_keys) == m + 1
@@ -97,14 +96,14 @@ class TestCyHilbertPolynomial:
             assert report.per_face[key].poly == expected
 
     def test_vertex_faces_are_constant_one(self):
-        report = cy_hilbert_polynomial(load("square_unit"))
+        report = cy_hilbert_polynomial(Prepared(load("square_unit")))
         for key, entry in report.per_face.items():
             if len(key) == 2:
                 assert entry.poly == UniPoly([1])
 
     def test_rejects_non_delzant_input(self):
         with pytest.raises(NotDelzantError):
-            cy_hilbert_polynomial(load("triangle_det2"))
+            cy_hilbert_polynomial(Prepared(load("triangle_det2")))
 
     def test_disagreement_is_fatal_with_diagnostics(self, monkeypatch):
         # sabotage the oracle route: a wrong boundary count must abort
@@ -118,18 +117,18 @@ class TestCyHilbertPolynomial:
 
         monkeypatch.setattr(hilbert_mod, "ehrhart_interpolate", lying)
         with pytest.raises(DisagreementError) as err:
-            cy_hilbert_polynomial(load("simplex_2"))
+            cy_hilbert_polynomial(Prepared(load("simplex_2")))
         assert err.value.report is not None
         assert not err.value.report.agree
 
 
 class TestCrossCheck:
     def test_all_checks_pass_on_a_small_polytope(self):
-        report = cross_check(load("hirzebruch_a"))
+        report = cross_check(Prepared(load("hirzebruch_a")))
         assert report.ok
         assert len(report.checks) == 10
         assert all(c.ok for c in report.checks)
 
     def test_rejects_non_delzant(self):
         with pytest.raises(NotDelzantError):
-            cross_check(load("triangle_det2"))
+            cross_check(Prepared(load("triangle_det2")))

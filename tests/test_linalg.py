@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from delzant.linalg import (
     int_inverse_unimodular,
     invert_exact,
     kernel_direction,
+    kernel_vector,
     mat_mul,
     mat_vec,
     ring_det,
@@ -134,3 +136,20 @@ class TestRankDeficientRay:
         with pytest.raises(UnboundedError) as err:
             enumerate_vertices(spec)
         assert err.value.ray == ray
+
+
+class TestKernelVector:
+    def test_kernel_vector_exactly_when_rank_is_deficient(self):
+        rng = random.Random(13)
+        for m in (2, 3, 4):
+            for _ in range(30):
+                rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+                rows.append([a + b for a, b in zip(rows[0], rows[1])])
+                full_rank = any(int_det(list(square)) for square in combinations(rows, m))
+                vector = kernel_vector(rows)
+                if full_rank:
+                    assert vector is None
+                    continue
+                assert any(x != 0 for x in vector)
+                for row in rows:
+                    assert sum(a * b for a, b in zip(row, vector)) == 0

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 import delzant.operators as operators
-from delzant.corpus import DELZANT_CORPUS
+from delzant.corpus import DELZANT_CORPUS, load
 from delzant.counting import count_points, ehrhart_interpolate
 from delzant.errors import FormulaViolationError, TruncationError
 from delzant.operators import (
@@ -23,6 +23,7 @@ from delzant.operators import (
     todd_product,
 )
 from delzant.polynomial import MultiPoly
+from delzant.prepared import Prepared
 
 from test_polynomial import random_poly
 
@@ -174,12 +175,12 @@ class TestKhovanskiiCount:
     )
     def test_hand_examples(self, name, expected, prepare):
         p = prepare(name)
-        assert khovanskii_count(p.spec, p.vol) == expected
+        assert khovanskii_count(p) == expected
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_matches_brute_force_corpus_wide(self, name, prepare):
         p = prepare(name)
-        assert khovanskii_count(p.spec, p.vol) == count_points(
+        assert khovanskii_count(p) == count_points(
             p.spec, 1, "full", charts=p.charts
         )
 
@@ -191,12 +192,12 @@ class TestBoundaryCountFormula:
     )
     def test_hand_examples(self, name, expected, prepare):
         p = prepare(name)
-        assert boundary_count_formula(p.spec, p.vol) == expected
+        assert boundary_count_formula(p) == expected
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_matches_brute_force_corpus_wide(self, name, prepare):
         p = prepare(name)
-        assert boundary_count_formula(p.spec, p.vol) == count_points(
+        assert boundary_count_formula(p) == count_points(
             p.spec, 1, "boundary", charts=p.charts
         )
 
@@ -204,29 +205,29 @@ class TestBoundaryCountFormula:
 class TestSymbolicEhrhart:
     def test_simplex_full(self, prepare):
         p = prepare("simplex_2")
-        result = symbolic_ehrhart(p.spec, p.vol, "full")
+        result = symbolic_ehrhart(p, "full")
         assert result.poly.coeffs == (1, Fraction(3, 2), Fraction(1, 2))
 
     def test_simplex3_boundary(self, prepare):
         p = prepare("simplex_3")
-        result = symbolic_ehrhart(p.spec, p.vol, "boundary")
+        result = symbolic_ehrhart(p, "boundary")
         assert result.poly.coeffs == (2, 0, 2)
 
     def test_simplex4_boundary(self, prepare):
         p = prepare("simplex_4")
-        result = symbolic_ehrhart(p.spec, p.vol, "boundary")
+        result = symbolic_ehrhart(p, "boundary")
         assert result.poly.coeffs == (0, Fraction(25, 6), 0, Fraction(5, 6))
 
     def test_unknown_kind(self, prepare):
         p = prepare("simplex_2")
         with pytest.raises(ValueError):
-            symbolic_ehrhart(p.spec, p.vol, "interior")
+            symbolic_ehrhart(p, "interior")
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("kind", ["full", "boundary"])
     def test_matches_interpolation_corpus_wide(self, name, kind, prepare):
         p = prepare(name)
-        via_operator = symbolic_ehrhart(p.spec, p.vol, kind)
+        via_operator = symbolic_ehrhart(p, kind)
         via_counts = ehrhart_interpolate(p.spec, kind, charts=p.charts)
         assert via_operator.poly == via_counts.poly
 
@@ -239,8 +240,8 @@ class TestMutation:
     constants at all, by construction, so no mutation can reach it.
     """
 
-    def test_corrupt_bernoulli_breaks_khovanskii(self, prepare, monkeypatch):
-        p = prepare("simplex_2")
+    def test_corrupt_bernoulli_breaks_khovanskii(self, monkeypatch):
+        p = Prepared(load("simplex_2"))  # its own pipeline, built under the mutation
         good = bernoulli_numbers(8)
 
         def corrupted(order):
@@ -252,13 +253,13 @@ class TestMutation:
         monkeypatch.setattr(operators, "bernoulli_numbers", corrupted)
         brute = count_points(p.spec, 1, "full", charts=p.charts)
         try:
-            value = khovanskii_count(p.spec, p.vol)
+            value = khovanskii_count(p)
         except FormulaViolationError:
             return  # non-integer output: the corruption was caught
         assert value != brute
 
-    def test_corrupt_ahat_breaks_boundary_formula(self, prepare, monkeypatch):
-        p = prepare("simplex_3")
+    def test_corrupt_ahat_breaks_boundary_formula(self, monkeypatch):
+        p = Prepared(load("simplex_3"))  # its own pipeline, built under the mutation
         good = series_coefficients("Ahat", 10)
 
         def corrupted(name, order):
@@ -272,7 +273,7 @@ class TestMutation:
         monkeypatch.setattr(operators, "series_coefficients", corrupted)
         brute = count_points(p.spec, 1, "boundary", charts=p.charts)
         try:
-            value = boundary_count_formula(p.spec, p.vol)
+            value = boundary_count_formula(p)
         except FormulaViolationError:
             return
         assert value != brute

@@ -130,7 +130,6 @@ class TestFaceLattice:
         corner = p.lattice.resolve((0, 1))
         assert corner is not None and corner.charts[0].anchor_ints() == (0, 0)
         assert p.lattice.resolve((0, 1, 2)) is None
-        assert (0, 1, 2) in p.lattice.known_empty
 
     def test_square_parallel_facets_are_empty(self, prepare):
         p = prepare("square_unit")

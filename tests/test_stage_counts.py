@@ -1,0 +1,88 @@
+"""How often each command builds each stage of the pipeline.
+
+Every stage function is counted at every binding it has in the package
+(a function imported by name has one binding per importing module), then
+one CLI command runs.  A command builds each stage of its polytope once;
+only the brute comparison values and the dilation check enumerate again,
+on purpose.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from delzant.cli import main
+from delzant.corpus import corpus_text
+
+STAGES = (
+    ("delzant.polytope", "enumerate_vertices"),
+    ("delzant.polytope", "validate_delzant"),
+    ("delzant.polytope", "build_face_lattice"),
+    ("delzant.volume", "volume_polynomial"),
+    ("delzant.operators", "apply_operator_product"),
+    ("delzant.counting", "tight_histogram"),
+    ("delzant.counting", "count_points"),
+)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    calls = Counter()
+    for module_name, name in STAGES:
+        original = getattr(sys.modules[module_name], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for other_name, module in list(sys.modules.items()):
+            if other_name == "delzant" or other_name.startswith("delzant."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture
+def simplex_2(tmp_path):
+    path = tmp_path / "simplex_2.poly"
+    path.write_text(corpus_text("simplex_2"), encoding="utf-8")
+    return str(path)
+
+
+def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
+    assert main(["cross-check", simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["volume_polynomial"] == 1
+    # the Todd product once, the A-hat product once
+    assert stage_calls["apply_operator_product"] == 2
+    assert stage_calls["validate_delzant"] == 1
+    # the polytope's own charts, plus the dilates k = 1, 2, 3 of the dilation check
+    assert stage_calls["enumerate_vertices"] == 4
+    # one histogram for each k = 1..5, shared by every face count
+    assert stage_calls["tight_histogram"] == 5
+    # every brute comparison value still enumerates on its own
+    assert stage_calls["count_points"] == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate",),
+        ("faces",),
+        ("volume-poly",),
+        ("count", "--k", "2", "--region", "face=1"),
+        ("count", "--k", "2", "--output", "json"),
+        ("ehrhart", "--kind", "boundary"),
+        ("ehrhart", "--method", "operator"),
+        ("khovanskii",),
+        ("boundary-formula",),
+        ("hilbert-cy",),
+    ],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_every_other_command_enumerates_vertices_once(argv, stage_calls, simplex_2, capsys):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["enumerate_vertices"] == 1
