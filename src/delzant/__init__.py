@@ -26,14 +26,13 @@ from .operators import (
     series_coefficients,
     symbolic_ehrhart,
 )
-from .polyfile import parse_polytope_file, serialize_polytope
+from .polyfile import parse_polytope_file
 from .polynomial import MultiPoly, Scalar, UniPoly, euler_expansion_identity
 from .polytope import (
     FaceLattice,
     HalfSpaceSpec,
     VertexChart,
     build_face_lattice,
-    contains_lattice_point,
     enumerate_vertices,
     validate_delzant,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "boundary_count_formula",
     "boundary_volume_polynomial",
     "build_face_lattice",
-    "contains_lattice_point",
     "count_points",
     "count_report",
     "cross_check",
@@ -81,7 +79,6 @@ __all__ = [
     "khovanskii_count",
     "numeric_volume_at",
     "parse_polytope_file",
-    "serialize_polytope",
     "series_coefficients",
     "symbolic_ehrhart",
     "validate_delzant",

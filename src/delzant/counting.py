@@ -36,7 +36,6 @@ class CountReport:
 class EhrhartPoly:
     poly: UniPoly
     kind: str
-    face: tuple[int, ...] | None = None
 
     def to_text(self) -> str:
         return self.poly.to_text()
@@ -192,7 +191,7 @@ def count_report(histogram: dict[int, int], lattice: FaceLattice, k: int) -> Cou
     )
 
 
-def interpolate_counts(counts, degree: int, kind: str, face=None) -> EhrhartPoly:
+def interpolate_counts(counts, degree: int, kind: str) -> EhrhartPoly:
     """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
 
     ``counts`` is a callable k -> int.  The verification failure means the
@@ -209,19 +208,17 @@ def interpolate_counts(counts, degree: int, kind: str, face=None) -> EhrhartPoly
             f"{kind} counts are not a degree-{degree} polynomial: "
             f"predicted {predicted} at k={probe}, counted {actual}"
         )
-    return EhrhartPoly(poly=poly, kind=kind, face=face)
+    return EhrhartPoly(poly=poly, kind=kind)
 
 
 def ehrhart_interpolate(
     spec: HalfSpaceSpec,
     kind: str = "full",
     *,
-    face=None,
-    lattice: FaceLattice | None = None,
     budget: int = DEFAULT_BUDGET,
     charts=None,
 ) -> EhrhartPoly:
-    """Ehrhart polynomial of the polytope, its interior or boundary, or a face.
+    """Ehrhart polynomial of the polytope, its interior or its boundary.
 
     Interpolation nodes start at k = 1; k = 0 is never used because the
     boundary count of the zero dilate is set-theoretically 1 while the
@@ -235,23 +232,8 @@ def ehrhart_interpolate(
         degree = m
     elif kind == "boundary":
         degree = m - 1
-    elif kind == "face":
-        if face is None:
-            raise ValueError("kind 'face' needs a facet index set")
-        if lattice is None:
-            raise ValueError("kind 'face' needs the face lattice")
-        record = lattice.resolve(face)
-        if record is None:
-            raise ValueError(f"facet set {tuple(face)} cuts out no face")
-        face = record.active_set
-        degree = record.dim
     else:
         raise ValueError(f"unknown Ehrhart kind {kind!r}")
 
-    if kind == "face":
-        counts = lambda k: count_points(
-            spec, k, "face", face=face, budget=budget, charts=charts
-        )
-    else:
-        counts = lambda k: count_points(spec, k, kind, budget=budget, charts=charts)
-    return interpolate_counts(counts, degree, kind, face=face)
+    counts = lambda k: count_points(spec, k, kind, budget=budget, charts=charts)
+    return interpolate_counts(counts, degree, kind)

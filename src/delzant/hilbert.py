@@ -90,7 +90,6 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
             lambda k, face=record.active_set: read_count(prep.histogram(k), "face", face),
             record.dim,
             "face",
-            face=record.active_set,
         )
 
     agree = (

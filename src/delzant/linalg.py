@@ -40,25 +40,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_cofactor(rows):
-    """Laplace expansion along the first row.  Reference oracle for int_det."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("det_cofactor needs a square matrix")
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, head in enumerate(rows[0]):
-        if head == 0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = head * det_cofactor(minor)
-        total = total - term if j % 2 else total + term
-    return total
-
-
 def ring_det(rows):
     """Determinant over any commutative ring with +, -, * (e.g. MultiPoly)."""
     n = len(rows)

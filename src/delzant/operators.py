@@ -105,12 +105,12 @@ def series_coefficients(name: str, order: int) -> SeriesSpec:
 
 @dataclass(frozen=True)
 class OperatorProduct:
-    """Per-variable series in the single derivatives, times an optional
-    series in the summed derivative.  Exact when truncation_order covers
-    the degree of the target polynomial."""
+    """One series in each variable's derivative, times an optional series
+    in the summed derivative.  Exact when truncation_order covers the
+    degree of the target polynomial."""
 
     nvars: int
-    per_variable: dict[int, SeriesSpec]
+    per_variable: SeriesSpec
     sum_factor: SeriesSpec | None
     truncation_order: int
 
@@ -119,7 +119,7 @@ def todd_product(nvars: int, order: int) -> OperatorProduct:
     td = series_coefficients("Td", order)
     return OperatorProduct(
         nvars=nvars,
-        per_variable={i: td for i in range(nvars)},
+        per_variable=td,
         sum_factor=None,
         truncation_order=order,
     )
@@ -129,7 +129,7 @@ def boundary_operator_product(nvars: int, order: int) -> OperatorProduct:
     ahat = series_coefficients("Ahat", order)
     return OperatorProduct(
         nvars=nvars,
-        per_variable={i: ahat for i in range(nvars)},
+        per_variable=ahat,
         sum_factor=series_coefficients("invAhat", order),
         truncation_order=order,
     )
@@ -188,20 +188,15 @@ def apply_operator_product(op: OperatorProduct, p: MultiPoly) -> MultiPoly:
             f"truncation order {op.truncation_order} is below the polynomial degree "
             f"{p.total_degree}; the expansion would be silently wrong"
         )
-    for series in op.per_variable.values():
-        if series.order < op.truncation_order:
+    for series in (op.per_variable, op.sum_factor):
+        if series is not None and series.order < op.truncation_order:
             raise TruncationError(
                 f"series {series.name} carries only order {series.order}, "
                 f"needed {op.truncation_order}"
             )
-    if op.sum_factor is not None and op.sum_factor.order < op.truncation_order:
-        raise TruncationError(
-            f"series {op.sum_factor.name} carries only order {op.sum_factor.order}, "
-            f"needed {op.truncation_order}"
-        )
     result = p
-    for var in sorted(op.per_variable):
-        result = _apply_single_variable(op.per_variable[var], var, result)
+    for var in range(op.nvars):
+        result = _apply_single_variable(op.per_variable, var, result)
     if op.sum_factor is not None:
         result = _apply_sum_factor(op.sum_factor, result)
     return result

@@ -8,9 +8,7 @@
     facet 1 1 1
 
 Each facet line lists the m integer normal components followed by the
-integer offset.  '#' starts a comment, blank lines are skipped, and the
-serializer emits exactly the parsed content, so parse -> serialize ->
-parse is a fixpoint modulo comments.
+integer offset.  '#' starts a comment and blank lines are skipped.
 """
 
 from __future__ import annotations
@@ -121,13 +119,3 @@ def _parse_float(token: str) -> float | None:
         return float(token)
     except ValueError:
         return None
-
-
-def serialize_polytope(spec: HalfSpaceSpec) -> str:
-    lines = []
-    if spec.name:
-        lines.append(f"name {spec.name}")
-    lines.append(f"dim {spec.dim}")
-    for normal, offset in spec.facets:
-        lines.append("facet " + " ".join(str(x) for x in (*normal, offset)))
-    return "\n".join(lines) + "\n"

@@ -65,16 +65,6 @@ class MultiPoly:
         exps[index] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def linear_form(cls, nvars: int, coeffs: Mapping[int, Fraction]) -> "MultiPoly":
-        """Sum of coeff * variable over a sparse index->coefficient mapping."""
-        terms = {}
-        for index, coeff in coeffs.items():
-            exps = [0] * nvars
-            exps[index] = 1
-            terms[tuple(exps)] = Fraction(coeff)
-        return cls(nvars, terms)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -148,22 +138,7 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    # -- calculus and substitution ------------------------------------------
-
-    def differentiate(self, var: int) -> "MultiPoly":
-        """Partial derivative with respect to variable ``var`` (0-based)."""
-        if not 0 <= var < self.nvars:
-            raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
-        out: dict[Exponent, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[var] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return MultiPoly(self.nvars, out)
+    # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, values: Sequence) -> Fraction:
         vals = [Fraction(v) for v in values]
@@ -200,14 +175,14 @@ class MultiPoly:
 
     # -- serialization -------------------------------------------------------
 
-    def to_text(self, var: str = "l") -> str:
+    def to_text(self) -> str:
         """Canonical text form, e.g. ``(1/2)*l1^2 + (3/2)*l1 + 1``."""
         if not self._terms:
             return "0"
         parts: list[str] = []
         for exps, coeff in self.canonical_terms():
             mono = "*".join(
-                f"{var}{i + 1}" + (f"^{e}" if e > 1 else "")
+                f"l{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
                 if e
             )
@@ -313,7 +288,7 @@ class UniPoly:
             result = result + basis * (y / denom)
         return result
 
-    def to_text(self, var: str = "k") -> str:
+    def to_text(self) -> str:
         """Descending-power text form, e.g. ``2k^2 + 2`` or ``(5/6)k^3 + (25/6)k``."""
         if not self.coeffs:
             return "0"
@@ -325,9 +300,9 @@ class UniPoly:
             if power == 0:
                 mono = ""
             elif power == 1:
-                mono = var
+                mono = "k"
             else:
-                mono = f"{var}^{power}"
+                mono = f"k^{power}"
             parts.append(_format_term(coeff, mono, first=not parts, sep=""))
         return "".join(parts)
 

@@ -22,7 +22,6 @@ from .errors import (
     UnboundedError,
 )
 from .linalg import int_det, invert_exact, kernel_direction, kernel_vector, solve_exact
-from .polynomial import MultiPoly
 
 
 class Facet(NamedTuple):
@@ -95,16 +94,14 @@ class HalfSpaceSpec:
 class VertexChart:
     """A vertex as the intersection of exactly m facets.
 
-    ``symbolic`` gives the vertex coordinates as linear forms in the d
-    offset variables; evaluating them at the anchor offsets reproduces
-    ``anchor``.  For Delzant charts the inverse matrix is integral.
+    ``inverse`` is the inverse of the active facets' normal matrix, so
+    ``anchor`` is ``inverse`` applied to their offsets.  For Delzant
+    charts the inverse matrix is integral.
     """
 
     active_set: tuple[int, ...]
-    normal_matrix: tuple[tuple[int, ...], ...]
     det: int
     inverse: tuple[tuple[Fraction, ...], ...]
-    symbolic: tuple[MultiPoly, ...]
     anchor: tuple[Fraction, ...]
 
     def anchor_ints(self) -> tuple[int, ...]:
@@ -207,17 +204,11 @@ def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
         rows = tuple(spec.facets[i].normal for i in active)
         det = int_det(rows)
         inverse = invert_exact(rows)
-        symbolic = tuple(
-            MultiPoly.linear_form(d, {active[j]: inverse[r][j] for j in range(m)})
-            for r in range(m)
-        )
         charts.append(
             VertexChart(
                 active_set=tuple(active),
-                normal_matrix=rows,
                 det=det,
                 inverse=tuple(tuple(row) for row in inverse),
-                symbolic=symbolic,
                 anchor=tuple(point),
             )
         )
@@ -314,20 +305,3 @@ def build_face_lattice(spec: HalfSpaceSpec, charts) -> FaceLattice:
         for key, vs in members.items()
     }
     return FaceLattice(faces)
-
-
-def contains_lattice_point(spec: HalfSpaceSpec, x: Sequence[int], k: int) -> str:
-    """Classify x against the k-fold dilate: 'interior', 'boundary', 'outside'."""
-    if k < 1:
-        raise ValueError("dilation k must be a positive integer")
-    if len(x) != spec.dim:
-        raise ValueError(f"point has {len(x)} coordinates, expected {spec.dim}")
-    on_facet = False
-    for normal, offset in spec.facets:
-        value = sum(n * c for n, c in zip(normal, x))
-        bound = k * offset
-        if value > bound:
-            return "outside"
-        if value == bound:
-            on_facet = True
-    return "boundary" if on_facet else "interior"

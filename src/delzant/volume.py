@@ -46,7 +46,6 @@ from .polytope import (
 @dataclass(frozen=True)
 class VolumePolynomial:
     poly: MultiPoly
-    degree: int
     anchor: tuple[int, ...]
 
 
@@ -135,7 +134,7 @@ def volume_polynomial(spec: HalfSpaceSpec, lattice: FaceLattice) -> VolumePolyno
     charts = lattice.faces[()].charts
     xi = _moment_direction(charts, spec.dim)
     poly = _lawrence_volume(charts, spec.num_facets, xi)
-    return VolumePolynomial(poly=poly, degree=spec.dim, anchor=spec.offsets())
+    return VolumePolynomial(poly=poly, anchor=spec.offsets())
 
 
 def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomial:
@@ -225,7 +224,7 @@ def numeric_volume_at(spec: HalfSpaceSpec, sample) -> Fraction:
     return total / factorial(m)
 
 
-def chamber_samples(spec: HalfSpaceSpec, count: int, seed: int = 0):
+def chamber_samples(spec: HalfSpaceSpec, count: int):
     """Deterministic rational offset samples verified to share the chamber.
 
     The anchor itself is the first sample; the rest are small perturbations,
@@ -234,7 +233,7 @@ def chamber_samples(spec: HalfSpaceSpec, count: int, seed: int = 0):
     normals = spec.normals()
     anchor = spec.offsets()
     reference = _incidence(feasible_vertex_points(normals, anchor))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     samples = [tuple(Fraction(o) for o in anchor)]
     denominator = 8
     misses = 0

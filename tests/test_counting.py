@@ -233,22 +233,10 @@ class TestEhrhartInterpolate:
         result = ehrhart_interpolate(load("simplex_3"), "boundary")
         assert result.poly == UniPoly([2, 0, 2])
 
-    def test_face_kind(self, prepare):
-        p = prepare("simplex_3")
-        result = ehrhart_interpolate(
-            p.spec, "face", face=(3,), lattice=p.lattice
-        )
-        # a facet of the unit 3-simplex is a unit 2-simplex
-        assert result.poly == UniPoly([1, Fraction(3, 2), Fraction(1, 2)])
-
-    def test_face_kind_needs_lattice_and_face(self, prepare):
-        p = prepare("simplex_3")
-        with pytest.raises(ValueError):
-            ehrhart_interpolate(p.spec, "face", face=(3,))
-        with pytest.raises(ValueError):
-            ehrhart_interpolate(p.spec, "face", lattice=p.lattice)
-        with pytest.raises(ValueError):
-            ehrhart_interpolate(p.spec, "nope")
+    def test_unknown_kind_rejected(self):
+        for kind in ("face", "nope"):
+            with pytest.raises(ValueError, match="unknown Ehrhart kind"):
+                ehrhart_interpolate(load("simplex_3"), kind)
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_full_constant_term_is_one(self, name, prepare):

@@ -6,7 +6,6 @@ import pytest
 
 from delzant.errors import UnboundedError
 from delzant.linalg import (
-    det_cofactor,
     int_det,
     int_inverse_unimodular,
     invert_exact,
@@ -34,13 +33,6 @@ class TestIntDet:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             int_det([[1, 2, 3], [4, 5, 6]])
-
-    def test_matches_cofactor_oracle(self):
-        rng = random.Random(17)
-        for n in (1, 2, 3, 4):
-            for _ in range(40):
-                m = random_matrix(rng, n)
-                assert int_det(m) == det_cofactor(m)
 
     def test_multiplicative_on_products(self):
         rng = random.Random(23)
@@ -106,9 +98,10 @@ class TestUnimodularForNormal:
 
 class TestRingDet:
     def test_matches_int_det_on_numbers(self):
+        # Laplace expansion and Bareiss elimination check each other
         rng = random.Random(31)
-        for n in (1, 2, 3):
-            for _ in range(20):
+        for n in (1, 2, 3, 4):
+            for _ in range(40):
                 m = random_matrix(rng, n)
                 assert ring_det(m) == int_det(m)
 

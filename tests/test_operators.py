@@ -146,7 +146,7 @@ class TestApplyOperatorProduct:
     def test_short_series_rejected(self):
         short = series_coefficients("Td", 1)
         op = OperatorProduct(
-            nvars=2, per_variable={0: short, 1: short}, sum_factor=None,
+            nvars=2, per_variable=short, sum_factor=None,
             truncation_order=2,
         )
         p = symmetric_power(2, 2, 1)

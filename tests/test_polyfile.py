@@ -1,13 +1,12 @@
 import pytest
 
-from delzant.corpus import corpus_names, corpus_text
 from delzant.errors import (
     DimMismatchError,
     NonIntegerOffsetError,
     NonPrimitiveNormalError,
     PolytopeParseError,
 )
-from delzant.polyfile import parse_polytope_file, serialize_polytope
+from delzant.polyfile import parse_polytope_file
 
 SIMPLEX = "dim 2\nfacet -1 0 0\nfacet 0 -1 0\nfacet 1 1 1\n"
 
@@ -84,16 +83,3 @@ class TestParse:
     def test_too_few_facets(self):
         with pytest.raises(PolytopeParseError):
             parse_polytope_file("dim 2\nfacet -1 0 0\nfacet 0 -1 0\n")
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", corpus_names())
-    def test_parse_serialize_fixpoint(self, name):
-        text = corpus_text(name)
-        spec = parse_polytope_file(text)
-        serialized = serialize_polytope(spec)
-        respec = parse_polytope_file(serialized)
-        assert respec == spec
-        assert respec.name == spec.name
-        # serialization is already canonical: a second cycle is byte-identical
-        assert serialize_polytope(respec) == serialized

@@ -11,14 +11,6 @@ from delzant.polynomial import (
 )
 
 
-def symmetric_square_half(nvars=3):
-    # (x1 + ... + xn)^2 / 2
-    s = MultiPoly.zero(nvars)
-    for i in range(nvars):
-        s = s + MultiPoly.variable(nvars, i)
-    return s * s * Fraction(1, 2)
-
-
 def random_poly(rng, nvars=3, max_exp=2, terms=4):
     out = {}
     for _ in range(terms):
@@ -39,36 +31,6 @@ class TestScalar:
         assert str(Fraction(3, 2)) == "3/2"
         assert str(Fraction(5, 1)) == "5"
         assert str(Fraction(-1, 720)) == "-1/720"
-
-
-class TestDifferentiate:
-    def test_symmetric_square(self):
-        p = symmetric_square_half()
-        expected = MultiPoly.zero(3)
-        for i in range(3):
-            expected = expected + MultiPoly.variable(3, i)
-        assert p.differentiate(0) == expected
-
-    def test_constant(self):
-        assert MultiPoly.constant(3, 5).differentiate(0) == MultiPoly.zero(3)
-
-    def test_product_base_case(self):
-        p = MultiPoly.variable(2, 0) * MultiPoly.variable(2, 1)
-        assert p.differentiate(1) == MultiPoly.variable(2, 0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            MultiPoly.constant(2, 1).differentiate(2)
-
-    def test_partials_commute(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            p = random_poly(rng)
-            for i in range(3):
-                for j in range(3):
-                    assert p.differentiate(i).differentiate(j) == p.differentiate(
-                        j
-                    ).differentiate(i)
 
 
 class TestSubstituteDilation:
