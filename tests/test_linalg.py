@@ -34,6 +34,14 @@ class TestIntDet:
         with pytest.raises(ValueError):
             int_det([[1, 2, 3], [4, 5, 6]])
 
+    def test_matches_cofactor_oracle(self):
+        # ring_det is a cofactor (Laplace) expansion along the first row
+        rng = random.Random(17)
+        for n in (1, 2, 3, 4):
+            for _ in range(40):
+                m = random_matrix(rng, n)
+                assert int_det(m) == ring_det(m)
+
     def test_multiplicative_on_products(self):
         rng = random.Random(23)
         for _ in range(40):
