@@ -42,7 +42,7 @@ class MultiPoly:
                     raise ValueError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
                     )
-                c = Fraction(coeff)
+                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c != 0:
                     clean[tuple(exps)] = c
         self._terms = clean

@@ -19,14 +19,17 @@ The boundary volume is the derivative sum over all offsets; per facet it
 equals the Euclidean facet volume divided by the length of the primitive
 facet normal.  The numeric oracle and the direct facet volumes share no
 code with the vertex formula: they triangulate the polytope (or facet) at
-concrete coordinates and sum simplex determinants.
+concrete coordinates and sum simplex determinants.  The oracle reads only
+the spec and the anchor's incidence, and it is compared with the
+polynomial on a principal lattice (``chamber_samples``), where agreement
+proves the two equal on the whole chamber.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from typing import NamedTuple
 
@@ -184,6 +187,16 @@ def _triangulate(faces, key):
     return simplices
 
 
+def _triangulated_volume(faces, coords, dim: int) -> Fraction:
+    """Sum of |det| / dim! over ``_triangulate``; ``coords`` is keyed by active set."""
+    total = Fraction(0)
+    for base, *rest in _triangulate(faces, ()):
+        origin = coords[base.active_set]
+        rows = [[x - o for x, o in zip(coords[v.active_set], origin)] for v in rest]
+        total += abs(ring_det(rows))
+    return total / factorial(dim)
+
+
 class _SamplePoint(NamedTuple):
     anchor: tuple[Fraction, ...]
     active_set: tuple[int, ...]
@@ -193,65 +206,59 @@ def _incidence(points):
     return sorted(active for _, active in points)
 
 
-def numeric_volume_at(spec: HalfSpaceSpec, sample) -> Fraction:
-    """Exact volume at a rational offset vector in the anchor's chamber.
+def numeric_volume_at(prep, sample) -> Fraction:
+    """Exact volume of a ``Prepared`` family at offsets in the anchor's chamber.
 
     Independent of the symbolic route: vertices are re-enumerated at the
     sample, the boundary is re-triangulated, and the simplex volumes are
     summed with absolute values.  Raises ChamberCrossedError when the
     vertex-facet incidence at the sample differs from the anchor's.
     """
+    spec = prep.spec
     sample = tuple(Fraction(v) for v in sample)
     if len(sample) != spec.num_facets:
         raise ValueError(f"expected {spec.num_facets} offsets, got {len(sample)}")
-    normals = spec.normals()
-    at_anchor = feasible_vertex_points(normals, spec.offsets())
-    at_sample = feasible_vertex_points(normals, sample)
-    if _incidence(at_anchor) != _incidence(at_sample):
+    at_sample = feasible_vertex_points(spec.normals(), sample)
+    if _incidence(at_sample) != sorted(chart.active_set for chart in prep.charts):
         raise ChamberCrossedError(
             "sample offsets lie outside the chamber of the anchor offsets"
         )
-    m = spec.dim
     points = [_SamplePoint(anchor, active) for anchor, active in at_sample]
-    total = Fraction(0)
-    for simplex in _triangulate(build_face_lattice(spec, points).faces, ()):
-        base = simplex[0]
-        rows = [
-            [v.anchor[c] - base.anchor[c] for c in range(m)]
-            for v in simplex[1:]
-        ]
-        total += abs(ring_det(rows))
-    return total / factorial(m)
+    faces = build_face_lattice(spec, points).faces
+    coords = {active: point for point, active in at_sample}
+    return _triangulated_volume(faces, coords, spec.dim)
 
 
-def chamber_samples(spec: HalfSpaceSpec, count: int):
-    """Deterministic rational offset samples verified to share the chamber.
+def chamber_samples(prep) -> list[tuple[Fraction, ...]]:
+    """The principal lattice anchor + alpha/q, |alpha| <= m, of a ``Prepared``.
 
-    The anchor itself is the first sample; the rest are small perturbations,
-    shrunk adaptively whenever a candidate crosses a chamber wall.
+    Its C(d+m, m) points (alpha in N^d) are unisolvent for degree <= m
+    (Nicolaides, SIAM J. Numer. Anal. 1972; Chung and Yao, ibid. 1977), so
+    a degree-m polynomial that matches the oracle on them is the volume on
+    the chamber.  q doubles from 2 until the d corners anchor + m e_i / q
+    keep the anchor's incidence; the chamber is convex (its walls are
+    linear in the offsets), so then every point does.
     """
-    normals = spec.normals()
-    anchor = spec.offsets()
-    reference = _incidence(feasible_vertex_points(normals, anchor))
-    rng = random.Random(0)
-    samples = [tuple(Fraction(o) for o in anchor)]
-    denominator = 8
-    misses = 0
-    while len(samples) < count:
-        candidate = tuple(
-            o + Fraction(rng.randint(-3, 3), denominator) for o in anchor
-        )
-        if candidate in samples:
-            continue
-        if _incidence(feasible_vertex_points(normals, candidate)) == reference:
-            samples.append(candidate)
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 10:
-                denominator *= 2
-                misses = 0
-    return samples
+    spec = prep.spec
+    d, m = spec.num_facets, spec.dim
+    normals, anchor = spec.normals(), spec.offsets()
+    reference = sorted(chart.active_set for chart in prep.charts)
+
+    def shifted(alpha, q):
+        return tuple(o + Fraction(a, q) for o, a in zip(anchor, alpha))
+
+    corners = [tuple(m * (i == j) for j in range(d)) for i in range(d)]
+    q = 2
+    while any(
+        _incidence(feasible_vertex_points(normals, shifted(c, q))) != reference
+        for c in corners
+    ):
+        q *= 2
+    # alpha_i counts the picks of i; the pick d is the slack m - |alpha|
+    return [
+        shifted([picks.count(i) for i in range(d)], q)
+        for picks in combinations_with_replacement(range(d + 1), m)
+    ]
 
 
 def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -> Fraction:
@@ -279,15 +286,7 @@ def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -
         for key, rec in lattice.faces.items()
         if facet in key
     }
-    total = Fraction(0)
-    for simplex in _triangulate(faces, ()):
-        base = coords[simplex[0].active_set]
-        rows = [
-            [coords[v.active_set][c] - base[c] for c in range(m - 1)]
-            for v in simplex[1:]
-        ]
-        total += abs(ring_det(rows))
-    return total / factorial(m - 1)
+    return _triangulated_volume(faces, coords, m - 1)
 
 
 def facet_volume_sum(spec: HalfSpaceSpec, lattice: FaceLattice) -> Fraction:

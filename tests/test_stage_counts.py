@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import delzant.volume as volume
 from delzant.cli import main
 from delzant.corpus import corpus_text
 
@@ -64,6 +65,25 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["tight_histogram"] == 5
     # every brute comparison value still enumerates on its own
     assert stage_calls["count_points"] == 19
+
+
+def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, capsys):
+    """The oracle reads the anchor's incidence from the command's charts."""
+    offsets = []
+    original = volume.feasible_vertex_points
+
+    def recorded(normals, sample):
+        offsets.append(tuple(sample))
+        return original(normals, sample)
+
+    monkeypatch.setattr(volume, "feasible_vertex_points", recorded)
+    assert main(["cross-check", simplex_2]) == 0
+    capsys.readouterr()
+    # the C(3 + 2, 2) = 10 samples once each, plus the 3 corners
+    # anchor + 2 e_i / q that fix q = 2
+    assert len(offsets) == 10 + 3
+    # the anchor (0, 0, 1) only as the sample alpha = 0
+    assert offsets.count((0, 0, 1)) == 1
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,13 @@ import pytest
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.errors import ChamberCrossedError
 from delzant.polynomial import MultiPoly
-from delzant.polytope import HalfSpaceSpec, build_face_lattice, enumerate_vertices
+from delzant.polytope import (
+    HalfSpaceSpec,
+    build_face_lattice,
+    enumerate_vertices,
+    feasible_vertex_points,
+)
+from delzant.prepared import Prepared
 from delzant.volume import (
     _lawrence_volume,
     _moment_direction,
@@ -18,7 +24,10 @@ from delzant.volume import (
     volume_polynomial,
 )
 
-SAMPLE_COUNT_CAP = 40  # full >= C(d+m, m) sweep runs in the acceptance suite
+SAMPLE_COUNT_CAP = 40  # the full C(d+m, m) sweep runs in the acceptance suite
+
+# 0 <= y <= 1, 0 <= x <= 4 - 2y: simple, with an edge orthogonal to xi = (1, 2)
+TRAPEZOID = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 2), 4)])
 
 
 def variables(n):
@@ -41,10 +50,11 @@ def volume_of(spec):
     return volume_polynomial(spec, build_face_lattice(spec, charts)).poly
 
 
-def matches_oracle(spec, poly, samples=6):
+def matches_oracle(spec, poly):
+    prep = Prepared(spec)
     return all(
-        poly.evaluate(sample) == numeric_volume_at(spec, sample)
-        for sample in chamber_samples(spec, samples)
+        poly.evaluate(sample) == numeric_volume_at(prep, sample)
+        for sample in chamber_samples(prep)
     )
 
 
@@ -102,11 +112,10 @@ class TestVolumePolynomial:
             _lawrence_volume(p.lattice.faces[()].charts, 4, (1, 0))
 
     def test_direction_search_skips_b_orthogonal_to_an_edge(self):
-        # the trapezoid 0 <= y <= 1, 0 <= x <= 4 - 2y: at (2, 1) and (4, 0)
-        # xi = (1, 2) pairs to 0 with an edge, so the search takes b = 3
-        spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 2), 4)])
-        assert _moment_direction(enumerate_vertices(spec), 2) == (1, 3)
-        assert matches_oracle(spec, volume_of(spec))
+        # at (2, 1) and (4, 0) xi = (1, 2) pairs to 0 with the trapezoid's
+        # slanted edge, so the search takes b = 3
+        assert _moment_direction(enumerate_vertices(TRAPEZOID), 2) == (1, 3)
+        assert matches_oracle(TRAPEZOID, volume_of(TRAPEZOID))
 
     def test_vertex_weight_carries_the_determinant(self):
         # simple but not Delzant: the vertex (1, 0) has |det N_v| = 2
@@ -192,28 +201,62 @@ class TestBoundaryVolume:
 
 class TestNumericOracle:
     def test_simplex_at_anchor(self):
-        assert numeric_volume_at(load("simplex_2"), (0, 0, 1)) == Fraction(1, 2)
+        assert numeric_volume_at(Prepared(load("simplex_2")), (0, 0, 1)) == Fraction(1, 2)
 
     def test_simplex_at_rational_sample(self):
         # moving the first facet out by 1/3 gives legs of 4/3
-        assert numeric_volume_at(load("simplex_2"), (Fraction(1, 3), 0, 1)) == Fraction(8, 9)
+        prep = Prepared(load("simplex_2"))
+        assert numeric_volume_at(prep, (Fraction(1, 3), 0, 1)) == Fraction(8, 9)
 
     def test_box_sample(self):
-        assert numeric_volume_at(load("square_unit"), (0, 2, 0, 3)) == 6
+        assert numeric_volume_at(Prepared(load("square_unit")), (0, 2, 0, 3)) == 6
 
     def test_chamber_crossing_detected(self):
         with pytest.raises(ChamberCrossedError):
-            numeric_volume_at(load("simplex_2"), (0, 0, -5))
+            numeric_volume_at(Prepared(load("simplex_2")), (0, 0, -5))
 
     def test_wrong_sample_length(self):
         with pytest.raises(ValueError):
-            numeric_volume_at(load("simplex_2"), (0, 1))
+            numeric_volume_at(Prepared(load("simplex_2")), (0, 1))
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_polynomial_matches_oracle_on_chamber_samples(self, name, prepare):
         p = prepare(name)
-        wanted = min(
-            comb(p.spec.num_facets + p.spec.dim, p.spec.dim), SAMPLE_COUNT_CAP
-        )
-        for sample in chamber_samples(p.spec, wanted):
-            assert p.vol.poly.evaluate(sample) == numeric_volume_at(p.spec, sample)
+        for sample in chamber_samples(p)[:SAMPLE_COUNT_CAP]:
+            assert p.vol.poly.evaluate(sample) == numeric_volume_at(p, sample)
+
+
+class TestPrincipalLattice:
+    @pytest.mark.parametrize("name", [*DELZANT_CORPUS, "triangle_det2", "trapezoid"])
+    def test_samples_are_the_principal_lattice_in_the_chamber(self, name):
+        spec = TRAPEZOID if name == "trapezoid" else load(name)
+        prep = Prepared(spec)
+        d, m = spec.num_facets, spec.dim
+        samples = chamber_samples(prep)
+        assert len(samples) == len(set(samples)) == comb(d + m, m)
+        steps = [[s - o for s, o in zip(sample, spec.offsets())] for sample in samples]
+        # the corners alpha = m e_i take the largest step, m/q
+        q = m / max(sum(step) for step in steps)
+        assert q.denominator == 1
+        for step in steps:
+            alpha = [x * q for x in step]
+            assert all(a.denominator == 1 and a >= 0 for a in alpha)
+            assert sum(alpha) <= m
+        anchor_incidence = sorted(chart.active_set for chart in prep.charts)
+        for sample in samples:
+            points = feasible_vertex_points(spec.normals(), sample)
+            assert sorted(active for _, active in points) == anchor_incidence
+
+    @pytest.mark.parametrize("name", [n for n in DELZANT_CORPUS if load(n).dim <= 3])
+    def test_sweep_catches_every_one_monomial_mutant(self, name, prepare):
+        # the volume plus o_i^m for each facet i, or plus the constant 1
+        p = prepare(name)
+        d, m = p.spec.num_facets, p.spec.dim
+        samples = chamber_samples(p)
+        oracle = [numeric_volume_at(p, sample) for sample in samples]
+        assert [p.vol.poly.evaluate(sample) for sample in samples] == oracle
+        monomials = [tuple(m * (i == j) for j in range(d)) for i in range(d)]
+        for exps in monomials + [(0,) * d]:
+            mutant = p.vol.poly + MultiPoly(d, {exps: Fraction(1)})
+            values = [mutant.evaluate(sample) for sample in samples]
+            assert values != oracle, exps
