@@ -1,15 +1,65 @@
 """Exact linear algebra on small integer and rational matrices.
 
-Matrices are plain tuples/lists of row sequences.  Everything stays in
-integers (Bareiss elimination) or in fractions.Fraction; there is no
-floating point anywhere in this package.
+Matrices are plain tuples/lists of row sequences.  Determinants, solves,
+inverses and kernel vectors stay in integers: fraction-free (Bareiss)
+elimination divides exactly at every step (Bareiss, Math. Comp. 1968),
+and ``int_solve`` returns the Cramer numerators X = det(A) A^{-1} C.  A
+caller with rational data scales it by q to integers and reads the
+solution as X / (det q), so it builds a Fraction only for a value it
+keeps.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Sequence
+
+
+def _eliminate(a, ncols: int) -> tuple[int, int]:
+    """Fraction-free forward elimination of the integer rows ``a``, in place.
+
+    Column c gets its pivot from the first row at or below row c that is
+    nonzero there; columns from ``ncols`` on (right-hand sides) are carried
+    along.  Every entry below a pivot is then a minor of the input
+    (Sylvester's identity), so each division by the previous pivot is
+    exact, and the pivot of column c is the leading (c+1)-minor of the
+    permuted rows.  Stops at the first column without a pivot; returns the
+    sign of the row permutation and the number k of leading columns with
+    a pivot (k < ``ncols`` iff those columns have rank below ``ncols``).
+    """
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot is None:
+            return sign, col
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col]
+            a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return sign, ncols
+
+
+def _back_substitute(a, k: int, det: int, columns) -> list[list[int]]:
+    """X with U . X == det . a[:k][columns], U the triangle a[:k][:k].
+
+    Exact whenever det . U^{-1} maps those columns to integers, as it does
+    for det = +-(the last pivot).
+    """
+    x = [None] * k
+    for i in range(k - 1, -1, -1):
+        row = a[i]
+        below = [(row[j], x[j]) for j in range(i + 1, k)]
+        x[i] = [
+            (det * row[t] - sum(u * xj[s] for u, xj in below)) // row[i]
+            for s, t in enumerate(columns)
+        ]
+    return x
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -20,28 +70,52 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: divisions are exact by construction
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    sign, rank = _eliminate(a, n)
+    return sign * a[n - 1][n - 1] if rank == n else 0
+
+
+def int_solve(rows, cols):
+    """(det, X) with rows . X == det . cols in integers, or None if singular.
+
+    ``rows`` is a nonempty square integer matrix with det = int_det(rows),
+    and ``cols`` has one integer row per row of it.  X, of the shape of
+    ``cols``, holds the Cramer numerators: rows^{-1} cols == X / det.  One
+    elimination of [rows | cols], then back substitution on the triangle
+    it leaves.
+    """
+    n = len(rows)
+    a = [[*r, *c] for r, c in zip(rows, cols)]
+    sign, rank = _eliminate(a, n)
+    if rank < n:
+        return None
+    det = sign * a[n - 1][n - 1]
+    return det, _back_substitute(a, n, det, range(n, len(a[0])))
+
+
+def kernel_vector(rows):
+    """Nonzero integer kernel vector of a matrix, or None at full column rank.
+
+    With f the first column that depends on the ones before it, the vector
+    is zero after f, positive at f and primitive: the first free column of
+    the reduced echelon form set to 1, cleared of denominators.
+    """
+    a = [list(r) for r in rows]
+    _, free = _eliminate(a, len(a[0]))
+    if free == len(a[0]):
+        return None
+    last = a[free - 1][free - 1] if free else 1
+    head = [-y for y, in _back_substitute(a, free, last, [free])]
+    vec = [*head, last] + [0] * (len(a[0]) - free - 1)
+    g = gcd(*vec) if last > 0 else -gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def ring_det(rows):
-    """Determinant over any commutative ring with +, -, * (e.g. MultiPoly)."""
+    """Determinant over any commutative ring with +, -, * (e.g. MultiPoly).
+
+    The n!-term Laplace expansion: the package no longer calls it, and the
+    tests check the fraction-free eliminations against it.
+    """
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -53,71 +127,6 @@ def ring_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def _gauss_jordan(a, ncols: int) -> list[int]:
-    """Reduce the Fraction rows ``a`` in place, over their first ``ncols``
-    columns, to reduced row echelon form; returns the pivot columns.
-
-    Any further columns (a right-hand side, an identity block) are carried
-    along, which is how one elimination solves, inverts and finds kernels.
-    """
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        pivot = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-    return pivots
-
-
-def solve_exact(rows, rhs) -> list[Fraction]:
-    """Solve a square linear system exactly.  Raises ValueError if singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if len(_gauss_jordan(a, n)) < n:
-        raise ValueError("singular system")
-    return [a[i][n] for i in range(n)]
-
-
-def invert_exact(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix via Gauss-Jordan over Fraction."""
-    n = len(rows)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    if len(_gauss_jordan(a, n)) < n:
-        raise ValueError("singular matrix")
-    return [row[n:] for row in a]
-
-
-def kernel_vector(rows):
-    """Nonzero integer kernel vector of a matrix, or None at full column rank.
-
-    The first free column of the reduced echelon form is set to 1 and the
-    vector is cleared of denominators.
-    """
-    m = len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = _gauss_jordan(a, m)
-    if len(pivots) == m:
-        return None
-    free = next(c for c in range(m) if c not in pivots)
-    vec = [Fraction(0)] * m
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -a[r][free]
-    den = lcm(*(x.denominator for x in vec))
-    return tuple(int(x * den) for x in vec)
 
 
 def mat_mul(a, b):
@@ -191,13 +200,9 @@ def unimodular_for_normal(n: Sequence[int]) -> list[list[int]]:
 
 def int_inverse_unimodular(u) -> list[list[int]]:
     """Integer inverse of a unimodular integer matrix."""
-    inv = invert_exact(u)
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out_row.append(int(x))
-        out.append(out_row)
-    return out
+    n = len(u)
+    solved = int_solve(u, [[int(i == j) for j in range(n)] for i in range(n)])
+    if solved is None or solved[0] not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    det, x = solved
+    return [[det * v for v in row] for row in x]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from .linalg import int_det, invert_exact, kernel_direction, kernel_vector, solve_exact
+from .linalg import int_solve, kernel_direction, kernel_vector
 
 
 class Facet(NamedTuple):
@@ -121,28 +121,36 @@ def feasible_vertex_points(normals, offsets):
     Returns a list of (point, full_active_set) pairs with exact rational
     coordinates, one entry per geometric point, sorted deterministically.
     Offsets may be rational; no simplicity or boundedness checks here.
+
+    The offsets are scaled once to integers b = q o, q the lcm of their
+    denominators.  Each m-subset S of facets is one ``int_solve``: its
+    Cramer numerators X satisfy N_S X = det b_S, so the point is
+    X / (det q).  With det made positive, facet j holds iff
+    n_j . X <= det b_j and is tight iff they are equal, all in integers;
+    Fractions are built only for the points kept.
     """
     m = len(normals[0])
-    d = len(normals)
+    q = lcm(*(o.denominator for o in offsets))
+    b = [o.numerator * (q // o.denominator) for o in offsets]
     found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    for subset in combinations(range(d), m):
-        rows = [normals[i] for i in subset]
-        if int_det(rows) == 0:
+    for subset in combinations(range(len(normals)), m):
+        solved = int_solve([normals[i] for i in subset], [[b[i]] for i in subset])
+        if solved is None:
             continue
-        point = tuple(solve_exact(rows, [offsets[i] for i in subset]))
-        if point in found:
-            continue
+        det, x = solved
+        x = [row[0] for row in x]
+        if det < 0:
+            det, x = -det, [-c for c in x]
         active = []
-        feasible = True
-        for j in range(d):
-            value = sum(normals[j][c] * point[c] for c in range(m))
-            if value > offsets[j]:
-                feasible = False
+        for j, normal in enumerate(normals):
+            value = sum(n * c for n, c in zip(normal, x))
+            bound = det * b[j]
+            if value > bound:
                 break
-            if value == offsets[j]:
+            if value == bound:
                 active.append(j)
-        if feasible:
-            found[point] = tuple(active)
+        else:
+            found[tuple(Fraction(c, det * q) for c in x)] = tuple(active)
     return sorted(found.items(), key=lambda kv: _sort_key(kv[0]))
 
 
@@ -197,18 +205,17 @@ def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
         if len(active) > m:
             raise NonSimpleError(point, [i + 1 for i in active])
 
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
     used = set()
     charts = []
     for point, active in points:
         used.update(active)
-        rows = tuple(spec.facets[i].normal for i in active)
-        det = int_det(rows)
-        inverse = invert_exact(rows)
+        det, inverse = int_solve([normals[i] for i in active], identity)
         charts.append(
             VertexChart(
                 active_set=tuple(active),
                 det=det,
-                inverse=tuple(tuple(row) for row in inverse),
+                inverse=tuple(tuple(Fraction(x, det) for x in row) for row in inverse),
                 anchor=tuple(point),
             )
         )

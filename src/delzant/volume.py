@@ -19,7 +19,8 @@ The boundary volume is the derivative sum over all offsets; per facet it
 equals the Euclidean facet volume divided by the length of the primitive
 facet normal.  The numeric oracle and the direct facet volumes share no
 code with the vertex formula: they triangulate the polytope (or facet) at
-concrete coordinates and sum simplex determinants.  The oracle reads only
+concrete coordinates and sum simplex determinants, computed by their
+own fraction-free elimination (``_simplex_det``).  The oracle reads only
 the spec and the anchor's incidence, and it is compared with the
 polynomial on a principal lattice (``chamber_samples``), where agreement
 proves the two equal on the whole chamber.
@@ -34,7 +35,7 @@ from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .errors import ChamberCrossedError
-from .linalg import int_inverse_unimodular, mat_vec, ring_det, unimodular_for_normal
+from .linalg import int_inverse_unimodular, mat_vec, unimodular_for_normal
 from .polynomial import MultiPoly
 from .polytope import (
     FaceLattice,
@@ -187,13 +188,40 @@ def _triangulate(faces, key):
     return simplices
 
 
+def _simplex_det(rows) -> Fraction:
+    """Determinant of a square matrix of rationals, for the oracle alone.
+
+    The common denominator L of the entries is cleared and the integer
+    matrix L rows is reduced by fraction-free elimination, each division
+    exact, in O(n^3) steps; det(rows) = det(L rows) / L^n.  The charts'
+    elimination in ``linalg`` is not used, so the oracle stays independent.
+    """
+    n = len(rows)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        top, p = a[k], a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k]
+            a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return Fraction(sign * prev, den**n)
+
+
 def _triangulated_volume(faces, coords, dim: int) -> Fraction:
     """Sum of |det| / dim! over ``_triangulate``; ``coords`` is keyed by active set."""
     total = Fraction(0)
     for base, *rest in _triangulate(faces, ()):
         origin = coords[base.active_set]
         rows = [[x - o for x, o in zip(coords[v.active_set], origin)] for v in rest]
-        total += abs(ring_det(rows))
+        total += abs(_simplex_det(rows))
     return total / factorial(dim)
 
 

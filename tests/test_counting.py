@@ -17,6 +17,7 @@ from delzant.counting import (
 )
 from delzant.errors import BudgetExceededError, NotPolynomialError
 from delzant.hilbert import cy_hilbert_polynomial
+from delzant.linalg import int_det, mat_mul, mat_vec
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
@@ -199,6 +200,24 @@ class TestFibreKernel:
         assert histogram == _reference_histogram(image, k)
         # a lattice bijection that keeps the facet order keeps every mask count
         assert histogram == tight_histogram(spec, k)
+
+
+class TestUnimodularCharts:
+    """The vertex charts on the images ``TestFibreKernel`` draws."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(pair=_unimodular_images())
+    def test_charts_invert_their_normals(self, pair):
+        # the corpus member, then its GL_m(Z) image with a translate
+        for spec in pair:
+            normals, offsets = spec.normals(), spec.offsets()
+            identity = [[int(i == j) for j in range(spec.dim)] for i in range(spec.dim)]
+            for chart in enumerate_vertices(spec):
+                rows = [normals[i] for i in chart.active_set]
+                assert mat_mul(chart.inverse, rows) == identity
+                anchor = mat_vec(chart.inverse, [offsets[i] for i in chart.active_set])
+                assert tuple(anchor) == chart.anchor
+                assert chart.det == int_det(rows)
 
 
 class TestCountReport:

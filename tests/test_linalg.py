@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -8,13 +9,12 @@ from delzant.errors import UnboundedError
 from delzant.linalg import (
     int_det,
     int_inverse_unimodular,
-    invert_exact,
+    int_solve,
     kernel_direction,
     kernel_vector,
     mat_mul,
     mat_vec,
     ring_det,
-    solve_exact,
     unimodular_for_normal,
 )
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
@@ -50,6 +50,10 @@ class TestIntDet:
             assert int_det(mat_mul(a, b)) == int_det(a) * int_det(b)
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 class TestSolveInvert:
     def test_solve_matches_inverse(self):
         rng = random.Random(5)
@@ -57,15 +61,74 @@ class TestSolveInvert:
             m = random_matrix(rng, 3)
             if int_det(m) == 0:
                 continue
-            rhs = [rng.randint(-5, 5) for _ in range(3)]
-            x = solve_exact(m, rhs)
-            assert mat_vec(m, x) == [Fraction(b) for b in rhs]
-            inv = invert_exact(m)
-            assert mat_vec(inv, rhs) == x
+            rhs = [[rng.randint(-5, 5)] for _ in range(3)]
+            det, x = int_solve(m, rhs)
+            assert mat_mul(m, x) == [[det * b] for b, in rhs]
+            # the inverse's numerators over the same det carry rhs to x
+            det_inv, inv = int_solve(m, identity(3))
+            assert det_inv == det
+            assert mat_mul(inv, rhs) == x
 
     def test_singular_raises(self):
+        assert int_solve([[1, 2], [2, 4]], [[1], [1]]) is None
         with pytest.raises(ValueError):
-            solve_exact([[1, 2], [2, 4]], [1, 1])
+            int_inverse_unimodular([[1, 2], [2, 4]])
+        with pytest.raises(ValueError):
+            int_inverse_unimodular([[0, -1], [2, 1]])
+
+
+def _solve_cases():
+    """Seeded random integer systems, n = 1..6, with singular ones and
+    ones whose leading entry is zero, so that elimination swaps rows."""
+    rng = random.Random(41)
+    for n in range(1, 7):
+        for case in range(24):
+            rows = random_matrix(rng, n, -4, 4)
+            if case % 4 == 1 and n > 1:
+                # the last row a combination of the earlier ones: singular
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[-2])]
+            elif case % 4 == 2:
+                rows[0][0] = 0
+            elif case % 4 == 3 and n > 1:
+                # the leading column zero but for its last entry
+                for row in rows[:-1]:
+                    row[0] = 0
+                rows[-1][0] = rng.choice([-3, -1, 2])
+            cols = [[rng.randint(-6, 6) for _ in range(1 + case % 3)] for _ in range(n)]
+            yield rows, cols
+
+
+class TestIntSolve:
+    def test_det_and_numerators_on_random_systems(self):
+        singular = swapped = 0
+        for rows, cols in _solve_cases():
+            det = int_det(rows)
+            assert det == ring_det(rows)
+            solved = int_solve(rows, cols)
+            if det == 0:
+                assert solved is None
+                singular += 1
+                continue
+            assert solved[0] == det
+            assert mat_mul(rows, solved[1]) == [[det * c for c in row] for row in cols]
+            swapped += rows[0][0] == 0
+        # the cases reach both the singular exit and the row swap
+        assert singular >= 20 and swapped >= 20
+
+    def test_inverse_numerators(self):
+        for rows, _ in _solve_cases():
+            solved = int_solve(rows, identity(len(rows)))
+            if solved is None:
+                continue
+            det, inverse = solved
+            assert mat_mul(rows, inverse) == [[det * v for v in row] for row in identity(len(rows))]
+            assert mat_mul(inverse, rows) == mat_mul(rows, inverse)
+
+    def test_sign_of_det(self):
+        # two charts of triangle_det2: the vertex (1, 0) has det 2, reached
+        # through a row swap, and the vertex (0, 2) has det -1
+        assert int_solve([[0, -1], [2, 1]], [[0], [2]]) == (2, [[2], [0]])
+        assert int_solve([[-1, 0], [2, 1]], [[0], [2]]) == (-1, [[0], [-2]])
 
 
 class TestKernelDirection:
@@ -154,3 +217,44 @@ class TestKernelVector:
                 assert any(x != 0 for x in vector)
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, vector)) == 0
+
+    def test_matches_reduced_echelon_reference(self):
+        # the first free column of the Fraction reduced echelon form set to
+        # 1, cleared of denominators: the ray recession_ray has always named
+        rng = random.Random(19)
+        for m in (1, 2, 3, 4, 5):
+            for height in (m - 1, m, m + 2):
+                for _ in range(30):
+                    rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(max(height, 1))]
+                    if m > 1 and rng.random() < 0.5:
+                        # force a dependent column
+                        c = rng.randrange(1, m)
+                        for row in rows:
+                            row[c] = row[0] - 2 * row[c - 1]
+                    assert kernel_vector(rows) == _echelon_kernel_vector(rows)
+
+
+def _echelon_kernel_vector(rows):
+    m = len(rows[0])
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(m):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        a[row] = [x / a[row][col] for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    if len(pivots) == m:
+        return None
+    free = next(c for c in range(m) if c not in pivots)
+    vec = [Fraction(0)] * m
+    vec[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -a[r][free]
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(int(x * den) for x in vec)

@@ -1,20 +1,26 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
-from delzant.corpus import DELZANT_CORPUS, load
+from delzant.corpus import DELZANT_CORPUS, corpus_names, load
 from delzant.errors import (
     EmptyPolytopeError,
     NonSimpleError,
     RedundantFacetError,
     UnboundedError,
 )
+from delzant.linalg import ring_det
 from delzant.polytope import (
     HalfSpaceSpec,
     build_face_lattice,
     enumerate_vertices,
+    feasible_vertex_points,
     validate_delzant,
 )
+from delzant.prepared import Prepared
+from delzant.volume import chamber_samples
 
 
 def anchors(charts):
@@ -161,3 +167,65 @@ class TestDeterministicOrder:
         first = [c.active_set for c in enumerate_vertices(spec)]
         second = [c.active_set for c in enumerate_vertices(spec)]
         assert first == second
+
+
+@lru_cache(maxsize=None)
+def _cofactors(rows):
+    """Integer determinant and cofactors C[r][c] of a square matrix, by Laplace."""
+    m = len(rows)
+    det = ring_det(rows)
+    if m == 1:
+        return det, ((1,),)
+    minors = [
+        [
+            ring_det([row[:c] + row[c + 1 :] for i, row in enumerate(rows) if i != r])
+            for c in range(m)
+        ]
+        for r in range(m)
+    ]
+    return det, tuple(tuple((-1) ** (r + c) * minors[r][c] for c in range(m)) for r in range(m))
+
+
+def _reference_vertex_points(normals, offsets):
+    """Basic feasible points by Cramer's rule over Fraction, one point at a time.
+
+    Shares nothing with ``int_solve``: each coordinate is a cofactor sum of
+    Laplace determinants over the subset's determinant, and feasibility is
+    checked on the Fraction point.
+    """
+    m = len(normals[0])
+    found = {}
+    for subset in combinations(range(len(normals)), m):
+        det, cofactors = _cofactors(tuple(tuple(normals[i]) for i in subset))
+        if det == 0:
+            continue
+        point = tuple(
+            sum(Fraction(offsets[i]) * cofactors[r][c] for r, i in enumerate(subset)) / det
+            for c in range(m)
+        )
+        values = [sum(n * x for n, x in zip(normal, point)) for normal in normals]
+        if all(v <= o for v, o in zip(values, offsets)):
+            found[point] = tuple(j for j, (v, o) in enumerate(zip(values, offsets)) if v == o)
+    return sorted(found.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+class TestFeasibleVertexPoints:
+    """The integer Cramer numerators against a Fraction reference."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_matches_reference_on_corpus(self, name):
+        spec = load(name)
+        normals, offsets = spec.normals(), spec.offsets()
+        assert feasible_vertex_points(normals, offsets) == _reference_vertex_points(
+            normals, offsets
+        )
+
+    @pytest.mark.parametrize("name", [*DELZANT_CORPUS, "triangle_det2"])
+    def test_matches_reference_on_chamber_samples(self, name):
+        # rational offsets: anchor + alpha / q
+        spec = load(name)
+        normals = spec.normals()
+        for sample in chamber_samples(Prepared(spec)):
+            assert feasible_vertex_points(normals, sample) == _reference_vertex_points(
+                normals, sample
+            )

@@ -9,12 +9,14 @@ on purpose.
 
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 
+import delzant.polytope as polytope
 import delzant.volume as volume
 from delzant.cli import main
-from delzant.corpus import corpus_text
+from delzant.corpus import corpus_text, load
 
 STAGES = (
     ("delzant.polytope", "enumerate_vertices"),
@@ -84,6 +86,26 @@ def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, 
     assert len(offsets) == 10 + 3
     # the anchor (0, 0, 1) only as the sample alpha = 0
     assert offsets.count((0, 0, 1)) == 1
+
+
+def test_enumerate_vertices_eliminates_once_per_facet_subset(monkeypatch):
+    """One integer elimination per facet subset, one more per chart."""
+    widths = []
+    original = polytope.int_solve
+
+    def counted(rows, cols):
+        widths.append(len(cols[0]))
+        return original(rows, cols)
+
+    monkeypatch.setattr(polytope, "int_solve", counted)
+    charts = polytope.enumerate_vertices(load("cube_unit"))
+    assert len(charts) == 8
+    # each of the C(6, 3) = 20 facet triples is solved once for its point
+    # (the 12 that hold a pair of opposite facets come back singular), and
+    # each of the 8 charts once more for its inverse; the rank test in
+    # recession_ray eliminates without solving
+    assert len(widths) == comb(6, 3) + 8
+    assert widths == [1] * comb(6, 3) + [3] * 8
 
 
 @pytest.mark.parametrize(

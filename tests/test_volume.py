@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.errors import ChamberCrossedError
+from delzant.linalg import ring_det
 from delzant.polynomial import MultiPoly
 from delzant.polytope import (
     HalfSpaceSpec,
@@ -16,6 +18,7 @@ from delzant.prepared import Prepared
 from delzant.volume import (
     _lawrence_volume,
     _moment_direction,
+    _simplex_det,
     boundary_volume_polynomial,
     chamber_samples,
     facet_volume_direct,
@@ -197,6 +200,28 @@ class TestBoundaryVolume:
         assert boundary.poly.evaluate(p.spec.offsets()) == facet_volume_sum(
             p.spec, p.lattice
         )
+
+
+class TestSimplexDet:
+    def test_matches_laplace_on_rational_matrices(self):
+        # the oracle's own elimination against the Laplace expansion
+        rng = random.Random(47)
+        for n in range(1, 6):
+            for case in range(30):
+                rows = [
+                    [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                if case % 3 == 1:
+                    rows[0][0] = Fraction(0)
+                elif case % 3 == 2 and n > 1:
+                    rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[-2])]
+                assert _simplex_det(rows) == ring_det(rows)
+
+    def test_integer_rows(self):
+        # facet_volume_direct passes integer coordinates
+        assert _simplex_det([[0, -1], [2, 1]]) == 2
+        assert _simplex_det([[1, 2], [2, 4]]) == 0
 
 
 class TestNumericOracle:
