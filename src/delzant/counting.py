@@ -5,14 +5,16 @@ the integer bounding box of the k-fold dilate are enumerated one by one
 and classified against the facet inequalities.  One enumeration gives a
 histogram of the inside points by their tight-facet bitmask, from which
 the full, interior, boundary and every face count of that dilate are read.
-Counts are fitted by exact interpolation, and every fit must predict one
-extra count correctly before it is accepted as a polynomial.
+Counts are fitted by exact interpolation (integer forward differences),
+and every fit must predict one extra count correctly before it is
+accepted as a polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
+from math import factorial
 
 from .errors import BudgetExceededError, NotPolynomialError
 from .polynomial import UniPoly
@@ -51,29 +53,41 @@ def _bounding_box(spec: HalfSpaceSpec, k: int, charts):
 def _tight_masks(normals, bounds, lows, highs) -> dict[int, int]:
     """Classify every point of the box; count the inside ones by mask.
 
-    The box is walked one fibre at a time along the last axis.  For each
-    prefix (x_0..x_{m-2}) the slack b_j - sum_{c<m-1} n_j[c] x_c of every
-    facet is computed once; each point x of the fibre is then tested in
-    facet order against its exact residual slack_j - n_j[m-1] x, leaving
-    at the first facet it violates.  Bit j of a point's mask is set when
-    the point lies on facet j.  Most inside points are interior (mask 0),
-    so those are tallied in a plain counter and only boundary points touch
-    the dictionary.
+    The box is walked as nested loops over the prefix coordinates
+    x_0..x_{m-2}, down to one fibre along the last axis.  Each level holds
+    the slack b_j - sum n_j[c] x_c of every facet over the coordinates
+    fixed so far; a step of coordinate c subtracts column c of the normals,
+    so a prefix costs O(d), not d dot products.  A facet with n_j[m-1] = 0
+    has the same residual at every point of a fibre, so it is settled once
+    per fibre: a negative slack puts the whole fibre outside, a zero slack
+    puts its bit in every point's mask.  Each point x of the fibre is then
+    tested against every other facet, in facet order, by its exact residual
+    slack_j - n_j[m-1] x, leaving at the first facet it violates.  Bit j of
+    a point's mask is set when the point lies on facet j.  Most inside
+    points are interior (mask 0), so those are tallied in a plain counter
+    and only boundary points touch the dictionary.
     """
     m = len(lows)
     histogram: dict[int, int] = {}
     interior = 0
-    heads = [normal[: m - 1] for normal in normals]
-    tails = [(normal[m - 1], 1 << j) for j, normal in enumerate(normals)]
-    prefixes = product(*(range(lows[c], highs[c] + 1) for c in range(m - 1)))
+    columns = [[normal[c] for normal in normals] for c in range(m - 1)]
+    parallel = [(j, 1 << j) for j, n in enumerate(normals) if n[m - 1] == 0]
+    crossing = [(j, n[m - 1], 1 << j) for j, n in enumerate(normals) if n[m - 1]]
     fibre = range(lows[m - 1], highs[m - 1] + 1)
-    for prefix in prefixes:
-        rows = [
-            (b - sum(a * x for a, x in zip(head, prefix)), last, bit)
-            for b, head, (last, bit) in zip(bounds, heads, tails)
-        ]
+
+    def walk_fibre(slacks):
+        nonlocal interior
+        base = 0
+        for j, bit in parallel:
+            slack = slacks[j]
+            if slack < 0:
+                return
+            if slack == 0:
+                base |= bit
+        rows = [(slacks[j], last, bit) for j, last, bit in crossing]
+        inside = 0
         for x in fibre:
-            tight = 0
+            tight = base
             for slack, last, bit in rows:
                 r = slack - last * x
                 if r < 0:
@@ -84,7 +98,20 @@ def _tight_masks(normals, bounds, lows, highs) -> dict[int, int]:
                 if tight:
                     histogram[tight] = histogram.get(tight, 0) + 1
                 else:
-                    interior += 1
+                    inside += 1
+        interior += inside
+
+    def walk(c, slacks):
+        if c == m - 1:
+            walk_fibre(slacks)
+            return
+        column = columns[c]
+        slacks = [s - a * lows[c] for s, a in zip(slacks, column)]
+        for _ in range(lows[c], highs[c] + 1):
+            walk(c + 1, slacks)
+            slacks = [s - a for s, a in zip(slacks, column)]
+
+    walk(0, list(bounds))
     if interior:
         histogram[0] = interior
     return histogram
@@ -191,6 +218,30 @@ def count_report(histogram: dict[int, int], lattice: FaceLattice, k: int) -> Cou
     )
 
 
+def _forward_difference_fit(values) -> UniPoly:
+    """The polynomial of degree < n through (k, values[k-1]) for k = 1..n.
+
+    Newton's form p(k) = sum_i D^i y_1 C(k-1, i), where D^i y_1 is the
+    i-th forward difference, is summed in integers over the common
+    denominator (n-1)!: term i adds D^i y_1 (n-1)!/i! (k-1)(k-2)...(k-i).
+    Only the final coefficients become fractions.
+    """
+    n = len(values)
+    numerators = [0] * n
+    diffs = list(values)
+    falling = [1]  # (k-1)(k-2)...(k-i), lowest power first
+    denominator = scale = factorial(n - 1)  # scale is (n-1)!/i!
+    for i in range(n):
+        lead = diffs[0] * scale
+        for power, c in enumerate(falling):
+            numerators[power] += lead * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        t = i + 1
+        falling = [a - t * b for a, b in zip([0, *falling], [*falling, 0])]
+        scale //= t
+    return UniPoly(Fraction(c, denominator) for c in numerators)
+
+
 def interpolate_counts(counts, degree: int, kind: str) -> EhrhartPoly:
     """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
 
@@ -198,8 +249,7 @@ def interpolate_counts(counts, degree: int, kind: str) -> EhrhartPoly:
     counts do not follow a polynomial of that degree, which for lattice
     input always signals a bug.
     """
-    nodes = [(k, counts(k)) for k in range(1, degree + 2)]
-    poly = UniPoly.interpolate(nodes)
+    poly = _forward_difference_fit([counts(k) for k in range(1, degree + 2)])
     probe = degree + 2
     predicted = poly.evaluate(probe)
     actual = counts(probe)

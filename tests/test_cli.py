@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import delzant
 from delzant.cli import main
 from delzant.corpus import corpus_text
 
@@ -368,3 +373,35 @@ class TestMiscFlags:
         code, out, _ = run(capsys, "faces", poly_file("simplex_2"))
         assert code == 0
         assert out.splitlines()[0] == "faces: 7 (3 of dim 0, 3 of dim 1, 1 of dim 2)"
+
+
+class TestProcess:
+    """``python -m delzant.cli`` in a child process: exit status and streams."""
+
+    @staticmethod
+    def run_process(*argv):
+        src = str(Path(delzant.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "delzant.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def test_count_prints_and_exits_zero(self, poly_file):
+        done = self.run_process("count", "--k", "2", poly_file("cube_unit"))
+        assert done.returncode == 0
+        assert done.stdout == "27\n"
+        assert done.stderr == ""
+
+    def test_usage_error_exits_two_with_one_error_line(self, poly_file):
+        done = self.run_process("count", "--k", "0", poly_file("cube_unit"))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from delzant.corpus import DELZANT_CORPUS, load
 import delzant.counting as counting_mod
 from delzant.counting import (
+    _forward_difference_fit,
     count_points,
     count_report,
     ehrhart_interpolate,
@@ -192,6 +194,16 @@ class TestFibreKernel:
         spec = load(name)
         assert tight_histogram(spec, k) == _reference_histogram(spec, k)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_parallel_facet_settles_whole_fibres(self, k):
+        # the edge blow-up of cube_2: [0,2]^3 cut by x0 + x1 <= 3, whose normal
+        # has last coordinate 0.  Its box has fibres the cut puts wholly
+        # outside, prefix (2k, 2k), and fibres lying on it, such as (2k, k).
+        facets = [([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0)]
+        facets += [([1, 0, 0], 2), ([0, 1, 0], 2), ([0, 0, 1], 2), ([1, 1, 0], 3)]
+        spec = HalfSpaceSpec(3, facets)
+        assert tight_histogram(spec, k) == _reference_histogram(spec, k)
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(pair=_unimodular_images(), k=st.integers(1, 2))
     def test_unimodular_images_match_reference(self, pair, k):
@@ -296,5 +308,26 @@ class TestEhrhartInterpolate:
         def lying_counts(k):
             return k if k < 4 else k + 1
 
-        with pytest.raises(NotPolynomialError):
+        with pytest.raises(NotPolynomialError) as err:
             interpolate_counts(lying_counts, 2, "full")
+        assert str(err.value) == (
+            "full counts are not a degree-2 polynomial: "
+            "predicted 4 at k=4, counted 5"
+        )
+
+
+class TestForwardDifferenceFit:
+    """The integer Newton fit against ``UniPoly.interpolate`` on k = 1..n."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_lagrange_interpolation(self, n):
+        rng = random.Random(n)
+        value_lists = [
+            [0] * n,
+            [rng.randint(-(10**6), -1) for _ in range(n)],
+            *([rng.randint(-50, 50) for _ in range(n)] for _ in range(20)),
+            [comb(k + n, n) for k in range(1, n + 1)],
+        ]
+        for values in value_lists:
+            nodes = list(enumerate(values, start=1))
+            assert _forward_difference_fit(values) == UniPoly.interpolate(nodes)
