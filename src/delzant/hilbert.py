@@ -20,7 +20,7 @@ from .counting import (
     interpolate_counts,
     read_count,
 )
-from .errors import DisagreementError
+from .errors import BudgetExceededError, DisagreementError
 from .operators import boundary_count_formula, khovanskii_count, symbolic_ehrhart
 from .polytope import enumerate_vertices
 from .prepared import Prepared
@@ -128,8 +128,9 @@ class CrossCheckReport:
 def cross_check(prep: Prepared) -> CrossCheckReport:
     """Run every identity the package asserts against one polytope.
 
-    Raises NotDelzantError on invalid input; on valid input always returns
-    a report, with each failed identity recorded rather than raised.
+    Raises NotDelzantError on invalid input and BudgetExceededError when an
+    enumeration outruns the budget; otherwise returns a report, with each
+    failed identity recorded rather than raised.
     """
     spec, charts, budget = prep.require_delzant().spec, prep.charts, prep.budget
     m = spec.dim
@@ -139,6 +140,8 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
         try:
             detail = func()
             checks.append(CheckResult(name, True, detail))
+        except BudgetExceededError:
+            raise
         except Exception as exc:  # recorded, not raised: this is a report
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
 

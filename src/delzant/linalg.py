@@ -159,50 +159,3 @@ def kernel_direction(rows, m: int):
     if all(x == 0 for x in direction):
         return None
     return tuple(direction)
-
-
-def unimodular_for_normal(n: Sequence[int]) -> list[list[int]]:
-    """Unimodular U with n^T U = (1, 0, ..., 0), for primitive integer n.
-
-    Columns 2..m of U form a lattice basis of the hyperplane {x : x.n = 0},
-    and the first coordinate of U^{-1} x equals x.n.
-    """
-    m = len(n)
-    r = list(n)
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def col_addmul(dst, src, q):
-        r[dst] -= q * r[src]
-        for row in u:
-            row[dst] -= q * row[src]
-
-    while True:
-        nonzero = [j for j in range(m) if r[j] != 0]
-        if len(nonzero) <= 1:
-            break
-        j = min(nonzero, key=lambda c: abs(r[c]))
-        for i in nonzero:
-            if i != j:
-                col_addmul(i, j, r[i] // r[j])
-    p = next(j for j in range(m) if r[j] != 0)
-    if r[p] < 0:
-        r[p] = -r[p]
-        for row in u:
-            row[p] = -row[p]
-    if r[p] != 1:
-        raise ValueError("normal vector is not primitive")
-    if p != 0:
-        r[0], r[p] = r[p], r[0]
-        for row in u:
-            row[0], row[p] = row[p], row[0]
-    return u
-
-
-def int_inverse_unimodular(u) -> list[list[int]]:
-    """Integer inverse of a unimodular integer matrix."""
-    n = len(u)
-    solved = int_solve(u, [[int(i == j) for j in range(n)] for i in range(n)])
-    if solved is None or solved[0] not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    det, x = solved
-    return [[det * v for v in row] for row in x]

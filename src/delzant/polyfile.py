@@ -36,8 +36,10 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
 
     With ``normalize``, a non-primitive normal is divided by its gcd and
     the offset adjusted, provided the offset is divisible; otherwise the
-    line is rejected, since rounding would change the polytope.
+    line is rejected, since rounding would change the polytope.  One
+    leading byte-order mark (U+FEFF) is dropped.
     """
+    text = text.removeprefix("\ufeff")
     dim: int | None = None
     dim_line = 0
     name: str | None = None

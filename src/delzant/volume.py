@@ -18,10 +18,13 @@ over one shared denominator.
 The boundary volume is the derivative sum over all offsets; per facet it
 equals the Euclidean facet volume divided by the length of the primitive
 facet normal.  The numeric oracle and the direct facet volumes share no
-code with the vertex formula: they triangulate the polytope (or facet) at
-concrete coordinates and sum simplex determinants, computed by their
-own fraction-free elimination (``_simplex_det``).  The oracle reads only
-the spec and the anchor's incidence, and it is compared with the
+code with the vertex formula.  Both cone the anchor's face lattice into
+simplices of vertex active sets (``_triangulate``, combinatorial, so one
+triangulation serves every point of the chamber), place the vertices at
+concrete coordinates and sum simplex determinants, computed by their own
+fraction-free elimination (``_simplex_det``).  A facet's volume is read
+off the pyramid over it from a vertex off the facet.  The oracle reads
+only the spec and the anchor's incidence, and it is compared with the
 polynomial on a principal lattice (``chamber_samples``), where agreement
 proves the two equal on the whole chamber.
 """
@@ -32,16 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
-from typing import NamedTuple
 
 from .errors import ChamberCrossedError
-from .linalg import int_inverse_unimodular, mat_vec, unimodular_for_normal
 from .polynomial import MultiPoly
 from .polytope import (
     FaceLattice,
     HalfSpaceSpec,
     VertexChart,
-    _sort_key,
     build_face_lattice,
     feasible_vertex_points,
 )
@@ -168,20 +168,21 @@ def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomia
 def _triangulate(faces, key):
     """Recursive coning triangulation of the face with the given active set.
 
-    ``faces`` maps active sets to face records (``dim`` and ``charts``);
-    vertices are any objects with ``anchor`` and ``active_set`` attributes.
-    Each face is coned from its least vertex.  Returns tuples of dim+1
-    vertices each.
+    ``faces`` maps active sets to face records (``dim`` and ``charts``).
+    Each face is coned from its vertex with the least active set over its
+    own faces that miss that vertex; any vertex would do, so the result
+    is combinatorial and holds wherever the incidence is the anchor's.
+    Returns tuples of dim+1 vertex active sets.
     """
     record = faces[key]
-    dim, vertices = record.dim, record.charts
+    dim, vertices = record.dim, [chart.active_set for chart in record.charts]
     if dim == 0:
         return [(vertices[0],)]
-    base = min(vertices, key=lambda v: _sort_key(v.anchor))
+    base = min(vertices)
     simplices = []
-    for j in sorted(set(i for v in vertices for i in v.active_set) - set(key)):
+    for j in sorted(set(i for v in vertices for i in v) - set(key)):
         child = tuple(sorted(key + (j,)))
-        if child not in faces or j in base.active_set:
+        if child not in faces or j in base:
             continue
         for simplex in _triangulate(faces, child):
             simplices.append((base,) + simplex)
@@ -215,19 +216,14 @@ def _simplex_det(rows) -> Fraction:
     return Fraction(sign * prev, den**n)
 
 
-def _triangulated_volume(faces, coords, dim: int) -> Fraction:
-    """Sum of |det| / dim! over ``_triangulate``; ``coords`` is keyed by active set."""
+def _cone_sum(simplices, coords) -> Fraction:
+    """Sum of |det| over simplices of active sets; ``coords`` maps each to a point."""
     total = Fraction(0)
-    for base, *rest in _triangulate(faces, ()):
-        origin = coords[base.active_set]
-        rows = [[x - o for x, o in zip(coords[v.active_set], origin)] for v in rest]
+    for base, *rest in simplices:
+        origin = coords[base]
+        rows = [[x - o for x, o in zip(coords[v], origin)] for v in rest]
         total += abs(_simplex_det(rows))
-    return total / factorial(dim)
-
-
-class _SamplePoint(NamedTuple):
-    anchor: tuple[Fraction, ...]
-    active_set: tuple[int, ...]
+    return total
 
 
 def _incidence(points):
@@ -238,9 +234,10 @@ def numeric_volume_at(prep, sample) -> Fraction:
     """Exact volume of a ``Prepared`` family at offsets in the anchor's chamber.
 
     Independent of the symbolic route: vertices are re-enumerated at the
-    sample, the boundary is re-triangulated, and the simplex volumes are
-    summed with absolute values.  Raises ChamberCrossedError when the
-    vertex-facet incidence at the sample differs from the anchor's.
+    sample, the anchor's face lattice is triangulated, and the simplex
+    volumes at the sample's vertices are summed with absolute values.
+    Raises ChamberCrossedError when the vertex-facet incidence at the
+    sample differs from the anchor's.
     """
     spec = prep.spec
     sample = tuple(Fraction(v) for v in sample)
@@ -251,10 +248,9 @@ def numeric_volume_at(prep, sample) -> Fraction:
         raise ChamberCrossedError(
             "sample offsets lie outside the chamber of the anchor offsets"
         )
-    points = [_SamplePoint(anchor, active) for anchor, active in at_sample]
-    faces = build_face_lattice(spec, points).faces
+    faces = build_face_lattice(spec, prep.charts).faces
     coords = {active: point for point, active in at_sample}
-    return _triangulated_volume(faces, coords, spec.dim)
+    return _cone_sum(_triangulate(faces, ()), coords) / factorial(spec.dim)
 
 
 def chamber_samples(prep) -> list[tuple[Fraction, ...]]:
@@ -292,29 +288,26 @@ def chamber_samples(prep) -> list[tuple[Fraction, ...]]:
 def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -> Fraction:
     """Lattice-normalized (m-1)-volume of a facet, from first principles.
 
-    Facet vertices are mapped into coordinates on a lattice basis of the
-    facet hyperplane (built from a unimodular completion of the normal) and
-    the volume is summed over a triangulation there.  Equals the offset
-    derivative of the volume polynomial evaluated at the anchor; tests and
-    the cross-check command compare the two routes.
+    The pyramid over facet i from a vertex v off it has m-volume
+    h vol(F) / m, where vol(F) is the lattice-normalized facet volume and
+    h = o_i - n_i . v the lattice height of v: the Euclidean facet volume
+    is vol(F) |n_i| and the Euclidean height h / |n_i|.  The pyramid is
+    the cone from v over a triangulation of the facet, so vol(F) is its
+    summed |det| over h (m-1)!.  Equals the offset derivative of the
+    volume polynomial evaluated at the anchor; tests and the cross-check
+    command compare the two routes.
     """
-    m = spec.dim
-    record = lattice.resolve((facet,))
-    if record is None:
+    if lattice.resolve((facet,)) is None:
         raise ValueError(f"facet {facet} carries no face")
-    if m == 1:
-        return Fraction(1)
-    u_inv = int_inverse_unimodular(unimodular_for_normal(spec.facets[facet].normal))
-    coords = {}
-    for chart in record.charts:
-        y = mat_vec(u_inv, chart.anchor_ints())
-        coords[chart.active_set] = y[1:]
-    faces = {
-        tuple(sorted(set(key) - {facet})): rec
-        for key, rec in lattice.faces.items()
-        if facet in key
-    }
-    return _triangulated_volume(faces, coords, m - 1)
+    normal, offset = spec.facets[facet]
+    charts = lattice.faces[()].charts
+    apex = next(chart for chart in charts if facet not in chart.active_set)
+    height = offset - sum(n * x for n, x in zip(normal, apex.anchor))
+    simplices = [
+        (apex.active_set,) + simplex for simplex in _triangulate(lattice.faces, (facet,))
+    ]
+    coords = {chart.active_set: chart.anchor for chart in charts}
+    return _cone_sum(simplices, coords) / (height * factorial(spec.dim - 1))
 
 
 def facet_volume_sum(spec: HalfSpaceSpec, lattice: FaceLattice) -> Fraction:

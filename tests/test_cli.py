@@ -250,6 +250,16 @@ class TestExitCodes:
         assert code == 5
         assert "budget" in err
 
+    def test_cross_check_budget_exceeded_is_5(self, poly_file, capsys):
+        # the budget ends the command; it is not one more failed identity
+        code, out, err = run(
+            capsys, "cross-check", "--budget", "5", poly_file("simplex_2")
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget is 5" in err
+
     def test_budget_env_override(self, poly_file, capsys, monkeypatch):
         monkeypatch.setenv("DELZANT_BUDGET", "100")
         code, _, _ = run(capsys, "count", "--k", "50", poly_file("cube_2"))

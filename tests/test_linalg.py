@@ -8,14 +8,11 @@ import pytest
 from delzant.errors import UnboundedError
 from delzant.linalg import (
     int_det,
-    int_inverse_unimodular,
     int_solve,
     kernel_direction,
     kernel_vector,
     mat_mul,
-    mat_vec,
     ring_det,
-    unimodular_for_normal,
 )
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 
@@ -71,10 +68,6 @@ class TestSolveInvert:
 
     def test_singular_raises(self):
         assert int_solve([[1, 2], [2, 4]], [[1], [1]]) is None
-        with pytest.raises(ValueError):
-            int_inverse_unimodular([[1, 2], [2, 4]])
-        with pytest.raises(ValueError):
-            int_inverse_unimodular([[0, -1], [2, 1]])
 
 
 def _solve_cases():
@@ -143,28 +136,6 @@ class TestKernelDirection:
                 assert any(x != 0 for x in direction)
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, direction)) == 0
-
-
-class TestUnimodularForNormal:
-    @pytest.mark.parametrize(
-        "normal",
-        [(1,), (-1,), (1, 0), (0, -1), (2, 3), (1, 1), (3, -5, 7), (0, 0, 1, 1)],
-    )
-    def test_reduces_normal_to_first_unit_vector(self, normal):
-        u = unimodular_for_normal(normal)
-        m = len(normal)
-        assert int_det(u) in (1, -1)
-        image = [sum(normal[r] * u[r][c] for r in range(m)) for c in range(m)]
-        assert image == [1] + [0] * (m - 1)
-        # inverse stays integral and the first output coordinate is x . n
-        u_inv = int_inverse_unimodular(u)
-        x = [4, -7, 2, 9][:m]
-        y = mat_vec(u_inv, x)
-        assert y[0] == sum(a * b for a, b in zip(normal, x))
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(ValueError):
-            unimodular_for_normal((2, 4))
 
 
 class TestRingDet:

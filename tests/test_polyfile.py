@@ -1,5 +1,6 @@
 import pytest
 
+from delzant.corpus import corpus_text
 from delzant.errors import (
     DimMismatchError,
     NonIntegerOffsetError,
@@ -17,6 +18,10 @@ class TestParse:
         assert spec.dim == 2
         assert spec.normals() == ((-1, 0), (0, -1), (1, 1))
         assert spec.offsets() == (0, 0, 1)
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        text = corpus_text("simplex_2")
+        assert parse_polytope_file("\ufeff" + text) == parse_polytope_file(text)
 
     def test_comments_blank_lines_and_name(self):
         text = "# header\n\nname my triangle\ndim 2\nfacet -1 0 0  # left\nfacet 0 -1 0\nfacet 1 1 1\n"

@@ -32,6 +32,9 @@ SAMPLE_COUNT_CAP = 40  # the full C(d+m, m) sweep runs in the acceptance suite
 # 0 <= y <= 1, 0 <= x <= 4 - 2y: simple, with an edge orthogonal to xi = (1, 2)
 TRAPEZOID = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 2), 4)])
 
+# x >= 0, y >= 0, 2x + y <= 1: simple, with the vertex (1/2, 0) off the lattice
+HALF_TRIANGLE = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)])
+
 
 def variables(n):
     return [MultiPoly.variable(n, i) for i in range(n)]
@@ -193,6 +196,17 @@ class TestBoundaryVolume:
             direct = facet_volume_direct(p.spec, p.lattice, i)
             assert derivative == direct
 
+    @pytest.mark.parametrize("name", ["triangle_det2", "trapezoid", "half_triangle"])
+    def test_direct_facet_volume_beyond_the_delzant_corpus(self, name):
+        spec = {"trapezoid": TRAPEZOID, "half_triangle": HALF_TRIANGLE}.get(name) or load(name)
+        lattice = build_face_lattice(spec, enumerate_vertices(spec))
+        boundary = boundary_volume_polynomial(volume_polynomial(spec, lattice))
+        direct = [facet_volume_direct(spec, lattice, i) for i in range(spec.num_facets)]
+        assert direct == [q.evaluate(spec.offsets()) for q in boundary.per_facet]
+        if name == "half_triangle":
+            # the slanted edge is (1/2)(-1, 2), half a primitive lattice step
+            assert direct == [1, Fraction(1, 2), Fraction(1, 2)]
+
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_derivative_sum_equals_facet_volume_sum(self, name, prepare):
         p = prepare(name)
@@ -219,7 +233,7 @@ class TestSimplexDet:
                 assert _simplex_det(rows) == ring_det(rows)
 
     def test_integer_rows(self):
-        # facet_volume_direct passes integer coordinates
+        # integer entries have denominator 1, so no scaling is needed
         assert _simplex_det([[0, -1], [2, 1]]) == 2
         assert _simplex_det([[1, 2], [2, 4]]) == 0
 
