@@ -102,7 +102,27 @@ class BudgetExceededError(DelzantError):
 
 
 class ChamberCrossedError(DelzantError):
-    """A sample offset vector has a different vertex-facet incidence than the anchor."""
+    """A sample offset vector has a different vertex-facet incidence than the anchor.
+
+    Names the first anchor vertex that fails by its 1-based facet set, with
+    its point at the sample and either a facet it violates or the facets it
+    is tight on.
+    """
+
+    def __init__(self, facets_1based, point, violated=None, tight=()):
+        self.facets = tuple(facets_1based)
+        self.point = tuple(point)
+        self.violated = violated
+        self.tight = tuple(tight)
+        coords = ", ".join(str(c) for c in self.point)
+        if violated is not None:
+            broken = f"violates facet {violated}"
+        else:
+            broken = f"is tight on facets {list(self.tight)}"
+        super().__init__(
+            "sample offsets lie outside the chamber of the anchor offsets: "
+            f"the vertex on facets {list(self.facets)} moves to ({coords}), which {broken}"
+        )
 
 
 class NotPolynomialError(DelzantError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -141,17 +142,31 @@ class MultiPoly:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, values: Sequence) -> Fraction:
+        """The value at ``values``, summed as integers over one denominator.
+
+        With v_i = p_i / q_i and t_i the top exponent of variable i, the
+        table row of i holds p_i^e q_i^(t_i - e) for e = 0..t_i, so every
+        term is an integer over L prod_i q_i^t_i, L the lcm of the
+        coefficient denominators.
+        """
         vals = [Fraction(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
-        total = Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        tops = [max(column) for column in zip(*self._terms)]
+        table = [
+            [v.numerator**e * v.denominator ** (top - e) for e in range(top + 1)]
+            for v, top in zip(vals, tops)
+        ]
+        common = lcm(*(c.denominator for c in self._terms.values()))
+        total = 0
         for exps, coeff in self._terms.items():
-            term = coeff
-            for e, v in zip(exps, vals):
-                if e:
-                    term *= v**e
+            term = coeff.numerator * (common // coeff.denominator)
+            for row, e in zip(table, exps):
+                term *= row[e]
             total += term
-        return total
+        return Fraction(total, common * prod(v.denominator**top for v, top in zip(vals, tops)))
 
     def substitute_dilation(self, anchor: Sequence) -> "UniPoly":
         """Substitute variable i -> k * anchor[i]; returns a polynomial in k.

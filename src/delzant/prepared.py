@@ -3,7 +3,9 @@
 Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
 volume, then the Todd and A-hat operator products applied to those, and
-the tight-mask histogram of each dilate for the face counts.  A command
+the tight-mask histogram of each dilate for the face counts.  The volume
+oracle reads one more stage off the charts alone: the anchor's
+triangulation.  A command
 or report holds one ``Prepared`` and reads every stage from it, so each
 is built at most once however many checks read it.  The brute comparison
 values do not come from here: ``count_points`` and ``ehrhart_interpolate``
@@ -53,6 +55,11 @@ class Prepared:
     @cached_property
     def lattice(self) -> polytope.FaceLattice:
         return polytope.build_face_lattice(self.require_delzant().spec, self.charts)
+
+    @cached_property
+    def triangulation(self) -> tuple:
+        """The anchor's simplices for the volume oracle; needs no Delzant report."""
+        return volume.anchor_triangulation(self.spec, self.charts)
 
     @cached_property
     def vol(self) -> volume.VolumePolynomial:

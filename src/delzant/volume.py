@@ -18,15 +18,18 @@ over one shared denominator.
 The boundary volume is the derivative sum over all offsets; per facet it
 equals the Euclidean facet volume divided by the length of the primitive
 facet normal.  The numeric oracle and the direct facet volumes share no
-code with the vertex formula.  Both cone the anchor's face lattice into
-simplices of vertex active sets (``_triangulate``, combinatorial, so one
-triangulation serves every point of the chamber), place the vertices at
-concrete coordinates and sum simplex determinants, computed by their own
-fraction-free elimination (``_simplex_det``).  A facet's volume is read
-off the pyramid over it from a vertex off the facet.  The oracle reads
-only the spec and the anchor's incidence, and it is compared with the
-polynomial on a principal lattice (``chamber_samples``), where agreement
-proves the two equal on the whole chamber.
+code with the vertex formula, and no solver with the vertex enumeration.
+Both cone the anchor's face lattice into simplices of vertex active sets
+(``_triangulate``, combinatorial, so one triangulation serves every point
+of the chamber), place the vertices at concrete coordinates and sum
+simplex determinants, computed by their own fraction-free elimination
+(``_simplex_det``).  A facet's volume is read off the pyramid over it
+from a vertex off the facet.  The oracle reads only the spec and the
+anchor's incidence: at each sample it solves the anchor's vertices by
+its own elimination (``_solve``) and proves they are all the vertices
+there (``_anchor_vertices``).  It is compared with the polynomial on
+integer points q anchor + alpha of the chamber (``chamber_samples``),
+where agreement proves the two equal on the whole chamber.
 """
 
 from __future__ import annotations
@@ -38,13 +41,7 @@ from math import factorial, lcm, prod
 
 from .errors import ChamberCrossedError
 from .polynomial import MultiPoly
-from .polytope import (
-    FaceLattice,
-    HalfSpaceSpec,
-    VertexChart,
-    build_face_lattice,
-    feasible_vertex_points,
-)
+from .polytope import FaceLattice, HalfSpaceSpec, VertexChart, build_face_lattice
 
 
 @dataclass(frozen=True)
@@ -189,13 +186,14 @@ def _triangulate(faces, key):
     return simplices
 
 
-def _simplex_det(rows) -> Fraction:
+def _simplex_det(rows):
     """Determinant of a square matrix of rationals, for the oracle alone.
 
     The common denominator L of the entries is cleared and the integer
     matrix L rows is reduced by fraction-free elimination, each division
-    exact, in O(n^3) steps; det(rows) = det(L rows) / L^n.  The charts'
-    elimination in ``linalg`` is not used, so the oracle stays independent.
+    exact, in O(n^3) steps; det(rows) = det(L rows) / L^n, an int when
+    every entry is one.  The charts' elimination in ``linalg`` is not
+    used, so the oracle stays independent.
     """
     n = len(rows)
     den = lcm(*(x.denominator for row in rows for x in row))
@@ -204,21 +202,93 @@ def _simplex_det(rows) -> Fraction:
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         top, p = a[k], a[k][k]
         for r in range(k + 1, n):
             f = a[r][k]
-            a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+            if f or p != prev:  # else the update leaves the row as it is
+                a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
         prev = p
-    return Fraction(sign * prev, den**n)
+    return sign * prev if den == 1 else Fraction(sign * prev, den**n)
 
 
-def _cone_sum(simplices, coords) -> Fraction:
+def _solve(rows, rhs):
+    """(det, x) with rows . x == det . rhs in integers, or None if singular.
+
+    The oracle's own vertex solve: fraction-free Gauss-Jordan elimination
+    of [rows | rhs].  After step k every row but the pivot row is cleared
+    in column k, and each division by the previous pivot is exact
+    (Bareiss, Math. Comp. 1968), so the last pivot ends up on the whole
+    diagonal and the last column holds it times the solution.  x are the
+    Cramer numerators: rows^{-1} rhs == x / det.
+    """
+    n = len(rows)
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        top, p = a[k], a[k][k]
+        for r in range(n):
+            f = a[r][k]
+            if r != k and (f or p != prev):
+                a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return sign * prev, [sign * row[n] for row in a]
+
+
+def _anchor_vertices(normals, actives, offsets):
+    """Each anchor vertex solved at the offsets, once its incidence is proven.
+
+    For each anchor active set A the point x_A with N_A x_A = o_A is
+    accepted when it satisfies every facet and is tight on exactly A;
+    otherwise ChamberCrossedError names the first vertex that fails.  The
+    check proves the whole vertex set: the edge of x_A that leaves facet
+    a meets the listed neighbour on it, since a facet met earlier would
+    cut that neighbour off and one met at it would make it tight there.
+    So the set is closed under adjacency, and as the graph of a polytope
+    is connected (Balinski 1961), no other vertex exists.
+
+    Returns a dict from each active set to its point, with int
+    coordinates wherever the point is a lattice point.
+    """
+    q = lcm(*(o.denominator for o in offsets))
+    b = [o.numerator * (q // o.denominator) for o in offsets]
+    coords = {}
+    for active in actives:
+        det, x = _solve([normals[i] for i in active], [b[i] for i in active])
+        if det < 0:
+            det, x = -det, [-c for c in x]
+        den = det * q
+        if any(c % den for c in x):
+            point = tuple(Fraction(c, den) for c in x)
+        else:
+            point = tuple(c // den for c in x)
+        tight = []
+        for j, normal in enumerate(normals):
+            value = sum(n * c for n, c in zip(normal, x))
+            if value > det * b[j]:
+                raise ChamberCrossedError([i + 1 for i in active], point, violated=j + 1)
+            if value == det * b[j]:
+                tight.append(j)
+        if tuple(tight) != active:
+            raise ChamberCrossedError(
+                [i + 1 for i in active], point, tight=[j + 1 for j in tight]
+            )
+        coords[active] = point
+    return coords
+
+
+def _cone_sum(simplices, coords):
     """Sum of |det| over simplices of active sets; ``coords`` maps each to a point."""
-    total = Fraction(0)
+    total = 0
     for base, *rest in simplices:
         origin = coords[base]
         rows = [[x - o for x, o in zip(coords[v], origin)] for v in rest]
@@ -226,57 +296,68 @@ def _cone_sum(simplices, coords) -> Fraction:
     return total
 
 
-def _incidence(points):
-    return sorted(active for _, active in points)
+def anchor_triangulation(spec: HalfSpaceSpec, charts) -> tuple:
+    """The anchor polytope coned into simplices, each a tuple of vertex active sets.
+
+    Built from the charts' face lattice alone, with no Delzant check; it
+    is combinatorial, so it holds at every offset vector with the anchor's
+    incidence.
+    """
+    return tuple(_triangulate(build_face_lattice(spec, charts).faces, ()))
 
 
 def numeric_volume_at(prep, sample) -> Fraction:
     """Exact volume of a ``Prepared`` family at offsets in the anchor's chamber.
 
-    Independent of the symbolic route: vertices are re-enumerated at the
-    sample, the anchor's face lattice is triangulated, and the simplex
-    volumes at the sample's vertices are summed with absolute values.
-    Raises ChamberCrossedError when the vertex-facet incidence at the
-    sample differs from the anchor's.
+    Independent of the symbolic route: only the anchor's vertices are
+    solved at the sample, each proven to keep its incidence
+    (``_anchor_vertices``), and the simplex volumes of the anchor's one
+    triangulation (``prep.triangulation``) at those points are summed
+    with absolute values.  At integer offsets in a Delzant chamber every
+    point is a lattice point, so the sum runs on ints.  Raises
+    ChamberCrossedError, naming the first vertex that fails, when the
+    incidence at the sample differs from the anchor's.
     """
     spec = prep.spec
     sample = tuple(Fraction(v) for v in sample)
     if len(sample) != spec.num_facets:
         raise ValueError(f"expected {spec.num_facets} offsets, got {len(sample)}")
-    at_sample = feasible_vertex_points(spec.normals(), sample)
-    if _incidence(at_sample) != sorted(chart.active_set for chart in prep.charts):
-        raise ChamberCrossedError(
-            "sample offsets lie outside the chamber of the anchor offsets"
-        )
-    faces = build_face_lattice(spec, prep.charts).faces
-    coords = {active: point for point, active in at_sample}
-    return _cone_sum(_triangulate(faces, ()), coords) / factorial(spec.dim)
+    actives = [chart.active_set for chart in prep.charts]
+    coords = _anchor_vertices(spec.normals(), actives, sample)
+    return Fraction(_cone_sum(prep.triangulation, coords), factorial(spec.dim))
 
 
-def chamber_samples(prep) -> list[tuple[Fraction, ...]]:
-    """The principal lattice anchor + alpha/q, |alpha| <= m, of a ``Prepared``.
+def chamber_samples(prep) -> list[tuple[int, ...]]:
+    """The principal lattice q anchor + alpha, |alpha| <= m, of a ``Prepared``.
 
-    Its C(d+m, m) points (alpha in N^d) are unisolvent for degree <= m
-    (Nicolaides, SIAM J. Numer. Anal. 1972; Chung and Yao, ibid. 1977), so
-    a degree-m polynomial that matches the oracle on them is the volume on
-    the chamber.  q doubles from 2 until the d corners anchor + m e_i / q
-    keep the anchor's incidence; the chamber is convex (its walls are
-    linear in the offsets), so then every point does.
+    Its C(d+m, m) points (alpha in N^d) are an affine image of the
+    principal lattice, so they are unisolvent for degree <= m (Nicolaides,
+    SIAM J. Numer. Anal. 1972; Chung and Yao, ibid. 1977): a degree-m
+    polynomial that matches the oracle on them is the volume on the
+    chamber.  q doubles from 2 until the d corners q anchor + m e_i keep
+    the anchor's incidence, proven as in the oracle (``_anchor_vertices``).
+    The chamber is a convex cone (its walls are linear in the offsets),
+    so then every point does; the points are integers, so the oracle and
+    the polynomial both evaluate in integers.
     """
     spec = prep.spec
     d, m = spec.num_facets, spec.dim
     normals, anchor = spec.normals(), spec.offsets()
-    reference = sorted(chart.active_set for chart in prep.charts)
+    actives = [chart.active_set for chart in prep.charts]
 
     def shifted(alpha, q):
-        return tuple(o + Fraction(a, q) for o, a in zip(anchor, alpha))
+        return tuple(q * o + a for o, a in zip(anchor, alpha))
+
+    def in_chamber(offsets):
+        try:
+            _anchor_vertices(normals, actives, offsets)
+        except ChamberCrossedError:
+            return False
+        return True
 
     corners = [tuple(m * (i == j) for j in range(d)) for i in range(d)]
     q = 2
-    while any(
-        _incidence(feasible_vertex_points(normals, shifted(c, q))) != reference
-        for c in corners
-    ):
+    while not all(in_chamber(shifted(c, q)) for c in corners):
         q *= 2
     # alpha_i counts the picks of i; the pick d is the slack m - |alpha|
     return [
@@ -307,7 +388,7 @@ def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -
         (apex.active_set,) + simplex for simplex in _triangulate(lattice.faces, (facet,))
     ]
     coords = {chart.active_set: chart.anchor for chart in charts}
-    return _cone_sum(simplices, coords) / (height * factorial(spec.dim - 1))
+    return Fraction(_cone_sum(simplices, coords), height * factorial(spec.dim - 1))
 
 
 def facet_volume_sum(spec: HalfSpaceSpec, lattice: FaceLattice) -> Fraction:

@@ -16,7 +16,7 @@ from delzant.cli import main
 from delzant.corpus import DELZANT_CORPUS, corpus_text, load
 from delzant.counting import count_points, ehrhart_interpolate
 from delzant.errors import FormulaViolationError, NonSimpleError
-from delzant.hilbert import cy_hilbert_polynomial, inclusion_exclusion_count
+from delzant.hilbert import cross_check, cy_hilbert_polynomial, inclusion_exclusion_count
 from delzant.operators import (
     boundary_count_formula,
     khovanskii_count,
@@ -26,7 +26,7 @@ from delzant.operators import (
     todd_denominator_series,
 )
 from delzant.polynomial import UniPoly, euler_expansion_identity
-from delzant.polytope import enumerate_vertices, validate_delzant
+from delzant.polytope import HalfSpaceSpec, enumerate_vertices, validate_delzant
 from delzant.prepared import Prepared
 from delzant.volume import (
     boundary_volume_polynomial,
@@ -171,6 +171,25 @@ def test_criterion_09_volume_oracle_agreement(prepare):
             assert p.vol.poly.evaluate(sample) == numeric_volume_at(p, sample), name
         total += len(samples)
     print(f"ACCEPTANCE 9: PASS ({total} chamber samples, all exact)")
+
+
+def test_criterion_09_cross_check_in_dimension_5():
+    # simplex_2 x simplex_2 x segment: 8 facets, 18 vertices, the full
+    # C(8 + 5, 5) sweep of the oracle beside every other identity
+    watch = Stopwatch(30.0)
+    factors = [load("simplex_2"), load("simplex_2"), load("segment_unit")]
+    facets, shift = [], 0
+    for f in factors:
+        for normal, offset in f.facets:
+            facets.append(((0,) * shift + normal + (0,) * (5 - shift - f.dim), offset))
+        shift += f.dim
+    report = cross_check(Prepared(HalfSpaceSpec(5, facets)))
+    assert [c for c in report.checks if not c.ok] == []
+    assert report.ok and len(report.checks) == 10
+    oracle = next(c for c in report.checks if c.name == "volume_oracle_samples")
+    assert oracle.detail == f"{comb(13, 5)} samples" == "1287 samples"
+    elapsed = watch.check()
+    print(f"ACCEPTANCE 9: PASS (10 checks in dimension 5 in {elapsed:.2f}s)")
 
 
 def test_criterion_10_negative_paths(monkeypatch):

@@ -39,3 +39,43 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+ORACLE_BORROWINGS = ("linalg", "feasible_vertex_points")
+
+
+def oracle_borrowings(source: str) -> list[str]:
+    """Solver code the volume module takes from the vertex enumeration.
+
+    Counts an import from ``.linalg`` (or of ``linalg`` itself), and any
+    import, name or attribute ``feasible_vertex_points``: the oracle
+    solves its own vertex systems, so it stays independent of the charts
+    it checks.
+    """
+    words = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            words.add((node.module or "").split(".")[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            words.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+    return sorted(words & set(ORACLE_BORROWINGS))
+
+
+def test_scanner_finds_a_borrowed_solver():
+    assert oracle_borrowings("from .linalg import int_det\n") == ["linalg"]
+    assert oracle_borrowings("from . import linalg\n") == ["linalg"]
+    assert oracle_borrowings("import delzant.linalg as la\n") == ["linalg"]
+    assert oracle_borrowings("from .polytope import feasible_vertex_points\n") == [
+        "feasible_vertex_points"
+    ]
+    source = "from . import polytope\npolytope.feasible_vertex_points(n, o)\n"
+    assert oracle_borrowings(source) == ["feasible_vertex_points"]
+    assert oracle_borrowings("from .polytope import build_face_lattice\n") == []
+
+
+def test_volume_oracle_borrows_no_solver():
+    assert oracle_borrowings((PACKAGE / "volume.py").read_text(encoding="utf-8")) == []

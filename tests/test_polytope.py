@@ -222,10 +222,16 @@ class TestFeasibleVertexPoints:
 
     @pytest.mark.parametrize("name", [*DELZANT_CORPUS, "triangle_det2"])
     def test_matches_reference_on_chamber_samples(self, name):
-        # rational offsets: anchor + alpha / q
+        # rational offsets: the samples q anchor + alpha scaled back to
+        # anchor + alpha / q, q read off the least sample q anchor
         spec = load(name)
-        normals = spec.normals()
-        for sample in chamber_samples(Prepared(spec)):
-            assert feasible_vertex_points(normals, sample) == _reference_vertex_points(
-                normals, sample
+        normals, anchor = spec.normals(), spec.offsets()
+        samples = chamber_samples(Prepared(spec))
+        base = min(samples, key=sum)
+        q = next(Fraction(b, a) for b, a in zip(base, anchor) if a)
+        rational = [tuple(x / q for x in sample) for sample in samples]
+        assert any(x.denominator > 1 for offsets in rational for x in offsets)
+        for offsets in rational:
+            assert feasible_vertex_points(normals, offsets) == _reference_vertex_points(
+                normals, offsets
             )

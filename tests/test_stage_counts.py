@@ -61,6 +61,9 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     # the Todd product once, the A-hat product once
     assert stage_calls["apply_operator_product"] == 2
     assert stage_calls["validate_delzant"] == 1
+    # the Delzant lattice, and the one the oracle triangulates without a
+    # Delzant check
+    assert stage_calls["build_face_lattice"] == 2
     # the polytope's own charts, plus the dilates k = 1, 2, 3 of the dilation check
     assert stage_calls["enumerate_vertices"] == 4
     # one histogram for each k = 1..5, shared by every face count
@@ -70,22 +73,31 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
 
 
 def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, capsys):
-    """The oracle reads the anchor's incidence from the command's charts."""
-    offsets = []
-    original = volume.feasible_vertex_points
+    """The oracle solves only the anchor's vertices, never at the anchor's offsets."""
+    offsets, solved = [], Counter()
+    prove, solve = volume._anchor_vertices, volume._solve
 
-    def recorded(normals, sample):
+    def recorded(normals, actives, sample):
         offsets.append(tuple(sample))
-        return original(normals, sample)
+        return prove(normals, actives, sample)
 
-    monkeypatch.setattr(volume, "feasible_vertex_points", recorded)
+    def counted(rows, rhs):
+        solved[tuple(map(tuple, rows))] += 1
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(volume, "_anchor_vertices", recorded)
+    monkeypatch.setattr(volume, "_solve", counted)
     assert main(["cross-check", simplex_2]) == 0
     capsys.readouterr()
-    # the C(3 + 2, 2) = 10 samples once each, plus the 3 corners
-    # anchor + 2 e_i / q that fix q = 2
+    # the C(3 + 2, 2) = 10 samples q anchor + alpha once each, plus the 3
+    # corners q anchor + 2 e_i that fix q = 2
     assert len(offsets) == 10 + 3
-    # the anchor (0, 0, 1) only as the sample alpha = 0
-    assert offsets.count((0, 0, 1)) == 1
+    # one solve for each of the 3 anchor vertices at each of them
+    assert len(solved) == 3
+    assert all(count == 10 + 3 for count in solved.values())
+    # the sweep starts from 2 anchor = (0, 0, 2) and never visits (0, 0, 1)
+    assert (0, 0, 1) not in offsets
+    assert offsets.count((0, 0, 2)) == 1
 
 
 def test_enumerate_vertices_eliminates_once_per_facet_subset(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.errors import ChamberCrossedError
-from delzant.linalg import ring_det
+from delzant.linalg import int_solve, ring_det
 from delzant.polynomial import MultiPoly
 from delzant.polytope import (
     HalfSpaceSpec,
@@ -16,9 +16,11 @@ from delzant.polytope import (
 )
 from delzant.prepared import Prepared
 from delzant.volume import (
+    _anchor_vertices,
     _lawrence_volume,
     _moment_direction,
     _simplex_det,
+    _solve,
     boundary_volume_polynomial,
     chamber_samples,
     facet_volume_direct,
@@ -238,6 +240,31 @@ class TestSimplexDet:
         assert _simplex_det([[1, 2], [2, 4]]) == 0
 
 
+class TestOracleSolve:
+    def test_matches_int_solve_on_random_matrices(self):
+        # the oracle's Gauss-Jordan elimination against the charts' solver
+        rng = random.Random(53)
+        singular = 0
+        for n in range(1, 6):
+            for case in range(40):
+                rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                if case % 4 == 1:
+                    rows[0][0] = 0
+                elif case % 4 == 2:
+                    rows[-1] = [2 * a for a in rows[0]]  # singular for n > 1
+                elif case % 4 == 3:
+                    rows[rng.randrange(n)] = [0] * n
+                rhs = [rng.randint(-9, 9) for _ in range(n)]
+                expected = int_solve(rows, [[b] for b in rhs])
+                if expected is None:
+                    singular += 1
+                    assert _solve(rows, rhs) is None
+                else:
+                    det, x = expected
+                    assert _solve(rows, rhs) == (det, [c for c, in x])
+        assert singular >= 50
+
+
 class TestNumericOracle:
     def test_simplex_at_anchor(self):
         assert numeric_volume_at(Prepared(load("simplex_2")), (0, 0, 1)) == Fraction(1, 2)
@@ -250,9 +277,54 @@ class TestNumericOracle:
     def test_box_sample(self):
         assert numeric_volume_at(Prepared(load("square_unit")), (0, 2, 0, 3)) == 6
 
+
+    def test_collapsed_vertex_is_caught_by_tightness(self):
+        # x, y <= 2 and x + y <= 4: the cut facet 5 shrinks to the point
+        # (2, 2), so every vertex still satisfies every facet and the
+        # polynomial still reads the true area 4; only the two cut vertices
+        # turning tight on 3 facets show the crossing, and the first in
+        # chart order is the one on facets 4 and 5
+        prep = Prepared(load("pentagon"))
+        sample = (0, 0, 2, 2, 4)
+        assert prep.require_delzant().vol.poly.evaluate(sample) == 4
+        with pytest.raises(ChamberCrossedError) as caught:
+            numeric_volume_at(prep, sample)
+        error = caught.value
+        assert (error.facets, error.point, error.violated, error.tight) == (
+            (4, 5),
+            (2, 2),
+            None,
+            (3, 4, 5),
+        )
+        assert str(error) == (
+            "sample offsets lie outside the chamber of the anchor offsets: "
+            "the vertex on facets [4, 5] moves to (2, 2), which is tight on facets [3, 4, 5]"
+        )
+
     def test_chamber_crossing_detected(self):
-        with pytest.raises(ChamberCrossedError):
+        # o_3 = -5 leaves the vertex on facets 1 and 2 at the origin, outside x + y <= -5
+        with pytest.raises(ChamberCrossedError) as caught:
             numeric_volume_at(Prepared(load("simplex_2")), (0, 0, -5))
+        assert (caught.value.facets, caught.value.point, caught.value.violated) == (
+            (1, 2),
+            (0, 0),
+            3,
+        )
+        assert str(caught.value).endswith(
+            "the vertex on facets [1, 2] moves to (0, 0), which violates facet 3"
+        )
+
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_proven_vertices_are_the_reference_vertices(self, name, prepare):
+        # the anchor-only solve and its incidence proof against the full
+        # C(d, m) subset enumeration, point for point and set for set
+        p = prepare(name)
+        normals = p.spec.normals()
+        actives = [chart.active_set for chart in p.charts]
+        for sample in chamber_samples(p):
+            proven = _anchor_vertices(normals, actives, sample)
+            reference = feasible_vertex_points(normals, sample)
+            assert sorted((point, active) for active, point in proven.items()) == sorted(reference)
 
     def test_wrong_sample_length(self):
         with pytest.raises(ValueError):
@@ -271,15 +343,17 @@ class TestPrincipalLattice:
         spec = TRAPEZOID if name == "trapezoid" else load(name)
         prep = Prepared(spec)
         d, m = spec.num_facets, spec.dim
+        anchor = spec.offsets()
         samples = chamber_samples(prep)
         assert len(samples) == len(set(samples)) == comb(d + m, m)
-        steps = [[s - o for s, o in zip(sample, spec.offsets())] for sample in samples]
-        # the corners alpha = m e_i take the largest step, m/q
-        q = m / max(sum(step) for step in steps)
-        assert q.denominator == 1
-        for step in steps:
-            alpha = [x * q for x in step]
-            assert all(a.denominator == 1 and a >= 0 for a in alpha)
+        # the least sample is alpha = 0, q anchor
+        base = min(samples, key=sum)
+        q = next(b // a for b, a in zip(base, anchor) if a)
+        assert base == tuple(q * a for a in anchor)
+        assert q >= 2 and q & (q - 1) == 0
+        for sample in samples:
+            alpha = [s - q * a for s, a in zip(sample, anchor)]
+            assert all(isinstance(a, int) and a >= 0 for a in alpha)
             assert sum(alpha) <= m
         anchor_incidence = sorted(chart.active_set for chart in prep.charts)
         for sample in samples:
