@@ -5,6 +5,7 @@ brute-force enumeration."""
 from .counting import (
     CountReport,
     EhrhartPoly,
+    brute_count,
     count_points,
     count_report,
     ehrhart_interpolate,
@@ -67,6 +68,7 @@ __all__ = [
     "apply_operator_product",
     "boundary_count_formula",
     "boundary_volume_polynomial",
+    "brute_count",
     "build_face_lattice",
     "count_points",
     "count_report",

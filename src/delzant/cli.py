@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("interpolate", "operator"),
         default="interpolate",
-        help="brute-force interpolation or the operator route (default interpolate)",
+        help="interpolation of exact counts or the operator route (default interpolate)",
     )
 
     add("khovanskii", "lattice point count via the Todd operator formula")

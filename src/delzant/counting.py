@@ -1,13 +1,18 @@
-"""Brute-force lattice point counting and Ehrhart interpolation.
+"""Exact lattice point counting and Ehrhart interpolation.
 
-This is the ground-truth side of every identity in the package: points of
-the integer bounding box of the k-fold dilate are enumerated one by one
-and classified against the facet inequalities.  One enumeration gives a
-histogram of the inside points by their tight-facet bitmask, from which
-the full, interior, boundary and every face count of that dilate are read.
-Counts are fitted by exact interpolation (integer forward differences),
-and every fit must predict one extra count correctly before it is
-accepted as a polynomial.
+Two classifiers count the lattice points of the integer bounding box of
+the k-fold dilate, each into a histogram of the inside points by their
+tight-facet bitmask, from which the full, interior, boundary and every
+face count of that dilate are read.  The fibre-interval kernel
+(``_interval_masks``) settles each fibre along the last axis by
+intersecting the facets' half-lines; it serves ``count_points``,
+``tight_histogram`` and ``ehrhart_interpolate``.  The per-point
+classifier (``_tight_masks``) tests every point of the box against the
+facets one by one; it serves only ``brute_count``, the brute-force
+oracle, and shares no classifying code with the kernel.  Counts are
+fitted by exact interpolation (integer forward differences), and every
+fit must predict one extra count correctly before it is accepted as a
+polynomial.
 """
 
 from __future__ import annotations
@@ -117,8 +122,84 @@ def _tight_masks(normals, bounds, lows, highs) -> dict[int, int]:
     return histogram
 
 
-def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts):
-    """The tight-mask histogram of the k-fold dilate, after the budget check."""
+def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
+    """Count the inside points of the box by mask, one fibre interval at a time.
+
+    The prefix walk is the one ``_tight_masks`` makes, and facets parallel
+    to the last axis are settled once per fibre the same way, into the
+    fibre's ``base`` mask.  A fibre's points are never visited: each
+    crossing facet j, with last coefficient a = n_j[m-1] != 0 and slack s
+    over the prefix, bounds the last coordinate x by a half-line, x <=
+    floor(s/a) when a > 0 and x >= ceil(s/a) when a < 0, and is tight only
+    at x = s/a, when a divides s.  The half-lines and the box's range meet
+    in [lo, hi].  Every inside point satisfies a x <= s, so a tight x of
+    a facet with a > 0 lies in [lo, hi] only as hi, and one with a < 0
+    only as lo.  So the fibre adds one point to ``base`` | (the bits tight
+    at lo), one to ``base`` | (the bits tight at hi), and the rest of
+    [lo, hi] to ``base``: O(d) integer work per fibre, and no key ever
+    gets a count of zero.
+    """
+    m = len(lows)
+    histogram: dict[int, int] = {}
+    columns = [[normal[c] for normal in normals] for c in range(m - 1)]
+    parallel = [(j, 1 << j) for j, n in enumerate(normals) if n[m - 1] == 0]
+    crossing = [(j, n[m - 1], 1 << j) for j, n in enumerate(normals) if n[m - 1]]
+    first, last = lows[m - 1], highs[m - 1]
+
+    def count_fibre(slacks):
+        base = 0
+        for j, bit in parallel:
+            slack = slacks[j]
+            if slack < 0:
+                return
+            if slack == 0:
+                base |= bit
+        lo, hi, lo_bits, hi_bits = first, last, 0, 0
+        for j, a, bit in crossing:
+            x, r = divmod(slacks[j], a)  # x = floor(s/a); r == 0 iff a divides s
+            if a > 0:
+                if x < hi:
+                    hi, hi_bits = x, 0 if r else bit
+                elif x == hi and not r:
+                    hi_bits |= bit
+            else:
+                if r:
+                    x += 1  # ceil(s/a)
+                if x > lo:
+                    lo, lo_bits = x, 0 if r else bit
+                elif x == lo and not r:
+                    lo_bits |= bit
+        if lo > hi:
+            return
+        ends = (lo_bits | hi_bits,) if lo == hi else (lo_bits, hi_bits)
+        plain = hi - lo + 1
+        for bits in ends:
+            if bits:
+                plain -= 1
+                key = base | bits
+                histogram[key] = histogram.get(key, 0) + 1
+        if plain:
+            histogram[base] = histogram.get(base, 0) + plain
+
+    def walk(c, slacks):
+        if c == m - 1:
+            count_fibre(slacks)
+            return
+        column = columns[c]
+        slacks = [s - a * lows[c] for s, a in zip(slacks, column)]
+        for _ in range(lows[c], highs[c] + 1):
+            walk(c + 1, slacks)
+            slacks = [s - a for s, a in zip(slacks, column)]
+
+    walk(0, list(bounds))
+    return histogram
+
+
+def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):
+    """Normals, dilated offsets and bounding box of the k-fold dilate.
+
+    The box's size is checked against ``budget`` before any work happens.
+    """
     if charts is None:
         charts = enumerate_vertices(spec)
     lows, highs = _bounding_box(spec, k, charts)
@@ -128,7 +209,12 @@ def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts):
     if size > budget:
         raise BudgetExceededError(required=size, budget=budget)
     bounds = [k * o for o in spec.offsets()]
-    return _tight_masks(spec.normals(), bounds, lows, highs)
+    return spec.normals(), bounds, lows, highs
+
+
+def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts):
+    """The tight-mask histogram of the k-fold dilate, by the fibre kernel."""
+    return _interval_masks(*_box(spec, k, budget, charts))
 
 
 def tight_histogram(
@@ -136,9 +222,9 @@ def tight_histogram(
 ) -> dict[int, int]:
     """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
 
-    One enumeration of the bounding box (checked against ``budget``) with
-    the same naive classifier as ``count_points``; every region of the
-    dilate can then be read off with ``read_count``.  On a simple polytope
+    One pass of the fibre kernel over the bounding box (checked against
+    ``budget``), as in ``count_points``; every region of the dilate can
+    then be read off with ``read_count``.  On a simple polytope
     each key is 0 or the active set of a face, as a bitmask.
     """
     if k < 1:
@@ -167,6 +253,21 @@ def read_count(histogram: dict[int, int], region: str = "full", face=None) -> in
     raise ValueError(f"unknown region {region!r}")
 
 
+def _check_count_args(spec: HalfSpaceSpec, k: int, region: str, face) -> None:
+    if k < 1:
+        raise ValueError("dilation k must be a positive integer")
+    if region not in REGIONS:
+        raise ValueError(f"unknown region {region!r}")
+    if region == "face":
+        if face is None:
+            raise ValueError("region 'face' needs a facet index set")
+        for i in face:
+            if not 0 <= i < spec.num_facets:
+                raise ValueError(f"facet index {i} out of range")
+    elif face is not None:
+        raise ValueError("facet index set is only meaningful with region 'face'")
+
+
 def count_points(
     spec: HalfSpaceSpec,
     k: int,
@@ -182,22 +283,30 @@ def count_points(
     index set; an empty intersection simply counts zero.  The enumeration
     domain is the bounding box of the dilated vertices; its size is checked
     against ``budget`` before any work happens.  Each call runs its own
-    enumeration, so a count from here is independent of any histogram
-    another caller holds.
+    pass of the fibre kernel, so a count from here is independent of any
+    histogram another caller holds.
     """
-    if k < 1:
-        raise ValueError("dilation k must be a positive integer")
-    if region not in REGIONS:
-        raise ValueError(f"unknown region {region!r}")
-    if region == "face":
-        if face is None:
-            raise ValueError("region 'face' needs a facet index set")
-        for i in face:
-            if not 0 <= i < spec.num_facets:
-                raise ValueError(f"facet index {i} out of range")
-    elif face is not None:
-        raise ValueError("facet index set is only meaningful with region 'face'")
+    _check_count_args(spec, k, region, face)
     return read_count(_enumerate(spec, k, budget, charts), region, face)
+
+
+def brute_count(
+    spec: HalfSpaceSpec,
+    k: int,
+    region: str = "full",
+    *,
+    face=None,
+    budget: int = DEFAULT_BUDGET,
+    charts=None,
+) -> int:
+    """``count_points`` by the per-point classifier: the brute-force oracle.
+
+    Same arguments, checks and budget as ``count_points``, but every point
+    of the bounding box is classified on its own (``_tight_masks``), with
+    no code shared with the fibre kernel it checks.
+    """
+    _check_count_args(spec, k, region, face)
+    return read_count(_tight_masks(*_box(spec, k, budget, charts)), region, face)
 
 
 def count_report(histogram: dict[int, int], lattice: FaceLattice, k: int) -> CountReport:

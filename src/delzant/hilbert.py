@@ -6,6 +6,10 @@ formula on the boundary volume, and (c) direct brute-force counting, each
 fitted to a polynomial in the dilation factor.  The three polynomials are
 proven-equal identities, so any disagreement aborts loudly: it always
 means an implementation bug or invalid input, never an acceptable warning.
+Route (a) reads its face counts from the fibre-interval kernel's
+histograms; route (c) and every brute comparison value of ``cross_check``
+come from ``brute_count``, the per-point classifier, so the kernel is
+always checked against code it shares nothing with.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from itertools import combinations
 
 from .counting import (
     EhrhartPoly,
+    brute_count,
     count_points,
-    ehrhart_interpolate,
     interpolate_counts,
     read_count,
 )
@@ -71,16 +75,19 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
 
     The inclusion-exclusion fit and the per-face table read their face
     counts from the polytope's one tight-mask histogram per dilation k.
-    The oracle route enumerates every dilate again on its own.  Raises
-    NotDelzantError on invalid input.
+    The oracle route classifies every point of every dilate again, one by
+    one (``brute_count``).  Raises NotDelzantError on invalid input.
     """
     spec = prep.require_delzant().spec
+    degree = max(spec.dim - 1, 0)
     via_faces = interpolate_counts(
-        lambda k: inclusion_exclusion_count(prep, k), max(spec.dim - 1, 0), "boundary"
+        lambda k: inclusion_exclusion_count(prep, k), degree, "boundary"
     )
     by_operator = symbolic_ehrhart(prep, "boundary")
-    by_oracle = ehrhart_interpolate(
-        spec, "boundary", budget=prep.budget, charts=prep.charts
+    by_oracle = interpolate_counts(
+        lambda k: brute_count(spec, k, "boundary", budget=prep.budget, charts=prep.charts),
+        degree,
+        "boundary",
     )
 
     per_face = {}
@@ -147,7 +154,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
 
     def check_formula(operator_count, region):
         formula = operator_count(prep)
-        brute = count_points(spec, 1, region, budget=budget, charts=charts)
+        brute = brute_count(spec, 1, region, budget=budget, charts=charts)
         if formula != brute:
             raise AssertionError(f"operator count {formula} != brute count {brute}")
         return f"count {formula}"
@@ -155,7 +162,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
     def check_inclusion_exclusion():
         for k in range(1, 6):
             via_faces = inclusion_exclusion_count(prep, k)
-            brute = count_points(spec, k, "boundary", budget=budget, charts=charts)
+            brute = brute_count(spec, k, "boundary", budget=budget, charts=charts)
             if via_faces != brute:
                 raise AssertionError(f"k={k}: {via_faces} != {brute}")
         return "k = 1..5"
@@ -165,10 +172,13 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
         return f"boundary Ehrhart {report.by_oracle.to_text()}"
 
     def check_reciprocity():
-        full = ehrhart_interpolate(spec, "full", budget=budget, charts=charts)
+        # the full polynomial from the fibre kernel, the interior from the oracle
+        full = interpolate_counts(
+            lambda k: count_points(spec, k, "full", budget=budget, charts=charts), m, "full"
+        )
         for k in range(1, 6):
             predicted = (-1) ** m * full.poly.evaluate(-k)
-            interior = count_points(spec, k, "interior", budget=budget, charts=charts)
+            interior = brute_count(spec, k, "interior", budget=budget, charts=charts)
             if predicted != interior:
                 raise AssertionError(f"k={k}: {predicted} != {interior}")
         return "k = 1..5"

@@ -3,13 +3,13 @@
 Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
 volume, then the Todd and A-hat operator products applied to those, and
-the tight-mask histogram of each dilate for the face counts.  The volume
-oracle reads one more stage off the charts alone: the anchor's
-triangulation.  A command
-or report holds one ``Prepared`` and reads every stage from it, so each
-is built at most once however many checks read it.  The brute comparison
-values do not come from here: ``count_points`` and ``ehrhart_interpolate``
-enumerate on their own on every call.
+the tight-mask histogram of each dilate, built by the fibre-interval
+kernel, for the face counts.  The volume oracle reads one more stage off
+the charts alone: the anchor's triangulation.  A command or report holds
+one ``Prepared`` and reads every stage from it, so each is built at most
+once however many checks read it.  The brute comparison values do not
+come from here: ``brute_count`` classifies every point of the box on
+each call, with the per-point classifier.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Prepared:
     """A polytope and its lazily built stages.
 
     ``budget`` bounds each enumeration: the histograms built here and the
-    brute counts that readers run with ``budget=prep.budget``.  Reading
+    counts that readers run with ``budget=prep.budget``.  Reading
     ``charts`` raises if the family is degenerate (unbounded, empty, not
     simple, redundant); reading ``lattice`` or anything built on it raises
     NotDelzantError unless every vertex is unimodular.
@@ -89,7 +89,7 @@ class Prepared:
         return self._applied[kind]
 
     def histogram(self, k: int) -> dict[int, int]:
-        """The tight-mask histogram of the k-fold dilate, enumerated once per k."""
+        """The k-fold dilate's ``tight_histogram``, built once per k."""
         if k not in self._histograms:
             self._histograms[k] = counting.tight_histogram(
                 self.spec, k, budget=self.budget, charts=self.charts

@@ -338,7 +338,11 @@ def chamber_samples(prep) -> list[tuple[int, ...]]:
     the anchor's incidence, proven as in the oracle (``_anchor_vertices``).
     The chamber is a convex cone (its walls are linear in the offsets),
     so then every point does; the points are integers, so the oracle and
-    the polynomial both evaluate in integers.
+    the polynomial both evaluate in integers.  If the corners fail at
+    q = 2, the anchor itself is proven once: the corners tend to q anchor,
+    so if it fails no q can work and its ChamberCrossedError is raised.
+    If it passes, each vertex is strictly inside every facet off it, and
+    those slacks are linear in the offsets, so the doubling ends.
     """
     spec = prep.spec
     d, m = spec.num_facets, spec.dim
@@ -358,6 +362,8 @@ def chamber_samples(prep) -> list[tuple[int, ...]]:
     corners = [tuple(m * (i == j) for j in range(d)) for i in range(d)]
     q = 2
     while not all(in_chamber(shifted(c, q)) for c in corners):
+        if q == 2:
+            _anchor_vertices(normals, actives, anchor)
         q *= 2
     # alpha_i counts the picks of i; the pick d is the slack m - |alpha|
     return [

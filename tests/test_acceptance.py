@@ -14,7 +14,7 @@ import pytest
 import delzant.operators as operators
 from delzant.cli import main
 from delzant.corpus import DELZANT_CORPUS, corpus_text, load
-from delzant.counting import count_points, ehrhart_interpolate
+from delzant.counting import brute_count, ehrhart_interpolate
 from delzant.errors import FormulaViolationError, NonSimpleError
 from delzant.hilbert import cross_check, cy_hilbert_polynomial, inclusion_exclusion_count
 from delzant.operators import (
@@ -79,7 +79,7 @@ def test_criterion_02_todd_operator_count_is_executable_theorem(prepare):
     for name in DELZANT_CORPUS:
         p = prepare(name)
         formula = khovanskii_count(p)
-        brute = count_points(p.spec, 1, "full", charts=p.charts)
+        brute = brute_count(p.spec, 1, "full", charts=p.charts)
         assert formula == brute, name
     elapsed = watch.check()
     print(f"ACCEPTANCE 2: PASS ({len(DELZANT_CORPUS)} polytopes in {elapsed:.2f}s)")
@@ -90,7 +90,7 @@ def test_criterion_03_ahat_boundary_count_is_executable_theorem(prepare):
     for name in DELZANT_CORPUS:
         p = prepare(name)
         formula = boundary_count_formula(p)
-        brute = count_points(p.spec, 1, "boundary", charts=p.charts)
+        brute = brute_count(p.spec, 1, "boundary", charts=p.charts)
         assert formula == brute, name
     elapsed = watch.check()
     print(f"ACCEPTANCE 3: PASS ({len(DELZANT_CORPUS)} polytopes in {elapsed:.2f}s)")
@@ -102,7 +102,7 @@ def test_criterion_04_inclusion_exclusion_matches_brute_force(prepare):
         p = prepare(name)
         for k in range(1, 6):
             via_faces = inclusion_exclusion_count(p, k)
-            brute = count_points(p.spec, k, "boundary", charts=p.charts)
+            brute = brute_count(p.spec, k, "boundary", charts=p.charts)
             assert via_faces == brute, (name, k)
     elapsed = watch.check()
     print(f"ACCEPTANCE 4: PASS (k = 1..5 on {len(DELZANT_CORPUS)} polytopes in {elapsed:.2f}s)")
@@ -122,7 +122,7 @@ def test_criterion_06_ehrhart_reciprocity(prepare):
         full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
         m = p.spec.dim
         for k in range(1, 6):
-            interior = count_points(p.spec, k, "interior", charts=p.charts)
+            interior = brute_count(p.spec, k, "interior", charts=p.charts)
             assert (-1) ** m * full.poly.evaluate(-k) == interior, (name, k)
     print(f"ACCEPTANCE 6: PASS (k = 1..5 on {len(DELZANT_CORPUS)} polytopes)")
 
@@ -217,7 +217,7 @@ def test_criterion_10_negative_paths(monkeypatch):
         return values
 
     monkeypatch.setattr(operators, "bernoulli_numbers", corrupted_bernoulli)
-    brute = count_points(p.spec, 1, "full", charts=p.charts)
+    brute = brute_count(p.spec, 1, "full", charts=p.charts)
     try:
         assert khovanskii_count(p) != brute
     except FormulaViolationError:
@@ -236,7 +236,7 @@ def test_criterion_10_negative_paths(monkeypatch):
         return series_coefficients(name, order)
 
     monkeypatch.setattr(operators, "series_coefficients", corrupted_series)
-    brute_boundary = count_points(q.spec, 1, "boundary", charts=q.charts)
+    brute_boundary = brute_count(q.spec, 1, "boundary", charts=q.charts)
     try:
         assert boundary_count_formula(q) != brute_boundary
     except FormulaViolationError:

@@ -260,6 +260,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget is 5" in err
 
+    def test_cross_check_reports_an_oracle_that_rejects_everything_as_6(
+        self, poly_file, capsys, monkeypatch
+    ):
+        # a determinant of the wrong sign mirrors every oracle vertex, so no
+        # sample offsets keep the anchor's incidence; the check fails, and
+        # the command ends
+        import delzant.volume as volume_mod
+
+        solve = volume_mod._solve
+
+        def flipped(rows, rhs):
+            det, x = solve(rows, rhs)
+            return -det, x
+
+        monkeypatch.setattr(volume_mod, "_solve", flipped)
+        code, out, _ = run(capsys, "cross-check", poly_file("simplex_2"))
+        assert code == 6
+        assert "volume_oracle_samples: FAIL (ChamberCrossedError: " in out
+        assert "cross-check: 9/10 checks passed" in out
+
     def test_budget_env_override(self, poly_file, capsys, monkeypatch):
         monkeypatch.setenv("DELZANT_BUDGET", "100")
         code, _, _ = run(capsys, "count", "--k", "50", poly_file("cube_2"))

@@ -6,10 +6,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delzant.corpus import DELZANT_CORPUS, load
+from delzant.cli import main
+from delzant.corpus import DELZANT_CORPUS, corpus_text, load
 import delzant.counting as counting_mod
 from delzant.counting import (
     _forward_difference_fit,
+    brute_count,
     count_points,
     count_report,
     ehrhart_interpolate,
@@ -17,7 +19,7 @@ from delzant.counting import (
     read_count,
     tight_histogram,
 )
-from delzant.errors import BudgetExceededError, NotPolynomialError
+from delzant.errors import BudgetExceededError, DisagreementError, NotPolynomialError
 from delzant.hilbert import cy_hilbert_polynomial
 from delzant.linalg import int_det, mat_mul, mat_vec
 from delzant.polynomial import UniPoly
@@ -47,22 +49,24 @@ class TestCountPoints:
 
     def test_face_region_argument_errors(self):
         spec = load("simplex_2")
-        with pytest.raises(ValueError):
-            count_points(spec, 1, "face")
-        with pytest.raises(ValueError):
-            count_points(spec, 1, "face", face=(7,))
-        with pytest.raises(ValueError):
-            count_points(spec, 1, "full", face=(0,))
-        with pytest.raises(ValueError):
-            count_points(spec, 0, "full")
-        with pytest.raises(ValueError):
-            count_points(spec, 1, "everything")
+        for count in (count_points, brute_count):
+            with pytest.raises(ValueError):
+                count(spec, 1, "face")
+            with pytest.raises(ValueError):
+                count(spec, 1, "face", face=(7,))
+            with pytest.raises(ValueError):
+                count(spec, 1, "full", face=(0,))
+            with pytest.raises(ValueError):
+                count(spec, 0, "full")
+            with pytest.raises(ValueError):
+                count(spec, 1, "everything")
 
     def test_budget_exceeded_reports_required_size(self):
-        with pytest.raises(BudgetExceededError) as err:
-            count_points(load("cube_2"), 50, budget=1000)
-        assert err.value.required == 101**3
-        assert err.value.budget == 1000
+        for count in (count_points, brute_count):
+            with pytest.raises(BudgetExceededError) as err:
+                count(load("cube_2"), 50, budget=1000)
+            assert err.value.required == 101**3
+            assert err.value.budget == 1000
 
 
 def _mask(active_set):
@@ -76,7 +80,7 @@ class TestTightHistogram:
         p = prepare(name)
         histogram = tight_histogram(p.spec, k, charts=p.charts)
         for region in ("full", "interior", "boundary"):
-            assert read_count(histogram, region) == count_points(
+            assert read_count(histogram, region) == brute_count(
                 p.spec, k, region, charts=p.charts
             )
         # every face, plus facet sets that cut out nothing and the empty set
@@ -88,7 +92,7 @@ class TestTightHistogram:
             for j in range(i + 1, p.spec.num_facets)
         )
         for face in sorted(facet_sets):
-            assert read_count(histogram, "face", face) == count_points(
+            assert read_count(histogram, "face", face) == brute_count(
                 p.spec, k, "face", face=face, charts=p.charts
             ), face
         assert read_count(histogram, "face", ()) == read_count(histogram, "full")
@@ -133,7 +137,8 @@ def _reference_histogram(spec, k):
     """The per-point classifier: a full dot product for every facet.
 
     It walks the bounding box of the dilated vertices point by point and
-    shares nothing with the fibre kernel behind ``tight_histogram``.
+    shares nothing with the fibre kernel behind ``tight_histogram`` or
+    with the odometer walk behind ``brute_count``.
     """
     anchors = [chart.anchor_ints() for chart in enumerate_vertices(spec)]
     ranges = [
@@ -185,8 +190,51 @@ def _unimodular_images(draw):
     return spec, HalfSpaceSpec(m, facets)
 
 
+def _polygon(*facets):
+    return HalfSpaceSpec(2, facets)
+
+
+# inputs whose fibres meet cases the corpus does not: named for the case
+_KERNEL_EDGE_CASES = {
+    # last coefficients -3 and 2, then 3 and -2 (the mirror image), with
+    # slacks they do not divide at most prefixes: (0,0), (0,5), (6,2)
+    "last_coefficients_-3_2": _polygon(([-1, 0], 0), ([1, -3], 0), ([1, 2], 10)),
+    "last_coefficients_3_-2": _polygon(([-1, 0], 0), ([1, 3], 0), ([1, -2], 10)),
+    # x, y in [0, 4] with x + y in [2, 6]: on the fibre x = 3, y <= 4 is
+    # tight at y = 4 > hi = 3, and on x = 0, y >= 0 is tight at y = 0 < lo = 2
+    "tight_outside_interval": _polygon(
+        ([-1, 0], 0), ([0, -1], 0), ([-1, -1], -2), ([1, 0], 4), ([0, 1], 4), ([1, 1], 6)
+    ),
+    # x/4 <= y <= 3x/4: the fibre x = 1 holds no lattice point
+    "crossing_facets_empty_a_fibre": _polygon(([1, -4], 0), ([-3, 4], 0), ([1, 0], 4)),
+    # the first case translated by (-7, -9): every coordinate is negative
+    "negative_coordinates": _polygon(([-1, 0], 7), ([1, -3], 20), ([1, 2], -15)),
+}
+
+
 class TestFibreKernel:
     """``tight_histogram`` against the per-point reference classifier."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_EDGE_CASES))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_edge_cases_match_reference(self, name, k):
+        spec = _KERNEL_EDGE_CASES[name]
+        histogram = tight_histogram(spec, k)
+        assert histogram == _reference_histogram(spec, k)
+        assert all(n > 0 for n in histogram.values())
+
+    def test_edge_cases_reach_their_case(self):
+        cases = _KERNEL_EDGE_CASES
+        lasts = {n[1] for name in cases for n in cases[name].normals()}
+        assert {-3, -2, 2, 3} <= lasts
+        # the fibres x = 0..4 hold 1, 0, 1, 2 and 3 points
+        thin = cases["crossing_facets_empty_a_fibre"]
+        assert count_points(thin, 1, "face", face=(2,)) == 3
+        assert count_points(thin, 1) == 1 + 0 + 1 + 2 + 3
+        # the translate has the same histogram as its original
+        shifted, original = cases["negative_coordinates"], cases["last_coefficients_-3_2"]
+        assert all(c < 0 for chart in enumerate_vertices(shifted) for c in chart.anchor)
+        assert tight_histogram(shifted, 2) == tight_histogram(original, 2)
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -212,6 +260,49 @@ class TestFibreKernel:
         assert histogram == _reference_histogram(image, k)
         # a lattice bijection that keeps the facet order keeps every mask count
         assert histogram == tight_histogram(spec, k)
+        # the kernel's counts against the per-point oracle's
+        for region in ("full", "interior", "boundary"):
+            assert count_points(image, k, region) == brute_count(image, k, region)
+        face = (0, image.num_facets - 1)
+        assert count_points(image, k, "face", face=face) == brute_count(
+            image, k, "face", face=face
+        )
+
+
+def _drop_one_tight_point(monkeypatch):
+    """Make the fibre kernel lose one point tight on facet 1 alone.
+
+    box_2x3's edge on facet 1 holds 3k - 1 such points at every k, so
+    every count stays a polynomial and only the routes' agreement fails.
+    """
+    kernel = counting_mod._interval_masks
+
+    def dropping(*args):
+        histogram = kernel(*args)
+        histogram[0b1] -= 1
+        return histogram
+
+    monkeypatch.setattr(counting_mod, "_interval_masks", dropping)
+
+
+class TestKernelIsChecked:
+    """A broken fibre kernel is caught by the per-point oracle."""
+
+    def test_route_c_catches_a_dropped_point(self, monkeypatch):
+        _drop_one_tight_point(monkeypatch)
+        with pytest.raises(DisagreementError) as err:
+            cy_hilbert_polynomial(Prepared(load("box_2x3")))
+        report = err.value.report
+        assert report.by_oracle.poly == report.by_operator_formula.poly == UniPoly([0, 10])
+        assert report.by_inclusion_exclusion.poly == UniPoly([-1, 10])
+
+    def test_cross_check_reports_a_dropped_point(self, monkeypatch, tmp_path, capsys):
+        _drop_one_tight_point(monkeypatch)
+        path = tmp_path / "box_2x3.poly"
+        path.write_text(corpus_text("box_2x3"), encoding="utf-8")
+        assert main(["cross-check", str(path)]) == 6
+        out = capsys.readouterr().out
+        assert "inclusion_exclusion_vs_count: FAIL (AssertionError: k=1: 9 != 10)" in out
 
 
 class TestUnimodularCharts:

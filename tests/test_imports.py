@@ -79,3 +79,50 @@ def test_scanner_finds_a_borrowed_solver():
 
 def test_volume_oracle_borrows_no_solver():
     assert oracle_borrowings((PACKAGE / "volume.py").read_text(encoding="utf-8")) == []
+
+
+FIBRE_KERNEL = "_interval_masks"
+
+
+def call_tree_names(source: str, root: str) -> set[str]:
+    """Every name and attribute read by ``root`` and the module functions it reaches.
+
+    Starting at the module-level function ``root``, each module-level
+    function it names is followed in turn, so a helper that names the
+    kernel is found however deep it sits.
+    """
+    functions = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    names, todo, seen = set(), [root], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo.extend(names - seen)
+    return names
+
+
+def test_call_tree_scanner_follows_helpers():
+    source = (
+        "def oracle(x):\n    return helper(x)\n"
+        "def helper(x):\n    return mod._interval_masks(x)\n"
+        "def other(x):\n    return _interval_masks(x)\n"
+    )
+    assert FIBRE_KERNEL in call_tree_names(source, "oracle")
+    assert FIBRE_KERNEL not in call_tree_names(source.replace("mod.", "mod.x"), "oracle")
+
+
+def test_brute_count_never_reaches_the_fibre_kernel():
+    source = (PACKAGE / "counting.py").read_text(encoding="utf-8")
+    assert FIBRE_KERNEL in call_tree_names(source, "count_points")
+    assert FIBRE_KERNEL not in call_tree_names(source, "brute_count")
+    assert "_tight_masks" in call_tree_names(source, "brute_count")

@@ -26,6 +26,7 @@ STAGES = (
     ("delzant.operators", "apply_operator_product"),
     ("delzant.counting", "tight_histogram"),
     ("delzant.counting", "count_points"),
+    ("delzant.counting", "brute_count"),
 )
 
 
@@ -68,8 +69,12 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["enumerate_vertices"] == 4
     # one histogram for each k = 1..5, shared by every face count
     assert stage_calls["tight_histogram"] == 5
-    # every brute comparison value still enumerates on its own
-    assert stage_calls["count_points"] == 19
+    # every brute comparison value classifies the box point by point, on its
+    # own: 2 operator counts, 5 inclusion-exclusion dilates, route (c)'s
+    # nodes k = 1, 2 and probe k = 3, and 5 interior counts of reciprocity
+    assert stage_calls["brute_count"] == 15
+    # the fibre kernel fits the full polynomial of the reciprocity check
+    assert stage_calls["count_points"] == 4
 
 
 def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, capsys):

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+import delzant.volume as volume
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.errors import ChamberCrossedError
 from delzant.linalg import int_solve, ring_det
@@ -359,6 +360,29 @@ class TestPrincipalLattice:
         for sample in samples:
             points = feasible_vertex_points(spec.normals(), sample)
             assert sorted(active for _, active in points) == anchor_incidence
+
+    def test_oracle_that_rejects_everything_raises(self, monkeypatch):
+        # a determinant of the wrong sign mirrors every vertex, so no q can
+        # pass; once the corners fail at q = 2, the anchor's own proof raises
+        proofs = []
+        prove, solve = volume._anchor_vertices, volume._solve
+
+        def flipped(rows, rhs):
+            det, x = solve(rows, rhs)
+            return -det, x
+
+        def counted(normals, actives, offsets):
+            proofs.append(tuple(offsets))
+            assert len(proofs) <= 10, "q doubled without end"
+            return prove(normals, actives, offsets)
+
+        monkeypatch.setattr(volume, "_solve", flipped)
+        monkeypatch.setattr(volume, "_anchor_vertices", counted)
+        prep = Prepared(load("simplex_2"))
+        with pytest.raises(ChamberCrossedError):
+            chamber_samples(prep)
+        # the first corner at q = 2, then the anchor
+        assert proofs == [(2, 0, 2), prep.spec.offsets()]
 
     @pytest.mark.parametrize("name", [n for n in DELZANT_CORPUS if load(n).dim <= 3])
     def test_sweep_catches_every_one_monomial_mutant(self, name, prepare):
