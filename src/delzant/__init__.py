@@ -4,7 +4,6 @@ brute-force enumeration."""
 
 from .counting import (
     CountReport,
-    EhrhartPoly,
     brute_count,
     count_points,
     count_report,
@@ -19,11 +18,8 @@ from .hilbert import (
     inclusion_exclusion_count,
 )
 from .operators import (
-    OperatorProduct,
-    SeriesSpec,
     apply_operator_product,
-    boundary_count_formula,
-    khovanskii_count,
+    operator_count,
     series_coefficients,
     symbolic_ehrhart,
 )
@@ -53,20 +49,16 @@ __all__ = [
     "CountReport",
     "CrossCheckReport",
     "DelzantError",
-    "EhrhartPoly",
     "FaceLattice",
     "HalfSpaceSpec",
     "HilbertReport",
     "MultiPoly",
-    "OperatorProduct",
     "Prepared",
     "Scalar",
-    "SeriesSpec",
     "UniPoly",
     "VertexChart",
     "VolumePolynomial",
     "apply_operator_product",
-    "boundary_count_formula",
     "boundary_volume_polynomial",
     "brute_count",
     "build_face_lattice",
@@ -78,8 +70,8 @@ __all__ = [
     "enumerate_vertices",
     "euler_expansion_identity",
     "inclusion_exclusion_count",
-    "khovanskii_count",
     "numeric_volume_at",
+    "operator_count",
     "parse_polytope_file",
     "series_coefficients",
     "symbolic_ehrhart",

@@ -32,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .hilbert import cross_check, cy_hilbert_polynomial
-from .operators import applied_count, applied_ehrhart
+from .operators import operator_count, symbolic_ehrhart
 from .polyfile import parse_polytope_file
 from .prepared import Prepared
 
@@ -303,7 +303,7 @@ def cmd_count(args, prep) -> int:
         # region; both are read from one enumeration of the dilate
         histogram = prep.histogram(args.k)
         value = read_count(histogram, region, face)
-        report = count_report(histogram, prep.lattice, args.k)
+        report = count_report(histogram, prep.lattice)
         payload.update(
             count=value,
             total=report.total,
@@ -327,9 +327,8 @@ def cmd_ehrhart(args, prep) -> int:
     if args.method == "operator":
         if args.kind == "interior":
             raise UsageError("--method operator supports kinds full and boundary only")
-        applied = prep.applied(args.kind)
-        result = applied_ehrhart(applied, prep.vol, args.kind)
-        applied_text = applied.to_text()
+        result = symbolic_ehrhart(prep, args.kind)
+        applied_text = prep.applied(args.kind).to_text()
     else:
         result = ehrhart_interpolate(
             prep.spec, args.kind, budget=prep.budget, charts=prep.charts
@@ -339,7 +338,7 @@ def cmd_ehrhart(args, prep) -> int:
         "kind": args.kind,
         "method": args.method,
         "polynomial": result.to_text(),
-        "coefficients": [str(c) for c in result.poly.coeffs],
+        "coefficients": [str(c) for c in result.coeffs],
         "operator_applied": applied_text,
     }
     lines = [f"{args.kind} Ehrhart: {result.to_text()}"]
@@ -349,9 +348,8 @@ def cmd_ehrhart(args, prep) -> int:
 
 
 def _cmd_operator_count(args, prep, kind: str) -> int:
-    applied = prep.applied(kind)
-    value = applied_count(applied, prep.vol, kind)
-    applied_text = applied.to_text()
+    value = operator_count(prep, kind)
+    applied_text = prep.applied(kind).to_text()
     payload = {
         "command": "khovanskii" if kind == "full" else "boundary-formula",
         "count": value,

@@ -32,20 +32,10 @@ REGIONS = ("full", "interior", "boundary", "face")
 
 @dataclass(frozen=True)
 class CountReport:
-    k: int
     total: int
     interior: int
     boundary: int
     per_face: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class EhrhartPoly:
-    poly: UniPoly
-    kind: str
-
-    def to_text(self) -> str:
-        return self.poly.to_text()
 
 
 def _bounding_box(spec: HalfSpaceSpec, k: int, charts):
@@ -309,7 +299,7 @@ def brute_count(
     return read_count(_tight_masks(*_box(spec, k, budget, charts)), region, face)
 
 
-def count_report(histogram: dict[int, int], lattice: FaceLattice, k: int) -> CountReport:
+def count_report(histogram: dict[int, int], lattice: FaceLattice) -> CountReport:
     """Counts of the k-fold dilate, its interior and boundary, and every
     proper face, all read from the dilate's tight-mask histogram."""
     total = read_count(histogram, "full")
@@ -319,7 +309,6 @@ def count_report(histogram: dict[int, int], lattice: FaceLattice, k: int) -> Cou
         for rec in lattice.proper_faces()
     }
     return CountReport(
-        k=k,
         total=total,
         interior=interior,
         boundary=total - interior,
@@ -351,7 +340,7 @@ def _forward_difference_fit(values) -> UniPoly:
     return UniPoly(Fraction(c, denominator) for c in numerators)
 
 
-def interpolate_counts(counts, degree: int, kind: str) -> EhrhartPoly:
+def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
     """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
 
     ``counts`` is a callable k -> int.  The verification failure means the
@@ -367,7 +356,7 @@ def interpolate_counts(counts, degree: int, kind: str) -> EhrhartPoly:
             f"{kind} counts are not a degree-{degree} polynomial: "
             f"predicted {predicted} at k={probe}, counted {actual}"
         )
-    return EhrhartPoly(poly=poly, kind=kind)
+    return poly
 
 
 def ehrhart_interpolate(
@@ -376,7 +365,7 @@ def ehrhart_interpolate(
     *,
     budget: int = DEFAULT_BUDGET,
     charts=None,
-) -> EhrhartPoly:
+) -> UniPoly:
     """Ehrhart polynomial of the polytope, its interior or its boundary.
 
     Interpolation nodes start at k = 1; k = 0 is never used because the

@@ -129,10 +129,6 @@ class NotPolynomialError(DelzantError):
     exit_code = 6
 
 
-class TruncationError(DelzantError):
-    exit_code = 6
-
-
 class FormulaViolationError(DelzantError):
     exit_code = 6
 

@@ -2,10 +2,12 @@
 
 The boundary lattice point count of a Delzant polytope is computed by
 (a) inclusion-exclusion over the face lattice, (b) the A-hat operator
-formula on the boundary volume, and (c) direct brute-force counting, each
-fitted to a polynomial in the dilation factor.  The three polynomials are
-proven-equal identities, so any disagreement aborts loudly: it always
-means an implementation bug or invalid input, never an acceptable warning.
+formula on the boundary volume, with the offsets replaced by k times the
+anchor (``symbolic_ehrhart``), and (c) direct brute-force counting; (a)
+and (c) are fitted to a polynomial in the dilation factor k.  Each route
+gives a plain ``UniPoly`` in k.  The three are proven-equal identities,
+so any disagreement aborts loudly: it always means an implementation bug
+or invalid input, never an acceptable warning.
 Route (a) reads its face counts from the fibre-interval kernel's
 histograms; route (c) and every brute comparison value of ``cross_check``
 come from ``brute_count``, the per-point classifier, so the kernel is
@@ -17,15 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import (
-    EhrhartPoly,
-    brute_count,
-    count_points,
-    interpolate_counts,
-    read_count,
-)
+from .counting import brute_count, count_points, interpolate_counts, read_count
 from .errors import BudgetExceededError, DisagreementError
-from .operators import boundary_count_formula, khovanskii_count, symbolic_ehrhart
+from .operators import operator_count, symbolic_ehrhart
+from .polynomial import UniPoly
 from .polytope import enumerate_vertices
 from .prepared import Prepared
 from .volume import chamber_samples, facet_volume_sum, numeric_volume_at
@@ -63,11 +60,11 @@ def inclusion_exclusion_count(prep: Prepared, k: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertReport:
-    by_inclusion_exclusion: EhrhartPoly
-    by_operator_formula: EhrhartPoly
-    by_oracle: EhrhartPoly
+    by_inclusion_exclusion: UniPoly
+    by_operator_formula: UniPoly
+    by_oracle: UniPoly
     agree: bool
-    per_face: dict[tuple[int, ...], EhrhartPoly]
+    per_face: dict[tuple[int, ...], UniPoly]
 
 
 def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
@@ -98,9 +95,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
             "face",
         )
 
-    agree = (
-        via_faces.poly == by_operator.poly == by_oracle.poly
-    )
+    agree = via_faces == by_operator == by_oracle
     report = HilbertReport(
         by_inclusion_exclusion=via_faces,
         by_operator_formula=by_operator,
@@ -152,8 +147,8 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
         except Exception as exc:  # recorded, not raised: this is a report
             checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
 
-    def check_formula(operator_count, region):
-        formula = operator_count(prep)
+    def check_formula(region):
+        formula = operator_count(prep, region)
         brute = brute_count(spec, 1, region, budget=budget, charts=charts)
         if formula != brute:
             raise AssertionError(f"operator count {formula} != brute count {brute}")
@@ -177,7 +172,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
             lambda k: count_points(spec, k, "full", budget=budget, charts=charts), m, "full"
         )
         for k in range(1, 6):
-            predicted = (-1) ** m * full.poly.evaluate(-k)
+            predicted = (-1) ** m * full.evaluate(-k)
             interior = brute_count(spec, k, "interior", budget=budget, charts=charts)
             if predicted != interior:
                 raise AssertionError(f"k={k}: {predicted} != {interior}")
@@ -215,8 +210,8 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
         return "k = 1..3"
 
     run("delzant", lambda: f"{len(charts)} vertices, all determinants +-1")
-    run("khovanskii_vs_count", lambda: check_formula(khovanskii_count, "full"))
-    run("boundary_formula_vs_count", lambda: check_formula(boundary_count_formula, "boundary"))
+    run("khovanskii_vs_count", lambda: check_formula("full"))
+    run("boundary_formula_vs_count", lambda: check_formula("boundary"))
     run("inclusion_exclusion_vs_count", check_inclusion_exclusion)
     run("hilbert_three_way", check_hilbert)
     run("reciprocity", check_reciprocity)

@@ -5,9 +5,9 @@ series in the offset derivatives applied to the volume polynomial and
 evaluated at the anchor (Khovanskii's formula); the boundary point count
 likewise comes from a product of A-hat series times one reciprocal A-hat
 series in the summed derivative, applied to the boundary volume.  All
-series act exactly: the targets are polynomials, so every operator expansion
-terminates at the target's degree and truncation is a hard precondition,
-never a tolerance.
+series act exactly: the targets are polynomials, and each series is
+expanded to the target's degree, past which every derivative of the
+target vanishes.
 
 Series conventions (coefficients of x^j):
 
@@ -18,17 +18,17 @@ Series conventions (coefficients of x^j):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .counting import EhrhartPoly
-from .errors import FormulaViolationError, TruncationError
-from .polynomial import MultiPoly
-from .volume import VolumePolynomial
+from .errors import FormulaViolationError
+from .polynomial import MultiPoly, UniPoly
 
 SERIES_NAMES = ("Td", "Ahat", "invAhat")
+
+# kind -> (series in each variable's derivative, series in the summed derivative)
+_PRODUCTS = {"full": ("Td", None), "boundary": ("Ahat", "invAhat")}
 
 
 def bernoulli_numbers(order: int) -> list[Fraction]:
@@ -75,17 +75,8 @@ def todd_denominator_series(order: int) -> list[Fraction]:
     return [Fraction((-1) ** n, factorial(n + 1)) for n in range(order + 1)]
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    name: str
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def series_coefficients(name: str, order: int) -> SeriesSpec:
+def series_coefficients(name: str, order: int) -> tuple[Fraction, ...]:
+    """Coefficients of x^0..x^order of the named series."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if name == "Td":
@@ -97,52 +88,20 @@ def series_coefficients(name: str, order: int) -> SeriesSpec:
             for j in range(order + 1)
         ]
     elif name == "Ahat":
-        coeffs = series_invert(series_coefficients("invAhat", order).coefficients, order)
+        coeffs = series_invert(series_coefficients("invAhat", order), order)
     else:
         raise ValueError(f"unknown series {name!r}; expected one of {SERIES_NAMES}")
-    return SeriesSpec(name=name, coefficients=tuple(coeffs))
+    return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class OperatorProduct:
-    """One series in each variable's derivative, times an optional series
-    in the summed derivative.  Exact when truncation_order covers the
-    degree of the target polynomial."""
-
-    nvars: int
-    per_variable: SeriesSpec
-    sum_factor: SeriesSpec | None
-    truncation_order: int
-
-
-def todd_product(nvars: int, order: int) -> OperatorProduct:
-    td = series_coefficients("Td", order)
-    return OperatorProduct(
-        nvars=nvars,
-        per_variable=td,
-        sum_factor=None,
-        truncation_order=order,
-    )
-
-
-def boundary_operator_product(nvars: int, order: int) -> OperatorProduct:
-    ahat = series_coefficients("Ahat", order)
-    return OperatorProduct(
-        nvars=nvars,
-        per_variable=ahat,
-        sum_factor=series_coefficients("invAhat", order),
-        truncation_order=order,
-    )
-
-
-def _apply_single_variable(series: SeriesSpec, var: int, p: MultiPoly) -> MultiPoly:
+def _apply_single_variable(series, var: int, p: MultiPoly) -> MultiPoly:
     """sum_j s_j (d/do_var)^j p in one pass: x^e -> sum_j s_j e!/(e-j)! x^(e-j)."""
     out: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in p.terms().items():
         e = exps[var]
         falling = coeff
-        for j in range(min(e, series.order) + 1):
-            s = series.coefficients[j]
+        for j in range(e + 1):
+            s = series[j]
             if s:
                 key = exps[:var] + (e - j,) + exps[var + 1 :]
                 out[key] = out.get(key, 0) + s * falling
@@ -150,19 +109,19 @@ def _apply_single_variable(series: SeriesSpec, var: int, p: MultiPoly) -> MultiP
     return MultiPoly(p.nvars, out)
 
 
-def _apply_sum_factor(series: SeriesSpec, p: MultiPoly) -> MultiPoly:
+def _apply_sum_factor(series, p: MultiPoly) -> MultiPoly:
     """sum_j s_j D^j p for the summed derivative D, in one pass.
 
     D^j x^e = j! sum over f <= e with |f| = j of prod_i C(e_i, f_i) x^(e-f),
     so each term spreads over its sub-exponents f at once.
     """
-    weights = [c * factorial(j) for j, c in enumerate(series.coefficients)]
+    weights = [c * factorial(j) for j, c in enumerate(series)]
     out: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in p.terms().items():
         support = [i for i, e in enumerate(exps) if e]
         for picks in product(*(range(exps[i] + 1) for i in support)):
             j = sum(picks)
-            if j > series.order or not weights[j]:
+            if not weights[j]:
                 continue
             key = list(exps)
             value = weights[j] * coeff
@@ -174,64 +133,42 @@ def _apply_sum_factor(series: SeriesSpec, p: MultiPoly) -> MultiPoly:
     return MultiPoly(p.nvars, out)
 
 
-def apply_operator_product(op: OperatorProduct, p: MultiPoly) -> MultiPoly:
-    """Expand the operator product against a polynomial, exactly.
+def apply_operator_product(kind: str, p: MultiPoly) -> MultiPoly:
+    """The Todd (full) or A-hat (boundary) operator product applied to p, exactly.
 
-    The factors commute, so they are applied one variable at a time with
-    the sum factor last, each in one pass over the terms.  A truncation
-    order below the target degree is an error rather than a silent cutoff.
+    Each series is expanded to p's total degree.  The factors commute, so
+    they are applied one variable at a time with the sum factor last, each
+    in one pass over the terms.
     """
-    if p.nvars != op.nvars:
-        raise ValueError(f"operator is over {op.nvars} variables, polynomial over {p.nvars}")
-    if op.truncation_order < p.total_degree:
-        raise TruncationError(
-            f"truncation order {op.truncation_order} is below the polynomial degree "
-            f"{p.total_degree}; the expansion would be silently wrong"
-        )
-    for series in (op.per_variable, op.sum_factor):
-        if series is not None and series.order < op.truncation_order:
-            raise TruncationError(
-                f"series {series.name} carries only order {series.order}, "
-                f"needed {op.truncation_order}"
-            )
+    if kind not in _PRODUCTS:
+        raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
+    per_variable, summed = _PRODUCTS[kind]
+    order = p.total_degree
+    series = series_coefficients(per_variable, order)
     result = p
-    for var in range(op.nvars):
-        result = _apply_single_variable(op.per_variable, var, result)
-    if op.sum_factor is not None:
-        result = _apply_sum_factor(op.sum_factor, result)
+    for var in range(p.nvars):
+        result = _apply_single_variable(series, var, result)
+    if summed is not None:
+        result = _apply_sum_factor(series_coefficients(summed, order), result)
     return result
 
 
 _COUNT_NAMES = {"full": "Todd operator count", "boundary": "A-hat boundary count"}
 
 
-def applied_count(applied: MultiPoly, vol: VolumePolynomial, kind: str) -> int:
-    """The lattice point count: the applied polynomial at the anchor offsets."""
-    value = applied.evaluate(vol.anchor)
+def operator_count(prep, kind: str) -> int:
+    """The lattice (full) or boundary point count of a ``Prepared`` polytope:
+    its applied polynomial at the anchor offsets."""
+    applied, anchor = prep.applied(kind), prep.spec.offsets()
+    value = applied.evaluate(anchor)
     if value.denominator != 1 or value < 0:
         raise FormulaViolationError(
             f"{_COUNT_NAMES[kind]} evaluated to {value}, not a nonnegative integer; "
-            f"operator-applied polynomial {applied.to_text()} at {vol.anchor}"
+            f"operator-applied polynomial {applied.to_text()} at {anchor}"
         )
     return int(value)
 
 
-def applied_ehrhart(applied: MultiPoly, vol: VolumePolynomial, kind: str) -> EhrhartPoly:
-    """The Ehrhart polynomial: substitute offsets -> k * anchor."""
-    return EhrhartPoly(poly=applied.substitute_dilation(vol.anchor), kind=kind)
-
-
-def khovanskii_count(prep) -> int:
-    """Lattice point count of a ``Prepared`` polytope via the Todd operator
-    product on the volume."""
-    return applied_count(prep.applied("full"), prep.vol, "full")
-
-
-def boundary_count_formula(prep) -> int:
-    """Boundary lattice point count via the A-hat operator product."""
-    return applied_count(prep.applied("boundary"), prep.vol, "boundary")
-
-
-def symbolic_ehrhart(prep, kind: str) -> EhrhartPoly:
+def symbolic_ehrhart(prep, kind: str) -> UniPoly:
     """Ehrhart polynomial via operators: apply, then substitute offsets -> k * anchor."""
-    return applied_ehrhart(prep.applied(kind), prep.vol, kind)
+    return prep.applied(kind).substitute_dilation(prep.spec.offsets())

@@ -141,52 +141,54 @@ class MultiPoly:
 
     # -- evaluation and substitution -----------------------------------------
 
-    def evaluate(self, values: Sequence) -> Fraction:
-        """The value at ``values``, summed as integers over one denominator.
+    def _power_table(self, values: Sequence):
+        """Integer powers of ``values`` over one denominator, for the terms.
 
         With v_i = p_i / q_i and t_i the top exponent of variable i, the
         table row of i holds p_i^e q_i^(t_i - e) for e = 0..t_i, so every
         term is an integer over L prod_i q_i^t_i, L the lcm of the
-        coefficient denominators.
+        coefficient denominators.  Returns the table, L and that
+        denominator.
         """
         vals = [Fraction(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
-        if not self._terms:
-            return Fraction(0)
         tops = [max(column) for column in zip(*self._terms)]
         table = [
             [v.numerator**e * v.denominator ** (top - e) for e in range(top + 1)]
             for v, top in zip(vals, tops)
         ]
         common = lcm(*(c.denominator for c in self._terms.values()))
+        return table, common, common * prod(v.denominator**top for v, top in zip(vals, tops))
+
+    def evaluate(self, values: Sequence) -> Fraction:
+        """The value at ``values``, summed as integers over one denominator."""
+        table, common, denominator = self._power_table(values)
         total = 0
         for exps, coeff in self._terms.items():
             term = coeff.numerator * (common // coeff.denominator)
             for row, e in zip(table, exps):
                 term *= row[e]
             total += term
-        return Fraction(total, common * prod(v.denominator**top for v, top in zip(vals, tops)))
+        return Fraction(total, denominator)
 
     def substitute_dilation(self, anchor: Sequence) -> "UniPoly":
         """Substitute variable i -> k * anchor[i]; returns a polynomial in k.
 
-        Each term of degree n contributes coeff * prod(anchor^exps) * k^n.
+        Each term of degree n adds its value at the anchor to the
+        coefficient of k^n, summed per degree as integers over one
+        denominator, as in ``evaluate``.
         """
-        vals = [Fraction(v) for v in anchor]
-        if len(vals) != self.nvars:
-            raise ValueError(f"expected {self.nvars} anchor values, got {len(vals)}")
-        coeffs: dict[int, Fraction] = {}
+        table, common, denominator = self._power_table(anchor)
+        by_degree: dict[int, int] = {}
         for exps, coeff in self._terms.items():
-            term = coeff
-            for e, v in zip(exps, vals):
-                if e:
-                    term *= v**e
-            if term != 0:
-                n = sum(exps)
-                coeffs[n] = coeffs.get(n, Fraction(0)) + term
-        top = max(coeffs, default=0)
-        return UniPoly([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+            term = coeff.numerator * (common // coeff.denominator)
+            for row, e in zip(table, exps):
+                term *= row[e]
+            n = sum(exps)
+            by_degree[n] = by_degree.get(n, 0) + term
+        top = max(by_degree, default=0)
+        return UniPoly(Fraction(by_degree.get(i, 0), denominator) for i in range(top + 1))
 
     # -- serialization -------------------------------------------------------
 

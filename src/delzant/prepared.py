@@ -4,12 +4,15 @@ Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
 volume, then the Todd and A-hat operator products applied to those, and
 the tight-mask histogram of each dilate, built by the fibre-interval
-kernel, for the face counts.  The volume oracle reads one more stage off
-the charts alone: the anchor's triangulation.  A command or report holds
-one ``Prepared`` and reads every stage from it, so each is built at most
-once however many checks read it.  The brute comparison values do not
-come from here: ``brute_count`` classifies every point of the box on
-each call, with the per-point classifier.
+kernel, for the face counts.  Each operator series is expanded to its
+target's degree, and ``operators.operator_count`` and ``symbolic_ehrhart``
+read the count and the Ehrhart polynomial off the one applied polynomial
+of a kind.  The volume oracle reads one more stage off the charts alone:
+the anchor's triangulation.  A command or report holds one ``Prepared``
+and reads every stage from it, so each is built at most once however
+many checks read it.  The brute comparison values do not come from
+here: ``brute_count`` classifies every point of the box on each call,
+with the per-point classifier.
 """
 
 from __future__ import annotations
@@ -74,18 +77,11 @@ class Prepared:
         boundary volume (boundary), applied once per kind.
 
         The count and the Ehrhart polynomial of the kind are both read from
-        this one polynomial (``operators.applied_count``, ``applied_ehrhart``).
+        this one polynomial (``operators.operator_count``, ``symbolic_ehrhart``).
         """
         if kind not in self._applied:
-            nvars, m = self.spec.num_facets, self.spec.dim
-            if kind == "full":
-                op, target = operators.todd_product(nvars, m), self.vol.poly
-            elif kind == "boundary":
-                op = operators.boundary_operator_product(nvars, max(m - 1, 0))
-                target = self.boundary.poly
-            else:
-                raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
-            self._applied[kind] = operators.apply_operator_product(op, target)
+            target = self.boundary.poly if kind == "boundary" else self.vol.poly
+            self._applied[kind] = operators.apply_operator_product(kind, target)
         return self._applied[kind]
 
     def histogram(self, k: int) -> dict[int, int]:

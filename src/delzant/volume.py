@@ -47,7 +47,6 @@ from .polytope import FaceLattice, HalfSpaceSpec, VertexChart, build_face_lattic
 @dataclass(frozen=True)
 class VolumePolynomial:
     poly: MultiPoly
-    anchor: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def volume_polynomial(spec: HalfSpaceSpec, lattice: FaceLattice) -> VolumePolyno
     charts = lattice.faces[()].charts
     xi = _moment_direction(charts, spec.dim)
     poly = _lawrence_volume(charts, spec.num_facets, xi)
-    return VolumePolynomial(poly=poly, anchor=spec.offsets())
+    return VolumePolynomial(poly=poly)
 
 
 def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomial:

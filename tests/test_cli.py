@@ -198,9 +198,9 @@ class TestJsonOutput:
         orders = []
         original = operators_mod.apply_operator_product
 
-        def recording(op, p):
-            orders.append(op.truncation_order)
-            return original(op, p)
+        def recording(kind, p):
+            orders.append(p.total_degree)
+            return original(kind, p)
 
         monkeypatch.setattr(operators_mod, "apply_operator_product", recording)
         code, out, _ = run(capsys, *argv, "--output", "json", poly_file("cube_unit"))

@@ -293,8 +293,8 @@ class TestKernelIsChecked:
         with pytest.raises(DisagreementError) as err:
             cy_hilbert_polynomial(Prepared(load("box_2x3")))
         report = err.value.report
-        assert report.by_oracle.poly == report.by_operator_formula.poly == UniPoly([0, 10])
-        assert report.by_inclusion_exclusion.poly == UniPoly([-1, 10])
+        assert report.by_oracle == report.by_operator_formula == UniPoly([0, 10])
+        assert report.by_inclusion_exclusion == UniPoly([-1, 10])
 
     def test_cross_check_reports_a_dropped_point(self, monkeypatch, tmp_path, capsys):
         _drop_one_tight_point(monkeypatch)
@@ -327,14 +327,14 @@ class TestCountReport:
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_total_splits_into_interior_and_boundary(self, name, prepare):
         p = prepare(name)
-        report = count_report(p.histogram(2), p.lattice, 2)
+        report = count_report(p.histogram(2), p.lattice)
         assert report.total == report.interior + report.boundary
         brute_boundary = count_points(p.spec, 2, "boundary", charts=p.charts)
         assert report.boundary == brute_boundary
 
     def test_per_face_monotone_under_inclusion(self, prepare):
         p = prepare("cube_unit")
-        report = count_report(p.histogram(2), p.lattice, 2)
+        report = count_report(p.histogram(2), p.lattice)
         for small, count_small in report.per_face.items():
             for large, count_large in report.per_face.items():
                 if set(small) <= set(large):
@@ -345,15 +345,15 @@ class TestCountReport:
 class TestEhrhartInterpolate:
     def test_simplex_full(self):
         result = ehrhart_interpolate(load("simplex_2"), "full")
-        assert result.poly == UniPoly([1, Fraction(3, 2), Fraction(1, 2)])
+        assert result == UniPoly([1, Fraction(3, 2), Fraction(1, 2)])
 
     def test_simplex_boundary(self):
         result = ehrhart_interpolate(load("simplex_2"), "boundary")
-        assert result.poly == UniPoly([0, 3])
+        assert result == UniPoly([0, 3])
 
     def test_simplex3_boundary(self):
         result = ehrhart_interpolate(load("simplex_3"), "boundary")
-        assert result.poly == UniPoly([2, 0, 2])
+        assert result == UniPoly([2, 0, 2])
 
     def test_unknown_kind_rejected(self):
         for kind in ("face", "nope"):
@@ -364,14 +364,14 @@ class TestEhrhartInterpolate:
     def test_full_constant_term_is_one(self, name, prepare):
         p = prepare(name)
         full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
-        assert full.poly.coefficient(0) == 1
-        assert full.poly.degree == p.spec.dim
+        assert full.coefficient(0) == 1
+        assert full.degree == p.spec.dim
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_full_leading_coefficient_is_volume(self, name, prepare):
         p = prepare(name)
         full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
-        assert full.poly.coefficient(p.spec.dim) == p.vol.poly.evaluate(
+        assert full.coefficient(p.spec.dim) == p.vol.poly.evaluate(
             p.spec.offsets()
         )
 
@@ -380,7 +380,7 @@ class TestEhrhartInterpolate:
         # E_boundary(0) = 1 - (-1)^m, verified corpus-wide by brute force
         p = prepare(name)
         boundary = ehrhart_interpolate(p.spec, "boundary", charts=p.charts)
-        assert boundary.poly.evaluate(0) == 1 - (-1) ** p.spec.dim
+        assert boundary.evaluate(0) == 1 - (-1) ** p.spec.dim
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -388,9 +388,9 @@ class TestEhrhartInterpolate:
         p = prepare(name)
         full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
         interior = count_points(p.spec, k, "interior", charts=p.charts)
-        assert (-1) ** p.spec.dim * full.poly.evaluate(-k) == interior
+        assert (-1) ** p.spec.dim * full.evaluate(-k) == interior
         boundary = count_points(p.spec, k, "boundary", charts=p.charts)
-        assert full.poly.evaluate(k) - (-1) ** p.spec.dim * full.poly.evaluate(
+        assert full.evaluate(k) - (-1) ** p.spec.dim * full.evaluate(
             -k
         ) == boundary
 

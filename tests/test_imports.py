@@ -44,13 +44,15 @@ def test_module_uses_every_import(module):
 ORACLE_BORROWINGS = ("linalg", "feasible_vertex_points")
 
 
-def oracle_borrowings(source: str) -> list[str]:
-    """Solver code the volume module takes from the vertex enumeration.
+def oracle_borrowings(source: str, forbidden=ORACLE_BORROWINGS) -> list[str]:
+    """Code a module takes from the route it is checked against.
 
-    Counts an import from ``.linalg`` (or of ``linalg`` itself), and any
-    import, name or attribute ``feasible_vertex_points``: the oracle
+    By default, the solver code the volume module takes from the vertex
+    enumeration: an import from ``.linalg`` (or of ``linalg`` itself), and
+    any import, name or attribute ``feasible_vertex_points``.  The oracle
     solves its own vertex systems, so it stays independent of the charts
-    it checks.
+    it checks.  Any word of ``forbidden`` matches a module imported from,
+    or a name imported, read or taken as an attribute.
     """
     words = set()
     for node in ast.walk(ast.parse(source)):
@@ -62,7 +64,7 @@ def oracle_borrowings(source: str) -> list[str]:
             words.add(node.id)
         elif isinstance(node, ast.Attribute):
             words.add(node.attr)
-    return sorted(words & set(ORACLE_BORROWINGS))
+    return sorted(words & set(forbidden))
 
 
 def test_scanner_finds_a_borrowed_solver():
@@ -79,6 +81,27 @@ def test_scanner_finds_a_borrowed_solver():
 
 def test_volume_oracle_borrows_no_solver():
     assert oracle_borrowings((PACKAGE / "volume.py").read_text(encoding="utf-8")) == []
+
+
+COUNTER_BORROWINGS = (
+    "counting",
+    "hilbert",
+    "count_points",
+    "brute_count",
+    "tight_histogram",
+    "read_count",
+    "interpolate_counts",
+)
+
+
+def test_operator_route_borrows_no_counter():
+    # the operator formulas are checked against the counters, so they
+    # must not import from them or call them
+    assert oracle_borrowings("from .counting import UniPoly\n", COUNTER_BORROWINGS) == [
+        "counting"
+    ]
+    source = (PACKAGE / "operators.py").read_text(encoding="utf-8")
+    assert oracle_borrowings(source, COUNTER_BORROWINGS) == []
 
 
 FIBRE_KERNEL = "_interval_masks"

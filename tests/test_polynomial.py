@@ -66,6 +66,10 @@ class TestSubstituteDilation:
             assert (p + q).substitute_dilation(anchor) == p.substitute_dilation(
                 anchor
             ) + q.substitute_dilation(anchor)
+            for k in (1, 2, 3):
+                assert p.substitute_dilation(anchor).evaluate(k) == p.evaluate(
+                    [k * x for x in anchor]
+                )
 
 
 class TestRingAxioms:
