@@ -3,23 +3,26 @@
 Two classifiers count the lattice points of the integer bounding box of
 the k-fold dilate, each into a histogram of the inside points by their
 tight-facet bitmask, from which the full, interior, boundary and every
-face count of that dilate are read.  The fibre-interval kernel
-(``_interval_masks``) settles each fibre along the last axis by
-intersecting the facets' half-lines; it serves ``count_points``,
-``tight_histogram`` and ``ehrhart_interpolate``.  The per-point
-classifier (``_tight_masks``) tests every point of the box against the
-facets one by one; it serves only ``brute_count``, the brute-force
-oracle, and shares no classifying code with the kernel.  Counts are
-fitted by exact interpolation (integer forward differences), and every
-fit must predict one extra count correctly before it is accepted as a
-polynomial.
+face count of that dilate are read.  The slab kernel
+(``_interval_masks``) settles each slab of the last two axes at once:
+between breakpoints of the facets' lines it sums the rows' lengths by
+exact floor sums and counts their tight ends by a congruence, and only
+the slab's end rows, rows where distinct lines tie and the row where the
+envelopes meet go through a per-fibre interval count.  It serves
+``count_points``, ``tight_histogram`` and ``ehrhart_interpolate``.  The
+per-point classifier (``_tight_masks``) tests every point of the box
+against the facets one by one; it serves only ``brute_count``, the
+brute-force oracle, and shares no classifying code with the kernel.
+Counts are fitted by exact interpolation (integer forward differences),
+and every fit must predict one extra count correctly before it is
+accepted as a polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import BudgetExceededError, NotPolynomialError
 from .polynomial import UniPoly
@@ -112,22 +115,101 @@ def _tight_masks(normals, bounds, lows, highs) -> dict[int, int]:
     return histogram
 
 
-def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
-    """Count the inside points of the box by mask, one fibre interval at a time.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The floor sum sum_{i=0}^{n-1} floor((a i + b) / m), for n >= 0 and m > 0.
 
-    The prefix walk is the one ``_tight_masks`` makes, and facets parallel
-    to the last axis are settled once per fibre the same way, into the
-    fibre's ``base`` mask.  A fibre's points are never visited: each
-    crossing facet j, with last coefficient a = n_j[m-1] != 0 and slack s
-    over the prefix, bounds the last coordinate x by a half-line, x <=
-    floor(s/a) when a > 0 and x >= ceil(s/a) when a < 0, and is tight only
-    at x = s/a, when a divides s.  The half-lines and the box's range meet
-    in [lo, hi].  Every inside point satisfies a x <= s, so a tight x of
-    a facet with a > 0 lies in [lo, hi] only as hi, and one with a < 0
-    only as lo.  So the fibre adds one point to ``base`` | (the bits tight
-    at lo), one to ``base`` | (the bits tight at hi), and the rest of
-    [lo, hi] to ``base``: O(d) integer work per fibre, and no key ever
-    gets a count of zero.
+    Euclid's reduction (Graham, Knuth and Patashnik, *Concrete
+    Mathematics*, §3.5): the whole parts a // m and b // m of the slope and
+    the intercept add (a // m) n(n-1)/2 and (b // m) n.  With 0 <= a, b < m
+    left, the sum counts the lattice points under a line of slope a/m < 1;
+    counted by columns of the swapped axes, they are the floor sum of
+    (m i + (a n + b) mod m) / a over (a n + b) // m terms.  The modulus
+    falls as in Euclid's algorithm, so a sum costs O(log m) steps.
+    """
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _congruent_rows(a: int, b: int, s: int, first: int, last: int) -> int:
+    """How many integers y in [first, last] have a | (s - b y), for a > 0.
+
+    With g = gcd(a, b), b y = s (mod a) has no solution unless g divides s;
+    otherwise its solutions are one residue class modulo a/g, reached by
+    the inverse of b/g modulo a/g.
+    """
+    g = gcd(a, b)
+    if s % g:
+        return 0
+    step = a // g
+    root = s // g * pow(b // g, -1, step) % step
+    return (last - root) // step - (first - 1 - root) // step
+
+
+def _lowest_line(lines, y: int, last: int):
+    """The line lowest at row y, with its bits and the last row it stays lowest.
+
+    Each line (a, b, s, bits), with a > 0, is x = (s - b y)/a: the edge of
+    a facet within a two-axis slab.  Values and slopes are compared by
+    exact cross-multiplication.  A line equal to the lowest one at y with
+    the same slope is the same line, and its bits merge; one equal at y
+    with another slope is a tie between distinct lines, and the result is
+    None, so the row goes through the per-fibre count.  Otherwise the line
+    stays lowest until the first steeper line crosses it, at y_c = num/d,
+    so through row ceil(y_c) - 1 = (num - 1) // d, and at most ``last``.
+    Returns (a, b, s, bits, stop) or None.
+    """
+    a0 = None
+    for a, b, s, bit in lines:
+        value = s - b * y
+        if a0 is None or value * a0 < value0 * a:
+            a0, b0, s0, value0, bits, tie = a, b, s, value, bit, False
+        elif value * a0 == value0 * a:
+            if b * a0 == b0 * a:
+                bits |= bit
+            else:
+                tie = True
+    if tie:
+        return None
+    stop = last
+    for a, b, s, _ in lines:
+        d = b * a0 - b0 * a
+        if d > 0:
+            stop = min(stop, (s * a0 - s0 * a - 1) // d)
+    return a0, b0, s0, bits, stop
+
+
+def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
+    """Count the inside points of the box by mask, a two-axis slab at a time.
+
+    The prefix walk is the one ``_tight_masks`` makes, stopped one level
+    earlier: x_0..x_{m-3} fixed leave a slab in y = x_{m-2} and x =
+    x_{m-1}, where facet j with slack s reads b y + a x <= s (a = n_j[m-1],
+    b = n_j[m-2]).  Facets with a = b = 0 are settled once per slab, as
+    ``base``; those with a = 0 only narrow the rows of y, and can be tight
+    only on the slab's two end rows.  Each other facet is a line, and
+    bounds x by an upper edge floor((s - b y)/a) when a > 0 or a lower edge
+    ceil((s - b y)/a) when a < 0; the box's range of x adds one edge of
+    each kind, with no bit.  Between breakpoints of the two envelopes one
+    line is lowest among the upper edges and one highest among the lower
+    edges, so rows where the first lies strictly above the second hold
+    hi - lo + 1 points summed by two floor sums (``_floor_sum``).  A point
+    tight on a line is then an end of its row, at the rows where a divides
+    s - b y (``_congruent_rows``), and keys ``base`` | that line's bits; the
+    rest key ``base``.  The slab's two end rows, a row where distinct lines
+    tie, and a row where the envelopes meet go through ``count_fibre``
+    instead: each facet bounds x by a half-line, and the fibre's points
+    are counted from the ends of their intersection [lo, hi], which alone
+    can be tight.  No point is visited, every step is exact integer
+    arithmetic, and no key ever gets a count of zero.
     """
     m = len(lows)
     histogram: dict[int, int] = {}
@@ -135,6 +217,10 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
     parallel = [(j, 1 << j) for j, n in enumerate(normals) if n[m - 1] == 0]
     crossing = [(j, n[m - 1], 1 << j) for j, n in enumerate(normals) if n[m - 1]]
     first, last = lows[m - 1], highs[m - 1]
+
+    def add(key, n):
+        if n:
+            histogram[key] = histogram.get(key, 0) + n
 
     def count_fibre(slacks):
         base = 0
@@ -166,14 +252,91 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
         for bits in ends:
             if bits:
                 plain -= 1
-                key = base | bits
-                histogram[key] = histogram.get(key, 0) + 1
-        if plain:
-            histogram[base] = histogram.get(base, 0) + plain
+                add(base | bits, 1)
+        add(base, plain)
+
+    if m == 1:
+        count_fibre(list(bounds))
+        return histogram
+
+    column = columns[m - 2]
+
+    def row(slacks, y):
+        count_fibre([s - b * y for s, b in zip(slacks, column)])
+
+    def count_slab(slacks):
+        base = 0
+        y, end = lows[m - 2], highs[m - 2]
+        for j, bit in parallel:
+            s, b = slacks[j], column[j]
+            if b > 0:
+                end = min(end, s // b)
+            elif b < 0:
+                y = max(y, -(s // -b))  # ceil(s/b)
+            elif s < 0:
+                return
+            elif s == 0:
+                base |= bit
+        if y > end:
+            return
+        row(slacks, y)
+        if y == end:
+            return
+        row(slacks, end)
+        # an upper edge is x <= (s - b y)/a; a lower edge, with a < 0, is
+        # -x <= (s - b y)/|a|: the lowest line of each set is its envelope
+        tops, bottoms = [(1, 0, last, 0)], [(1, 0, -first, 0)]
+        for j, a, bit in crossing:
+            if a > 0:
+                tops.append((a, column[j], slacks[j], bit))
+            else:
+                bottoms.append((-a, column[j], slacks[j], bit))
+        y += 1
+        while y < end:
+            top = _lowest_line(tops, y, end - 1)
+            bottom = _lowest_line(bottoms, y, end - 1)
+            if top is None or bottom is None:
+                row(slacks, y)
+                y += 1
+                continue
+            au, bu, su, top_bits, stop = top
+            al, bl, sl, bottom_bits, bottom_stop = bottom
+            stop = min(stop, bottom_stop)
+            # the real gap between the envelopes, (su - bu y)/au + (sl - bl y)/al,
+            # has the sign of c0 - c1 y; hi - lo + 1 is the sum of their floors, + 1
+            c0, c1 = al * su + au * sl, al * bu + au * bl
+            start, finish = y, stop
+            if c1:
+                meet, r = divmod(c0, c1)  # the envelopes meet at y = c0/c1
+                if c1 > 0:
+                    finish = min(stop, meet if r else meet - 1)
+                else:
+                    start = max(y, meet + 1)
+                if not r and y <= meet <= stop:
+                    row(slacks, meet)
+            elif c0 <= 0:
+                finish = y - 1
+                if c0 == 0:  # the envelopes coincide: every row is a meeting row
+                    for meet in range(y, stop + 1):
+                        row(slacks, meet)
+            if start <= finish:
+                n = finish - start + 1
+                plain = (
+                    n
+                    + _floor_sum(n, au, -bu, su - bu * start)
+                    + _floor_sum(n, al, -bl, sl - bl * start)
+                )
+                for a, b, s, bits in ((au, bu, su, top_bits), (al, bl, sl, bottom_bits)):
+                    if bits:
+                        tight = _congruent_rows(a, b, s, start, finish)
+                        plain -= tight
+                        add(base | bits, tight)
+                add(base, plain)
+            y = stop + 1
 
     def walk(c, slacks):
-        if c == m - 1:
-            count_fibre(slacks)
+        if c == m - 2:
+            count_slab(slacks)
             return
         column = columns[c]
         slacks = [s - a * lows[c] for s, a in zip(slacks, column)]
@@ -203,7 +366,7 @@ def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):
 
 
 def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts):
-    """The tight-mask histogram of the k-fold dilate, by the fibre kernel."""
+    """The tight-mask histogram of the k-fold dilate, by the slab kernel."""
     return _interval_masks(*_box(spec, k, budget, charts))
 
 
@@ -212,7 +375,7 @@ def tight_histogram(
 ) -> dict[int, int]:
     """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
 
-    One pass of the fibre kernel over the bounding box (checked against
+    One pass of the slab kernel over the bounding box (checked against
     ``budget``), as in ``count_points``; every region of the dilate can
     then be read off with ``read_count``.  On a simple polytope
     each key is 0 or the active set of a face, as a bitmask.
@@ -273,7 +436,7 @@ def count_points(
     index set; an empty intersection simply counts zero.  The enumeration
     domain is the bounding box of the dilated vertices; its size is checked
     against ``budget`` before any work happens.  Each call runs its own
-    pass of the fibre kernel, so a count from here is independent of any
+    pass of the slab kernel, so a count from here is independent of any
     histogram another caller holds.
     """
     _check_count_args(spec, k, region, face)
@@ -293,7 +456,7 @@ def brute_count(
 
     Same arguments, checks and budget as ``count_points``, but every point
     of the bounding box is classified on its own (``_tight_masks``), with
-    no code shared with the fibre kernel it checks.
+    no code shared with the slab kernel it checks.
     """
     _check_count_args(spec, k, region, face)
     return read_count(_tight_masks(*_box(spec, k, budget, charts)), region, face)

@@ -8,10 +8,10 @@ and (c) are fitted to a polynomial in the dilation factor k.  Each route
 gives a plain ``UniPoly`` in k.  The three are proven-equal identities,
 so any disagreement aborts loudly: it always means an implementation bug
 or invalid input, never an acceptable warning.
-Route (a) reads its face counts from the fibre-interval kernel's
-histograms; route (c) and every brute comparison value of ``cross_check``
-come from ``brute_count``, the per-point classifier, so the kernel is
-always checked against code it shares nothing with.
+Route (a) reads its face counts from the slab kernel's histograms;
+route (c) and every brute comparison value of ``cross_check`` come from
+``brute_count``, the per-point classifier, so the kernel is always
+checked against code it shares nothing with.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
         return f"boundary Ehrhart {report.by_oracle.to_text()}"
 
     def check_reciprocity():
-        # the full polynomial from the fibre kernel, the interior from the oracle
+        # the full polynomial from the slab kernel, the interior from the oracle
         full = interpolate_counts(
             lambda k: count_points(spec, k, "full", budget=budget, charts=charts), m, "full"
         )

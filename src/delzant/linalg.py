@@ -129,20 +129,6 @@ def ring_det(rows):
     return total
 
 
-def mat_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(a, x):
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
-
-
 def kernel_direction(rows, m: int):
     """Nonzero integer kernel vector of an (m-1) x m integer matrix.
 

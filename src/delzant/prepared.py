@@ -3,8 +3,8 @@
 Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
 volume, then the Todd and A-hat operator products applied to those, and
-the tight-mask histogram of each dilate, built by the fibre-interval
-kernel, for the face counts.  Each operator series is expanded to its
+the tight-mask histogram of each dilate, built by the slab kernel, for
+the face counts.  Each operator series is expanded to its
 target's degree, and ``operators.operator_count`` and ``symbolic_ehrhart``
 read the count and the Ehrhart polynomial off the one applied polynomial
 of a kind.  The volume oracle reads one more stage off the charts alone:

@@ -21,7 +21,7 @@ from delzant.counting import (
 )
 from delzant.errors import BudgetExceededError, DisagreementError, NotPolynomialError
 from delzant.hilbert import cy_hilbert_polynomial
-from delzant.linalg import int_det, mat_mul, mat_vec
+from delzant.linalg import int_det
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
@@ -190,6 +190,12 @@ def _unimodular_images(draw):
     return spec, HalfSpaceSpec(m, facets)
 
 
+def _box_3d(size, *cuts):
+    facets = [([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0)]
+    facets += [([1, 0, 0], size), ([0, 1, 0], size), ([0, 0, 1], size)]
+    return HalfSpaceSpec(3, facets + list(cuts))
+
+
 def _polygon(*facets):
     return HalfSpaceSpec(2, facets)
 
@@ -209,6 +215,38 @@ _KERNEL_EDGE_CASES = {
     "crossing_facets_empty_a_fibre": _polygon(([1, -4], 0), ([-3, 4], 0), ([1, 0], 4)),
     # the first case translated by (-7, -9): every coordinate is negative
     "negative_coordinates": _polygon(([-1, 0], 7), ([1, -3], 20), ([1, 2], -15)),
+    # 3-D inputs for the slab walk, in coordinates (u, y, x): each slab fixes
+    # u, and its lines are the facets with an x coefficient.
+    #
+    # [0,4]^3 cut by y + x <= 6: in every slab the cut meets x <= 4 at the
+    # lattice row y = 2, a tie of two distinct upper lines
+    "tie_at_integer_row": _box_3d(4, ([0, 1, 1], 6)),
+    # a roof over u in [0, 4]: u + y + x <= 6 and -u + y + x <= 2 both read
+    # y + x <= 4 in the slab u = 2, one line carrying the bits of two facets
+    "two_facets_one_line": HalfSpaceSpec(
+        3,
+        [([-1, 0, 0], 0), ([1, 0, 0], 4), ([0, -1, 0], 0), ([0, 0, -1], 0)]
+        + [([1, 1, 1], 6), ([-1, 1, 1], 2)],
+    ),
+    # the triangle y >= 0, y/3 <= x <= (10 - y)/2 times u in [0, 1], sheared
+    # by y -> y + 2u: in the slab u = 0 its edges meet at the lattice point
+    # (y, x) = (6, 2), while the slab's rows run on to y = 8
+    "envelopes_meet_at_lattice_row": HalfSpaceSpec(
+        3,
+        [([-1, 0, 0], 0), ([1, 0, 0], 1), ([2, -1, 0], 0)]
+        + [([-2, 1, -3], 0), ([-2, 1, 2], 10)],
+    ),
+    # [0,4]^3 cut by u + 2y <= 10 and u - 2y <= 2: no x coefficient, so the
+    # cuts end each slab's rows, at floor((10 - u)/2) and ceil((u - 2)/2)
+    "rows_ended_by_facets": _box_3d(4, ([1, 2, 0], 10), ([1, -2, 0], 2)),
+    # the quadrilateral y, x >= 0, y + 3x <= 24, y - 2x <= 4 times u in
+    # [0, 2], sheared by y -> y + u: its last two edges are tight every third
+    # and every second row
+    "tight_every_third_or_second_row": HalfSpaceSpec(
+        3,
+        [([-1, 0, 0], 0), ([1, 0, 0], 2), ([1, -1, 0], 0), ([0, 0, -1], 0)]
+        + [([-1, 1, 3], 24), ([-1, 1, -2], 4)],
+    ),
 }
 
 
@@ -225,7 +263,7 @@ class TestFibreKernel:
 
     def test_edge_cases_reach_their_case(self):
         cases = _KERNEL_EDGE_CASES
-        lasts = {n[1] for name in cases for n in cases[name].normals()}
+        lasts = {n[-1] for name in cases for n in cases[name].normals()}
         assert {-3, -2, 2, 3} <= lasts
         # the fibres x = 0..4 hold 1, 0, 1, 2 and 3 points
         thin = cases["crossing_facets_empty_a_fibre"]
@@ -269,6 +307,103 @@ class TestFibreKernel:
         )
 
 
+def _record_slab_helpers(monkeypatch):
+    """Record each result of the kernel's line and congruence helpers."""
+    lines, congruences = [], []
+    lowest_line, congruent_rows = counting_mod._lowest_line, counting_mod._congruent_rows
+
+    def recording_lowest_line(lines_, y, last):
+        result = lowest_line(lines_, y, last)
+        lines.append((y, result))
+        return result
+
+    def recording_congruent_rows(a, b, s, first, last):
+        result = congruent_rows(a, b, s, first, last)
+        congruences.append((a, last - first + 1, result))
+        return result
+
+    monkeypatch.setattr(counting_mod, "_lowest_line", recording_lowest_line)
+    monkeypatch.setattr(counting_mod, "_congruent_rows", recording_congruent_rows)
+    return lines, congruences
+
+
+def _meet_at_lattice_row(y, top, bottom):
+    """Whether the two lines found for row y give one lattice point at a
+    row of their common segment: the upper edge's x equals the lower edge's."""
+    (au, bu, su, _, stop), (al, bl, sl, _, bottom_stop) = top, bottom
+    for row in range(y, min(stop, bottom_stop) + 1):
+        hi, r = divmod(su - bu * row, au)
+        minus_lo, r_lo = divmod(sl - bl * row, al)
+        if not r and not r_lo and hi == -minus_lo:
+            return True
+    return False
+
+
+class TestSlabKernel:
+    """The slab walk of ``_interval_masks`` and its exact helpers."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_half_space_families_match_per_point_classifier(self, seed):
+        # any half-space family, polytope or not, over boxes that reach into
+        # negative coordinates
+        rng = random.Random(seed)
+        for _ in range(150):
+            m, d = rng.randint(2, 4), rng.randint(1, 7)
+            normals = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(d)]
+            bounds = [rng.randint(-8, 12) for _ in range(d)]
+            lows = [rng.randint(-6, 2) for _ in range(m)]
+            highs = [lo + rng.randint(0, (14, 7, 4)[m - 2]) for lo in lows]
+            box = (normals, bounds, lows, highs)
+            assert counting_mod._interval_masks(*box) == counting_mod._tight_masks(*box), box
+
+    def test_floor_sum_matches_loop(self):
+        rng = random.Random(0)
+        for _ in range(3000):
+            n, m = rng.randint(0, 15), rng.randint(1, 12)
+            a, b = rng.randint(-40, 40), rng.randint(-60, 60)
+            assert counting_mod._floor_sum(n, m, a, b) == sum(
+                (a * i + b) // m for i in range(n)
+            ), (n, m, a, b)
+
+    def test_congruent_rows_matches_loop(self):
+        for a, b, s in product(range(1, 7), range(-6, 7), range(-7, 8)):
+            for first, last in ((-5, 6), (0, 0), (3, 2), (-1, 10)):
+                expected = sum((s - b * y) % a == 0 for y in range(first, last + 1))
+                assert counting_mod._congruent_rows(a, b, s, first, last) == expected
+
+    def test_slab_cases_reach_their_case(self, monkeypatch):
+        cases = _KERNEL_EDGE_CASES
+        lines, congruences = _record_slab_helpers(monkeypatch)
+        reached = {}
+        for name in sorted(n for n in cases if cases[n].dim == 3):
+            del lines[:], congruences[:]
+            histogram = tight_histogram(cases[name], 1)
+            reached[name] = (list(lines), list(congruences), histogram)
+        # a tie of distinct lines makes a row's lowest line None
+        lines_, _, _ = reached["tie_at_integer_row"]
+        assert (2, None) in lines_
+        # one lowest line carries the bits of both roof facets 4 and 5
+        lines_, _, _ = reached["two_facets_one_line"]
+        assert any(line and line[3] == 0b110000 for _, line in lines_)
+        # an upper and a lower line found for one row meet at a lattice row
+        lines_, _, histogram = reached["envelopes_meet_at_lattice_row"]
+        pairs = zip(lines_[0::2], lines_[1::2])
+        assert any(
+            top and bottom and _meet_at_lattice_row(y, top, bottom)
+            for (y, top), (_, bottom) in pairs
+        )
+        # the vertices (0, 6, 2) and (1, 8, 2), on both edges and on u = 0 or u = 1
+        assert histogram[0b11001] == histogram[0b11010] == 1
+        # the facets that end the rows have n[2] = 0, n[1] = +-2, and points
+        spec = cases["rows_ended_by_facets"]
+        assert [n[1:] for n in spec.normals()[6:]] == [(2, 0), (-2, 0)]
+        _, _, histogram = reached["rows_ended_by_facets"]
+        assert read_count(histogram, "face", (6,)) == read_count(histogram, "face", (7,)) == 10
+        # last coefficients 3 and -2, tight on some rows of a segment but not all
+        _, congruences_, _ = reached["tight_every_third_or_second_row"]
+        assert {2, 3} <= {a for a, rows, tight in congruences_ if 0 < tight < rows}
+
+
 def _drop_one_tight_point(monkeypatch):
     """Make the fibre kernel lose one point tight on facet 1 alone.
 
@@ -303,6 +438,14 @@ class TestKernelIsChecked:
         assert main(["cross-check", str(path)]) == 6
         out = capsys.readouterr().out
         assert "inclusion_exclusion_vs_count: FAIL (AssertionError: k=1: 9 != 10)" in out
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def mat_vec(a, x):
+    return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
 class TestUnimodularCharts:

@@ -144,8 +144,16 @@ def test_call_tree_scanner_follows_helpers():
     assert FIBRE_KERNEL not in call_tree_names(source.replace("mod.", "mod.x"), "oracle")
 
 
+SLAB_HELPERS = ("_floor_sum", "_congruent_rows", "_lowest_line")
+
+
 def test_brute_count_never_reaches_the_fibre_kernel():
     source = (PACKAGE / "counting.py").read_text(encoding="utf-8")
-    assert FIBRE_KERNEL in call_tree_names(source, "count_points")
-    assert FIBRE_KERNEL not in call_tree_names(source, "brute_count")
-    assert "_tight_masks" in call_tree_names(source, "brute_count")
+    counted, brute = call_tree_names(source, "count_points"), call_tree_names(source, "brute_count")
+    for name in (FIBRE_KERNEL, *SLAB_HELPERS):
+        assert name in counted, name
+        assert name not in brute, name
+    assert "_tight_masks" in brute
+    # nor any other module function the kernel reaches
+    functions = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert call_tree_names(source, FIBRE_KERNEL) & functions & brute == set()

@@ -11,10 +11,13 @@ from delzant.linalg import (
     int_solve,
     kernel_direction,
     kernel_vector,
-    mat_mul,
     ring_det,
 )
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def random_matrix(rng, n, lo=-5, hi=5):
