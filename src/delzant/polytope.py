@@ -5,14 +5,22 @@ integer offsets o_i, defining the intersection of the half-spaces
 x . n_i <= o_i.  The offsets can be varied; the bundled offsets are the
 anchor at which all combinatorics (and, downstream, the chamber of the
 volume polynomial) are fixed.
+
+Vertices come from a breadth-first walk along the edges of a simple
+polytope (Avis and Fukuda, Discrete Comput. Geom. 8, 1992), one exact
+integer solve per vertex.  A family the walk cannot certify (rank-deficient
+normals, empty, unbounded or non-simple) falls back to solving every
+m-subset of facets, whose checks raise the error.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -157,10 +165,12 @@ def feasible_vertex_points(normals, offsets):
 def recession_ray(normals):
     """A nonzero integer ray of {x : x . n_i <= 0 for all i}, or None.
 
-    The cone is trivial iff the normals positively span R^m.  A rank
-    deficiency gives a lineality direction immediately; otherwise the cone
-    is pointed and any nonzero ray is witnessed by an extreme ray, i.e. by
-    the kernel direction of some m-1 of the normals.
+    The error path of ``enumerate_vertices`` only: the edge walk proves a
+    valid polytope bounded without it.  The cone is trivial iff the
+    normals positively span R^m.  A rank deficiency gives a lineality
+    direction immediately; otherwise the cone is pointed and any nonzero
+    ray is witnessed by an extreme ray, i.e. by the kernel direction of
+    some m-1 of the normals.
     """
     m = len(normals[0])
     kernel = kernel_vector(normals)
@@ -182,18 +192,114 @@ def recession_ray(normals):
     return None
 
 
-def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
-    """One chart per vertex; raises if the family is degenerate.
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
-    Checks, in order: boundedness (trivial recession cone), nonemptiness,
-    simplicity (every vertex on exactly m facets), and irredundancy (every
-    facet carries a vertex).
+
+def _independent_subsets(normals):
+    """The m-subsets of facets with linearly independent normals, in lex
+    order: a prefix whose normals are dependent is cut with every
+    extension, so singular subsets cost one rank test per cut prefix."""
+    m = len(normals[0])
+    d = len(normals)
+
+    def extend(prefix):
+        for j in range(prefix[-1] + 1 if prefix else 0, d - m + len(prefix) + 1):
+            subset = (*prefix, j)
+            if kernel_vector(list(zip(*(normals[i] for i in subset)))) is not None:
+                continue
+            if len(subset) == m:
+                yield subset
+            else:
+                yield from extend(subset)
+
+    return extend(())
+
+
+def _edge_walk(normals, offsets):
+    """The charts of a simple polytope by a breadth-first walk on its edges.
+
+    Returns None, for the caller to fall back to the subset path, when the
+    walk cannot certify a simple polytope: no m-subset of facets gives a
+    feasible point, the first one found (in lex order) is on more than m
+    facets, an edge has no blocking facet (unbounded), or two facets
+    block an edge at once (a non-simple neighbour).
+
+    At a vertex with active set A, ``int_solve(N_A, I)`` gives (det, X),
+    X = det N_A^{-1}; the same solve makes its chart.  With D = |det| and
+    s its sign, P = s X b_A is D times the vertex and D b_j - n_j . P is
+    D times facet j's slack.  The edge that leaves facet A[i] has integer
+    direction -s X[:, i], and facet j blocks it at the least ratio
+    slack_j / rate_j over the rates n_j . direction > 0, compared by
+    cross-multiplication.  A vertex reached along an edge with a single
+    blocking facet is on exactly m facets, so every visited vertex is
+    simple; the edge graph is connected and no edge is unbounded, so the
+    visited vertices are all of them and the polytope is bounded.
     """
-    m = spec.dim
-    d = spec.num_facets
-    normals = spec.normals()
-    offsets = spec.offsets()
+    m = len(normals[0])
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
 
+    def solve(active):
+        # every active set solved here has independent normals
+        det, inverse = int_solve([normals[i] for i in active], identity)
+        sign = 1 if det > 0 else -1
+        point = [sign * _dot(row, (offsets[i] for i in active)) for row in inverse]
+        slacks = [abs(det) * o - _dot(n, point) for n, o in zip(normals, offsets)]
+        return det, inverse, point, slacks
+
+    for start in _independent_subsets(normals):
+        first = solve(start)
+        *_, slacks = first
+        if min(slacks) >= 0:
+            break
+    else:
+        return None
+    if slacks.count(0) != m:
+        return None
+
+    seen = {start}
+    queue = deque([(start, first)])
+    charts = []
+    while queue:
+        active, (det, inverse, point, slacks) = queue.popleft()
+        charts.append(
+            VertexChart(
+                active_set=active,
+                det=det,
+                inverse=tuple(tuple(Fraction(x, det) for x in row) for row in inverse),
+                anchor=tuple(Fraction(c, abs(det)) for c in point),
+            )
+        )
+        sign = 1 if det > 0 else -1
+        others = [j for j in range(len(normals)) if j not in active]
+        for leave, column in zip(active, zip(*inverse)):
+            best, tied = None, False
+            for j in others:
+                rate = -sign * _dot(normals[j], column)
+                if rate <= 0:
+                    continue
+                if best is not None:
+                    # the sign of slack_j / rate - slack_best / rate_best
+                    order = slacks[j] * best[1] - slacks[best[0]] * rate
+                    if order > 0:
+                        continue
+                    if order == 0:
+                        tied = True
+                        continue
+                best, tied = (j, rate), False
+            if best is None or tied:
+                return None
+            neighbour = tuple(sorted(i for i in (*active, best[0]) if i != leave))
+            if neighbour not in seen:
+                seen.add(neighbour)
+                queue.append((neighbour, solve(neighbour)))
+    return sorted(charts, key=lambda chart: _sort_key(chart.anchor))
+
+
+def _subset_charts(normals, offsets):
+    """The charts from every m-subset of facets, after the checks in order:
+    boundedness (trivial recession cone), nonemptiness and simplicity."""
+    m = len(normals[0])
     ray = recession_ray(normals)
     if ray is not None:
         raise UnboundedError(ray)
@@ -206,10 +312,8 @@ def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
             raise NonSimpleError(point, [i + 1 for i in active])
 
     identity = [[int(i == j) for j in range(m)] for i in range(m)]
-    used = set()
     charts = []
     for point, active in points:
-        used.update(active)
         det, inverse = int_solve([normals[i] for i in active], identity)
         charts.append(
             VertexChart(
@@ -219,7 +323,30 @@ def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
                 anchor=tuple(point),
             )
         )
-    missing = [i + 1 for i in range(d) if i not in used]
+    return charts
+
+
+def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
+    """One chart per vertex, in ``_sort_key`` order; raises if the family
+    is degenerate.
+
+    Normals of full rank go to the edge walk (``_edge_walk``), which
+    solves once per vertex.  Rank-deficient normals, or a walk that meets
+    an empty, unbounded or non-simple family, fall back to the subset
+    path (``_subset_charts``), which checks, in order: boundedness,
+    nonemptiness and simplicity (every vertex on exactly m facets).  Both
+    give the same charts on a valid family.  Irredundancy (every facet
+    carries a vertex) is read from the charts last.
+    """
+    normals = spec.normals()
+    offsets = spec.offsets()
+    charts = None
+    if kernel_vector(normals) is None:
+        charts = _edge_walk(normals, offsets)
+    if charts is None:
+        charts = _subset_charts(normals, offsets)
+    used = {i for chart in charts for i in chart.active_set}
+    missing = [i + 1 for i in range(spec.num_facets) if i not in used]
     if missing:
         raise RedundantFacetError(missing)
     return charts

@@ -243,6 +243,43 @@ class TestExitCodes:
         assert code == 4
         assert "not simple" in err
 
+    @pytest.mark.parametrize(
+        "facets, message",
+        [
+            (
+                ["-1 0 0", "1 0 1", "0 1 1"],
+                "polytope is unbounded along (0, -1)",
+            ),
+            (
+                ["0 0 -1 0", "1 0 1 1", "-1 0 1 1", "0 1 1 1", "0 -1 1 1"],
+                "vertex (0, 0, 1) lies on 4 facets [2, 3, 4, 5]; polytope is not simple",
+            ),
+            (
+                ["1 0 1 1", "-1 0 1 1", "0 1 1 1", "0 -1 1 1", "0 0 -1 0"],
+                "vertex (0, 0, 1) lies on 4 facets [1, 2, 3, 4]; polytope is not simple",
+            ),
+            (
+                ["-1 0 0", "0 -1 0", "1 1 -1"],
+                "the half-space intersection is empty",
+            ),
+            (
+                ["-1 0 0", "1 0 1", "0 -1 0", "0 1 1", "1 1 5"],
+                "facets [5] carry no vertex (redundant inequality)",
+            ),
+        ],
+        ids=["unbounded", "non-simple-mid-walk", "non-simple-start", "empty", "redundant"],
+    )
+    def test_structure_errors_from_validate_are_4(self, facets, message, tmp_path, capsys):
+        dim = len(facets[0].split()) - 1
+        path = tmp_path / "degenerate.poly"
+        path.write_text(
+            f"dim {dim}\n" + "".join(f"facet {f}\n" for f in facets), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_budget_exceeded_is_5(self, poly_file, capsys):
         code, _, err = run(
             capsys, "count", "--k", "50", "--budget", "100", poly_file("cube_2")

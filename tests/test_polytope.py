@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import delzant.polytope as polytope
 from delzant.corpus import DELZANT_CORPUS, corpus_names, load
 from delzant.errors import (
     EmptyPolytopeError,
@@ -12,6 +15,7 @@ from delzant.errors import (
     UnboundedError,
 )
 from delzant.linalg import ring_det
+from delzant.polyfile import parse_polytope_file
 from delzant.polytope import (
     HalfSpaceSpec,
     build_face_lattice,
@@ -23,8 +27,15 @@ from delzant.prepared import Prepared
 from delzant.volume import chamber_samples
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def anchors(charts):
     return sorted(c.anchor_ints() for c in charts)
+
+
+def walk(spec):
+    return polytope._edge_walk(spec.normals(), spec.offsets())
 
 
 class TestSpecConstruction:
@@ -55,35 +66,70 @@ class TestEnumerateVertices:
         assert len(charts) == 4
         assert anchors(charts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    # Each degenerate family pins the exact error of the subset path: the
+    # walk gives up (returns None) and the subset checks run in their order.
+
     def test_pyramid_is_not_simple(self):
+        # the first vertex in lex order is the apex, on 4 facets
+        spec = load("pyramid_nonsimple")
+        assert walk(spec) is None
         with pytest.raises(NonSimpleError) as err:
-            enumerate_vertices(load("pyramid_nonsimple"))
+            enumerate_vertices(spec)
         assert err.value.point == (0, 0, 1)
-        assert len(err.value.facets) == 4
+        assert err.value.facets == (1, 2, 3, 4)
+        assert str(err.value) == (
+            "vertex (0, 0, 1) lies on 4 facets [1, 2, 3, 4]; polytope is not simple"
+        )
+
+    def test_pyramid_apex_met_mid_walk(self):
+        # base first: the walk starts at the simple vertex (1, 1, 0), and
+        # the edge up to the apex is blocked by two side facets at once
+        spec = HalfSpaceSpec(
+            3,
+            [((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1), ((0, 1, 1), 1), ((0, -1, 1), 1)],
+        )
+        assert next(polytope._independent_subsets(spec.normals())) == (0, 1, 3)
+        assert walk(spec) is None
+        with pytest.raises(NonSimpleError) as err:
+            enumerate_vertices(spec)
+        assert err.value.point == (0, 0, 1)
+        assert str(err.value) == (
+            "vertex (0, 0, 1) lies on 4 facets [2, 3, 4, 5]; polytope is not simple"
+        )
 
     def test_unbounded_strip(self):
+        # full rank, so the walk runs and meets the edge down from (0, 1)
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((1, 0), 1), ((0, 1), 1)])
-        with pytest.raises(UnboundedError):
+        assert walk(spec) is None
+        with pytest.raises(UnboundedError) as err:
             enumerate_vertices(spec)
+        assert err.value.ray == (0, -1)
+        assert str(err.value) == "polytope is unbounded along (0, -1)"
 
     def test_unbounded_by_lineality(self):
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((1, 0), 2), ((1, 0), 1)])
-        with pytest.raises(UnboundedError):
+        with pytest.raises(UnboundedError) as err:
             enumerate_vertices(spec)
+        assert err.value.ray == (0, 1)
 
     def test_empty(self):
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), -1)])
-        with pytest.raises(EmptyPolytopeError):
+        assert walk(spec) is None
+        with pytest.raises(EmptyPolytopeError) as err:
             enumerate_vertices(spec)
+        assert str(err.value) == "the half-space intersection is empty"
 
     def test_redundant_facet(self):
+        # the walk succeeds; redundancy is read from its charts
         spec = HalfSpaceSpec(
             2,
             [((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1), ((1, 1), 5)],
         )
+        assert anchors(walk(spec)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         with pytest.raises(RedundantFacetError) as err:
             enumerate_vertices(spec)
         assert err.value.facets == (5,)
+        assert str(err.value) == "facets [5] carry no vertex (redundant inequality)"
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_simplicity_and_integrality(self, name, prepare):
@@ -235,3 +281,63 @@ class TestFeasibleVertexPoints:
             assert feasible_vertex_points(normals, offsets) == _reference_vertex_points(
                 normals, offsets
             )
+
+
+def _subset_path(spec):
+    return polytope._subset_charts(spec.normals(), spec.offsets())
+
+
+def _lattice_image(spec, rng):
+    """The image of ``spec`` under a random U in GL_m(Z) and a translation t.
+
+    U^{-1} is a signed permutation times three shears; {x : N x <= o}
+    maps to {y : N U^{-1} y <= o + N U^{-1} t}.
+    """
+    m = spec.dim
+    perm = rng.sample(range(m), m)
+    u_inv = [[rng.choice((-1, 1)) if c == perm[r] else 0 for c in range(m)] for r in range(m)]
+    for _ in range(3 if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-1, 1))
+        u_inv[i] = [a + c * b for a, b in zip(u_inv[i], u_inv[j])]
+    shift = [rng.randint(-5, 5) for _ in range(m)]
+    facets = []
+    for f in spec.facets:
+        image = tuple(sum(f.normal[r] * u_inv[r][c] for r in range(m)) for c in range(m))
+        facets.append((image, f.offset + sum(a * t for a, t in zip(image, shift))))
+    return HalfSpaceSpec(m, facets)
+
+
+class TestEdgeWalk:
+    """The walk's charts against the subset path's, chart for chart."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_start_candidates_are_the_nonsingular_subsets_in_lex_order(self, name):
+        normals = load(name).normals()
+        nonsingular = [
+            subset
+            for subset in combinations(range(len(normals)), len(normals[0]))
+            if ring_det([normals[i] for i in subset]) != 0
+        ]
+        assert list(polytope._independent_subsets(normals)) == nonsingular
+
+    @pytest.mark.parametrize("name", [*DELZANT_CORPUS, "triangle_det2"])
+    def test_matches_subset_path_on_corpus(self, name):
+        spec = load(name)
+        assert walk(spec) == _subset_path(spec)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_matches_subset_path_on_lattice_images(self, name, seed):
+        spec = load(name)
+        image = _lattice_image(spec, random.Random(f"{name}/{seed}"))
+        charts = walk(image)
+        assert charts == _subset_path(image)
+        assert len(charts) == len(walk(spec))
+
+    def test_matches_subset_path_on_blow_up_fixture(self):
+        # a 5-cube of side 40 with 12 vertices cut off: d = 22, 80 vertices
+        spec = parse_polytope_file((DATA / "cube5_blowup12.poly").read_text())
+        charts = walk(spec)
+        assert len(charts) == 80
+        assert charts == _subset_path(spec)

@@ -9,7 +9,7 @@ on purpose.
 
 import sys
 from collections import Counter
-from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +17,7 @@ import delzant.polytope as polytope
 import delzant.volume as volume
 from delzant.cli import main
 from delzant.corpus import corpus_text, load
+from delzant.polyfile import parse_polytope_file
 
 STAGES = (
     ("delzant.polytope", "enumerate_vertices"),
@@ -105,24 +106,69 @@ def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, 
     assert offsets.count((0, 0, 2)) == 1
 
 
-def test_enumerate_vertices_eliminates_once_per_facet_subset(monkeypatch):
-    """One integer elimination per facet subset, one more per chart."""
-    widths = []
-    original = polytope.int_solve
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The int_solve widths, rank tests and kernel directions of polytope."""
+    calls = {"int_solve": [], "kernel_vector": 0, "kernel_direction": 0}
+    solve, rank, direction = (
+        polytope.int_solve,
+        polytope.kernel_vector,
+        polytope.kernel_direction,
+    )
 
-    def counted(rows, cols):
-        widths.append(len(cols[0]))
-        return original(rows, cols)
+    def counted_solve(rows, cols):
+        calls["int_solve"].append(len(cols[0]))
+        return solve(rows, cols)
 
-    monkeypatch.setattr(polytope, "int_solve", counted)
+    def counted_rank(rows):
+        calls["kernel_vector"] += 1
+        return rank(rows)
+
+    def counted_direction(rows, m):
+        calls["kernel_direction"] += 1
+        return direction(rows, m)
+
+    monkeypatch.setattr(polytope, "int_solve", counted_solve)
+    monkeypatch.setattr(polytope, "kernel_vector", counted_rank)
+    monkeypatch.setattr(polytope, "kernel_direction", counted_direction)
+    return calls
+
+
+def test_enumerate_vertices_solves_once_per_vertex(linalg_calls):
+    """One integer solve per vertex; a dependent prefix of facets costs one rank test."""
     charts = polytope.enumerate_vertices(load("cube_unit"))
     assert len(charts) == 8
-    # each of the C(6, 3) = 20 facet triples is solved once for its point
-    # (the 12 that hold a pair of opposite facets come back singular), and
-    # each of the 8 charts once more for its inverse; the rank test in
-    # recession_ray eliminates without solving
-    assert len(widths) == comb(6, 3) + 8
-    assert widths == [1] * comb(6, 3) + [3] * 8
+    # the rank test of all 6 normals, then the lex start search's prefixes
+    # (0), (0, 1) (parallel: cut), (0, 2), (0, 2, 3) (cut) and (0, 2, 4),
+    # whose point (0, 0, 0) is the first vertex
+    assert linalg_calls["kernel_vector"] == 1 + 5
+    # each vertex is solved once against the identity, which gives its
+    # point and its chart together; the start vertex's solve is one of them
+    assert linalg_calls["int_solve"] == [3] * 8
+    assert linalg_calls["kernel_direction"] == 0
+
+
+def test_enumerate_vertices_scale_guard(linalg_calls, monkeypatch):
+    """On a 5-cube with 12 blow-ups (d = 22, C(22, 5) = 26,334 facet subsets),
+    the solves are one per vertex plus the start search's, and no extreme
+    ray of the recession cone is tried."""
+    tried = []
+    subsets = polytope._independent_subsets
+
+    def counted(normals):
+        for subset in subsets(normals):
+            tried.append(subset)
+            yield subset
+
+    monkeypatch.setattr(polytope, "_independent_subsets", counted)
+    path = Path(__file__).parent / "data" / "cube5_blowup12.poly"
+    charts = polytope.enumerate_vertices(parse_polytope_file(path.read_text()))
+    assert len(charts) == 80
+    # the corner (0, 0, 0, 0, 0) was cut off; (0, 0, 0, 0, 40) is the first
+    # vertex, and its solve is also its chart's
+    assert tried == [(0, 2, 4, 6, 8), (0, 2, 4, 6, 9)]
+    assert len(linalg_calls["int_solve"]) == len(charts) + len(tried) - 1
+    assert linalg_calls["kernel_direction"] == 0
 
 
 @pytest.mark.parametrize(
