@@ -128,20 +128,3 @@ def ring_det(rows):
         total = term if total is None else total + term
     return total
 
-
-def kernel_direction(rows, m: int):
-    """Nonzero integer kernel vector of an (m-1) x m integer matrix.
-
-    Components are signed maximal minors (the generalized cross product).
-    Returns None when the rows have rank below m-1, i.e. the minors all vanish.
-    """
-    if len(rows) != m - 1:
-        raise ValueError("kernel_direction expects m-1 rows")
-    direction = []
-    for j in range(m):
-        minor = [[row[c] for c in range(m) if c != j] for row in rows]
-        d = int_det(minor)
-        direction.append(-d if j % 2 else d)
-    if all(x == 0 for x in direction):
-        return None
-    return tuple(direction)

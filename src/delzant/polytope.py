@@ -8,9 +8,11 @@ volume polynomial) are fixed.
 
 Vertices come from a breadth-first walk along the edges of a simple
 polytope (Avis and Fukuda, Discrete Comput. Geom. 8, 1992), one exact
-integer solve per vertex.  A family the walk cannot certify (rank-deficient
-normals, empty, unbounded or non-simple) falls back to solving every
-m-subset of facets, whose checks raise the error.
+integer solve per vertex, from a start vertex that an exact phase 1
+finds when the first basis of facets is infeasible.  The walk raises
+every structural error: rank-deficient normals or an edge nothing
+blocks (unbounded), a positive phase-1 minimum (empty), and a start
+vertex or a tied ratio test on more than m facets (not simple).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,7 +31,7 @@ from .errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from .linalg import int_solve, kernel_direction, kernel_vector
+from .linalg import int_solve, kernel_vector
 
 
 class Facet(NamedTuple):
@@ -123,139 +125,133 @@ def _sort_key(anchor: Sequence[Fraction]):
     return (sum(anchor), tuple(anchor))
 
 
-def feasible_vertex_points(normals, offsets):
-    """All basic feasible points of the system x . n_i <= o_i.
-
-    Returns a list of (point, full_active_set) pairs with exact rational
-    coordinates, one entry per geometric point, sorted deterministically.
-    Offsets may be rational; no simplicity or boundedness checks here.
-
-    The offsets are scaled once to integers b = q o, q the lcm of their
-    denominators.  Each m-subset S of facets is one ``int_solve``: its
-    Cramer numerators X satisfy N_S X = det b_S, so the point is
-    X / (det q).  With det made positive, facet j holds iff
-    n_j . X <= det b_j and is tight iff they are equal, all in integers;
-    Fractions are built only for the points kept.
-    """
-    m = len(normals[0])
-    q = lcm(*(o.denominator for o in offsets))
-    b = [o.numerator * (q // o.denominator) for o in offsets]
-    found: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    for subset in combinations(range(len(normals)), m):
-        solved = int_solve([normals[i] for i in subset], [[b[i]] for i in subset])
-        if solved is None:
-            continue
-        det, x = solved
-        x = [row[0] for row in x]
-        if det < 0:
-            det, x = -det, [-c for c in x]
-        active = []
-        for j, normal in enumerate(normals):
-            value = sum(n * c for n, c in zip(normal, x))
-            bound = det * b[j]
-            if value > bound:
-                break
-            if value == bound:
-                active.append(j)
-        else:
-            found[tuple(Fraction(c, det * q) for c in x)] = tuple(active)
-    return sorted(found.items(), key=lambda kv: _sort_key(kv[0]))
-
-
-def recession_ray(normals):
-    """A nonzero integer ray of {x : x . n_i <= 0 for all i}, or None.
-
-    The error path of ``enumerate_vertices`` only: the edge walk proves a
-    valid polytope bounded without it.  The cone is trivial iff the
-    normals positively span R^m.  A rank deficiency gives a lineality
-    direction immediately; otherwise the cone is pointed and any nonzero
-    ray is witnessed by an extreme ray, i.e. by the kernel direction of
-    some m-1 of the normals.
-    """
-    m = len(normals[0])
-    kernel = kernel_vector(normals)
-    if kernel is not None:
-        return kernel
-
-    def feasible(ray):
-        return all(sum(n[c] * ray[c] for c in range(m)) <= 0 for n in normals)
-
-    for subset in combinations(range(len(normals)), m - 1):
-        ray = kernel_direction([normals[i] for i in subset], m)
-        if ray is None:
-            continue
-        if feasible(ray):
-            return ray
-        neg = tuple(-x for x in ray)
-        if feasible(neg):
-            return neg
-    return None
-
-
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _independent_subsets(normals):
-    """The m-subsets of facets with linearly independent normals, in lex
-    order: a prefix whose normals are dependent is cut with every
-    extension, so singular subsets cost one rank test per cut prefix."""
+def _first_basis(normals):
+    """The first m facets whose normals are independent, taken greedily in
+    index order: the lex-least m-subset of facets with a nonsingular normal
+    matrix.  The normals must have full rank."""
     m = len(normals[0])
-    d = len(normals)
+    basis = []
+    for j in range(len(normals)):
+        if kernel_vector(list(zip(*(normals[i] for i in (*basis, j))))) is None:
+            basis.append(j)
+            if len(basis) == m:
+                return tuple(basis)
 
-    def extend(prefix):
-        for j in range(prefix[-1] + 1 if prefix else 0, d - m + len(prefix) + 1):
-            subset = (*prefix, j)
-            if kernel_vector(list(zip(*(normals[i] for i in subset)))) is not None:
+
+def _vertex(rows, rhs, active, identity):
+    """The basic point of ``active`` in {z : rows . z <= rhs}, in integers.
+
+    One ``int_solve(rows_A, I)`` gives (det, X) with X = det rows_A^{-1}.
+    With D = |det| and s its sign, P = s X rhs_A is D times the point and
+    D rhs_j - rows_j . P is D times row j's slack.  Returns (det, X, P, slacks).
+    """
+    det, inverse = int_solve([rows[i] for i in active], identity)
+    sign = 1 if det > 0 else -1
+    point = [sign * _dot(row, (rhs[i] for i in active)) for row in inverse]
+    slacks = [abs(det) * o - _dot(n, point) for n, o in zip(rows, rhs)]
+    return det, inverse, point, slacks
+
+
+def _ratio_test(rows, slacks, direction, outside):
+    """The inactive rows ``outside`` that block ``direction`` first, and their rate.
+
+    Row j blocks at slack_j / rate_j over the rates rows_j . direction > 0;
+    the least ratios are found by cross-multiplication.  No row blocks an
+    unbounded direction: the list is then empty.
+    """
+    blocking, least = [], None
+    for j in outside:
+        rate = _dot(rows[j], direction)
+        if rate <= 0:
+            continue
+        if blocking:
+            # the sign of slack_j / rate - slack_first / least
+            order = slacks[j] * least - slacks[blocking[0]] * rate
+            if order > 0:
                 continue
-            if len(subset) == m:
-                yield subset
-            else:
-                yield from extend(subset)
+            if order == 0:
+                blocking.append(j)
+                continue
+        blocking, least = [j], rate
+    return blocking, least
 
-    return extend(())
+
+def _phase_one(normals, offsets, basis, slacks):
+    """A vertex of the family, from a basis whose point violates a facet.
+
+    Minimises t over n_j . x - t <= o_j (j outside ``basis``), n_j . x <= o_j
+    (j in it) and t >= 0, the row of index d, by the simplex method on
+    active sets with Bland's least-index rule, which cannot cycle (Bland,
+    Math. Oper. Res. 2, 1977).  It starts at the basis and its most
+    violated facet; each pivot releases the least active row whose
+    multiplier lowers t and takes in the least blocking row, one
+    ``int_solve`` per active set.  A positive minimum raises
+    EmptyPolytopeError.  Once t = 0 the point is a vertex of the family,
+    and the facet slacks are the family's own.
+
+    Returns its active set and ``_vertex`` tuple in the family's terms.
+    When the row t >= 0 is active, the other m rows N_T are the facets
+    tight there, and the lifted X, block triangular, has -det N_T^{-1} as
+    its corner.  Otherwise more than m facets are tight, and the caller
+    raises before it reads the inverse.
+    """
+    m, d = len(normals[0]), len(normals)
+    rows = [(*n, 0 if j in basis else -1) for j, n in enumerate(normals)]
+    rows.append((0,) * m + (-1,))
+    rhs = (*offsets, 0)
+    identity = [[int(i == j) for j in range(m + 1)] for i in range(m + 1)]
+    active = tuple(sorted((*basis, min(range(d), key=slacks.__getitem__))))
+    while True:
+        det, inverse, point, lifted = _vertex(rows, rhs, active, identity)
+        if point[m] == 0:
+            break
+        # the multiplier of active row i has the sign of -X[m][i] / det
+        sign = 1 if det > 0 else -1
+        leave = next((i for i, x in enumerate(inverse[m]) if sign * x > 0), None)
+        if leave is None:
+            raise EmptyPolytopeError("the half-space intersection is empty")
+        outside = [j for j in range(d + 1) if j not in active]
+        blocking, _ = _ratio_test(rows, lifted, [-sign * row[leave] for row in inverse], outside)
+        active = tuple(sorted((*active[:leave], *active[leave + 1 :], blocking[0])))
+    corner = [[-x for x in row[:m]] for row in inverse[:m]]
+    return active[:m], (-det, corner, point[:m], lifted[:d])
 
 
 def _edge_walk(normals, offsets):
     """The charts of a simple polytope by a breadth-first walk on its edges.
 
-    Returns None, for the caller to fall back to the subset path, when the
-    walk cannot certify a simple polytope: no m-subset of facets gives a
-    feasible point, the first one found (in lex order) is on more than m
-    facets, an edge has no blocking facet (unbounded), or two facets
-    block an edge at once (a non-simple neighbour).
-
-    At a vertex with active set A, ``int_solve(N_A, I)`` gives (det, X),
-    X = det N_A^{-1}; the same solve makes its chart.  With D = |det| and
-    s its sign, P = s X b_A is D times the vertex and D b_j - n_j . P is
-    D times facet j's slack.  The edge that leaves facet A[i] has integer
-    direction -s X[:, i], and facet j blocks it at the least ratio
-    slack_j / rate_j over the rates n_j . direction > 0, compared by
-    cross-multiplication.  A vertex reached along an edge with a single
-    blocking facet is on exactly m facets, so every visited vertex is
-    simple; the edge graph is connected and no edge is unbounded, so the
-    visited vertices are all of them and the polytope is bounded.
+    Rank-deficient normals raise UnboundedError along a kernel vector.
+    The walk starts at ``_first_basis`` if its point is feasible, else at
+    the vertex ``_phase_one`` finds, and requires that vertex on exactly m
+    facets.  At a vertex with active set A, one ``int_solve(N_A, I)``
+    gives its point, slacks and chart (``_vertex``).  The edge that leaves
+    facet A[i] has integer direction -s X[:, i], and ``_ratio_test`` gives
+    the facet j that blocks it; the neighbour is A - A[i] + j.  An edge
+    nothing blocks raises UnboundedError along its primitive direction,
+    and two facets blocking at once raise NonSimpleError at the point
+    they meet, with every facet tight there.  A vertex reached along an
+    edge with a single blocking facet is on exactly m facets, so every
+    visited vertex is simple; the edge graph is connected and no edge is
+    unbounded, so the visited vertices are all of them and the polytope
+    is bounded.
     """
+    ray = kernel_vector(normals)
+    if ray is not None:
+        raise UnboundedError(ray)
     m = len(normals[0])
     identity = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def solve(active):
-        # every active set solved here has independent normals
-        det, inverse = int_solve([normals[i] for i in active], identity)
-        sign = 1 if det > 0 else -1
-        point = [sign * _dot(row, (offsets[i] for i in active)) for row in inverse]
-        slacks = [abs(det) * o - _dot(n, point) for n, o in zip(normals, offsets)]
-        return det, inverse, point, slacks
-
-    for start in _independent_subsets(normals):
-        first = solve(start)
-        *_, slacks = first
-        if min(slacks) >= 0:
-            break
-    else:
-        return None
-    if slacks.count(0) != m:
-        return None
+    start = _first_basis(normals)
+    first = _vertex(normals, offsets, start, identity)
+    if min(first[3]) < 0:
+        start, first = _phase_one(normals, offsets, start, first[3])
+    det, _, point, slacks = first
+    tight = [j + 1 for j, slack in enumerate(slacks) if slack == 0]
+    if len(tight) > m:
+        raise NonSimpleError([Fraction(c, abs(det)) for c in point], tight)
 
     seen = {start}
     queue = deque([(start, first)])
@@ -271,80 +267,35 @@ def _edge_walk(normals, offsets):
             )
         )
         sign = 1 if det > 0 else -1
-        others = [j for j in range(len(normals)) if j not in active]
-        for leave, column in zip(active, zip(*inverse)):
-            best, tied = None, False
-            for j in others:
-                rate = -sign * _dot(normals[j], column)
-                if rate <= 0:
-                    continue
-                if best is not None:
-                    # the sign of slack_j / rate - slack_best / rate_best
-                    order = slacks[j] * best[1] - slacks[best[0]] * rate
-                    if order > 0:
-                        continue
-                    if order == 0:
-                        tied = True
-                        continue
-                best, tied = (j, rate), False
-            if best is None or tied:
-                return None
-            neighbour = tuple(sorted(i for i in (*active, best[0]) if i != leave))
+        outside = [j for j in range(len(normals)) if j not in active]
+        for i in range(m):
+            direction = [-sign * row[i] for row in inverse]
+            blocking, rate = _ratio_test(normals, slacks, direction, outside)
+            if not blocking:
+                g = gcd(*direction)
+                raise UnboundedError(c // g for c in direction)
+            others = (*active[:i], *active[i + 1 :])
+            if len(blocking) > 1:
+                # the edge ends at P / D + (slack / rate) direction / D
+                slack, scale = slacks[blocking[0]], abs(det) * rate
+                meet = [Fraction(p * rate + slack * e, scale) for p, e in zip(point, direction)]
+                raise NonSimpleError(meet, sorted(j + 1 for j in (*others, *blocking)))
+            neighbour = tuple(sorted((*others, blocking[0])))
             if neighbour not in seen:
                 seen.add(neighbour)
-                queue.append((neighbour, solve(neighbour)))
+                queue.append((neighbour, _vertex(normals, offsets, neighbour, identity)))
     return sorted(charts, key=lambda chart: _sort_key(chart.anchor))
-
-
-def _subset_charts(normals, offsets):
-    """The charts from every m-subset of facets, after the checks in order:
-    boundedness (trivial recession cone), nonemptiness and simplicity."""
-    m = len(normals[0])
-    ray = recession_ray(normals)
-    if ray is not None:
-        raise UnboundedError(ray)
-
-    points = feasible_vertex_points(normals, offsets)
-    if not points:
-        raise EmptyPolytopeError("the half-space intersection is empty")
-    for point, active in points:
-        if len(active) > m:
-            raise NonSimpleError(point, [i + 1 for i in active])
-
-    identity = [[int(i == j) for j in range(m)] for i in range(m)]
-    charts = []
-    for point, active in points:
-        det, inverse = int_solve([normals[i] for i in active], identity)
-        charts.append(
-            VertexChart(
-                active_set=tuple(active),
-                det=det,
-                inverse=tuple(tuple(Fraction(x, det) for x in row) for row in inverse),
-                anchor=tuple(point),
-            )
-        )
-    return charts
 
 
 def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
     """One chart per vertex, in ``_sort_key`` order; raises if the family
     is degenerate.
 
-    Normals of full rank go to the edge walk (``_edge_walk``), which
-    solves once per vertex.  Rank-deficient normals, or a walk that meets
-    an empty, unbounded or non-simple family, fall back to the subset
-    path (``_subset_charts``), which checks, in order: boundedness,
-    nonemptiness and simplicity (every vertex on exactly m facets).  Both
-    give the same charts on a valid family.  Irredundancy (every facet
-    carries a vertex) is read from the charts last.
+    The edge walk (``_edge_walk``) solves once per vertex and raises when
+    the family is empty, unbounded or not simple.  Irredundancy (every
+    facet carries a vertex) is read from the charts.
     """
-    normals = spec.normals()
-    offsets = spec.offsets()
-    charts = None
-    if kernel_vector(normals) is None:
-        charts = _edge_walk(normals, offsets)
-    if charts is None:
-        charts = _subset_charts(normals, offsets)
+    charts = _edge_walk(spec.normals(), spec.offsets())
     used = {i for chart in charts for i in chart.active_set}
     missing = [i + 1 for i in range(spec.num_facets) if i not in used]
     if missing:

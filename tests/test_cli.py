@@ -266,8 +266,26 @@ class TestExitCodes:
                 ["-1 0 0", "1 0 1", "0 -1 0", "0 1 1", "1 1 5"],
                 "facets [5] carry no vertex (redundant inequality)",
             ),
+            (
+                # empty, though its recession cone holds the ray (0, -1)
+                ["1 0 0", "-1 0 -1", "0 1 0"],
+                "the half-space intersection is empty",
+            ),
+            (
+                # unbounded along (0, 1) as well as not simple
+                ["-1 0 -2", "0 -1 -2", "2 -1 2"],
+                "vertex (2, 2) lies on 3 facets [1, 2, 3]; polytope is not simple",
+            ),
         ],
-        ids=["unbounded", "non-simple-mid-walk", "non-simple-start", "empty", "redundant"],
+        ids=[
+            "unbounded",
+            "non-simple-mid-walk",
+            "non-simple-start",
+            "empty",
+            "redundant",
+            "empty-with-recession-ray",
+            "non-simple-and-unbounded",
+        ],
     )
     def test_structure_errors_from_validate_are_4(self, facets, message, tmp_path, capsys):
         dim = len(facets[0].split()) - 1

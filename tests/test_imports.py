@@ -83,6 +83,23 @@ def test_volume_oracle_borrows_no_solver():
     assert oracle_borrowings((PACKAGE / "volume.py").read_text(encoding="utf-8")) == []
 
 
+WALK = ("enumerate_vertices", "_edge_walk", "_first_basis", "_phase_one", "_vertex", "_ratio_test")
+
+
+def test_subset_reference_borrows_none_of_the_walk():
+    # the tests compare the edge walk with the subset path, so the path
+    # must not call the walk or its phase 1, solve or ratio test
+    functions = {
+        node.name
+        for node in ast.parse((PACKAGE / "polytope.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert set(WALK) <= functions
+    source = (Path(__file__).parent / "subset_reference.py").read_text(encoding="utf-8")
+    assert oracle_borrowings(source, WALK) == []
+    assert oracle_borrowings("from delzant.polytope import _vertex\n", WALK) == ["_vertex"]
+
+
 COUNTER_BORROWINGS = (
     "counting",
     "hilbert",

@@ -9,11 +9,11 @@ from delzant.errors import UnboundedError
 from delzant.linalg import (
     int_det,
     int_solve,
-    kernel_direction,
     kernel_vector,
     ring_det,
 )
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
+from subset_reference import kernel_direction
 
 
 def mat_mul(a, b):
@@ -194,7 +194,8 @@ class TestKernelVector:
 
     def test_matches_reduced_echelon_reference(self):
         # the first free column of the Fraction reduced echelon form set to
-        # 1, cleared of denominators: the ray recession_ray has always named
+        # 1, cleared of denominators: the ray enumerate_vertices names for
+        # rank-deficient normals, as the subset path's recession_ray does
         rng = random.Random(19)
         for m in (1, 2, 3, 4, 5):
             for height in (m - 1, m, m + 2):

@@ -5,6 +5,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import delzant.polytope as polytope
 from delzant.corpus import DELZANT_CORPUS, corpus_names, load
@@ -20,11 +22,11 @@ from delzant.polytope import (
     HalfSpaceSpec,
     build_face_lattice,
     enumerate_vertices,
-    feasible_vertex_points,
     validate_delzant,
 )
 from delzant.prepared import Prepared
 from delzant.volume import chamber_samples
+from subset_reference import feasible_vertex_points, independent_subsets, subset_charts
 
 
 DATA = Path(__file__).parent / "data"
@@ -36,6 +38,13 @@ def anchors(charts):
 
 def walk(spec):
     return polytope._edge_walk(spec.normals(), spec.offsets())
+
+
+def walk_raises(spec, error):
+    """The walk itself raises ``error``: its type and its message."""
+    with pytest.raises(type(error)) as caught:
+        walk(spec)
+    assert str(caught.value) == str(error)
 
 
 class TestSpecConstruction:
@@ -66,15 +75,15 @@ class TestEnumerateVertices:
         assert len(charts) == 4
         assert anchors(charts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-    # Each degenerate family pins the exact error of the subset path: the
-    # walk gives up (returns None) and the subset checks run in their order.
+    # Each degenerate family pins the exact error, which the walk itself raises.
 
     def test_pyramid_is_not_simple(self):
-        # the first vertex in lex order is the apex, on 4 facets
+        # the first basis of facets meets at the apex, on 4 facets
         spec = load("pyramid_nonsimple")
-        assert walk(spec) is None
+        assert polytope._first_basis(spec.normals()) == (0, 1, 2)
         with pytest.raises(NonSimpleError) as err:
             enumerate_vertices(spec)
+        walk_raises(spec, err.value)
         assert err.value.point == (0, 0, 1)
         assert err.value.facets == (1, 2, 3, 4)
         assert str(err.value) == (
@@ -88,10 +97,10 @@ class TestEnumerateVertices:
             3,
             [((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1), ((0, 1, 1), 1), ((0, -1, 1), 1)],
         )
-        assert next(polytope._independent_subsets(spec.normals())) == (0, 1, 3)
-        assert walk(spec) is None
+        assert polytope._first_basis(spec.normals()) == (0, 1, 3)
         with pytest.raises(NonSimpleError) as err:
             enumerate_vertices(spec)
+        walk_raises(spec, err.value)
         assert err.value.point == (0, 0, 1)
         assert str(err.value) == (
             "vertex (0, 0, 1) lies on 4 facets [2, 3, 4, 5]; polytope is not simple"
@@ -100,9 +109,9 @@ class TestEnumerateVertices:
     def test_unbounded_strip(self):
         # full rank, so the walk runs and meets the edge down from (0, 1)
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((1, 0), 1), ((0, 1), 1)])
-        assert walk(spec) is None
         with pytest.raises(UnboundedError) as err:
             enumerate_vertices(spec)
+        walk_raises(spec, err.value)
         assert err.value.ray == (0, -1)
         assert str(err.value) == "polytope is unbounded along (0, -1)"
 
@@ -110,13 +119,16 @@ class TestEnumerateVertices:
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((1, 0), 2), ((1, 0), 1)])
         with pytest.raises(UnboundedError) as err:
             enumerate_vertices(spec)
+        walk_raises(spec, err.value)
         assert err.value.ray == (0, 1)
 
     def test_empty(self):
+        # the origin of the first basis violates x + y <= -1; phase 1
+        # ends with a positive minimum
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), -1)])
-        assert walk(spec) is None
         with pytest.raises(EmptyPolytopeError) as err:
             enumerate_vertices(spec)
+        walk_raises(spec, err.value)
         assert str(err.value) == "the half-space intersection is empty"
 
     def test_redundant_facet(self):
@@ -284,7 +296,7 @@ class TestFeasibleVertexPoints:
 
 
 def _subset_path(spec):
-    return polytope._subset_charts(spec.normals(), spec.offsets())
+    return subset_charts(spec.normals(), spec.offsets())
 
 
 def _lattice_image(spec, rng):
@@ -319,7 +331,9 @@ class TestEdgeWalk:
             for subset in combinations(range(len(normals)), len(normals[0]))
             if ring_det([normals[i] for i in subset]) != 0
         ]
-        assert list(polytope._independent_subsets(normals)) == nonsingular
+        assert list(independent_subsets(normals)) == nonsingular
+        # the walk's first basis is the first of them
+        assert polytope._first_basis(normals) == nonsingular[0]
 
     @pytest.mark.parametrize("name", [*DELZANT_CORPUS, "triangle_det2"])
     def test_matches_subset_path_on_corpus(self, name):
@@ -341,3 +355,92 @@ class TestEdgeWalk:
         charts = walk(spec)
         assert len(charts) == 80
         assert charts == _subset_path(spec)
+
+
+def _blow_up(spec, cuts):
+    """``spec`` dilated by 3, with the vertices ``cuts`` (indices into its
+    sorted vertices, those past the end ignored) cut off one lattice step deep.
+
+    At a Delzant vertex v on facets A, the facet sum_A n_a . x <= sum_A n_a . v - 1
+    meets each edge of v one step from v.  Every edge of the dilate is at
+    least 3 steps long, so the cuts leave a simple Delzant polytope.
+    """
+    big = spec.dilate(3)
+    charts = subset_charts(big.normals(), big.offsets())
+    facets = [*big.facets]
+    for k in sorted(k for k in cuts if k < len(charts)):
+        active, vertex = charts[k].active_set, charts[k].anchor_ints()
+        normal = tuple(map(sum, zip(*(big.facets[a].normal for a in active))))
+        facets.append((normal, sum(n * x for n, x in zip(normal, vertex)) - 1))
+    return HalfSpaceSpec(spec.dim, facets)
+
+
+class TestPhaseOne:
+    """Relabelled blow-ups, whose first basis of facets is often infeasible."""
+
+    def test_relabelled_blow_ups_match_the_subset_path(self, monkeypatch):
+        # each phase-1 pivot as (rows whose release lowers t, zero step)
+        pivots, lifted = [], {}
+        solve, ratio_test = polytope.int_solve, polytope._ratio_test
+
+        def traced_solve(rows, cols):
+            solved = solve(rows, cols)
+            if len(rows) == lifted["dim"] + 1:
+                det, inverse = solved
+                lifted["improving"] = sum(det * x > 0 for x in inverse[-1])
+            return solved
+
+        def traced_ratio_test(rows, slacks, direction, outside):
+            blocking, rate = ratio_test(rows, slacks, direction, outside)
+            if len(rows[0]) == lifted["dim"] + 1:
+                pivots.append((lifted["improving"], slacks[blocking[0]] == 0))
+            return blocking, rate
+
+        monkeypatch.setattr(polytope, "int_solve", traced_solve)
+        monkeypatch.setattr(polytope, "_ratio_test", traced_ratio_test)
+
+        @settings(derandomize=True, max_examples=60, deadline=None)
+        # a degenerate pivot: at the start of phase 1 two rows lower t,
+        # and releasing the least of them moves by zero
+        @example(name="hirzebruch_a", cuts={1, 2}, order=[3, 0, 5, 2, 4, 1], seed=0)
+        @given(
+            name=st.sampled_from(DELZANT_CORPUS),
+            cuts=st.sets(st.integers(0, 8), max_size=4),
+            # the facet order, read as the entries below d
+            order=st.permutations(range(10)),
+            seed=st.integers(0, 2**16),
+        )
+        def check(name, cuts, order, seed):
+            spec = _blow_up(load(name), cuts)
+            spec = HalfSpaceSpec(
+                spec.dim, [spec.facets[i] for i in order if i < spec.num_facets]
+            )
+            image = _lattice_image(spec, random.Random(seed))
+            lifted["dim"] = image.dim
+            assert walk(image) == _subset_path(image)
+
+        check()
+        assert len(pivots) >= 10
+        assert (2, True) in pivots
+
+    def test_a_ratio_tie_takes_the_least_row(self, monkeypatch):
+        # the first basis, rows 0 and 1, meets at (5, 5), which violates
+        # rows 2, 5 and 6 by 1 each, so phase 1 starts on a degenerate
+        # vertex; its first pivot releases row 0 and is blocked at zero by
+        # rows 5 and 6 at once, and Bland's rule takes row 5; row 7 is t >= 0
+        spec = HalfSpaceSpec(
+            2,
+            [((1, 0), 5), ((0, 1), 5), ((3, 2), 24), ((-1, 0), 0), ((0, -1), 0)]
+            + [((1, 3), 19), ((2, 5), 34)],
+        )
+        lifted = []
+        vertex = polytope._vertex
+
+        def traced(rows, rhs, active, identity):
+            if len(rows) > spec.num_facets:
+                lifted.append(active)
+            return vertex(rows, rhs, active, identity)
+
+        monkeypatch.setattr(polytope, "_vertex", traced)
+        assert walk(spec) == _subset_path(spec)
+        assert lifted == [(0, 1, 2), (1, 2, 5), (2, 5, 7)]

@@ -108,13 +108,9 @@ def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, 
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """The int_solve widths, rank tests and kernel directions of polytope."""
-    calls = {"int_solve": [], "kernel_vector": 0, "kernel_direction": 0}
-    solve, rank, direction = (
-        polytope.int_solve,
-        polytope.kernel_vector,
-        polytope.kernel_direction,
-    )
+    """The int_solve widths and rank tests of polytope."""
+    calls = {"int_solve": [], "kernel_vector": 0}
+    solve, rank = polytope.int_solve, polytope.kernel_vector
 
     def counted_solve(rows, cols):
         calls["int_solve"].append(len(cols[0]))
@@ -124,13 +120,8 @@ def linalg_calls(monkeypatch):
         calls["kernel_vector"] += 1
         return rank(rows)
 
-    def counted_direction(rows, m):
-        calls["kernel_direction"] += 1
-        return direction(rows, m)
-
     monkeypatch.setattr(polytope, "int_solve", counted_solve)
     monkeypatch.setattr(polytope, "kernel_vector", counted_rank)
-    monkeypatch.setattr(polytope, "kernel_direction", counted_direction)
     return calls
 
 
@@ -138,37 +129,26 @@ def test_enumerate_vertices_solves_once_per_vertex(linalg_calls):
     """One integer solve per vertex; a dependent prefix of facets costs one rank test."""
     charts = polytope.enumerate_vertices(load("cube_unit"))
     assert len(charts) == 8
-    # the rank test of all 6 normals, then the lex start search's prefixes
-    # (0), (0, 1) (parallel: cut), (0, 2), (0, 2, 3) (cut) and (0, 2, 4),
-    # whose point (0, 0, 0) is the first vertex
+    # the rank test of all 6 normals, then the first basis's greedy tests
+    # (0), (0, 1) (parallel: skipped), (0, 2), (0, 2, 3) (skipped) and
+    # (0, 2, 4), whose point (0, 0, 0) is the first vertex
     assert linalg_calls["kernel_vector"] == 1 + 5
     # each vertex is solved once against the identity, which gives its
     # point and its chart together; the start vertex's solve is one of them
     assert linalg_calls["int_solve"] == [3] * 8
-    assert linalg_calls["kernel_direction"] == 0
 
 
-def test_enumerate_vertices_scale_guard(linalg_calls, monkeypatch):
+def test_enumerate_vertices_scale_guard(linalg_calls):
     """On a 5-cube with 12 blow-ups (d = 22, C(22, 5) = 26,334 facet subsets),
-    the solves are one per vertex plus the start search's, and no extreme
-    ray of the recession cone is tried."""
-    tried = []
-    subsets = polytope._independent_subsets
-
-    def counted(normals):
-        for subset in subsets(normals):
-            tried.append(subset)
-            yield subset
-
-    monkeypatch.setattr(polytope, "_independent_subsets", counted)
+    the solves are the first basis's, phase 1's and one per vertex."""
     path = Path(__file__).parent / "data" / "cube5_blowup12.poly"
     charts = polytope.enumerate_vertices(parse_polytope_file(path.read_text()))
     assert len(charts) == 80
-    # the corner (0, 0, 0, 0, 0) was cut off; (0, 0, 0, 0, 40) is the first
-    # vertex, and its solve is also its chart's
-    assert tried == [(0, 2, 4, 6, 8), (0, 2, 4, 6, 9)]
-    assert len(linalg_calls["int_solve"]) == len(charts) + len(tried) - 1
-    assert linalg_calls["kernel_direction"] == 0
+    # the first basis (0, 2, 4, 6, 8) meets at the corner (0, 0, 0, 0, 0),
+    # which was cut off; phase 1 solves its start and makes one pivot in
+    # dimension 5 + 1, to the vertex (0, 0, 0, 0, 40), whose lifted solve
+    # is also its chart's; the other 79 vertices are solved once each
+    assert linalg_calls["int_solve"] == [5] + [6] * 2 + [5] * 79
 
 
 @pytest.mark.parametrize(

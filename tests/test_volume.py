@@ -13,7 +13,6 @@ from delzant.polytope import (
     HalfSpaceSpec,
     build_face_lattice,
     enumerate_vertices,
-    feasible_vertex_points,
 )
 from delzant.prepared import Prepared
 from delzant.volume import (
@@ -29,6 +28,7 @@ from delzant.volume import (
     numeric_volume_at,
     volume_polynomial,
 )
+from subset_reference import feasible_vertex_points
 
 SAMPLE_COUNT_CAP = 40  # the full C(d+m, m) sweep runs in the acceptance suite
 
