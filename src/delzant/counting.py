@@ -8,7 +8,11 @@ face count of that dilate are read.  The slab kernel
 between breakpoints of the facets' lines it sums the rows' lengths by
 exact floor sums and counts their tight ends by a congruence, and only
 the slab's end rows, rows where distinct lines tie and the row where the
-envelopes meet go through a per-fibre interval count.  It serves
+envelopes meet go through a per-fibre interval count.  Its prefix walk
+settles each distinct sub-box once: keyed by the slacks of the facets
+that still vary over it, a sub-box (a slab, or a box of slabs) that
+another prefix has already settled is read back, with the bits of the
+facets constant over it ORed in.  It serves
 ``count_points``, ``tight_histogram`` and ``ehrhart_interpolate``.  The
 per-point classifier (``_tight_masks``) tests every point of the box
 against the facets one by one; it serves only ``brute_count``, the
@@ -25,6 +29,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import BudgetExceededError, NotPolynomialError
+from .linalg import kernel_vector
 from .polynomial import UniPoly
 from .polytope import FaceLattice, HalfSpaceSpec, enumerate_vertices
 
@@ -187,15 +192,32 @@ def _lowest_line(lines, y: int, last: int):
     return a0, b0, s0, bits, stop
 
 
+def _settled_bits(slacks, facets):
+    """The bits of ``facets`` tight on a whole sub-box, or None if one is violated.
+
+    Each facet (j, bit) has a normal that is zero on every free coordinate
+    of the sub-box, so its slack is the same at all of the sub-box's
+    points: a negative slack leaves the sub-box empty, and a zero slack
+    puts the facet's bit on every point.
+    """
+    bits = 0
+    for j, bit in facets:
+        slack = slacks[j]
+        if slack < 0:
+            return None
+        if slack == 0:
+            bits |= bit
+    return bits
+
+
 def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
     """Count the inside points of the box by mask, a two-axis slab at a time.
 
     The prefix walk is the one ``_tight_masks`` makes, stopped one level
     earlier: x_0..x_{m-3} fixed leave a slab in y = x_{m-2} and x =
     x_{m-1}, where facet j with slack s reads b y + a x <= s (a = n_j[m-1],
-    b = n_j[m-2]).  Facets with a = b = 0 are settled once per slab, as
-    ``base``; those with a = 0 only narrow the rows of y, and can be tight
-    only on the slab's two end rows.  Each other facet is a line, and
+    b = n_j[m-2]).  Facets with a = 0 only narrow the rows of y, and can be
+    tight only on the slab's two end rows.  Each other facet is a line, and
     bounds x by an upper edge floor((s - b y)/a) when a > 0 or a lower edge
     ceil((s - b y)/a) when a < 0; the box's range of x adds one edge of
     each kind, with no bit.  Between breakpoints of the two envelopes one
@@ -203,33 +225,50 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
     edges, so rows where the first lies strictly above the second hold
     hi - lo + 1 points summed by two floor sums (``_floor_sum``).  A point
     tight on a line is then an end of its row, at the rows where a divides
-    s - b y (``_congruent_rows``), and keys ``base`` | that line's bits; the
-    rest key ``base``.  The slab's two end rows, a row where distinct lines
-    tie, and a row where the envelopes meet go through ``count_fibre``
-    instead: each facet bounds x by a half-line, and the fibre's points
-    are counted from the ends of their intersection [lo, hi], which alone
-    can be tight.  No point is visited, every step is exact integer
-    arithmetic, and no key ever gets a count of zero.
+    s - b y (``_congruent_rows``), and keys that line's bits; the rest key
+    0.  The slab's two end rows, a row where distinct lines tie, and a row
+    where the envelopes meet go through ``count_fibre`` instead: each facet
+    bounds x by a half-line, and the fibre's points are counted from the
+    ends of their intersection [lo, hi], which alone can be tight.
+
+    Each distinct sub-box x_c..x_{m-1} is settled once.  A facet whose
+    normal is zero from coordinate c on has one slack over the sub-box,
+    and is settled by the walk before it (``_settled_bits``); at the slab
+    level these are the facets with a = b = 0.  With their bits taken out,
+    the sub-box's histogram depends only on the slacks of the live facets,
+    those with a nonzero entry from c on, so it is keyed by (c, live
+    slacks) and each prefix ORs its settled bits back into the keys.  Two
+    prefixes share a key only if they differ by a kernel vector of the
+    live facets' prefix columns n_j[:c]; a level whose columns have full
+    rank would only ever meet new keys, and stores nothing.  No point is
+    visited, every step is exact integer arithmetic, and no key ever gets
+    a count of zero.
     """
     m = len(lows)
-    histogram: dict[int, int] = {}
+    top = max(m - 2, 0)  # the level whose sub-box is one slab (for m = 1, one fibre)
+    live = [[j for j, n in enumerate(normals) if any(n[c:])] for c in range(top + 1)]
+    # the facets settled from level c on: zero from c on, but not from c - 1
+    settled = [[(j, 1 << j) for j, n in enumerate(normals) if not any(n)]]
+    settled += [[(j, 1 << j) for j in live[c - 1] if j not in live[c]] for c in range(1, top + 1)]
+    stores = [
+        c > 0 and (not live[c] or kernel_vector([normals[j][:c] for j in live[c]]) is not None)
+        for c in range(top + 1)
+    ]
     columns = [[normal[c] for normal in normals] for c in range(m - 1)]
-    parallel = [(j, 1 << j) for j, n in enumerate(normals) if n[m - 1] == 0]
+    parallel = [(j, 1 << j) for j in live[top] if normals[j][m - 1] == 0]
     crossing = [(j, n[m - 1], 1 << j) for j, n in enumerate(normals) if n[m - 1]]
     first, last = lows[m - 1], highs[m - 1]
+    column = columns[m - 2] if m > 1 else None
+    memo = {}
 
-    def add(key, n):
+    def add(out, key, n):
         if n:
-            histogram[key] = histogram.get(key, 0) + n
+            out[key] = out.get(key, 0) + n
 
-    def count_fibre(slacks):
-        base = 0
-        for j, bit in parallel:
-            slack = slacks[j]
-            if slack < 0:
-                return
-            if slack == 0:
-                base |= bit
+    def count_fibre(slacks, out):
+        base = _settled_bits(slacks, parallel)
+        if base is None:
+            return
         lo, hi, lo_bits, hi_bits = first, last, 0, 0
         for j, a, bit in crossing:
             x, r = divmod(slacks[j], a)  # x = floor(s/a); r == 0 iff a divides s
@@ -252,37 +291,26 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
         for bits in ends:
             if bits:
                 plain -= 1
-                add(base | bits, 1)
-        add(base, plain)
+                add(out, base | bits, 1)
+        add(out, base, plain)
 
-    if m == 1:
-        count_fibre(list(bounds))
-        return histogram
+    def row(slacks, y, out):
+        count_fibre([s - b * y for s, b in zip(slacks, column)], out)
 
-    column = columns[m - 2]
-
-    def row(slacks, y):
-        count_fibre([s - b * y for s, b in zip(slacks, column)])
-
-    def count_slab(slacks):
-        base = 0
+    def count_slab(slacks, out):
         y, end = lows[m - 2], highs[m - 2]
-        for j, bit in parallel:
+        for j, _ in parallel:
             s, b = slacks[j], column[j]
             if b > 0:
                 end = min(end, s // b)
-            elif b < 0:
+            else:
                 y = max(y, -(s // -b))  # ceil(s/b)
-            elif s < 0:
-                return
-            elif s == 0:
-                base |= bit
         if y > end:
             return
-        row(slacks, y)
+        row(slacks, y, out)
         if y == end:
             return
-        row(slacks, end)
+        row(slacks, end, out)
         # an upper edge is x <= (s - b y)/a; a lower edge, with a < 0, is
         # -x <= (s - b y)/|a|: the lowest line of each set is its envelope
         tops, bottoms = [(1, 0, last, 0)], [(1, 0, -first, 0)]
@@ -293,14 +321,14 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
                 bottoms.append((-a, column[j], slacks[j], bit))
         y += 1
         while y < end:
-            top = _lowest_line(tops, y, end - 1)
-            bottom = _lowest_line(bottoms, y, end - 1)
-            if top is None or bottom is None:
-                row(slacks, y)
+            top_line = _lowest_line(tops, y, end - 1)
+            bottom_line = _lowest_line(bottoms, y, end - 1)
+            if top_line is None or bottom_line is None:
+                row(slacks, y, out)
                 y += 1
                 continue
-            au, bu, su, top_bits, stop = top
-            al, bl, sl, bottom_bits, bottom_stop = bottom
+            au, bu, su, top_bits, stop = top_line
+            al, bl, sl, bottom_bits, bottom_stop = bottom_line
             stop = min(stop, bottom_stop)
             # the real gap between the envelopes, (su - bu y)/au + (sl - bl y)/al,
             # has the sign of c0 - c1 y; hi - lo + 1 is the sum of their floors, + 1
@@ -313,12 +341,12 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
                 else:
                     start = max(y, meet + 1)
                 if not r and y <= meet <= stop:
-                    row(slacks, meet)
+                    row(slacks, meet, out)
             elif c0 <= 0:
                 finish = y - 1
                 if c0 == 0:  # the envelopes coincide: every row is a meeting row
                     for meet in range(y, stop + 1):
-                        row(slacks, meet)
+                        row(slacks, meet, out)
             if start <= finish:
                 n = finish - start + 1
                 plain = (
@@ -330,22 +358,40 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
                     if bits:
                         tight = _congruent_rows(a, b, s, start, finish)
                         plain -= tight
-                        add(base | bits, tight)
-                add(base, plain)
+                        add(out, bits, tight)
+                add(out, 0, plain)
             y = stop + 1
 
-    def walk(c, slacks):
-        if c == m - 2:
-            count_slab(slacks)
-            return
+    def sub_box(c, slacks):
+        """The histogram of the sub-box x_c..x_{m-1} at these slacks, over
+        the bits of the facets live at level c."""
+        out = {}
+        if c == top:
+            (count_slab if m > 1 else count_fibre)(slacks, out)
+            return out
         column = columns[c]
         slacks = [s - a * lows[c] for s, a in zip(slacks, column)]
         for _ in range(lows[c], highs[c] + 1):
-            walk(c + 1, slacks)
+            bits = _settled_bits(slacks, settled[c + 1])
+            if bits is not None:
+                for key, n in walk(c + 1, slacks).items():
+                    out[key | bits] = out.get(key | bits, 0) + n
             slacks = [s - a for s, a in zip(slacks, column)]
+        return out
 
-    walk(0, list(bounds))
-    return histogram
+    def walk(c, slacks):
+        if not stores[c]:
+            return sub_box(c, slacks)
+        key = (c, *[slacks[j] for j in live[c]])
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = sub_box(c, slacks)
+        return found
+
+    bits = _settled_bits(bounds, settled[0])
+    if bits is None:
+        return {}
+    return {key | bits: n for key, n in walk(0, list(bounds)).items()}
 
 
 def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):

@@ -20,8 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -102,27 +103,39 @@ class HalfSpaceSpec:
 
 @dataclass(frozen=True)
 class VertexChart:
-    """A vertex as the intersection of exactly m facets.
+    """A vertex as the intersection of exactly m facets, in integers.
 
-    ``inverse`` is the inverse of the active facets' normal matrix, so
-    ``anchor`` is ``inverse`` applied to their offsets.  For Delzant
-    charts the inverse matrix is integral.
+    With N_A the active facets' normal matrix and det its determinant,
+    ``numerators`` is X = det N_A^{-1} and ``point`` is P = |det| times
+    the vertex, both integer.  ``inverse`` (N_A^{-1}) and ``anchor`` (the
+    vertex, N_A^{-1} applied to the active offsets) are their Fractions,
+    built on first read.  For Delzant charts det is +-1, so the inverse
+    matrix is integral.
     """
 
     active_set: tuple[int, ...]
     det: int
-    inverse: tuple[tuple[Fraction, ...], ...]
-    anchor: tuple[Fraction, ...]
+    numerators: tuple[tuple[int, ...], ...]
+    point: tuple[int, ...]
+
+    @cached_property
+    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.numerators)
+
+    @cached_property
+    def anchor(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, abs(self.det)) for p in self.point)
 
     def anchor_ints(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.anchor):
+        scale = abs(self.det)
+        if any(p % scale for p in self.point):
             raise ValueError(f"vertex {self.anchor} is not a lattice point")
-        return tuple(int(c) for c in self.anchor)
+        return tuple(p // scale for p in self.point)
 
 
-def _sort_key(anchor: Sequence[Fraction]):
+def _sort_key(coords: Sequence):
     # graded-lex on coordinates: compare coordinate sum, then the tuple
-    return (sum(anchor), tuple(anchor))
+    return (sum(coords), tuple(coords))
 
 
 def _dot(a, b) -> int:
@@ -237,7 +250,11 @@ def _edge_walk(normals, offsets):
     edge with a single blocking facet is on exactly m facets, so every
     visited vertex is simple; the edge graph is connected and no edge is
     unbounded, so the visited vertices are all of them and the polytope
-    is bounded.
+    is bounded.  Each edge is ratio-tested from one end only: the test
+    that finds the neighbour marks the edge that leaves facet j there,
+    and its one blocking facet is A[i], so no error can come of testing
+    it again.  The charts are sorted by ``_sort_key`` on their points
+    brought to one common denominator, in integers.
     """
     ray = kernel_vector(normals)
     if ray is not None:
@@ -254,21 +271,17 @@ def _edge_walk(normals, offsets):
         raise NonSimpleError([Fraction(c, abs(det)) for c in point], tight)
 
     seen = {start}
+    walked = set()  # (vertex, facet): the edge that leaves the facet there is tested
     queue = deque([(start, first)])
     charts = []
     while queue:
         active, (det, inverse, point, slacks) = queue.popleft()
-        charts.append(
-            VertexChart(
-                active_set=active,
-                det=det,
-                inverse=tuple(tuple(Fraction(x, det) for x in row) for row in inverse),
-                anchor=tuple(Fraction(c, abs(det)) for c in point),
-            )
-        )
+        charts.append(VertexChart(active, det, tuple(map(tuple, inverse)), tuple(point)))
         sign = 1 if det > 0 else -1
         outside = [j for j in range(len(normals)) if j not in active]
         for i in range(m):
+            if (active, active[i]) in walked:
+                continue
             direction = [-sign * row[i] for row in inverse]
             blocking, rate = _ratio_test(normals, slacks, direction, outside)
             if not blocking:
@@ -281,10 +294,16 @@ def _edge_walk(normals, offsets):
                 meet = [Fraction(p * rate + slack * e, scale) for p, e in zip(point, direction)]
                 raise NonSimpleError(meet, sorted(j + 1 for j in (*others, *blocking)))
             neighbour = tuple(sorted((*others, blocking[0])))
+            # the same edge leaves the entering facet at the neighbour
+            walked.add((neighbour, blocking[0]))
             if neighbour not in seen:
                 seen.add(neighbour)
                 queue.append((neighbour, _vertex(normals, offsets, neighbour, identity)))
-    return sorted(charts, key=lambda chart: _sort_key(chart.anchor))
+    scale = lcm(*(abs(chart.det) for chart in charts))
+    return sorted(
+        charts,
+        key=lambda chart: _sort_key([p * (scale // abs(chart.det)) for p in chart.point]),
+    )
 
 
 def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:

@@ -141,12 +141,14 @@ def subset_charts(normals, offsets):
     charts = []
     for point, active in points:
         det, inverse = int_solve([normals[i] for i in active], identity)
+        scaled = [c * abs(det) for c in point]  # |det| times the vertex: integers
+        assert all(c.denominator == 1 for c in scaled), point
         charts.append(
             VertexChart(
                 active_set=tuple(active),
                 det=det,
-                inverse=tuple(tuple(Fraction(x, det) for x in row) for row in inverse),
-                anchor=tuple(point),
+                numerators=tuple(map(tuple, inverse)),
+                point=tuple(c.numerator for c in scaled),
             )
         )
     return charts

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -402,6 +403,105 @@ class TestSlabKernel:
         # last coefficients 3 and -2, tight on some rows of a segment but not all
         _, congruences_, _ = reached["tight_every_third_or_second_row"]
         assert {2, 3} <= {a for a, rows, tight in congruences_ if 0 < tight < rows}
+
+
+def _unit_cube(m):
+    facets = []
+    for c in range(m):
+        axis = [int(i == c) for i in range(m)]
+        facets += [([-x for x in axis], 0), (axis, 1)]
+    return HalfSpaceSpec(m, facets)
+
+
+def _product_or_shear_family(rng):
+    """A half-space family whose prefix columns often have kernel vectors.
+
+    The facets of a product each read one block of the coordinates, so a
+    later block's sub-boxes repeat along the earlier one; a shear adds t
+    times one coordinate's column to a later one's.  Axis facets tight at
+    the ends of the box, and sometimes a zero normal, are added after it.
+    """
+    m = rng.randint(3, 5)
+    lows = [rng.randint(-4, 1) for _ in range(m)]
+    highs = [lo + rng.randint(0, (7, 4, 2)[m - 3]) for lo in lows]
+    normals, bounds = [], []
+    cut = rng.randint(1, m - 1)
+    for block in (range(cut), range(cut, m)):
+        for _ in range(rng.randint(1, 3)):
+            normals.append([rng.randint(-2, 2) if c in block else 0 for c in range(m)])
+            bounds.append(rng.randint(-3, 8))
+    if rng.random() < 0.5:
+        i = rng.randrange(m - 1)
+        j, t = rng.randrange(i + 1, m), rng.choice((-1, 1, 2))
+        for normal in normals:
+            normal[j] += t * normal[i]
+    for c in rng.sample(range(m), 2):
+        axis = [int(i == c) for i in range(m)]
+        normals += [axis, [-x for x in axis]]
+        bounds += [highs[c], -lows[c]]
+    if rng.random() < 0.2:
+        normals.append([0] * m)
+        bounds.append(rng.choice((0, 0, 1, -1)))
+    return normals, bounds, lows, highs
+
+
+class TestSlabMemo:
+    """The prefix walk of ``_interval_masks`` settles each distinct sub-box once."""
+
+    @pytest.mark.parametrize(
+        "spec, k, lines",
+        [
+            # every slab of a box has the same live slacks: one slab is
+            # settled, by one top and one bottom line (settling all 256 slabs
+            # would take 512 calls)
+            (_unit_cube(4), 15, 2),
+            # the slab's key is the slack of x_0 + .. + x_3 <= 15: 31 distinct
+            # values of x_0 + x_1 over the 256 slabs
+            (load("simplex_4"), 15, 62),
+            (load("cube_unit"), 40, 2),
+            # x_0 alone moves the slack of x_0 + x_1 + x_2 <= 40: every key is
+            # new, so each of the 41 slabs is settled
+            (load("simplex_3"), 40, 82),
+        ],
+        ids=["4-cube", "simplex_4", "cube_unit", "simplex_3"],
+    )
+    def test_each_distinct_slab_is_settled_once(self, monkeypatch, spec, k, lines):
+        found, _ = _record_slab_helpers(monkeypatch)
+        assert count_points(spec, k) == brute_count(spec, k)
+        assert len(found) == lines
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_product_and_shear_families_match_per_point_classifier(self, monkeypatch, seed):
+        stored = []
+        kernel_vector = counting_mod.kernel_vector
+
+        def recording(rows):
+            result = kernel_vector(rows)
+            stored.append(result is not None)
+            return result
+
+        monkeypatch.setattr(counting_mod, "kernel_vector", recording)
+        rng = random.Random(seed)
+        for _ in range(100):
+            box = _product_or_shear_family(rng)
+            assert counting_mod._interval_masks(*box) == counting_mod._tight_masks(*box), box
+        # levels that store their sub-boxes and levels at full rank both occur
+        assert True in stored and False in stored
+
+    def test_full_rank_levels_store_nothing(self):
+        # simplex_3's slabs all have new keys, so the walk's memory must not
+        # grow with their number: a store would keep one histogram per slab
+        spec = load("simplex_3")
+        peaks = []
+        for k in (100, 1000):
+            box = counting_mod._box(spec, k, 10**10, None)
+            tracemalloc.start()
+            try:
+                counting_mod._interval_masks(*box)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 4096, peaks
 
 
 def _drop_one_tight_point(monkeypatch):

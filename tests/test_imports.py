@@ -161,7 +161,9 @@ def test_call_tree_scanner_follows_helpers():
     assert FIBRE_KERNEL not in call_tree_names(source.replace("mod.", "mod.x"), "oracle")
 
 
-SLAB_HELPERS = ("_floor_sum", "_congruent_rows", "_lowest_line")
+# the slab kernel's own helpers, and the rank test that decides which
+# levels of its prefix walk store their sub-boxes
+SLAB_HELPERS = ("_floor_sum", "_congruent_rows", "_lowest_line", "_settled_bits", "kernel_vector")
 
 
 def test_brute_count_never_reaches_the_fibre_kernel():

@@ -171,3 +171,39 @@ def test_every_other_command_enumerates_vertices_once(argv, stage_calls, simplex
     assert main([*argv, simplex_2]) == 0
     capsys.readouterr()
     assert stage_calls["enumerate_vertices"] == 1
+
+
+@pytest.fixture
+def ratio_tests(monkeypatch):
+    """The number of ``_ratio_test`` calls polytope makes."""
+    calls = [0]
+    ratio_test = polytope._ratio_test
+
+    def counted(*args):
+        calls[0] += 1
+        return ratio_test(*args)
+
+    monkeypatch.setattr(polytope, "_ratio_test", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, vertices, tests",
+    [
+        # the first basis is feasible: no phase 1, and one test per edge
+        (load("cube_unit"), 8, 12),
+        # d = 40 in dim 6: 2,304 vertices x 6 edge ends / 2 = 6,912 edges,
+        # plus the 7 pivots of phase 1
+        (
+            parse_polytope_file((Path(__file__).parent / "data" / "gon16_gon12_gon12.poly").read_text()),
+            2304,
+            6912 + 7,
+        ),
+    ],
+    ids=["cube_unit", "gon16_gon12_gon12"],
+)
+def test_edge_walk_ratio_tests_each_edge_once(ratio_tests, spec, vertices, tests):
+    """An edge is tested from the end the walk reaches first; the test
+    that finds its far end marks it there."""
+    assert len(polytope.enumerate_vertices(spec)) == vertices
+    assert ratio_tests[0] == tests
