@@ -72,7 +72,89 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand's flags after its own -h, as (name, add_argument kwargs).
+_COMMON_FLAGS = (
+    ("file", dict(help="polytope file ('-' reads stdin)")),
+    (
+        "--output",
+        dict(choices=("text", "json", "tsv"), default="text", help="report format (default text)"),
+    ),
+    (
+        "--normalize",
+        dict(
+            action="store_true",
+            help="divide non-primitive normals by their gcd when the offset allows",
+        ),
+    ),
+    (
+        "--budget",
+        dict(
+            type=int,
+            default=None,
+            help=f"max points to classify (default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
+        ),
+    ),
+)
+
+# name -> (help text, the flags it adds to _COMMON_FLAGS), in help order
+_SUBCOMMANDS = {
+    "validate": ("check the Delzant condition at every vertex", ()),
+    "faces": ("list the face lattice", ()),
+    "volume-poly": ("volume and boundary-volume polynomials in the offsets", ()),
+    "count": (
+        "count lattice points of the k-fold dilate",
+        (
+            ("--k", dict(type=int, default=1, help="dilation factor (default 1)")),
+            (
+                "--region",
+                dict(
+                    type=_parse_region,
+                    default=("full", None),
+                    help="full, interior, boundary, or face=1,2 (default full)",
+                ),
+            ),
+        ),
+    ),
+    "ehrhart": (
+        "Ehrhart polynomial in the dilation factor",
+        (
+            (
+                "--kind",
+                dict(
+                    choices=("full", "interior", "boundary"),
+                    default="full",
+                    help="which count the polynomial tracks (default full)",
+                ),
+            ),
+            (
+                "--method",
+                dict(
+                    choices=("interpolate", "operator"),
+                    default="interpolate",
+                    help="interpolation of exact counts or the operator route "
+                    "(default interpolate)",
+                ),
+            ),
+        ),
+    ),
+    "khovanskii": ("lattice point count via the Todd operator formula", ()),
+    "boundary-formula": ("boundary point count via the A-hat operator formula", ()),
+    "hilbert-cy": ("boundary Hilbert polynomial, three ways, with agreement check", ()),
+    "cross-check": ("run every identity in the package against the input", ()),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``.
+
+    Every subcommand is registered by name and help text, so the top-level
+    help and the invalid-choice message list all of them.  Only the
+    subcommands whose names occur in ``argv`` get their -h and flags; the
+    rest are bare.  argparse selects the subparser named by the first
+    positional word of ``argv``, so it never parses with, or prints the help
+    of, a bare one: the parser behaves as the one with every subcommand's
+    flags, ``build_parser(_SUBCOMMANDS)``, on the same ``argv``.
+    """
     parser = _Parser(
         prog="delzant",
         description="Exact lattice point counts and Hilbert polynomials "
@@ -80,61 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
-        p.add_argument("file", help="polytope file ('-' reads stdin)")
-        p.add_argument(
-            "--output",
-            choices=("text", "json", "tsv"),
-            default="text",
-            help="report format (default text)",
-        )
-        p.add_argument(
-            "--normalize",
-            action="store_true",
-            help="divide non-primitive normals by their gcd when the offset allows",
-        )
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            help=f"max points to classify (default {DEFAULT_BUDGET}, "
-            f"env {BUDGET_ENV})",
-        )
-        return p
-
-    add("validate", "check the Delzant condition at every vertex")
-    add("faces", "list the face lattice")
-    add("volume-poly", "volume and boundary-volume polynomials in the offsets")
-
-    p = add("count", "count lattice points of the k-fold dilate")
-    p.add_argument("--k", type=int, default=1, help="dilation factor (default 1)")
-    p.add_argument(
-        "--region",
-        type=_parse_region,
-        default=("full", None),
-        help="full, interior, boundary, or face=1,2 (default full)",
-    )
-
-    p = add("ehrhart", "Ehrhart polynomial in the dilation factor")
-    p.add_argument(
-        "--kind",
-        choices=("full", "interior", "boundary"),
-        default="full",
-        help="which count the polynomial tracks (default full)",
-    )
-    p.add_argument(
-        "--method",
-        choices=("interpolate", "operator"),
-        default="interpolate",
-        help="interpolation of exact counts or the operator route (default interpolate)",
-    )
-
-    add("khovanskii", "lattice point count via the Todd operator formula")
-    add("boundary-formula", "boundary point count via the A-hat operator formula")
-    add("hilbert-cy", "boundary Hilbert polynomial, three ways, with agreement check")
-    add("cross-check", "run every identity in the package against the input")
+    words = set(argv)
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        named = name in words
+        p = sub.add_parser(name, help=help_text, add_help=named)
+        for flag, kwargs in (*_COMMON_FLAGS, *flags) if named else ():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -431,8 +464,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         args.budget = _budget(args)
         if args.command == "count" and args.k < 1:
             raise UsageError(f"--k must be a positive integer, got {args.k}")

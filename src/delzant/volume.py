@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
+from operator import mul
 
 from .errors import ChamberCrossedError
 from .polynomial import MultiPoly
@@ -55,10 +56,9 @@ class BoundaryVolumePolynomial:
     per_facet: tuple[MultiPoly, ...]
 
 
-def _edge_pairings(chart: VertexChart, xi) -> list[Fraction]:
-    """c = N_v^{-T} xi: one entry per active facet of the vertex."""
-    m = len(xi)
-    return [sum(chart.inverse[r][j] * xi[r] for r in range(m)) for j in range(m)]
+def _edge_pairings(chart: VertexChart, xi) -> list[int]:
+    """det N_v c = X^T xi, X = det N_v^{-1}: one integer per active facet."""
+    return [sum(map(mul, column, xi)) for column in zip(*chart.numerators)]
 
 
 def _moment_direction(charts, m: int) -> tuple[int, ...]:
@@ -70,7 +70,7 @@ def _moment_direction(charts, m: int) -> tuple[int, ...]:
     b = 2
     while True:
         xi = tuple(b**r for r in range(m))
-        if all(c != 0 for chart in charts for c in _edge_pairings(chart, xi)):
+        if all(all(_edge_pairings(chart, xi)) for chart in charts):
             return xi
         b += 1
 
@@ -89,8 +89,8 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 def _lawrence_volume(charts, nvars: int, xi) -> MultiPoly:
     """The vertex formula for direction xi, summed exactly.
 
-    Per vertex, c is scaled to an integer vector C (the term is homogeneous
-    of degree 0 in c), so the vertex contributes
+    Per vertex, c is taken as the integer vector C = det N_v c (the term is
+    homogeneous of degree 0 in c), so the vertex contributes
     prod_a C_a^e_a / (prod_a e_a! * den_v) to the coefficient of o^e, with
     den_v = |det N_v| prod_a C_a.  Numerators are summed over the lcm of
     the den_v; only the final coefficients become Fractions.
@@ -98,11 +98,9 @@ def _lawrence_volume(charts, nvars: int, xi) -> MultiPoly:
     m = len(xi)
     vertices = []
     for chart in charts:
-        c = _edge_pairings(chart, xi)
-        if any(x == 0 for x in c):
+        pairings = _edge_pairings(chart, xi)
+        if not all(pairings):
             raise ValueError(f"direction {xi} is orthogonal to an edge at {chart.anchor}")
-        scale = lcm(*(x.denominator for x in c))
-        pairings = [int(x * scale) for x in c]
         vertices.append((chart.active_set, pairings, abs(chart.det) * prod(pairings)))
     common = lcm(*(abs(den) for _, _, den in vertices))
     splits = _compositions(m, m)

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import delzant
+from delzant import cli
 from delzant.cli import main
 from delzant.corpus import corpus_text
 
@@ -458,6 +459,54 @@ class TestMiscFlags:
         code, out, _ = run(capsys, "faces", poly_file("simplex_2"))
         assert code == 0
         assert out.splitlines()[0] == "faces: 7 (3 of dim 0, 3 of dim 1, 1 of dim 2)"
+
+
+class TestLazyParser:
+    """``main`` builds only the flags of the subcommands its argv names; every
+    command line behaves as with the parser that builds all of them."""
+
+    CASES = [
+        ("--help",),
+        ("--version",),
+        (),
+        ("bogus", "x"),
+        *((name, "--help") for name in cli.COMMANDS),
+        ("count", "--output", "xml", "p.poly"),
+        ("ehrhart", "--kind", "odd", "p.poly"),
+        ("count", "--k", "two", "p.poly"),
+        ("count", "--region", "side", "p.poly"),
+        ("validate", "--bogus", "p.poly"),
+        ("--output", "json", "count", "p.poly"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_same_streams_and_exit_code_as_the_full_parser(self, argv, capsys, monkeypatch):
+        lazy = self.outcome(capsys, argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda _: build(list(cli.COMMANDS)))
+        assert self.outcome(capsys, argv) == lazy
+        code, out, err = lazy
+        if code == 0:
+            assert out and not err
+        else:
+            assert code == 2 and not out
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_main_reads_sys_argv(self, poly_file, capsys, monkeypatch):
+        monkeypatch.setattr(
+            sys, "argv", ["delzant", "count", "--k", "2", poly_file("cube_unit")]
+        )
+        assert main() == 0
+        assert capsys.readouterr().out == "27\n"
 
 
 class TestProcess:

@@ -7,6 +7,7 @@ only the brute comparison values and the dilation check enumerate again,
 on purpose.
 """
 
+import argparse
 import sys
 from collections import Counter
 from pathlib import Path
@@ -207,3 +208,38 @@ def test_edge_walk_ratio_tests_each_edge_once(ratio_tests, spec, vertices, tests
     that finds its far end marks it there."""
     assert len(polytope.enumerate_vertices(spec)) == vertices
     assert ratio_tests[0] == tests
+
+
+@pytest.fixture
+def added_arguments(monkeypatch):
+    """The names of every argument added to any argparse parser."""
+    names = []
+    original = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        names.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    return names
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        # -h, file, --output, --normalize, --budget
+        (("validate",), 5),
+        # and --k, --region
+        (("count", "--k", "2"), 7),
+        # and --kind, --method
+        (("ehrhart", "--kind", "boundary"), 7),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,
+)
+def test_main_builds_only_the_running_commands_flags(
+    argv, flags, added_arguments, simplex_2, capsys
+):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    # the top level's -h and --version, then the running command's flags
+    assert len(added_arguments) == 2 + flags
