@@ -41,6 +41,9 @@ BUDGET_ENV = "DELZANT_BUDGET"
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 
+# what a command builds and main prints: (JSON payload, text lines, TSV rows, exit code)
+Report = tuple[dict, list[str], list[tuple], int]
+
 
 def _face_key_text(active_set) -> str:
     return "{" + ",".join(str(i + 1) for i in active_set) + "}"
@@ -96,81 +99,6 @@ _COMMON_FLAGS = (
     ),
 )
 
-# name -> (help text, the flags it adds to _COMMON_FLAGS), in help order
-_SUBCOMMANDS = {
-    "validate": ("check the Delzant condition at every vertex", ()),
-    "faces": ("list the face lattice", ()),
-    "volume-poly": ("volume and boundary-volume polynomials in the offsets", ()),
-    "count": (
-        "count lattice points of the k-fold dilate",
-        (
-            ("--k", dict(type=int, default=1, help="dilation factor (default 1)")),
-            (
-                "--region",
-                dict(
-                    type=_parse_region,
-                    default=("full", None),
-                    help="full, interior, boundary, or face=1,2 (default full)",
-                ),
-            ),
-        ),
-    ),
-    "ehrhart": (
-        "Ehrhart polynomial in the dilation factor",
-        (
-            (
-                "--kind",
-                dict(
-                    choices=("full", "interior", "boundary"),
-                    default="full",
-                    help="which count the polynomial tracks (default full)",
-                ),
-            ),
-            (
-                "--method",
-                dict(
-                    choices=("interpolate", "operator"),
-                    default="interpolate",
-                    help="interpolation of exact counts or the operator route "
-                    "(default interpolate)",
-                ),
-            ),
-        ),
-    ),
-    "khovanskii": ("lattice point count via the Todd operator formula", ()),
-    "boundary-formula": ("boundary point count via the A-hat operator formula", ()),
-    "hilbert-cy": ("boundary Hilbert polynomial, three ways, with agreement check", ()),
-    "cross-check": ("run every identity in the package against the input", ()),
-}
-
-
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for the command line ``argv``.
-
-    Every subcommand is registered by name and help text, so the top-level
-    help and the invalid-choice message list all of them.  Only the
-    subcommands whose names occur in ``argv`` get their -h and flags; the
-    rest are bare.  argparse selects the subparser named by the first
-    positional word of ``argv``, so it never parses with, or prints the help
-    of, a bare one: the parser behaves as the one with every subcommand's
-    flags, ``build_parser(_SUBCOMMANDS)``, on the same ``argv``.
-    """
-    parser = _Parser(
-        prog="delzant",
-        description="Exact lattice point counts and Hilbert polynomials "
-        "for Delzant polytopes.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    words = set(argv)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
-        named = name in words
-        p = sub.add_parser(name, help=help_text, add_help=named)
-        for flag, kwargs in (*_COMMON_FLAGS, *flags) if named else ():
-            p.add_argument(flag, **kwargs)
-    return parser
-
-
 def _load_spec(args):
     try:
         if args.file == "-":
@@ -213,10 +141,10 @@ def _polytope_json(spec) -> dict:
     }
 
 
-def _emit(args, prep, payload: dict, text_lines: list[str], tsv_rows: list[tuple]) -> None:
-    """Print one report; the JSON payload also carries the polytope."""
+def _emit(args, spec, payload: dict, text_lines: list[str], tsv_rows: list[tuple]) -> None:
+    """Print one report; the JSON payload also carries the command and the polytope."""
     if args.output == "json":
-        payload = {**payload, "polytope": _polytope_json(prep.spec)}
+        payload = {**payload, "command": args.command, "polytope": _polytope_json(spec)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.output == "tsv":
         for row in tsv_rows:
@@ -226,10 +154,9 @@ def _emit(args, prep, payload: dict, text_lines: list[str], tsv_rows: list[tuple
             print(line)
 
 
-def cmd_validate(args, prep) -> int:
+def cmd_validate(args, prep) -> Report:
     charts, report = prep.charts, prep.report
     payload = {
-        "command": "validate",
         "delzant": report.ok,
         "vertices": len(charts),
         "failures": [
@@ -247,17 +174,15 @@ def cmd_validate(args, prep) -> int:
         coords = ", ".join(str(c) for c in f.anchor)
         lines.append(f"vertex ({coords}): det {f.det} != +-1")
         rows.append(("failure", f"({coords})", f.det))
-    _emit(args, prep, payload, lines, rows)
-    return EXIT_OK if report.ok else NotDelzantError.exit_code
+    return payload, lines, rows, EXIT_OK if report.ok else NotDelzantError.exit_code
 
 
-def cmd_faces(args, prep) -> int:
+def cmd_faces(args, prep) -> Report:
     lattice = prep.lattice
     records = sorted(
         lattice.faces.values(), key=lambda r: (-r.dim, r.active_set)
     )
     payload = {
-        "command": "faces",
         "euler_sum": lattice.euler_sum(),
         "faces": [
             {
@@ -273,49 +198,30 @@ def cmd_faces(args, prep) -> int:
     lines = [f"faces: {len(records)} ({profile})"]
     rows = []
     for rec in records:
-        label = _face_key_text(rec.active_set) if rec.active_set else "{}"
+        label = _face_key_text(rec.active_set)
         vertices = " ".join(str(c.anchor_ints()) for c in rec.charts)
         lines.append(f"F {label}: dim {rec.dim}, vertices {vertices}")
         rows.append((label, rec.dim, len(rec.charts)))
-    _emit(args, prep, payload, lines, rows)
-    return EXIT_OK
+    return payload, lines, rows, EXIT_OK
 
 
-def cmd_volume_poly(args, prep) -> int:
-    spec, vol, boundary = prep.spec, prep.vol, prep.boundary
-    at_anchor = vol.poly.evaluate(spec.offsets())
-    boundary_at_anchor = boundary.poly.evaluate(spec.offsets())
-    volume_text = vol.poly.to_text()
-    boundary_text = boundary.poly.to_text()
-    facet_texts = [p.to_text() for p in boundary.per_facet]
-    payload = {
-        "command": "volume-poly",
-        "volume": volume_text,
-        "volume_at_anchor": str(at_anchor),
-        "boundary_volume": boundary_text,
-        "boundary_volume_at_anchor": str(boundary_at_anchor),
-        "per_facet": facet_texts,
-    }
-    lines = [
-        f"volume: {volume_text}",
-        f"volume at anchor: {at_anchor}",
-        f"boundary volume: {boundary_text}",
-        f"boundary volume at anchor: {boundary_at_anchor}",
-    ]
+def cmd_volume_poly(args, prep) -> Report:
+    offsets, vol, boundary = prep.spec.offsets(), prep.vol.poly, prep.boundary
+    # each TSV key is its JSON key and, with spaces for underscores, its text label
     rows = [
-        ("volume", volume_text),
-        ("volume_at_anchor", at_anchor),
-        ("boundary_volume", boundary_text),
-        ("boundary_volume_at_anchor", boundary_at_anchor),
+        ("volume", vol.to_text()),
+        ("volume_at_anchor", vol.evaluate(offsets)),
+        ("boundary_volume", boundary.poly.to_text()),
+        ("boundary_volume_at_anchor", boundary.poly.evaluate(offsets)),
     ]
-    for i, text in enumerate(facet_texts, start=1):
-        lines.append(f"facet {i}: {text}")
-        rows.append((f"facet_{i}", text))
-    _emit(args, prep, payload, lines, rows)
-    return EXIT_OK
+    facet_texts = [p.to_text() for p in boundary.per_facet]
+    payload = {**{key: str(value) for key, value in rows}, "per_facet": facet_texts}
+    rows += [(f"facet_{i}", text) for i, text in enumerate(facet_texts, start=1)]
+    lines = [f"{key.replace('_', ' ')}: {value}" for key, value in rows]
+    return payload, lines, rows, EXIT_OK
 
 
-def cmd_count(args, prep) -> int:
+def cmd_count(args, prep) -> Report:
     spec = prep.spec
     region, face = args.region
     if face is not None and face[-1] >= spec.num_facets:
@@ -327,7 +233,6 @@ def cmd_count(args, prep) -> int:
         str(i + 1) for i in face
     )
     payload = {
-        "command": "count",
         "k": args.k,
         "region": region_text,
     }
@@ -351,11 +256,11 @@ def cmd_count(args, prep) -> int:
         value = count_points(
             spec, args.k, region, face=face, budget=prep.budget, charts=prep.charts
         )
-    _emit(args, prep, payload, [str(value)], [("k", args.k), ("region", region_text), ("count", value)])
-    return EXIT_OK
+    rows = [("k", args.k), ("region", region_text), ("count", value)]
+    return payload, [str(value)], rows, EXIT_OK
 
 
-def cmd_ehrhart(args, prep) -> int:
+def cmd_ehrhart(args, prep) -> Report:
     applied_text = None
     if args.method == "operator":
         if args.kind == "interior":
@@ -367,7 +272,6 @@ def cmd_ehrhart(args, prep) -> int:
             prep.spec, args.kind, budget=prep.budget, charts=prep.charts
         )
     payload = {
-        "command": "ehrhart",
         "kind": args.kind,
         "method": args.method,
         "polynomial": result.to_text(),
@@ -376,29 +280,22 @@ def cmd_ehrhart(args, prep) -> int:
     }
     lines = [f"{args.kind} Ehrhart: {result.to_text()}"]
     rows = [("kind", args.kind), ("method", args.method), ("polynomial", result.to_text())]
-    _emit(args, prep, payload, lines, rows)
-    return EXIT_OK
+    return payload, lines, rows, EXIT_OK
 
 
-def _cmd_operator_count(args, prep, kind: str) -> int:
+def cmd_operator_count(args, prep) -> Report:
+    kind = "full" if args.command == "khovanskii" else "boundary"
     value = operator_count(prep, kind)
     applied_text = prep.applied(kind).to_text()
     payload = {
-        "command": "khovanskii" if kind == "full" else "boundary-formula",
         "count": value,
         "operator_applied": applied_text,
     }
-    _emit(
-        args,
-        prep,
-        payload,
-        [str(value)],
-        [("count", value), ("operator_applied", applied_text)],
-    )
-    return EXIT_OK
+    rows = [("count", value), ("operator_applied", applied_text)]
+    return payload, [str(value)], rows, EXIT_OK
 
 
-def cmd_hilbert_cy(args, prep) -> int:
+def cmd_hilbert_cy(args, prep) -> Report:
     report = cy_hilbert_polynomial(prep)
     per_face = [
         {
@@ -409,7 +306,6 @@ def cmd_hilbert_cy(args, prep) -> int:
         for key in sorted(report.per_face)
     ]
     payload = {
-        "command": "hilbert-cy",
         "agree": report.agree,
         "by_inclusion_exclusion": report.by_inclusion_exclusion.to_text(),
         "by_operator_formula": report.by_operator_formula.to_text(),
@@ -427,14 +323,12 @@ def cmd_hilbert_cy(args, prep) -> int:
     for key in sorted(report.per_face):
         lines.append(f"face {_face_key_text(key)}: {report.per_face[key].to_text()}")
         rows.append((f"face {_face_key_text(key)}", report.per_face[key].to_text()))
-    _emit(args, prep, payload, lines, rows)
-    return EXIT_OK
+    return payload, lines, rows, EXIT_OK
 
 
-def cmd_cross_check(args, prep) -> int:
+def cmd_cross_check(args, prep) -> Report:
     report = cross_check(prep)
     payload = {
-        "command": "cross-check",
         "ok": report.ok,
         "checks": [
             {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
@@ -446,21 +340,93 @@ def cmd_cross_check(args, prep) -> int:
     passed = sum(1 for c in report.checks if c.ok)
     lines.append(f"cross-check: {passed}/{len(report.checks)} checks passed")
     rows = [(c.name, "pass" if c.ok else "fail", c.detail) for c in report.checks]
-    _emit(args, prep, payload, lines, rows)
-    return EXIT_OK if report.ok else FormulaViolationError.exit_code
+    return payload, lines, rows, EXIT_OK if report.ok else FormulaViolationError.exit_code
 
 
+# name -> (help text, the flags it adds to _COMMON_FLAGS, its report
+# builder), in help order
 COMMANDS = {
-    "validate": cmd_validate,
-    "faces": cmd_faces,
-    "volume-poly": cmd_volume_poly,
-    "count": cmd_count,
-    "ehrhart": cmd_ehrhart,
-    "khovanskii": lambda args, prep: _cmd_operator_count(args, prep, "full"),
-    "boundary-formula": lambda args, prep: _cmd_operator_count(args, prep, "boundary"),
-    "hilbert-cy": cmd_hilbert_cy,
-    "cross-check": cmd_cross_check,
+    "validate": ("check the Delzant condition at every vertex", (), cmd_validate),
+    "faces": ("list the face lattice", (), cmd_faces),
+    "volume-poly": ("volume and boundary-volume polynomials in the offsets", (), cmd_volume_poly),
+    "count": (
+        "count lattice points of the k-fold dilate",
+        (
+            ("--k", dict(type=int, default=1, help="dilation factor (default 1)")),
+            (
+                "--region",
+                dict(
+                    type=_parse_region,
+                    default=("full", None),
+                    help="full, interior, boundary, or face=1,2 (default full)",
+                ),
+            ),
+        ),
+        cmd_count,
+    ),
+    "ehrhart": (
+        "Ehrhart polynomial in the dilation factor",
+        (
+            (
+                "--kind",
+                dict(
+                    choices=("full", "interior", "boundary"),
+                    default="full",
+                    help="which count the polynomial tracks (default full)",
+                ),
+            ),
+            (
+                "--method",
+                dict(
+                    choices=("interpolate", "operator"),
+                    default="interpolate",
+                    help="interpolation of exact counts or the operator route "
+                    "(default interpolate)",
+                ),
+            ),
+        ),
+        cmd_ehrhart,
+    ),
+    "khovanskii": ("lattice point count via the Todd operator formula", (), cmd_operator_count),
+    "boundary-formula": (
+        "boundary point count via the A-hat operator formula",
+        (),
+        cmd_operator_count,
+    ),
+    "hilbert-cy": (
+        "boundary Hilbert polynomial, three ways, with agreement check",
+        (),
+        cmd_hilbert_cy,
+    ),
+    "cross-check": ("run every identity in the package against the input", (), cmd_cross_check),
 }
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``.
+
+    Every subcommand is registered by name and help text, so the top-level
+    help and the invalid-choice message list all of them.  Only the
+    subcommands whose names occur in ``argv`` get their -h and flags; the
+    rest are bare.  argparse selects the subparser named by the first
+    positional word of ``argv``, so it never parses with, or prints the help
+    of, a bare one: the parser behaves as the one with every subcommand's
+    flags, ``build_parser(COMMANDS)``, on the same ``argv``.
+    """
+    parser = _Parser(
+        prog="delzant",
+        description="Exact lattice point counts and Hilbert polynomials "
+        "for Delzant polytopes.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    words = set(argv)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        named = name in words
+        p = sub.add_parser(name, help=help_text, add_help=named)
+        for flag, kwargs in (*_COMMON_FLAGS, *flags) if named else ():
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -474,7 +440,9 @@ def main(argv=None) -> int:
         prep = Prepared(_load_spec(args), args.budget)
         if args.command != "validate":
             prep.require_delzant()
-        return COMMANDS[args.command](args, prep)
+        payload, lines, rows, code = COMMANDS[args.command][2](args, prep)
+        _emit(args, prep.spec, payload, lines, rows)
+        return code
     except DelzantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

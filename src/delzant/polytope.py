@@ -323,16 +323,11 @@ def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
 
 
 @dataclass(frozen=True)
-class DelzantFailure:
-    active_set: tuple[int, ...]
-    anchor: tuple[Fraction, ...]
-    det: int
-
-
-@dataclass(frozen=True)
 class DelzantReport:
+    """``failures`` holds the charts of the vertices whose det is not +-1."""
+
     ok: bool
-    failures: tuple[DelzantFailure, ...]
+    failures: tuple[VertexChart, ...]
 
     def summary(self) -> str:
         if self.ok:
@@ -355,11 +350,7 @@ def validate_delzant(spec: HalfSpaceSpec, charts=None) -> DelzantReport:
     """
     if charts is None:
         charts = enumerate_vertices(spec)
-    failures = tuple(
-        DelzantFailure(c.active_set, c.anchor, c.det)
-        for c in charts
-        if c.det not in (1, -1)
-    )
+    failures = tuple(c for c in charts if c.det not in (1, -1))
     return DelzantReport(ok=not failures, failures=failures)
 
 
@@ -395,8 +386,9 @@ class FaceLattice:
 def build_face_lattice(spec: HalfSpaceSpec, charts) -> FaceLattice:
     """Enumerate every face from vertex active sets.
 
-    Requires a Delzant-validated (in particular simple) polytope: each face
-    is spanned by the vertices whose active sets contain its index set.
+    Requires a simple polytope, which the charts of ``enumerate_vertices``
+    guarantee, but no Delzant check: each face is spanned by the vertices
+    whose active sets contain its index set.
     """
     m = spec.dim
     members: dict[tuple[int, ...], list[VertexChart]] = {}

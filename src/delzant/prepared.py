@@ -7,8 +7,10 @@ the tight-mask histogram of each dilate, built by the slab kernel, for
 the face counts.  Each operator series is expanded to its
 target's degree, and ``operators.operator_count`` and ``symbolic_ehrhart``
 read the count and the Ehrhart polynomial off the one applied polynomial
-of a kind.  The volume oracle reads one more stage off the charts alone:
-the anchor's triangulation.  A command or report holds one ``Prepared``
+of a kind.  The face lattice is built once, from the charts alone;
+``lattice`` hands it out only once the Delzant report passes, while the
+volume oracle's one more stage, the anchor's triangulation, reads it
+with no Delzant check.  A command or report holds one ``Prepared``
 and reads every stage from it, so each is built at most once however
 many checks read it.  The brute comparison values do not come from
 here: ``brute_count`` classifies every point of the box on each call,
@@ -56,13 +58,18 @@ class Prepared:
         return self
 
     @cached_property
+    def _faces(self) -> polytope.FaceLattice:
+        """The face lattice, built once and read by ``lattice`` and ``triangulation``."""
+        return polytope.build_face_lattice(self.spec, self.charts)
+
+    @property
     def lattice(self) -> polytope.FaceLattice:
-        return polytope.build_face_lattice(self.require_delzant().spec, self.charts)
+        return self.require_delzant()._faces
 
     @cached_property
     def triangulation(self) -> tuple:
         """The anchor's simplices for the volume oracle; needs no Delzant report."""
-        return volume.anchor_triangulation(self.spec, self.charts)
+        return volume.anchor_triangulation(self._faces)
 
     @cached_property
     def vol(self) -> volume.VolumePolynomial:

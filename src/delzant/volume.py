@@ -42,7 +42,7 @@ from operator import mul
 
 from .errors import ChamberCrossedError
 from .polynomial import MultiPoly
-from .polytope import FaceLattice, HalfSpaceSpec, VertexChart, build_face_lattice
+from .polytope import FaceLattice, HalfSpaceSpec, VertexChart
 
 
 @dataclass(frozen=True)
@@ -293,14 +293,14 @@ def _cone_sum(simplices, coords):
     return total
 
 
-def anchor_triangulation(spec: HalfSpaceSpec, charts) -> tuple:
+def anchor_triangulation(lattice: FaceLattice) -> tuple:
     """The anchor polytope coned into simplices, each a tuple of vertex active sets.
 
-    Built from the charts' face lattice alone, with no Delzant check; it
+    Built from the face lattice alone, which needs no Delzant check; it
     is combinatorial, so it holds at every offset vector with the anchor's
     incidence.
     """
-    return tuple(_triangulate(build_face_lattice(spec, charts).faces, ()))
+    return tuple(_triangulate(lattice.faces, ()))
 
 
 def numeric_volume_at(prep, sample) -> Fraction:

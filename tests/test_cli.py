@@ -12,6 +12,8 @@ import delzant
 from delzant import cli
 from delzant.cli import main
 from delzant.corpus import corpus_text
+from delzant.counting import DEFAULT_BUDGET
+from delzant.prepared import Prepared
 
 SCHEMA = json.loads(
     resources.files("delzant")
@@ -229,6 +231,34 @@ class TestJsonOutput:
         payload = json.loads(out)
         jsonschema.validate(payload, SCHEMA)
         assert payload["operator_applied"] is None
+
+
+class TestReportBuilders:
+    """Each command table entry builds its report and prints nothing; ``main``
+    prints that one report."""
+
+    @pytest.mark.parametrize("output", ["text", "json", "tsv"])
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_builder_is_pure_and_main_prints_its_report(
+        self, name, output, poly_file, capsys
+    ):
+        argv = [name, "--output", output, poly_file("simplex_2")]
+        args = cli.build_parser(argv).parse_args(argv)
+        prep = Prepared(cli._load_spec(args), DEFAULT_BUDGET)
+        payload, lines, rows, code = cli.COMMANDS[name][2](args, prep)
+        assert capsys.readouterr() == ("", "")
+        assert main(argv) == code == 0
+        out, err = capsys.readouterr()
+        assert not err
+        if output == "json":
+            printed = json.loads(out)
+            assert printed.pop("command") == name
+            assert printed.pop("polytope")["dim"] == 2
+            assert printed == json.loads(json.dumps(payload))
+        elif output == "tsv":
+            assert out.splitlines() == ["\t".join(str(x) for x in row) for row in rows]
+        else:
+            assert out.splitlines() == lines
 
 
 class TestExitCodes:
