@@ -271,15 +271,16 @@ def cmd_ehrhart(args, prep) -> Report:
         result = ehrhart_interpolate(
             prep.spec, args.kind, budget=prep.budget, charts=prep.charts
         )
+    text = result.to_text()
     payload = {
         "kind": args.kind,
         "method": args.method,
-        "polynomial": result.to_text(),
+        "polynomial": text,
         "coefficients": [str(c) for c in result.coeffs],
         "operator_applied": applied_text,
     }
-    lines = [f"{args.kind} Ehrhart: {result.to_text()}"]
-    rows = [("kind", args.kind), ("method", args.method), ("polynomial", result.to_text())]
+    lines = [f"{args.kind} Ehrhart: {text}"]
+    rows = [("kind", args.kind), ("method", args.method), ("polynomial", text)]
     return payload, lines, rows, EXIT_OK
 
 
@@ -297,32 +298,34 @@ def cmd_operator_count(args, prep) -> Report:
 
 def cmd_hilbert_cy(args, prep) -> Report:
     report = cy_hilbert_polynomial(prep)
-    per_face = [
-        {
-            "active_set": [i + 1 for i in key],
-            "dim": prep.spec.dim - len(key),
-            "polynomial": report.per_face[key].to_text(),
-        }
-        for key in sorted(report.per_face)
-    ]
+    faces = [(key, report.per_face[key].to_text()) for key in sorted(report.per_face)]
+    oracle_text = report.by_oracle.to_text()
     payload = {
         "agree": report.agree,
         "by_inclusion_exclusion": report.by_inclusion_exclusion.to_text(),
         "by_operator_formula": report.by_operator_formula.to_text(),
-        "by_oracle": report.by_oracle.to_text(),
-        "per_face": per_face,
+        "by_oracle": oracle_text,
+        "per_face": [
+            {
+                "active_set": [i + 1 for i in key],
+                "dim": prep.spec.dim - len(key),
+                "polynomial": text,
+            }
+            for key, text in faces
+        ],
     }
     lines = [
-        f"boundary Ehrhart: {report.by_oracle.to_text()}",
+        f"boundary Ehrhart: {oracle_text}",
         "agreement: inclusion-exclusion, operator, and oracle routes all equal",
     ]
     rows = [
-        ("boundary_ehrhart", report.by_oracle.to_text()),
+        ("boundary_ehrhart", oracle_text),
         ("agree", report.agree),
     ]
-    for key in sorted(report.per_face):
-        lines.append(f"face {_face_key_text(key)}: {report.per_face[key].to_text()}")
-        rows.append((f"face {_face_key_text(key)}", report.per_face[key].to_text()))
+    for key, text in faces:
+        label = f"face {_face_key_text(key)}"
+        lines.append(f"{label}: {text}")
+        rows.append((label, text))
     return payload, lines, rows, EXIT_OK
 
 

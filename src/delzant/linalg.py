@@ -92,6 +92,34 @@ def int_solve(rows, cols):
     return det, _back_substitute(a, n, det, range(n, len(a[0])))
 
 
+def independent_rows(rows, count: int) -> tuple[int, ...]:
+    """The first ``count`` linearly independent rows, taken greedily in
+    index order, as their indices; fewer if the rows have lower rank.
+
+    This is the lex-least independent subset: one fraction-free
+    elimination that reduces each row against the rows kept before it,
+    in the order they were kept, dividing by the previous pivot (exact by
+    Sylvester's identity, as in ``_eliminate``).  A row that reduces to
+    zero depends on them and is dropped; otherwise it is kept, with its
+    first nonzero entry as its pivot.
+    """
+    kept, basis = [], []  # basis: (pivot column, reduced row)
+    for index, row in enumerate(rows):
+        reduced, prev = list(row), 1
+        for col, top in basis:
+            p, f = top[col], reduced[col]
+            reduced = [(x * p - f * y) // prev for x, y in zip(reduced, top)]
+            prev = p
+        col = next((c for c, x in enumerate(reduced) if x), None)
+        if col is None:
+            continue
+        kept.append(index)
+        if len(kept) == count:
+            break
+        basis.append((col, reduced))
+    return tuple(kept)
+
+
 def kernel_vector(rows):
     """Nonzero integer kernel vector of a matrix, or None at full column rank.
 

@@ -7,12 +7,14 @@ anchor at which all combinatorics (and, downstream, the chamber of the
 volume polynomial) are fixed.
 
 Vertices come from a breadth-first walk along the edges of a simple
-polytope (Avis and Fukuda, Discrete Comput. Geom. 8, 1992), one exact
-integer solve per vertex, from a start vertex that an exact phase 1
-finds when the first basis of facets is infeasible.  The walk raises
-every structural error: rank-deficient normals or an edge nothing
-blocks (unbounded), a positive phase-1 minimum (empty), and a start
-vertex or a tied ratio test on more than m facets (not simple).
+polytope (Avis and Fukuda, Discrete Comput. Geom. 8, 1992): one exact
+integer solve for the start vertex, which an exact phase 1 finds when
+the first basis of facets is infeasible, and one exact integer pivot of
+that chart along each edge to every other vertex (Avis, Comput. Geom.
+15, 2000).  The walk raises every structural error: rank-deficient
+normals or an edge nothing blocks (unbounded), a positive phase-1
+minimum (empty), and a start vertex or a tied ratio test on more than m
+facets (not simple).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from .linalg import int_solve, kernel_vector
+from .linalg import independent_rows, int_solve, kernel_vector
 
 
 class Facet(NamedTuple):
@@ -109,8 +111,10 @@ class VertexChart:
     ``numerators`` is X = det N_A^{-1} and ``point`` is P = |det| times
     the vertex, both integer.  ``inverse`` (N_A^{-1}) and ``anchor`` (the
     vertex, N_A^{-1} applied to the active offsets) are their Fractions,
-    built on first read.  For Delzant charts det is +-1, so the inverse
-    matrix is integral.
+    built on first read, as is the vertex in integers that
+    ``anchor_ints`` returns (it raises ValueError on every read of a
+    vertex that is not a lattice point).  For Delzant charts det is +-1,
+    so the inverse matrix is integral.
     """
 
     active_set: tuple[int, ...]
@@ -126,11 +130,17 @@ class VertexChart:
     def anchor(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(p, abs(self.det)) for p in self.point)
 
-    def anchor_ints(self) -> tuple[int, ...]:
+    @cached_property
+    def _lattice_point(self) -> tuple[int, ...] | None:
         scale = abs(self.det)
         if any(p % scale for p in self.point):
-            raise ValueError(f"vertex {self.anchor} is not a lattice point")
+            return None
         return tuple(p // scale for p in self.point)
+
+    def anchor_ints(self) -> tuple[int, ...]:
+        if self._lattice_point is None:
+            raise ValueError(f"vertex {self.anchor} is not a lattice point")
+        return self._lattice_point
 
 
 def _sort_key(coords: Sequence):
@@ -145,28 +155,55 @@ def _dot(a, b) -> int:
 def _first_basis(normals):
     """The first m facets whose normals are independent, taken greedily in
     index order: the lex-least m-subset of facets with a nonsingular normal
-    matrix.  The normals must have full rank."""
+    matrix.  Normals of rank below m raise UnboundedError along a kernel
+    vector."""
     m = len(normals[0])
-    basis = []
-    for j in range(len(normals)):
-        if kernel_vector(list(zip(*(normals[i] for i in (*basis, j))))) is None:
-            basis.append(j)
-            if len(basis) == m:
-                return tuple(basis)
+    basis = independent_rows(normals, m)
+    if len(basis) < m:
+        raise UnboundedError(kernel_vector(normals))
+    return basis
 
 
-def _vertex(rows, rhs, active, identity):
-    """The basic point of ``active`` in {z : rows . z <= rhs}, in integers.
+def _read_off(rows, rhs, active, det, inverse):
+    """The ``_vertex`` tuple of ``active`` from its chart (det, X).
 
-    One ``int_solve(rows_A, I)`` gives (det, X) with X = det rows_A^{-1}.
     With D = |det| and s its sign, P = s X rhs_A is D times the point and
     D rhs_j - rows_j . P is D times row j's slack.  Returns (det, X, P, slacks).
     """
-    det, inverse = int_solve([rows[i] for i in active], identity)
-    sign = 1 if det > 0 else -1
-    point = [sign * _dot(row, (rhs[i] for i in active)) for row in inverse]
+    sign, at = (1 if det > 0 else -1), [rhs[i] for i in active]
+    point = [sign * _dot(row, at) for row in inverse]
     slacks = [abs(det) * o - _dot(n, point) for n, o in zip(rows, rhs)]
     return det, inverse, point, slacks
+
+
+def _vertex(rows, rhs, active, identity):
+    """The basic point of ``active`` in {z : rows . z <= rhs}, in integers:
+    one ``int_solve(rows_A, I)`` gives (det, X) with X = det rows_A^{-1},
+    and ``_read_off`` the rest."""
+    return _read_off(rows, rhs, active, *int_solve([rows[i] for i in active], identity))
+
+
+def _pivot(normals, offsets, det, inverse, i, j, neighbour):
+    """The ``_vertex`` tuple of ``neighbour`` = A - A[i] + j, in sorted
+    order, from the chart (det, X) of A: one exact rank-one update.
+
+    Row i of N_A replaced by n_j has det' = n_j . X[:, i].  Its X' keeps
+    column i, and column k != i is (det' X[:, k] - (n_j . X[:, k]) X[:, i])
+    / det, exact by Sylvester's identity.  Sorting n_j into place moves
+    column i there and multiplies det' and X' by the sign of that cycle.
+    """
+    pairings = [_dot(normals[j], column) for column in zip(*inverse)]
+    new_det = pairings[i]
+    place = neighbour.index(j)
+    sign = -1 if (place - i) % 2 else 1
+    pivoted = []
+    for row in inverse:
+        x = row[i]
+        moved = [(new_det * y - w * x) // det for y, w in zip(row, pairings)]
+        moved[i] = x
+        moved.insert(place, moved.pop(i))
+        pivoted.append(moved if sign > 0 else [-y for y in moved])
+    return _read_off(normals, offsets, neighbour, sign * new_det, pivoted)
 
 
 def _ratio_test(rows, slacks, direction, outside):
@@ -237,13 +274,14 @@ def _phase_one(normals, offsets, basis, slacks):
 def _edge_walk(normals, offsets):
     """The charts of a simple polytope by a breadth-first walk on its edges.
 
-    Rank-deficient normals raise UnboundedError along a kernel vector.
-    The walk starts at ``_first_basis`` if its point is feasible, else at
-    the vertex ``_phase_one`` finds, and requires that vertex on exactly m
-    facets.  At a vertex with active set A, one ``int_solve(N_A, I)``
-    gives its point, slacks and chart (``_vertex``).  The edge that leaves
+    Rank-deficient normals raise UnboundedError along a kernel vector
+    (``_first_basis``).  The walk starts at the first basis if its point
+    is feasible, else at the vertex ``_phase_one`` finds, and requires
+    that vertex on exactly m facets; its chart is the one solved there.
+    At a vertex with active set A and chart (det, X), the edge that leaves
     facet A[i] has integer direction -s X[:, i], and ``_ratio_test`` gives
-    the facet j that blocks it; the neighbour is A - A[i] + j.  An edge
+    the facet j that blocks it; the neighbour is A - A[i] + j, and its
+    point, slacks and chart are pivoted from A's (``_pivot``).  An edge
     nothing blocks raises UnboundedError along its primitive direction,
     and two facets blocking at once raise NonSimpleError at the point
     they meet, with every facet tight there.  A vertex reached along an
@@ -256,9 +294,6 @@ def _edge_walk(normals, offsets):
     it again.  The charts are sorted by ``_sort_key`` on their points
     brought to one common denominator, in integers.
     """
-    ray = kernel_vector(normals)
-    if ray is not None:
-        raise UnboundedError(ray)
     m = len(normals[0])
     identity = [[int(i == j) for j in range(m)] for i in range(m)]
     start = _first_basis(normals)
@@ -298,7 +333,8 @@ def _edge_walk(normals, offsets):
             walked.add((neighbour, blocking[0]))
             if neighbour not in seen:
                 seen.add(neighbour)
-                queue.append((neighbour, _vertex(normals, offsets, neighbour, identity)))
+                chart = _pivot(normals, offsets, det, inverse, i, blocking[0], neighbour)
+                queue.append((neighbour, chart))
     scale = lcm(*(abs(chart.det) for chart in charts))
     return sorted(
         charts,
@@ -310,9 +346,10 @@ def enumerate_vertices(spec: HalfSpaceSpec) -> list[VertexChart]:
     """One chart per vertex, in ``_sort_key`` order; raises if the family
     is degenerate.
 
-    The edge walk (``_edge_walk``) solves once per vertex and raises when
-    the family is empty, unbounded or not simple.  Irredundancy (every
-    facet carries a vertex) is read from the charts.
+    The edge walk (``_edge_walk``) solves the start vertex, pivots to
+    every other vertex and raises when the family is empty, unbounded or
+    not simple.  Irredundancy (every facet carries a vertex) is read
+    from the charts.
     """
     charts = _edge_walk(spec.normals(), spec.offsets())
     used = {i for chart in charts for i in chart.active_set}

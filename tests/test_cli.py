@@ -13,6 +13,7 @@ from delzant import cli
 from delzant.cli import main
 from delzant.corpus import corpus_text
 from delzant.counting import DEFAULT_BUDGET
+from delzant.polynomial import MultiPoly, UniPoly
 from delzant.prepared import Prepared
 
 SCHEMA = json.loads(
@@ -259,6 +260,32 @@ class TestReportBuilders:
             assert out.splitlines() == ["\t".join(str(x) for x in row) for row in rows]
         else:
             assert out.splitlines() == lines
+
+    @pytest.mark.parametrize(
+        "argv, formatted",
+        [
+            # one per proper face (3 edges, 3 vertices), one per route
+            (("hilbert-cy",), 6 + 3),
+            (("ehrhart",), 1),
+            # the result and the operator-applied volume
+            (("ehrhart", "--method", "operator"), 2),
+        ],
+        ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
+    )
+    def test_builder_formats_each_polynomial_once(
+        self, argv, formatted, poly_file, monkeypatch
+    ):
+        argv = [*argv, poly_file("simplex_2")]
+        args = cli.build_parser(argv).parse_args(argv)
+        prep = Prepared(cli._load_spec(args), DEFAULT_BUDGET)
+        calls = []
+        for cls in (UniPoly, MultiPoly):
+            to_text = cls.to_text
+            monkeypatch.setattr(
+                cls, "to_text", lambda self, f=to_text: calls.append(self) or f(self)
+            )
+        cli.COMMANDS[argv[0]][2](args, prep)
+        assert len(calls) == formatted
 
 
 class TestExitCodes:

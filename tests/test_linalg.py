@@ -7,6 +7,7 @@ import pytest
 
 from delzant.errors import UnboundedError
 from delzant.linalg import (
+    independent_rows,
     int_det,
     int_solve,
     kernel_vector,
@@ -174,6 +175,50 @@ class TestRankDeficientRay:
         with pytest.raises(UnboundedError) as err:
             enumerate_vertices(spec)
         assert err.value.ray == ray
+
+
+def _rank(rows):
+    """The rank of integer rows: the size of their largest nonzero minor."""
+    if not rows:
+        return 0
+    m = len(rows[0])
+    return max(
+        (
+            k
+            for k in range(1, min(len(rows), m) + 1)
+            for sub in combinations(rows, k)
+            for cols in combinations(range(m), k)
+            if int_det([[row[c] for c in cols] for row in sub])
+        ),
+        default=0,
+    )
+
+
+class TestIndependentRows:
+    def test_greedy_basis_by_minors(self):
+        # row j is kept iff it raises the rank of the rows kept before it
+        rng = random.Random(23)
+        for m in (1, 2, 3, 4):
+            for height in (m, m + 3):
+                for _ in range(30):
+                    rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(height)]
+                    if rng.random() < 0.5:
+                        # a repeated and a combined row
+                        rows.insert(1, list(rows[0]))
+                        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+                    expected = []
+                    for j, row in enumerate(rows):
+                        if len(expected) < m and _rank(
+                            [rows[i] for i in (*expected, j)]
+                        ) == len(expected) + 1:
+                            expected.append(j)
+                    assert independent_rows(rows, m) == tuple(expected)
+
+    def test_stops_at_count(self):
+        rows = [(0, 1, 0), (0, 2, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]
+        assert independent_rows(rows, 2) == (0, 2)
+        assert independent_rows(rows, 3) == (0, 2, 3)
+        assert independent_rows(rows[:3], 3) == (0, 2)
 
 
 class TestKernelVector:

@@ -27,6 +27,7 @@ from delzant.polytope import (
 from delzant.prepared import Prepared
 from delzant.volume import chamber_samples
 from subset_reference import feasible_vertex_points, independent_subsets, subset_charts
+from test_volume import product_spec
 
 
 DATA = Path(__file__).parent / "data"
@@ -149,6 +150,15 @@ class TestEnumerateVertices:
         for chart in p.charts:
             assert len(chart.active_set) == p.spec.dim
             chart.anchor_ints()  # raises if not integral
+
+    def test_anchor_ints_is_built_once_and_raises_on_every_read(self):
+        # the vertex on facets 2 and 3 is (1/2, 0)
+        spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)])
+        origin, half = [c for c in walk(spec) if c.active_set in ((0, 1), (1, 2))]
+        assert origin.anchor_ints() is origin.anchor_ints() == (0, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not a lattice point"):
+                half.anchor_ints()
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_symbolic_vertex_matches_anchor(self, name, prepare):
@@ -320,6 +330,12 @@ def _lattice_image(spec, rng):
     return HalfSpaceSpec(m, facets)
 
 
+# a simplex whose vertices off the origin have dets 3 and -2
+WEIGHTED = HalfSpaceSpec(
+    3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 2, 3), 6)]
+)
+
+
 class TestEdgeWalk:
     """The walk's charts against the subset path's, chart for chart."""
 
@@ -348,6 +364,30 @@ class TestEdgeWalk:
         charts = walk(image)
         assert charts == _subset_path(image)
         assert len(charts) == len(walk(spec))
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize(
+        "factors, cuts, wide",
+        [
+            # dets 2, 4, -2: 21 vertices, 11 of them with |det| >= 2
+            (("triangle_det2", "triangle_det2"), {0, 1, 2, 3}, 11),
+            # dets up to 6 in dim 5: 20 vertices, 12 of them with |det| >= 2
+            (("triangle_det2", "weighted"), {0, 2}, 12),
+            # dets 3, 3, -3, -2
+            (("weighted",), {1}, 4),
+        ],
+        ids=["det2-squared", "det2-by-weighted", "weighted"],
+    )
+    def test_matches_subset_path_where_det_exceeds_one(self, factors, cuts, wide, seed):
+        """Pivots between non-unimodular charts divide by the old det and
+        sort the entering facet into place, both exercised here."""
+        factors = [WEIGHTED if f == "weighted" else load(f) for f in factors]
+        spec = _blow_up(product_spec(*factors), cuts)
+        if seed is not None:
+            spec = _lattice_image(spec, random.Random(seed))
+        charts = walk(spec)
+        assert sum(abs(chart.det) >= 2 for chart in charts) == wide
+        assert charts == _subset_path(spec)
 
     def test_matches_subset_path_on_blow_up_fixture(self):
         # a 5-cube of side 40 with 12 vertices cut off: d = 22, 80 vertices

@@ -18,6 +18,7 @@ import delzant.polytope as polytope
 import delzant.volume as volume
 from delzant.cli import main
 from delzant.corpus import corpus_text, load
+from delzant.errors import UnboundedError
 from delzant.polyfile import parse_polytope_file
 
 STAGES = (
@@ -109,47 +110,72 @@ def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, 
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """The int_solve widths and rank tests of polytope."""
-    calls = {"int_solve": [], "kernel_vector": 0}
-    solve, rank = polytope.int_solve, polytope.kernel_vector
+    """The int_solve widths, greedy bases and rank tests of polytope."""
+    calls = {"int_solve": [], "independent_rows": 0, "kernel_vector": 0}
+    solve, basis, rank = polytope.int_solve, polytope.independent_rows, polytope.kernel_vector
 
     def counted_solve(rows, cols):
         calls["int_solve"].append(len(cols[0]))
         return solve(rows, cols)
+
+    def counted_basis(rows, count):
+        calls["independent_rows"] += 1
+        return basis(rows, count)
 
     def counted_rank(rows):
         calls["kernel_vector"] += 1
         return rank(rows)
 
     monkeypatch.setattr(polytope, "int_solve", counted_solve)
+    monkeypatch.setattr(polytope, "independent_rows", counted_basis)
     monkeypatch.setattr(polytope, "kernel_vector", counted_rank)
     return calls
 
 
-def test_enumerate_vertices_solves_once_per_vertex(linalg_calls):
-    """One integer solve per vertex; a dependent prefix of facets costs one rank test."""
+def test_enumerate_vertices_solves_only_the_start(linalg_calls):
+    """One integer solve for the start vertex; every other chart is pivoted."""
     charts = polytope.enumerate_vertices(load("cube_unit"))
     assert len(charts) == 8
-    # the rank test of all 6 normals, then the first basis's greedy tests
-    # (0), (0, 1) (parallel: skipped), (0, 2), (0, 2, 3) (skipped) and
-    # (0, 2, 4), whose point (0, 0, 0) is the first vertex
-    assert linalg_calls["kernel_vector"] == 1 + 5
-    # each vertex is solved once against the identity, which gives its
-    # point and its chart together; the start vertex's solve is one of them
-    assert linalg_calls["int_solve"] == [3] * 8
+    # one greedy elimination finds the first basis (0, 2, 4), skipping the
+    # parallel facets 1 and 3, and shows the normals have full rank, so no
+    # kernel vector is sought
+    assert linalg_calls["independent_rows"] == 1
+    assert linalg_calls["kernel_vector"] == 0
+    # the first basis's point (0, 0, 0) is the first vertex, solved against
+    # the identity; the other 7 charts are pivoted from their neighbours'
+    assert linalg_calls["int_solve"] == [3]
 
 
 def test_enumerate_vertices_scale_guard(linalg_calls):
     """On a 5-cube with 12 blow-ups (d = 22, C(22, 5) = 26,334 facet subsets),
-    the solves are the first basis's, phase 1's and one per vertex."""
+    the solves are the first basis's and phase 1's."""
     path = Path(__file__).parent / "data" / "cube5_blowup12.poly"
     charts = polytope.enumerate_vertices(parse_polytope_file(path.read_text()))
     assert len(charts) == 80
     # the first basis (0, 2, 4, 6, 8) meets at the corner (0, 0, 0, 0, 0),
     # which was cut off; phase 1 solves its start and makes one pivot in
     # dimension 5 + 1, to the vertex (0, 0, 0, 0, 40), whose lifted solve
-    # is also its chart's; the other 79 vertices are solved once each
-    assert linalg_calls["int_solve"] == [5] + [6] * 2 + [5] * 79
+    # is also its chart's; the other 79 charts are pivoted
+    assert linalg_calls["int_solve"] == [5] + [6] * 2
+    assert linalg_calls["kernel_vector"] == 0
+
+
+def test_enumerate_vertices_solves_phase_one_only_on_the_d40_fixture(linalg_calls):
+    """d = 40 in dim 6: the first basis, then 8 active sets of phase 1."""
+    path = Path(__file__).parent / "data" / "gon16_gon12_gon12.poly"
+    charts = polytope.enumerate_vertices(parse_polytope_file(path.read_text()))
+    assert len(charts) == 2304
+    assert linalg_calls["int_solve"] == [6] + [7] * 8
+    assert linalg_calls["kernel_vector"] == 0
+
+
+def test_rank_deficient_normals_name_one_kernel_vector(linalg_calls):
+    """The kernel vector is sought only to name the ray of an UnboundedError."""
+    spec = polytope.HalfSpaceSpec(2, [((1, 0), 1), ((-1, 0), 1), ((1, 0), 2)])
+    with pytest.raises(UnboundedError):
+        polytope.enumerate_vertices(spec)
+    assert linalg_calls["kernel_vector"] == 1
+    assert linalg_calls["int_solve"] == []
 
 
 @pytest.mark.parametrize(
