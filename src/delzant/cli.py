@@ -41,6 +41,10 @@ BUDGET_ENV = "DELZANT_BUDGET"
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 
+# the int-to-str digit limit of CPython 3.10.7 and later (no limit before)
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
 # what a command builds and main prints: (JSON payload, text lines, TSV rows, exit code)
 Report = tuple[dict, list[str], list[tuple], int]
 
@@ -435,12 +439,14 @@ def build_parser(argv) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    digits = _get_digits()
     try:
         args = build_parser(argv).parse_args(argv)
         args.budget = _budget(args)
         if args.command == "count" and args.k < 1:
             raise UsageError(f"--k must be a positive integer, got {args.k}")
         prep = Prepared(_load_spec(args), args.budget)
+        _set_digits(0)  # read tokens keep Python's digit limit; exact results print in full
         if args.command != "validate":
             prep.require_delzant()
         payload, lines, rows, code = COMMANDS[args.command][2](args, prep)
@@ -452,6 +458,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
+    finally:
+        _set_digits(digits)
 
 
 if __name__ == "__main__":

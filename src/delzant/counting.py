@@ -15,8 +15,9 @@ another prefix has already settled is read back, with the bits of the
 facets constant over it ORed in.  It serves
 ``count_points``, ``tight_histogram`` and ``ehrhart_interpolate``.  The
 per-point classifier (``_tight_masks``) tests every point of the box
-against the facets one by one; it serves only ``brute_count``, the
-brute-force oracle, and shares no classifying code with the kernel.
+against the facets one by one; it serves only ``brute_histogram`` and
+``brute_count``, the brute-force oracle, and shares no classifying code
+with the kernel.
 Counts are fitted by exact interpolation (integer forward differences),
 and every fit must predict one extra count correctly before it is
 accepted as a polynomial.
@@ -489,6 +490,16 @@ def count_points(
     return read_count(_enumerate(spec, k, budget, charts), region, face)
 
 
+def brute_histogram(
+    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None
+) -> dict[int, int]:
+    """``tight_histogram`` by the per-point classifier (``_tight_masks``), the
+    brute-force oracle: same box and budget, no code shared with the kernel."""
+    if k < 1:
+        raise ValueError("dilation k must be a positive integer")
+    return _tight_masks(*_box(spec, k, budget, charts))
+
+
 def brute_count(
     spec: HalfSpaceSpec,
     k: int,
@@ -498,14 +509,9 @@ def brute_count(
     budget: int = DEFAULT_BUDGET,
     charts=None,
 ) -> int:
-    """``count_points`` by the per-point classifier: the brute-force oracle.
-
-    Same arguments, checks and budget as ``count_points``, but every point
-    of the bounding box is classified on its own (``_tight_masks``), with
-    no code shared with the slab kernel it checks.
-    """
+    """``count_points`` read from its own ``brute_histogram``: same arguments and checks."""
     _check_count_args(spec, k, region, face)
-    return read_count(_tight_masks(*_box(spec, k, budget, charts)), region, face)
+    return read_count(brute_histogram(spec, k, budget=budget, charts=charts), region, face)
 
 
 def count_report(histogram: dict[int, int], lattice: FaceLattice) -> CountReport:

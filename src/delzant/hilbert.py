@@ -9,9 +9,10 @@ gives a plain ``UniPoly`` in k.  The three are proven-equal identities,
 so any disagreement aborts loudly: it always means an implementation bug
 or invalid input, never an acceptable warning.
 Route (a) reads its face counts from the slab kernel's histograms;
-route (c) and every brute comparison value of ``cross_check`` come from
-``brute_count``, the per-point classifier, so the kernel is always
-checked against code it shares nothing with.
+route (c) and every brute comparison value of ``cross_check`` read the
+per-point classifier's histogram of the dilate (``Prepared.brute_histogram``,
+one per k), so the kernel is always checked against code it shares
+nothing with.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import brute_count, count_points, interpolate_counts, read_count
+from .counting import count_points, interpolate_counts, read_count
 from .errors import BudgetExceededError, DisagreementError
 from .operators import operator_count, symbolic_ehrhart
 from .polynomial import UniPoly
@@ -72,8 +73,9 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
 
     The inclusion-exclusion fit and the per-face table read their face
     counts from the polytope's one tight-mask histogram per dilation k.
-    The oracle route classifies every point of every dilate again, one by
-    one (``brute_count``).  Raises NotDelzantError on invalid input.
+    The oracle route reads the per-point classifier's histogram of each
+    dilate instead (``Prepared.brute_histogram``).  Raises NotDelzantError
+    on invalid input.
     """
     spec = prep.require_delzant().spec
     degree = max(spec.dim - 1, 0)
@@ -82,9 +84,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     )
     by_operator = symbolic_ehrhart(prep, "boundary")
     by_oracle = interpolate_counts(
-        lambda k: brute_count(spec, k, "boundary", budget=prep.budget, charts=prep.charts),
-        degree,
-        "boundary",
+        lambda k: read_count(prep.brute_histogram(k), "boundary"), degree, "boundary"
     )
 
     per_face = {}
@@ -149,7 +149,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
 
     def check_formula(region):
         formula = operator_count(prep, region)
-        brute = brute_count(spec, 1, region, budget=budget, charts=charts)
+        brute = read_count(prep.brute_histogram(1), region)
         if formula != brute:
             raise AssertionError(f"operator count {formula} != brute count {brute}")
         return f"count {formula}"
@@ -157,7 +157,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
     def check_inclusion_exclusion():
         for k in range(1, 6):
             via_faces = inclusion_exclusion_count(prep, k)
-            brute = brute_count(spec, k, "boundary", budget=budget, charts=charts)
+            brute = read_count(prep.brute_histogram(k), "boundary")
             if via_faces != brute:
                 raise AssertionError(f"k={k}: {via_faces} != {brute}")
         return "k = 1..5"
@@ -173,7 +173,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
         )
         for k in range(1, 6):
             predicted = (-1) ** m * full.evaluate(-k)
-            interior = brute_count(spec, k, "interior", budget=budget, charts=charts)
+            interior = read_count(prep.brute_histogram(k), "interior")
             if predicted != interior:
                 raise AssertionError(f"k={k}: {predicted} != {interior}")
         return "k = 1..5"

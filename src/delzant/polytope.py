@@ -109,22 +109,18 @@ class VertexChart:
 
     With N_A the active facets' normal matrix and det its determinant,
     ``numerators`` is X = det N_A^{-1} and ``point`` is P = |det| times
-    the vertex, both integer.  ``inverse`` (N_A^{-1}) and ``anchor`` (the
-    vertex, N_A^{-1} applied to the active offsets) are their Fractions,
-    built on first read, as is the vertex in integers that
-    ``anchor_ints`` returns (it raises ValueError on every read of a
-    vertex that is not a lattice point).  For Delzant charts det is +-1,
-    so the inverse matrix is integral.
+    the vertex, both integer; the vertex formula and the facet volumes
+    read these.  ``anchor`` (the vertex, N_A^{-1} applied to the active
+    offsets) is P / |det| in Fractions, built on first read, as is the
+    vertex in integers that ``anchor_ints`` returns (it raises ValueError
+    on every read of a vertex that is not a lattice point).  For Delzant
+    charts det is +-1, so X is +-N_A^{-1} and P the vertex itself.
     """
 
     active_set: tuple[int, ...]
     det: int
     numerators: tuple[tuple[int, ...], ...]
     point: tuple[int, ...]
-
-    @cached_property
-    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.numerators)
 
     @cached_property
     def anchor(self) -> tuple[Fraction, ...]:

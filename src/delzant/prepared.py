@@ -12,9 +12,10 @@ of a kind.  The face lattice is built once, from the charts alone;
 volume oracle's one more stage, the anchor's triangulation, reads it
 with no Delzant check.  A command or report holds one ``Prepared``
 and reads every stage from it, so each is built at most once however
-many checks read it.  The brute comparison values do not come from
-here: ``brute_count`` classifies every point of the box on each call,
-with the per-point classifier.
+many checks read it.  The brute comparison values come from a second
+histogram of each dilate, built by the per-point classifier
+(``brute_histogram``) and kept apart from the kernel's: the two share
+no code and no memo, so every brute value still checks the kernel.
 """
 
 from __future__ import annotations
@@ -31,17 +32,18 @@ from .polynomial import MultiPoly
 class Prepared:
     """A polytope and its lazily built stages.
 
-    ``budget`` bounds each enumeration: the histograms built here and the
-    counts that readers run with ``budget=prep.budget``.  Reading
-    ``charts`` raises if the family is degenerate (unbounded, empty, not
-    simple, redundant); reading ``lattice`` or anything built on it raises
-    NotDelzantError unless every vertex is unimodular.
+    ``budget`` bounds each enumeration: both kinds of histogram built
+    here and the counts that readers run with ``budget=prep.budget``.
+    Reading ``charts`` raises if the family is degenerate (unbounded,
+    empty, not simple, redundant); reading ``lattice`` or anything built
+    on it raises NotDelzantError unless every vertex is unimodular.
     """
 
     spec: polytope.HalfSpaceSpec
     budget: int = counting.DEFAULT_BUDGET
     _applied: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _histograms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _brute: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def charts(self) -> tuple[polytope.VertexChart, ...]:
@@ -98,3 +100,11 @@ class Prepared:
                 self.spec, k, budget=self.budget, charts=self.charts
             )
         return self._histograms[k]
+
+    def brute_histogram(self, k: int) -> dict[int, int]:
+        """The k-fold dilate's ``brute_histogram``, built once per k, apart from ``histogram``."""
+        if k not in self._brute:
+            self._brute[k] = counting.brute_histogram(
+                self.spec, k, budget=self.budget, charts=self.charts
+            )
+        return self._brute[k]

@@ -21,15 +21,16 @@ facet normal.  The numeric oracle and the direct facet volumes share no
 code with the vertex formula, and no solver with the vertex enumeration.
 Both cone the anchor's face lattice into simplices of vertex active sets
 (``_triangulate``, combinatorial, so one triangulation serves every point
-of the chamber), place the vertices at concrete coordinates and sum
-simplex determinants, computed by their own fraction-free elimination
-(``_simplex_det``).  A facet's volume is read off the pyramid over it
-from a vertex off the facet.  The oracle reads only the spec and the
-anchor's incidence: at each sample it solves the anchor's vertices by
-its own elimination (``_solve``) and proves they are all the vertices
-there (``_anchor_vertices``).  It is compared with the polynomial on
-integer points q anchor + alpha of the chamber (``chamber_samples``),
-where agreement proves the two equal on the whole chamber.
+of the chamber), place each vertex as an integer pair (D, x), the point
+x / D, and sum simplex determinants; their one fraction-free elimination
+(``_solve``) gives both, so only the volumes returned are Fractions.  A
+facet's volume is read off the pyramid over it from a vertex off the
+facet.  The oracle reads only the spec and the anchor's incidence: at
+each sample it solves the anchor's vertices and proves they are all the
+vertices there (``_anchor_vertices``).  It is compared with the
+polynomial on integer points q anchor + alpha of the chamber
+(``chamber_samples``), where agreement proves the two equal on the
+whole chamber.
 """
 
 from __future__ import annotations
@@ -183,35 +184,6 @@ def _triangulate(faces, key):
     return simplices
 
 
-def _simplex_det(rows):
-    """Determinant of a square matrix of rationals, for the oracle alone.
-
-    The common denominator L of the entries is cleared and the integer
-    matrix L rows is reduced by fraction-free elimination, each division
-    exact, in O(n^3) steps; det(rows) = det(L rows) / L^n, an int when
-    every entry is one.  The charts' elimination in ``linalg`` is not
-    used, so the oracle stays independent.
-    """
-    n = len(rows)
-    den = lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        top, p = a[k], a[k][k]
-        for r in range(k + 1, n):
-            f = a[r][k]
-            if f or p != prev:  # else the update leaves the row as it is
-                a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
-        prev = p
-    return sign * prev if den == 1 else Fraction(sign * prev, den**n)
-
-
 def _solve(rows, rhs):
     """(det, x) with rows . x == det . rhs in integers, or None if singular.
 
@@ -253,8 +225,8 @@ def _anchor_vertices(normals, actives, offsets):
     So the set is closed under adjacency, and as the graph of a polytope
     is connected (Balinski 1961), no other vertex exists.
 
-    Returns a dict from each active set to its point, with int
-    coordinates wherever the point is a lattice point.
+    Returns a dict from each active set to the integer pair (D, x), the
+    point x / D with D > 0, as the solve leaves it.
     """
     q = lcm(*(o.denominator for o in offsets))
     b = [o.numerator * (q // o.denominator) for o in offsets]
@@ -263,34 +235,34 @@ def _anchor_vertices(normals, actives, offsets):
         det, x = _solve([normals[i] for i in active], [b[i] for i in active])
         if det < 0:
             det, x = -det, [-c for c in x]
-        den = det * q
-        if any(c % den for c in x):
-            point = tuple(Fraction(c, den) for c in x)
-        else:
-            point = tuple(c // den for c in x)
-        tight = []
-        for j, normal in enumerate(normals):
-            value = sum(n * c for n, c in zip(normal, x))
-            if value > det * b[j]:
-                raise ChamberCrossedError([i + 1 for i in active], point, violated=j + 1)
-            if value == det * b[j]:
-                tight.append(j)
-        if tuple(tight) != active:
-            raise ChamberCrossedError(
-                [i + 1 for i in active], point, tight=[j + 1 for j in tight]
-            )
-        coords[active] = point
+        slacks = [det * b[j] - sum(map(mul, n, x)) for j, n in enumerate(normals)]
+        tight = tuple(j for j, s in enumerate(slacks) if s == 0)
+        if tight != active or min(slacks) < 0:
+            violated = next((j + 1 for j, s in enumerate(slacks) if s < 0), None)
+            point = (Fraction(c, det * q) for c in x)
+            tight = () if violated else [j + 1 for j in tight]
+            raise ChamberCrossedError([i + 1 for i in active], point, violated, tight)
+        coords[active] = (det * q, x)
     return coords
 
 
 def _cone_sum(simplices, coords):
-    """Sum of |det| over simplices of active sets; ``coords`` maps each to a point."""
-    total = 0
-    for base, *rest in simplices:
-        origin = coords[base]
-        rows = [[x - o for x, o in zip(coords[v], origin)] for v in rest]
-        total += abs(_simplex_det(rows))
-    return total
+    """Sum of |det| over simplices of active sets, as an integer pair (num, den).
+
+    ``coords`` maps each active set to (D, x), the point x / D.  A
+    simplex's det(p_v - p_0) is det(1, p_v) over its m + 1 vertices, and
+    scaling row v by D_v leaves the integer rows (D_v, x_v): it is
+    det(D_v, x_v) / prod D_v, the determinant solved by ``_solve``.
+    """
+    num, den = 0, 1
+    for simplex in simplices:
+        rows = [[coords[v][0], *coords[v][1]] for v in simplex]
+        solved = _solve(rows, [0] * len(rows))
+        if solved:
+            scale = prod(row[0] for row in rows)
+            common = lcm(den, scale)
+            num, den = num * (common // den) + abs(solved[0]) * (common // scale), common
+    return num, den
 
 
 def anchor_triangulation(lattice: FaceLattice) -> tuple:
@@ -310,18 +282,20 @@ def numeric_volume_at(prep, sample) -> Fraction:
     solved at the sample, each proven to keep its incidence
     (``_anchor_vertices``), and the simplex volumes of the anchor's one
     triangulation (``prep.triangulation``) at those points are summed
-    with absolute values.  At integer offsets in a Delzant chamber every
-    point is a lattice point, so the sum runs on ints.  Raises
-    ChamberCrossedError, naming the first vertex that fails, when the
-    incidence at the sample differs from the anchor's.
+    with absolute values.  The offsets are ints or Fractions.  Every
+    vertex is an integer pair (D, x) and every determinant an integer, so
+    the one Fraction built is the volume returned (at integer offsets in
+    a Delzant chamber every D is 1).  Raises ChamberCrossedError, naming
+    the first vertex that fails, when the incidence at the sample differs
+    from the anchor's.
     """
     spec = prep.spec
-    sample = tuple(Fraction(v) for v in sample)
     if len(sample) != spec.num_facets:
         raise ValueError(f"expected {spec.num_facets} offsets, got {len(sample)}")
     actives = [chart.active_set for chart in prep.charts]
     coords = _anchor_vertices(spec.normals(), actives, sample)
-    return Fraction(_cone_sum(prep.triangulation, coords), factorial(spec.dim))
+    num, den = _cone_sum(prep.triangulation, coords)
+    return Fraction(num, den * factorial(spec.dim))
 
 
 def chamber_samples(prep) -> list[tuple[int, ...]]:
@@ -379,19 +353,21 @@ def facet_volume_direct(spec: HalfSpaceSpec, lattice: FaceLattice, facet: int) -
     the cone from v over a triangulation of the facet, so vol(F) is its
     summed |det| over h (m-1)!.  Equals the offset derivative of the
     volume polynomial evaluated at the anchor; tests and the cross-check
-    command compare the two routes.
+    command compare the two routes.  Each chart gives its vertex as the
+    integer pair (|det|, P), so h and the determinants are integers.
     """
     if lattice.resolve((facet,)) is None:
         raise ValueError(f"facet {facet} carries no face")
     normal, offset = spec.facets[facet]
     charts = lattice.faces[()].charts
-    apex = next(chart for chart in charts if facet not in chart.active_set)
-    height = offset - sum(n * x for n, x in zip(normal, apex.anchor))
-    simplices = [
-        (apex.active_set,) + simplex for simplex in _triangulate(lattice.faces, (facet,))
-    ]
-    coords = {chart.active_set: chart.anchor for chart in charts}
-    return Fraction(_cone_sum(simplices, coords), height * factorial(spec.dim - 1))
+    coords = {chart.active_set: (abs(chart.det), chart.point) for chart in charts}
+    apex = next(active for active in coords if facet not in active)
+    # h = (o_i D - n_i . x) / D at the apex x / D
+    scale, point = coords[apex]
+    height = offset * scale - sum(map(mul, normal, point))
+    simplices = [(apex,) + simplex for simplex in _triangulate(lattice.faces, (facet,))]
+    num, den = _cone_sum(simplices, coords)
+    return Fraction(num * scale, den * height * factorial(spec.dim - 1))
 
 
 def facet_volume_sum(spec: HalfSpaceSpec, lattice: FaceLattice) -> Fraction:

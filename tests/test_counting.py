@@ -560,8 +560,9 @@ class TestUnimodularCharts:
             identity = [[int(i == j) for j in range(spec.dim)] for i in range(spec.dim)]
             for chart in enumerate_vertices(spec):
                 rows = [normals[i] for i in chart.active_set]
-                assert mat_mul(chart.inverse, rows) == identity
-                anchor = mat_vec(chart.inverse, [offsets[i] for i in chart.active_set])
+                inverse = [[Fraction(x, chart.det) for x in row] for row in chart.numerators]
+                assert mat_mul(inverse, rows) == identity
+                anchor = mat_vec(inverse, [offsets[i] for i in chart.active_set])
                 assert tuple(anchor) == chart.anchor
                 assert chart.det == int_det(rows)
 

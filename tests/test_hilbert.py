@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-import delzant.hilbert as hilbert_mod
+import delzant.counting as counting
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.counting import brute_count
 from delzant.errors import DisagreementError, NotDelzantError
@@ -106,13 +106,16 @@ class TestCyHilbertPolynomial:
             cy_hilbert_polynomial(Prepared(load("triangle_det2")))
 
     def test_disagreement_is_fatal_with_diagnostics(self, monkeypatch):
-        # sabotage the oracle route: a wrong boundary count must abort
-        real = hilbert_mod.brute_count
+        # sabotage the oracle route: one extra boundary point in each brute
+        # histogram must abort
+        real = counting.brute_histogram
 
-        def lying(spec, k, region, **kwargs):
-            return real(spec, k, region, **kwargs) + 1
+        def lying(spec, k, **kwargs):
+            histogram = dict(real(spec, k, **kwargs))
+            histogram[1] = histogram.get(1, 0) + 1
+            return histogram
 
-        monkeypatch.setattr(hilbert_mod, "brute_count", lying)
+        monkeypatch.setattr(counting, "brute_histogram", lying)
         with pytest.raises(DisagreementError) as err:
             cy_hilbert_polynomial(Prepared(load("simplex_2")))
         assert err.value.report is not None

@@ -169,8 +169,8 @@ class TestEnumerateVertices:
         for chart in p.charts:
             active = [offsets[i] for i in chart.active_set]
             evaluated = tuple(
-                sum(row[j] * active[j] for j in range(len(active)))
-                for row in chart.inverse
+                Fraction(sum(row[j] * active[j] for j in range(len(active))), chart.det)
+                for row in chart.numerators
             )
             assert evaluated == chart.anchor
 

@@ -17,9 +17,9 @@ from delzant.polytope import (
 from delzant.prepared import Prepared
 from delzant.volume import (
     _anchor_vertices,
+    _cone_sum,
     _lawrence_volume,
     _moment_direction,
-    _simplex_det,
     _solve,
     boundary_volume_polynomial,
     chamber_samples,
@@ -219,26 +219,31 @@ class TestBoundaryVolume:
         )
 
 
-class TestSimplexDet:
-    def test_matches_laplace_on_rational_matrices(self):
-        # the oracle's own elimination against the Laplace expansion
+class TestConeSum:
+    def test_matches_ring_det_with_mixed_denominators(self):
+        # each simplex's |det| from the oracle's rows (D_v, x_v) against the
+        # Laplace expansion on its Fraction edge vectors p_v - p_0
         rng = random.Random(47)
-        for n in range(1, 6):
+        for m in range(1, 5):
             for case in range(30):
-                rows = [
-                    [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
-                    for _ in range(n)
-                ]
-                if case % 3 == 1:
-                    rows[0][0] = Fraction(0)
-                elif case % 3 == 2 and n > 1:
-                    rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[-2])]
-                assert _simplex_det(rows) == ring_det(rows)
+                coords = {}
+                for v in range(m + 1):
+                    den = rng.randint(1, 5)
+                    coords[(v,)] = (den, [rng.randint(-6, 6) for _ in range(m)])
+                if case % 3 == 1 and m > 1:
+                    # the last vertex on the line through the first two: degenerate
+                    (d0, x0), (d1, x1) = coords[(0,)], coords[(1,)]
+                    coords[(m,)] = (d0 * d1, [2 * a * d1 - b * d0 for a, b in zip(x0, x1)])
+                points = [[Fraction(c, den) for c in x] for den, x in coords.values()]
+                edges = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+                num, den = _cone_sum([tuple(coords)], coords)
+                assert Fraction(num, den) == abs(ring_det(edges))
 
-    def test_integer_rows(self):
-        # integer entries have denominator 1, so no scaling is needed
-        assert _simplex_det([[0, -1], [2, 1]]) == 2
-        assert _simplex_det([[1, 2], [2, 4]]) == 0
+    def test_unit_denominators(self):
+        # with every D = 1 the sum is a plain integer over 1
+        coords = {(0,): (1, [0, 0]), (1,): (1, [0, -1]), (2,): (1, [2, 1]), (3,): (1, [4, 2])}
+        assert _cone_sum([((0,), (1,), (2,))], coords) == (2, 1)
+        assert _cone_sum([((0,), (2,), (3,))], coords) == (0, 1)
 
 
 class TestOracleSolve:
@@ -323,9 +328,21 @@ class TestNumericOracle:
         normals = p.spec.normals()
         actives = [chart.active_set for chart in p.charts]
         for sample in chamber_samples(p):
-            proven = _anchor_vertices(normals, actives, sample)
+            proven = [
+                (tuple(Fraction(c, den) for c in x), active)
+                for active, (den, x) in _anchor_vertices(normals, actives, sample).items()
+            ]
             reference = feasible_vertex_points(normals, sample)
-            assert sorted((point, active) for active, point in proven.items()) == sorted(reference)
+            assert sorted(proven) == sorted(reference)
+
+    def test_simplex_with_mixed_denominators(self):
+        # HALF_TRIANGLE's vertex (1/2, 0) is the pair D = 2, x = (1, 0) and
+        # its other two have D = 1: the one simplex divides by prod D_v = 2
+        prep, poly = Prepared(HALF_TRIANGLE), volume_of(HALF_TRIANGLE)
+        anchor = HALF_TRIANGLE.offsets()
+        assert numeric_volume_at(prep, anchor) == poly.evaluate(anchor) == Fraction(1, 4)
+        for sample in chamber_samples(prep):
+            assert numeric_volume_at(prep, sample) == poly.evaluate(sample)
 
     def test_wrong_sample_length(self):
         with pytest.raises(ValueError):
