@@ -98,7 +98,8 @@ _COMMON_FLAGS = (
         dict(
             type=int,
             default=None,
-            help=f"max points to classify (default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
+            help=f"max points to classify, or facet subsets to walk "
+            f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
         ),
     ),
 )
@@ -412,13 +413,17 @@ COMMANDS = {
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for the command line ``argv``.
 
-    Every subcommand is registered by name and help text, so the top-level
-    help and the invalid-choice message list all of them.  Only the
-    subcommands whose names occur in ``argv`` get their -h and flags; the
-    rest are bare.  argparse selects the subparser named by the first
-    positional word of ``argv``, so it never parses with, or prints the help
-    of, a bare one: the parser behaves as the one with every subcommand's
-    flags, ``build_parser(COMMANDS)``, on the same ``argv``.
+    When ``argv`` starts with a command name, only that subcommand is
+    registered, with its -h and flags: argparse hands it every later word,
+    so the other subcommands could be read only by the top-level help and
+    the invalid-choice message, which that ``argv`` cannot reach.  Any other
+    ``argv`` (a top-level option first, an unknown command, no words)
+    registers every subcommand by name and help text, so that help and
+    that message list all of them, and gives -h and flags only to those
+    whose names occur in ``argv``; argparse never parses with, or prints the
+    help of, a bare one.  Either way the parser behaves as the one with
+    every subcommand's flags, ``build_parser(["", *COMMANDS])``, on the
+    same ``argv``.
     """
     parser = _Parser(
         prog="delzant",
@@ -428,7 +433,9 @@ def build_parser(argv) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     words = set(argv)
-    for name, (help_text, flags, _) in COMMANDS.items():
+    first = argv[0] if argv else None
+    for name in (first,) if first in COMMANDS else COMMANDS:
+        help_text, flags, _ = COMMANDS[name]
         named = name in words
         p = sub.add_parser(name, help=help_text, add_help=named)
         for flag, kwargs in (*_COMMON_FLAGS, *flags) if named else ():

@@ -6,7 +6,7 @@ Every library-level failure derives from DelzantError and carries an
     2  usage: a bad flag, flag combination or environment value
     3  input file cannot be parsed
     4  polytope structure rejected (not Delzant, not simple, unbounded, ...)
-    5  enumeration budget exceeded
+    5  budget exceeded (points to classify, or facet subsets to walk)
     6  formula or consistency violation (these signal bugs, never bad luck)
 """
 
@@ -93,12 +93,16 @@ class NotDelzantError(PolytopeStructureError):
 class BudgetExceededError(DelzantError):
     exit_code = 5
 
-    def __init__(self, required: int, budget: int):
+    def __init__(
+        self,
+        required: int,
+        budget: int,
+        stage: str = "enumeration",
+        unit: str = "point classifications",
+    ):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"enumeration needs {required} point classifications, budget is {budget}"
-        )
+        super().__init__(f"{stage} needs {required} {unit}, budget is {budget}")
 
 
 class ChamberCrossedError(DelzantError):

@@ -36,9 +36,12 @@ def inclusion_exclusion_levels(prep: Prepared, k: int):
     the face lattice (empty intersections count zero), and carries the
     sign (-1)^(l+1).  Returns a list of (level, sign, count_sum) triples.
     Every face count is read from the one tight-mask histogram of the
-    k-fold dilate.
+    k-fold dilate.  Raises BudgetExceededError before the walk when its
+    2^d - 1 facet subsets exceed the budget.
     """
     d = prep.spec.num_facets
+    if (subsets := 2**d - 1) > prep.budget:
+        raise BudgetExceededError(subsets, prep.budget, "inclusion-exclusion", "facet subsets")
     lattice = prep.lattice
     histogram = prep.histogram(k)
     levels = []

@@ -13,6 +13,7 @@ integer offset.  '#' starts a comment and blank lines are skipped.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
 from .errors import (
@@ -24,10 +25,29 @@ from .errors import (
 from .polytope import HalfSpaceSpec
 
 
-def _parse_int(token: str) -> int | None:
+# the int-to-str digit limit of CPython 3.10.7 and later (0: no limit)
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _cut(token) -> str:
+    """The token as an error message shows it: its first 20 characters."""
+    text = str(token)
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def _parse_int(token: str, lineno: int) -> int | None:
+    """The token's integer, or None; an integer over Python's digit limit raises."""
     try:
         return int(token)
     except ValueError:
+        digits = (token[1:] if token[0] in "+-" else token).replace("_", "")
+        limit = _max_digits()
+        if limit and digits.isdecimal() and len(digits) > limit:
+            raise PolytopeParseError(
+                f"integer {_cut(token)!r} has {len(digits)} digits, "
+                f"over Python's limit of {limit}",
+                lineno,
+            ) from None
         return None
 
 
@@ -56,10 +76,10 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
                 raise PolytopeParseError(
                     f"duplicate 'dim' (first on line {dim_line})", lineno
                 )
-            if len(fields) != 2 or (value := _parse_int(fields[1])) is None:
+            if len(fields) != 2 or (value := _parse_int(fields[1], lineno)) is None:
                 raise PolytopeParseError("'dim' needs one integer", lineno)
             if value < 1:
-                raise PolytopeParseError(f"dim must be >= 1, got {value}", lineno)
+                raise PolytopeParseError(f"dim must be >= 1, got {_cut(value)}", lineno)
             dim = value
             dim_line = lineno
         elif keyword == "name":
@@ -72,33 +92,34 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
             values = fields[1:]
             if len(values) != dim + 1:
                 raise DimMismatchError(
-                    f"facet line needs {dim + 1} integers for dim {dim}, "
+                    f"facet line needs {_cut(dim + 1)} integers for dim {_cut(dim)}, "
                     f"got {len(values)}",
                     lineno,
                 )
-            parsed = [_parse_int(tok) for tok in values]
+            parsed = [_parse_int(tok, lineno) for tok in values]
             for pos, (tok, val) in enumerate(zip(values, parsed)):
                 if val is None:
                     if pos == dim and _parse_float(tok) is not None:
                         raise NonIntegerOffsetError(
-                            f"offset {tok} is not an integer", lineno
+                            f"offset {_cut(tok)} is not an integer", lineno
                         )
-                    raise PolytopeParseError(f"bad integer {tok!r}", lineno)
+                    raise PolytopeParseError(f"bad integer {_cut(tok)!r}", lineno)
             normal = tuple(parsed[:dim])
             offset = parsed[dim]
             if all(x == 0 for x in normal):
                 raise PolytopeParseError("zero normal vector", lineno)
             g = gcd(*(abs(x) for x in normal))
             if g != 1:
+                shown = "[" + ", ".join(_cut(x) for x in normal) + "]"
                 if not normalize:
                     raise NonPrimitiveNormalError(
-                        f"normal {list(normal)} has gcd {g}; "
+                        f"normal {shown} has gcd {_cut(g)}; "
                         "rerun with --normalize to divide it out",
                         lineno,
                     )
                 if offset % g != 0:
                     raise NonPrimitiveNormalError(
-                        f"normal {list(normal)} has gcd {g} but offset {offset} "
+                        f"normal {shown} has gcd {_cut(g)} but offset {_cut(offset)} "
                         "is not divisible by it",
                         lineno,
                     )
@@ -106,7 +127,7 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
                 offset //= g
             facets.append((normal, offset))
         else:
-            raise PolytopeParseError(f"unknown keyword {keyword!r}", lineno)
+            raise PolytopeParseError(f"unknown keyword {_cut(keyword)!r}", lineno)
 
     if dim is None:
         raise PolytopeParseError("missing 'dim' line")

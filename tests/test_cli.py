@@ -373,6 +373,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget is 5" in err
 
+    # [0, 2]^2 with the corners (0, 0) and (2, 2) cut off: 2^6 - 1 = 63 facet
+    # subsets, and at most 7 x 7 = 49 points per hilbert-cy enumeration
+    HEXAGON = (
+        "dim 2\nfacet -1 0 0\nfacet 0 -1 0\nfacet 1 0 2\nfacet 0 1 2\n"
+        "facet -1 -1 -1\nfacet 1 1 3\n"
+    )
+
+    @pytest.mark.parametrize("command", ["hilbert-cy", "cross-check"])
+    def test_subset_walk_over_budget_is_5(self, command, tmp_path, capsys):
+        path = tmp_path / "hexagon.poly"
+        path.write_text(self.HEXAGON, encoding="utf-8")
+        code, out, err = run(capsys, command, "--budget", "62", str(path))
+        assert (code, out) == (5, "")
+        assert err == "error: inclusion-exclusion needs 63 facet subsets, budget is 62\n"
+        # 63 subsets fit a budget of 63, and every hilbert-cy enumeration fits too
+        assert run(capsys, "hilbert-cy", "--budget", "63", str(path))[0] == 0
+
     def test_cross_check_reports_an_oracle_that_rejects_everything_as_6(
         self, poly_file, capsys, monkeypatch
     ):
@@ -474,6 +491,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no int-to-str digit limit",
+    )
+    def test_over_long_integer_is_one_short_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.poly"
+        path.write_text("dim 1\nfacet -1 0\nfacet 1 " + "9" * 5000 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "count", str(path))
+        assert code == 3 and not out
+        assert err.startswith("error: line 3: integer ") and err.count("\n") == 1
+        assert "5000 digits" in err and len(err) < 120
+
     def test_missing_file_is_1(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.poly")
         assert code == 1
@@ -519,8 +548,9 @@ class TestMiscFlags:
 
 
 class TestLazyParser:
-    """``main`` builds only the flags of the subcommands its argv names; every
-    command line behaves as with the parser that builds all of them."""
+    """``main`` builds only the subcommand its argv starts with, or else only
+    the flags of the subcommands its argv names; every command line behaves
+    as with the parser that builds all of them."""
 
     CASES = [
         ("--help",),
@@ -534,6 +564,10 @@ class TestLazyParser:
         ("count", "--region", "side", "p.poly"),
         ("validate", "--bogus", "p.poly"),
         ("--output", "json", "count", "p.poly"),
+        ("--bogus", "count", "--k", "3", "p.poly"),
+        ("-h", "count"),
+        ("--version", "count"),
+        ("bogus", "count"),
     ]
 
     @staticmethod
@@ -549,7 +583,8 @@ class TestLazyParser:
     def test_same_streams_and_exit_code_as_the_full_parser(self, argv, capsys, monkeypatch):
         lazy = self.outcome(capsys, argv)
         build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda _: build(list(cli.COMMANDS)))
+        # a first word that names no command: all nine subcommands, each with its flags
+        monkeypatch.setattr(cli, "build_parser", lambda _: build(["", *cli.COMMANDS]))
         assert self.outcome(capsys, argv) == lazy
         code, out, err = lazy
         if code == 0:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from delzant.corpus import corpus_text
@@ -88,3 +90,61 @@ class TestParse:
     def test_too_few_facets(self):
         with pytest.raises(PolytopeParseError):
             parse_polytope_file("dim 2\nfacet -1 0 0\nfacet 0 -1 0\n")
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+HUGE = "9" * 5000
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python has no int-to-str digit limit")
+class TestOverLongIntegers:
+    """A token over Python's int-to-str digit limit is named by its digit count."""
+
+    @pytest.mark.parametrize(
+        "text, line, token",
+        [
+            (f"dim 2\nfacet -1 0 {HUGE}\n", 2, HUGE),
+            (f"dim 2\nfacet -1 {HUGE} 0\n", 2, HUGE),
+            (f"dim 2\nfacet -1 -{HUGE} 0\n", 2, "-" + HUGE),
+            (f"dim {HUGE}\n", 1, HUGE),
+        ],
+        ids=["offset", "normal entry", "signed normal entry", "dim"],
+    )
+    def test_message_names_the_digit_count_and_the_limit(self, text, line, token):
+        with pytest.raises(PolytopeParseError) as err:
+            parse_polytope_file(text)
+        # not read as a non-integer offset or a malformed integer
+        assert type(err.value) is PolytopeParseError
+        assert err.value.line == line
+        assert str(err.value) == (
+            f"line {line}: integer '{token[:20]}...' has 5000 digits, "
+            f"over Python's limit of {LIMIT}"
+        )
+
+    def test_digits_up_to_the_limit_parse(self):
+        offset = "9" * LIMIT
+        spec = parse_polytope_file(f"dim 1\nfacet -1 0\nfacet 1 {offset}\n")
+        assert spec.offsets() == (0, int(offset))
+
+
+class TestMessagesCutLongTokens:
+    """No parse error quotes more than the first 20 characters of a token."""
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            (f"dim 2\nfacet -1 x{HUGE} 0\n", "bad integer 'x9999999999999999999...'"),
+            (f"dim 2\nfacet -1 0 {HUGE}.5\n", "offset 99999999999999999999... is not"),
+            (f"{'k' * 5000} 2\n", "unknown keyword 'kkkkkkkkkkkkkkkkkkkk...'"),
+            (
+                f"dim 2\nfacet 2 {'2' * 4000} 1\n",
+                "normal [2, 22222222222222222222...] has gcd 2;",
+            ),
+        ],
+        ids=["bad integer", "offset", "keyword", "normal"],
+    )
+    def test_long_token_is_cut(self, text, shown):
+        with pytest.raises(PolytopeParseError) as err:
+            parse_polytope_file(text)
+        assert shown in str(err.value)
+        assert len(str(err.value)) < 120

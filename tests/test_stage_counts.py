@@ -5,7 +5,8 @@ Every stage function is counted at every binding it has in the package
 one CLI command runs.  A command builds each stage of its polytope once;
 the brute comparison values build their own histogram of each dilate,
 apart from the kernel's, and the dilation check enumerates again, on
-purpose.
+purpose.  The command line builds the root parser and the running
+command's subparser, with that command's flags only.
 """
 
 import argparse
@@ -257,6 +258,37 @@ def added_arguments(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
     return names
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of every argparse parser built, subparsers included."""
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_main_builds_the_running_command_and_the_root_parser_only(
+    built_parsers, simplex_2, capsys
+):
+    assert main(["count", "--k", "2", simplex_2]) == 0
+    assert capsys.readouterr().out == "6\n"
+    assert built_parsers == ["delzant", "delzant count"]
+
+
+def test_top_level_help_builds_every_subparser(built_parsers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "cross-check" in capsys.readouterr().out
+    # the root parser and all nine subcommands
+    assert len(built_parsers) == 10
 
 
 @pytest.mark.parametrize(
