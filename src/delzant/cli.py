@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hilbert import cross_check, cy_hilbert_polynomial
 from .operators import operator_count, symbolic_ehrhart
-from .polyfile import parse_polytope_file
+from .polyfile import max_digits, parse_polytope_file
 from .prepared import Prepared
 
 BUDGET_ENV = "DELZANT_BUDGET"
@@ -41,8 +41,6 @@ BUDGET_ENV = "DELZANT_BUDGET"
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 
-# the int-to-str digit limit of CPython 3.10.7 and later (no limit before)
-_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 # what a command builds and main prints: (JSON payload, text lines, TSV rows, exit code)
@@ -414,16 +412,10 @@ def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for the command line ``argv``.
 
     When ``argv`` starts with a command name, only that subcommand is
-    registered, with its -h and flags: argparse hands it every later word,
-    so the other subcommands could be read only by the top-level help and
-    the invalid-choice message, which that ``argv`` cannot reach.  Any other
-    ``argv`` (a top-level option first, an unknown command, no words)
-    registers every subcommand by name and help text, so that help and
-    that message list all of them, and gives -h and flags only to those
-    whose names occur in ``argv``; argparse never parses with, or prints the
-    help of, a bare one.  Either way the parser behaves as the one with
-    every subcommand's flags, ``build_parser(["", *COMMANDS])``, on the
-    same ``argv``.
+    registered: argparse hands it every later word, and the other
+    subcommands are read only by the top-level help and the invalid-choice
+    message, which that ``argv`` cannot reach.  Any other ``argv`` gets
+    every subcommand.
     """
     parser = _Parser(
         prog="delzant",
@@ -432,13 +424,11 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    words = set(argv)
     first = argv[0] if argv else None
     for name in (first,) if first in COMMANDS else COMMANDS:
         help_text, flags, _ = COMMANDS[name]
-        named = name in words
-        p = sub.add_parser(name, help=help_text, add_help=named)
-        for flag, kwargs in (*_COMMON_FLAGS, *flags) if named else ():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*_COMMON_FLAGS, *flags):
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -446,7 +436,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    digits = _get_digits()
+    digits = max_digits()
     try:
         args = build_parser(argv).parse_args(argv)
         args.budget = _budget(args)

@@ -26,7 +26,7 @@ from .polytope import HalfSpaceSpec
 
 
 # the int-to-str digit limit of CPython 3.10.7 and later (0: no limit)
-_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _cut(token) -> str:
@@ -41,7 +41,7 @@ def _parse_int(token: str, lineno: int) -> int | None:
         return int(token)
     except ValueError:
         digits = (token[1:] if token[0] in "+-" else token).replace("_", "")
-        limit = _max_digits()
+        limit = max_digits()
         if limit and digits.isdecimal() and len(digits) > limit:
             raise PolytopeParseError(
                 f"integer {_cut(token)!r} has {len(digits)} digits, "
@@ -92,7 +92,7 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
             values = fields[1:]
             if len(values) != dim + 1:
                 raise DimMismatchError(
-                    f"facet line needs {_cut(dim + 1)} integers for dim {_cut(dim)}, "
+                    f"facet line needs dim + 1 integers for dim {_cut(dim)}, "
                     f"got {len(values)}",
                     lineno,
                 )

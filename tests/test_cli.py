@@ -548,9 +548,8 @@ class TestMiscFlags:
 
 
 class TestLazyParser:
-    """``main`` builds only the subcommand its argv starts with, or else only
-    the flags of the subcommands its argv names; every command line behaves
-    as with the parser that builds all of them."""
+    """``main`` builds only the subcommand its argv starts with; every command
+    line behaves as with the parser that builds all of them."""
 
     CASES = [
         ("--help",),

@@ -35,7 +35,7 @@ class TestParse:
         with pytest.raises(DimMismatchError) as err:
             parse_polytope_file("dim 2\nfacet -1 0\n")
         assert err.value.line == 2
-        assert "3 integers for dim 2" in str(err.value)
+        assert "needs dim + 1 integers for dim 2, got 2" in str(err.value)
 
     def test_non_primitive_rejected_without_normalize(self):
         with pytest.raises(NonPrimitiveNormalError) as err:
@@ -147,4 +147,12 @@ class TestMessagesCutLongTokens:
         with pytest.raises(PolytopeParseError) as err:
             parse_polytope_file(text)
         assert shown in str(err.value)
+        assert len(str(err.value)) < 120
+
+    @pytest.mark.skipif(not LIMIT, reason="this Python has no int-to-str digit limit")
+    def test_dim_at_the_digit_limit_is_cut(self):
+        # dim + 1 has one digit more than the limit allows to print
+        with pytest.raises(DimMismatchError) as err:
+            parse_polytope_file(f"dim {'9' * LIMIT}\nfacet 1 0\n")
+        assert "for dim 99999999999999999999..., got 2" in str(err.value)
         assert len(str(err.value)) < 120
