@@ -22,6 +22,7 @@ from .counting import (
     count_points,
     count_report,
     ehrhart_interpolate,
+    face_count,
     read_count,
 )
 from .errors import (
@@ -30,10 +31,11 @@ from .errors import (
     NotDelzantError,
     PolytopeParseError,
     UsageError,
+    cut,
 )
 from .hilbert import cross_check, cy_hilbert_polynomial
 from .operators import operator_count, symbolic_ehrhart
-from .polyfile import max_digits, parse_polytope_file
+from .polyfile import max_digits, over_limit, parse_polytope_file
 from .prepared import Prepared
 
 BUDGET_ENV = "DELZANT_BUDGET"
@@ -70,6 +72,17 @@ def _parse_region(text: str):
     )
 
 
+def _integer(text: str) -> int:
+    """An integer flag or environment value; a bad one is named cut short,
+    and one over Python's digit limit by its digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            over_limit(text) or f"invalid int value: {cut(text)!r}"
+        ) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a UsageError: one 'error:' line, exit 2."""
 
@@ -94,7 +107,7 @@ _COMMON_FLAGS = (
     (
         "--budget",
         dict(
-            type=int,
+            type=_integer,
             default=None,
             help=f"max points to classify, or facet subsets to walk "
             f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
@@ -121,15 +134,15 @@ def _budget(args) -> int:
     if args.budget is not None:
         budget, source = args.budget, "--budget"
     elif (env := os.environ.get(BUDGET_ENV)) is not None:
-        source = f"{BUDGET_ENV}={env!r}"
+        source = f"{BUDGET_ENV}={cut(env)!r}"
         try:
-            budget = int(env)
-        except ValueError:
-            raise UsageError(f"{source} is not an integer") from None
+            budget = _integer(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{BUDGET_ENV}: {exc}") from None
     else:
         return DEFAULT_BUDGET
     if budget < 1:
-        raise UsageError(f"{source} must be a positive integer, got {budget}")
+        raise UsageError(f"{source} must be a positive integer, got {cut(budget)}")
     return budget
 
 
@@ -242,9 +255,9 @@ def cmd_count(args, prep) -> Report:
     if args.output == "json":
         # the JSON report mirrors the full CountReport, not just the one
         # region; both are read from one enumeration of the dilate
-        histogram = prep.histogram(args.k)
-        value = read_count(histogram, region, face)
-        report = count_report(histogram, prep.lattice)
+        histogram, table = prep.histogram(args.k), prep.face_counts(args.k)
+        value = face_count(table, face) if region == "face" else read_count(histogram, region)
+        report = count_report(histogram, prep.lattice, table)
         payload.update(
             count=value,
             total=report.total,
@@ -358,7 +371,7 @@ COMMANDS = {
     "count": (
         "count lattice points of the k-fold dilate",
         (
-            ("--k", dict(type=int, default=1, help="dilation factor (default 1)")),
+            ("--k", dict(type=_integer, default=1, help="dilation factor (default 1)")),
             (
                 "--region",
                 dict(
@@ -441,7 +454,7 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         args.budget = _budget(args)
         if args.command == "count" and args.k < 1:
-            raise UsageError(f"--k must be a positive integer, got {args.k}")
+            raise UsageError(f"--k must be a positive integer, got {cut(args.k)}")
         prep = Prepared(_load_spec(args), args.budget)
         _set_digits(0)  # read tokens keep Python's digit limit; exact results print in full
         if args.command != "validate":

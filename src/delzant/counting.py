@@ -3,7 +3,9 @@
 Two classifiers count the lattice points of the integer bounding box of
 the k-fold dilate, each into a histogram of the inside points by their
 tight-facet bitmask, from which the full, interior, boundary and every
-face count of that dilate are read.  The slab kernel
+face count of that dilate are read: one face by a scan of the histogram
+(``read_count``), every face at once from one superset-sum table
+(``face_counts``).  The slab kernel
 (``_interval_masks``) settles each slab of the last two axes at once:
 between breakpoints of the facets' lines it sums the rows' lengths by
 exact floor sums and counts their tight ends by a congruence, and only
@@ -453,6 +455,37 @@ def read_count(histogram: dict[int, int], region: str = "full", face=None) -> in
     raise ValueError(f"unknown region {region!r}")
 
 
+def face_counts(histogram: dict[int, int]) -> dict[int, int]:
+    """Every face count of a dilate, from one pass over its histogram.
+
+    Each mask adds its count to every one of its submasks, mask 0
+    included, walked by s -> (s - 1) & mask: a superset sum (the zeta
+    transform of Yates 1937; Björklund, Husfeldt, Kaski and Koivisto,
+    STOC 2007) over the masks present, at most #faces * 2^m steps on a
+    simple polytope.  Returns {S: points whose tight mask contains S},
+    S a bitmask, read by ``face_count``; ``read_count(..., "face")``
+    scans the histogram for one S instead, and is the tests' oracle.
+    """
+    table: dict[int, int] = {}
+    for mask, n in histogram.items():
+        sub = mask
+        while True:
+            table[sub] = table.get(sub, 0) + n
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    return table
+
+
+def face_count(table: dict[int, int], face) -> int:
+    """The count of the face cut out by the facet index set ``face``, read
+    from a ``face_counts`` table (an empty intersection reads zero)."""
+    mask = 0
+    for i in face:
+        mask |= 1 << i
+    return table.get(mask, 0)
+
+
 def _check_count_args(spec: HalfSpaceSpec, k: int, region: str, face) -> None:
     if k < 1:
         raise ValueError("dilation k must be a positive integer")
@@ -514,14 +547,16 @@ def brute_count(
     return read_count(brute_histogram(spec, k, budget=budget, charts=charts), region, face)
 
 
-def count_report(histogram: dict[int, int], lattice: FaceLattice) -> CountReport:
+def count_report(
+    histogram: dict[int, int], lattice: FaceLattice, table: dict[int, int]
+) -> CountReport:
     """Counts of the k-fold dilate, its interior and boundary, and every
-    proper face, all read from the dilate's tight-mask histogram."""
+    proper face, read from the dilate's tight-mask histogram and its
+    ``face_counts`` table."""
     total = read_count(histogram, "full")
     interior = read_count(histogram, "interior")
     per_face = {
-        rec.active_set: read_count(histogram, "face", rec.active_set)
-        for rec in lattice.proper_faces()
+        rec.active_set: face_count(table, rec.active_set) for rec in lattice.proper_faces()
     }
     return CountReport(
         total=total,
@@ -531,13 +566,13 @@ def count_report(histogram: dict[int, int], lattice: FaceLattice) -> CountReport
     )
 
 
-def _forward_difference_fit(values) -> UniPoly:
+def _forward_difference_fit(values) -> tuple[list[int], int]:
     """The polynomial of degree < n through (k, values[k-1]) for k = 1..n.
 
     Newton's form p(k) = sum_i D^i y_1 C(k-1, i), where D^i y_1 is the
     i-th forward difference, is summed in integers over the common
     denominator (n-1)!: term i adds D^i y_1 (n-1)!/i! (k-1)(k-2)...(k-i).
-    Only the final coefficients become fractions.
+    Returns the integer numerators, lowest power first, and (n-1)!.
     """
     n = len(values)
     numerators = [0] * n
@@ -552,7 +587,7 @@ def _forward_difference_fit(values) -> UniPoly:
         t = i + 1
         falling = [a - t * b for a, b in zip([0, *falling], [*falling, 0])]
         scale //= t
-    return UniPoly(Fraction(c, denominator) for c in numerators)
+    return numerators, denominator
 
 
 def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
@@ -560,18 +595,24 @@ def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
 
     ``counts`` is a callable k -> int.  The verification failure means the
     counts do not follow a polynomial of that degree, which for lattice
-    input always signals a bug.
+    input always signals a bug.  The probe is checked in integers, the
+    fit's numerators at degree+2 against the count times the fit's
+    denominator; only the returned coefficients become fractions.
     """
-    poly = _forward_difference_fit([counts(k) for k in range(1, degree + 2)])
+    numerators, denominator = _forward_difference_fit(
+        [counts(k) for k in range(1, degree + 2)]
+    )
     probe = degree + 2
-    predicted = poly.evaluate(probe)
+    predicted = 0
+    for c in reversed(numerators):
+        predicted = predicted * probe + c
     actual = counts(probe)
-    if predicted != actual:
+    if predicted != actual * denominator:
         raise NotPolynomialError(
             f"{kind} counts are not a degree-{degree} polynomial: "
-            f"predicted {predicted} at k={probe}, counted {actual}"
+            f"predicted {Fraction(predicted, denominator)} at k={probe}, counted {actual}"
         )
-    return poly
+    return UniPoly(Fraction(c, denominator) for c in numerators)
 
 
 def ehrhart_interpolate(

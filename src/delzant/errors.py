@@ -13,6 +13,21 @@ Every library-level failure derives from DelzantError and carries an
 from __future__ import annotations
 
 
+def cut(token) -> str:
+    """A token or number as a message shows it: its first 20 characters.
+
+    An integer loses all but 40-odd leading digits before it is converted
+    (bit_length * 3 // 10 never exceeds its digit count), so one over
+    Python's int-to-str digit limit shows too.
+    """
+    if isinstance(token, int):
+        drop = max(token.bit_length() * 3 // 10 - 40, 0)
+        text = ("-" if token < 0 else "") + str(abs(token) // 10**drop)
+    else:
+        text = str(token)
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
 class DelzantError(Exception):
     exit_code = 1
 

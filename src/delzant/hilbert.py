@@ -8,11 +8,14 @@ and (c) are fitted to a polynomial in the dilation factor k.  Each route
 gives a plain ``UniPoly`` in k.  The three are proven-equal identities,
 so any disagreement aborts loudly: it always means an implementation bug
 or invalid input, never an acceptable warning.
-Route (a) reads its face counts from the slab kernel's histograms;
-route (c) and every brute comparison value of ``cross_check`` read the
-per-point classifier's histogram of the dilate (``Prepared.brute_histogram``,
-one per k), so the kernel is always checked against code it shares
-nothing with.
+Route (a) and the per-face table read every face count from one table
+per dilate (``Prepared.face_counts``: one superset-sum pass over the slab
+kernel's histogram), not from a histogram scan per face; the scan,
+``read_count(..., "face")``, is the tests' oracle for the table.
+Route (c) and every brute comparison value of ``cross_check`` read the
+per-point classifier's histogram of the dilate
+(``Prepared.brute_histogram``, one per k), so the kernel is always
+checked against code it shares nothing with.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import count_points, interpolate_counts, read_count
+from .counting import count_points, face_count, interpolate_counts, read_count
 from .errors import BudgetExceededError, DisagreementError
 from .operators import operator_count, symbolic_ehrhart
 from .polynomial import UniPoly
@@ -35,15 +38,15 @@ def inclusion_exclusion_levels(prep: Prepared, k: int):
     Level l runs over every size-l subset of facets, resolves it through
     the face lattice (empty intersections count zero), and carries the
     sign (-1)^(l+1).  Returns a list of (level, sign, count_sum) triples.
-    Every face count is read from the one tight-mask histogram of the
-    k-fold dilate.  Raises BudgetExceededError before the walk when its
+    Every face count is read from the k-fold dilate's one face-count
+    table (``Prepared.face_counts``).  Raises BudgetExceededError before the walk when its
     2^d - 1 facet subsets exceed the budget.
     """
     d = prep.spec.num_facets
     if (subsets := 2**d - 1) > prep.budget:
         raise BudgetExceededError(subsets, prep.budget, "inclusion-exclusion", "facet subsets")
     lattice = prep.lattice
-    histogram = prep.histogram(k)
+    table = prep.face_counts(k)
     levels = []
     for size in range(1, d + 1):
         sign = -1 if size % 2 == 0 else 1
@@ -52,7 +55,7 @@ def inclusion_exclusion_levels(prep: Prepared, k: int):
             record = lattice.resolve(subset)
             if record is None:
                 continue
-            subtotal += read_count(histogram, "face", record.active_set)
+            subtotal += face_count(table, record.active_set)
         levels.append((size, sign, subtotal))
     return levels
 
@@ -75,7 +78,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     """Boundary Hilbert polynomial, three ways, with mandatory agreement.
 
     The inclusion-exclusion fit and the per-face table read their face
-    counts from the polytope's one tight-mask histogram per dilation k.
+    counts from the polytope's one face-count table per dilation k.
     The oracle route reads the per-point classifier's histogram of each
     dilate instead (``Prepared.brute_histogram``).  Raises NotDelzantError
     on invalid input.
@@ -93,7 +96,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     per_face = {}
     for record in prep.lattice.proper_faces():
         per_face[record.active_set] = interpolate_counts(
-            lambda k, face=record.active_set: read_count(prep.histogram(k), "face", face),
+            lambda k, face=record.active_set: face_count(prep.face_counts(k), face),
             record.dim,
             "face",
         )

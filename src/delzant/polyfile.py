@@ -21,6 +21,7 @@ from .errors import (
     NonIntegerOffsetError,
     NonPrimitiveNormalError,
     PolytopeParseError,
+    cut,
 )
 from .polytope import HalfSpaceSpec
 
@@ -29,10 +30,17 @@ from .polytope import HalfSpaceSpec
 max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _cut(token) -> str:
-    """The token as an error message shows it: its first 20 characters."""
-    text = str(token)
-    return text if len(text) <= 20 else text[:20] + "..."
+def over_limit(token: str) -> str | None:
+    """The message for a decimal integer token over Python's digit limit, else None.
+
+    Like ``int``, it takes the token with surrounding whitespace.
+    """
+    token = token.strip()
+    digits = (token[1:] if token[:1] in ("+", "-") else token).replace("_", "")
+    limit = max_digits()
+    if limit and digits.isdecimal() and len(digits) > limit:
+        return f"integer {cut(token)!r} has {len(digits)} digits, over Python's limit of {limit}"
+    return None
 
 
 def _parse_int(token: str, lineno: int) -> int | None:
@@ -40,14 +48,8 @@ def _parse_int(token: str, lineno: int) -> int | None:
     try:
         return int(token)
     except ValueError:
-        digits = (token[1:] if token[0] in "+-" else token).replace("_", "")
-        limit = max_digits()
-        if limit and digits.isdecimal() and len(digits) > limit:
-            raise PolytopeParseError(
-                f"integer {_cut(token)!r} has {len(digits)} digits, "
-                f"over Python's limit of {limit}",
-                lineno,
-            ) from None
+        if (message := over_limit(token)) is not None:
+            raise PolytopeParseError(message, lineno) from None
         return None
 
 
@@ -79,7 +81,7 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
             if len(fields) != 2 or (value := _parse_int(fields[1], lineno)) is None:
                 raise PolytopeParseError("'dim' needs one integer", lineno)
             if value < 1:
-                raise PolytopeParseError(f"dim must be >= 1, got {_cut(value)}", lineno)
+                raise PolytopeParseError(f"dim must be >= 1, got {cut(value)}", lineno)
             dim = value
             dim_line = lineno
         elif keyword == "name":
@@ -92,7 +94,7 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
             values = fields[1:]
             if len(values) != dim + 1:
                 raise DimMismatchError(
-                    f"facet line needs dim + 1 integers for dim {_cut(dim)}, "
+                    f"facet line needs dim + 1 integers for dim {cut(dim)}, "
                     f"got {len(values)}",
                     lineno,
                 )
@@ -101,25 +103,25 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
                 if val is None:
                     if pos == dim and _parse_float(tok) is not None:
                         raise NonIntegerOffsetError(
-                            f"offset {_cut(tok)} is not an integer", lineno
+                            f"offset {cut(tok)} is not an integer", lineno
                         )
-                    raise PolytopeParseError(f"bad integer {_cut(tok)!r}", lineno)
+                    raise PolytopeParseError(f"bad integer {cut(tok)!r}", lineno)
             normal = tuple(parsed[:dim])
             offset = parsed[dim]
             if all(x == 0 for x in normal):
                 raise PolytopeParseError("zero normal vector", lineno)
             g = gcd(*(abs(x) for x in normal))
             if g != 1:
-                shown = "[" + ", ".join(_cut(x) for x in normal) + "]"
+                shown = "[" + ", ".join(cut(x) for x in normal) + "]"
                 if not normalize:
                     raise NonPrimitiveNormalError(
-                        f"normal {shown} has gcd {_cut(g)}; "
+                        f"normal {shown} has gcd {cut(g)}; "
                         "rerun with --normalize to divide it out",
                         lineno,
                     )
                 if offset % g != 0:
                     raise NonPrimitiveNormalError(
-                        f"normal {shown} has gcd {_cut(g)} but offset {_cut(offset)} "
+                        f"normal {shown} has gcd {cut(g)} but offset {cut(offset)} "
                         "is not divisible by it",
                         lineno,
                     )
@@ -127,7 +129,7 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
                 offset //= g
             facets.append((normal, offset))
         else:
-            raise PolytopeParseError(f"unknown keyword {_cut(keyword)!r}", lineno)
+            raise PolytopeParseError(f"unknown keyword {cut(keyword)!r}", lineno)
 
     if dim is None:
         raise PolytopeParseError("missing 'dim' line")

@@ -33,6 +33,7 @@ from .errors import (
     NonSimpleError,
     RedundantFacetError,
     UnboundedError,
+    cut,
 )
 from .linalg import independent_rows, int_solve, kernel_vector
 
@@ -54,7 +55,9 @@ class HalfSpaceSpec:
         for normal, offset in facets:
             normal = tuple(int(x) for x in normal)
             if len(normal) != dim:
-                raise ValueError(f"normal {normal} has length {len(normal)}, expected {dim}")
+                raise ValueError(
+                    f"normal {normal} has length {len(normal)}, expected {cut(dim)}"
+                )
             if all(x == 0 for x in normal):
                 raise ValueError("zero normal vector")
             if gcd(*(abs(x) for x in normal)) != 1:
@@ -64,7 +67,8 @@ class HalfSpaceSpec:
             built.append(Facet(normal, int(offset)))
         if len(built) < dim + 1:
             raise ValueError(
-                f"need at least {dim + 1} facets for a bounded {dim}-polytope, got {len(built)}"
+                f"need at least {cut(dim + 1)} facets for a bounded {cut(dim)}-polytope, "
+                f"got {len(built)}"
             )
         self.dim = dim
         self.facets = tuple(built)

@@ -3,8 +3,11 @@
 Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
 volume, then the Todd and A-hat operator products applied to those, and
-the tight-mask histogram of each dilate, built by the slab kernel, for
-the face counts.  Each operator series is expanded to its
+the tight-mask histogram of each dilate, built by the slab kernel, and
+its face-count table (``counting.face_counts``, one superset-sum pass),
+from which inclusion-exclusion, the per-face table and ``count_report``
+read every face count; the per-face histogram scan
+``read_count(..., "face")`` is kept as the tests' oracle.  Each operator series is expanded to its
 target's degree, and ``operators.operator_count`` and ``symbolic_ehrhart``
 read the count and the Ehrhart polynomial off the one applied polynomial
 of a kind.  The face lattice is built once, from the charts alone;
@@ -43,6 +46,7 @@ class Prepared:
     budget: int = counting.DEFAULT_BUDGET
     _applied: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _histograms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _brute: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -100,6 +104,13 @@ class Prepared:
                 self.spec, k, budget=self.budget, charts=self.charts
             )
         return self._histograms[k]
+
+    def face_counts(self, k: int) -> dict[int, int]:
+        """The k-fold dilate's ``counting.face_counts`` table, built once per k
+        from ``histogram(k)``."""
+        if k not in self._tables:
+            self._tables[k] = counting.face_counts(self.histogram(k))
+        return self._tables[k]
 
     def brute_histogram(self, k: int) -> dict[int, int]:
         """The k-fold dilate's ``brute_histogram``, built once per k, apart from ``histogram``."""

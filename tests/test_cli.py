@@ -483,6 +483,45 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "--k", "abc", poly_file("simplex_2"))
         self.assert_one_line_usage_error(code, err, "--k", "abc")
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no int-to-str digit limit",
+    )
+    @pytest.mark.parametrize("flag", ["--k", "--budget", "DELZANT_BUDGET"])
+    def test_over_long_integer_flag_is_one_short_usage_error(
+        self, flag, poly_file, capsys, monkeypatch
+    ):
+        argv = ["count", poly_file("simplex_2")]
+        if flag == "DELZANT_BUDGET":
+            # int() takes surrounding whitespace, and so does the digit count
+            monkeypatch.setenv(flag, " " + "9" * 5000 + "\n")
+        else:
+            argv[1:1] = [flag, "9" * 5000]
+        code, out, err = run(capsys, *argv)
+        shown = "'99999999999999999999...' has 5000 digits"
+        self.assert_one_line_usage_error(code, err, flag, shown)
+        assert len(err) < 120 and not out
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (("--k", "x" * 5000), "--k: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...'"),
+            (("--k", "-" + "9" * 4000), "--k must be a positive integer, got -99999999999"),
+            (("--budget", "-" + "9" * 4000), "got -9999999999999999999..."),
+        ],
+        ids=["bad --k", "negative --k", "negative --budget"],
+    )
+    def test_long_flag_values_are_cut(self, argv, shown, poly_file, capsys):
+        code, out, err = run(capsys, "count", *argv, poly_file("simplex_2"))
+        self.assert_one_line_usage_error(code, err, shown)
+        assert len(err) < 120 and not out
+
+    def test_long_budget_env_value_is_cut(self, poly_file, capsys, monkeypatch):
+        monkeypatch.setenv("DELZANT_BUDGET", "-" + "9" * 4000)
+        code, out, err = run(capsys, "count", poly_file("simplex_2"))
+        self.assert_one_line_usage_error(code, err, "DELZANT_BUDGET='-9999999999999999999...'")
+        assert len(err) < 120 and not out
+
     def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "binary.poly"
         path.write_bytes(b"\xff\xfedim 2\n")

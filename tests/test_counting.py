@@ -1,11 +1,11 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delzant.cli import main
 from delzant.corpus import DELZANT_CORPUS, corpus_text, load
@@ -16,6 +16,8 @@ from delzant.counting import (
     count_points,
     count_report,
     ehrhart_interpolate,
+    face_count,
+    face_counts,
     interpolate_counts,
     read_count,
     tight_histogram,
@@ -571,19 +573,56 @@ class TestCountReport:
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_total_splits_into_interior_and_boundary(self, name, prepare):
         p = prepare(name)
-        report = count_report(p.histogram(2), p.lattice)
+        report = count_report(p.histogram(2), p.lattice, p.face_counts(2))
         assert report.total == report.interior + report.boundary
         brute_boundary = count_points(p.spec, 2, "boundary", charts=p.charts)
         assert report.boundary == brute_boundary
 
     def test_per_face_monotone_under_inclusion(self, prepare):
         p = prepare("cube_unit")
-        report = count_report(p.histogram(2), p.lattice)
+        report = count_report(p.histogram(2), p.lattice, p.face_counts(2))
         for small, count_small in report.per_face.items():
             for large, count_large in report.per_face.items():
                 if set(small) <= set(large):
                     # larger active set means smaller face
                     assert count_large <= count_small
+
+
+class TestFaceCounts:
+    """The superset-sum table against ``read_count``'s per-face scan."""
+
+    @staticmethod
+    def assert_matches_scan(histogram):
+        table = face_counts(histogram)
+        # every facet set inside some key, the empty set included
+        faces = set()
+        for mask in histogram:
+            bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            faces.update(c for r in range(len(bits) + 1) for c in combinations(bits, r))
+        assert set(table) == {sum(1 << i for i in face) for face in faces}
+        for face in faces:
+            assert table[sum(1 << i for i in face)] == read_count(histogram, "face", face)
+            assert face_count(table, face) == read_count(histogram, "face", face)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_matches_scan_on_the_corpus(self, name, k, prepare):
+        p = prepare(name)
+        histogram = p.histogram(k)
+        self.assert_matches_scan(histogram)
+        assert p.face_counts(k) == face_counts(histogram)
+        assert p.face_counts(k) is p.face_counts(k)
+        # a facet set in no key, here all of them, reads zero from both
+        every = tuple(range(p.spec.num_facets))
+        assert face_count(p.face_counts(k), every) == read_count(histogram, "face", every) == 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(0, 2**6 - 1), st.integers(1, 10**6), max_size=10))
+    @example({0: 7, 0b011: 2, 0b101: 3, 0b110: 5, 0b111: 1})
+    @example({0: 1})
+    @example({})
+    def test_matches_scan_on_random_histograms(self, histogram):
+        self.assert_matches_scan(histogram)
 
 
 class TestEhrhartInterpolate:
@@ -665,4 +704,6 @@ class TestForwardDifferenceFit:
         ]
         for values in value_lists:
             nodes = list(enumerate(values, start=1))
-            assert _forward_difference_fit(values) == UniPoly.interpolate(nodes)
+            numerators, denominator = _forward_difference_fit(values)
+            fit = UniPoly(Fraction(c, denominator) for c in numerators)
+            assert fit == UniPoly.interpolate(nodes)

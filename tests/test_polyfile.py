@@ -8,6 +8,7 @@ from delzant.errors import (
     NonIntegerOffsetError,
     NonPrimitiveNormalError,
     PolytopeParseError,
+    cut,
 )
 from delzant.polyfile import parse_polytope_file
 
@@ -156,3 +157,31 @@ class TestMessagesCutLongTokens:
             parse_polytope_file(f"dim {'9' * LIMIT}\nfacet 1 0\n")
         assert "for dim 99999999999999999999..., got 2" in str(err.value)
         assert len(str(err.value)) < 120
+
+    @pytest.mark.parametrize("digits", [4000, LIMIT or 4300])
+    def test_huge_dim_with_too_few_facets_is_cut(self, digits):
+        # at the limit, dim + 1 is one digit over it and is cut before it prints
+        with pytest.raises(PolytopeParseError) as err:
+            parse_polytope_file(f"dim {'9' * digits}\n")
+        assert err.value.exit_code == 3
+        assert str(err.value) == (
+            "need at least 10000000000000000000... facets for a bounded "
+            "99999999999999999999...-polytope, got 0"
+        )
+
+
+class TestCut:
+    """``cut`` shows an integer as ``str`` would, cut to 20 characters,
+    also past Python's digit limit."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -7, 10**19, 10**20 - 1, 10**20, -(10**19), -(10**20), 2**400 - 1, -(3**300)],
+    )
+    def test_matches_str(self, value):
+        text = str(value)
+        assert cut(value) == (text if len(text) <= 20 else text[:20] + "...")
+
+    def test_integer_over_the_digit_limit(self):
+        assert cut(10**5000) == "1" + "0" * 19 + "..."
+        assert cut(-(10**5000) + 1) == "-" + "9" * 19 + "..."

@@ -3,9 +3,10 @@
 Every stage function is counted at every binding it has in the package
 (a function imported by name has one binding per importing module), then
 one CLI command runs.  A command builds each stage of its polytope once;
-the brute comparison values build their own histogram of each dilate,
-apart from the kernel's, and the dilation check enumerates again, on
-purpose.  The command line builds the root parser and the running
+every face count of a dilate is read from its one face-count table, with
+no per-face histogram scan; the brute comparison values build their own
+histogram of each dilate, apart from the kernel's, and the dilation check
+enumerates again, on purpose.  The command line builds the root parser and the running
 command's subparser, with that command's flags only.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import delzant.counting as counting
 import delzant.polytope as polytope
 import delzant.volume as volume
 from delzant.cli import main
@@ -30,14 +32,26 @@ STAGES = (
     ("delzant.volume", "volume_polynomial"),
     ("delzant.operators", "apply_operator_product"),
     ("delzant.counting", "tight_histogram"),
+    ("delzant.counting", "face_counts"),
     ("delzant.counting", "count_points"),
     ("delzant.counting", "brute_count"),
     ("delzant.counting", "brute_histogram"),
 )
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Point every binding of ``original`` in the package at ``replacement``."""
+    for other_name, module in list(sys.modules.items()):
+        if other_name == "delzant" or other_name.startswith("delzant."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def stage_calls(monkeypatch):
+    """Calls of each stage, and under "face scans" the ``read_count`` calls
+    that scan a histogram for one face."""
     calls = Counter()
     for module_name, name in STAGES:
         original = getattr(sys.modules[module_name], name)
@@ -46,11 +60,15 @@ def stage_calls(monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for other_name, module in list(sys.modules.items()):
-            if other_name == "delzant" or other_name.startswith("delzant."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+        _rebind(monkeypatch, original, counted)
+
+    read_count = counting.read_count
+
+    def counted_read(histogram, region="full", face=None):
+        calls["face scans"] += region == "face"
+        return read_count(histogram, region, face)
+
+    _rebind(monkeypatch, read_count, counted_read)
     return calls
 
 
@@ -73,8 +91,11 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["build_face_lattice"] == 1
     # the polytope's own charts, plus the dilates k = 1, 2, 3 of the dilation check
     assert stage_calls["enumerate_vertices"] == 4
-    # one histogram for each k = 1..5, shared by every face count
+    # one histogram for each k = 1..5, and one face-count table read by
+    # every face count, with no per-face scan
     assert stage_calls["tight_histogram"] == 5
+    assert stage_calls["face_counts"] == 5
+    assert stage_calls["face scans"] == 0
     # every brute comparison value (2 operator counts, 5 inclusion-exclusion
     # dilates, route (c)'s nodes k = 1, 2 and probe k = 3, and 5 interior
     # counts of reciprocity) reads the oracle's one histogram per k = 1..5
@@ -82,6 +103,29 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["brute_count"] == 0
     # the fibre kernel fits the full polynomial of the reciprocity check
     assert stage_calls["count_points"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, tables, scans",
+    [
+        # boundary degree 1: k = 1, 2 and the probe k = 3, shared by
+        # inclusion-exclusion and every per-face fit
+        (("hilbert-cy",), 3, 0),
+        (("count", "--k", "2", "--output", "json"), 1, 0),
+        (("count", "--k", "2", "--output", "json", "--region", "face=3"), 1, 0),
+        # text output counts one region by ``count_points``, which scans
+        (("count", "--k", "2", "--region", "face=3"), 0, 1),
+    ],
+    ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
+)
+def test_face_counts_come_from_one_table_per_dilate(
+    argv, tables, scans, stage_calls, simplex_2, capsys
+):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["tight_histogram"] == tables
+    assert stage_calls["face_counts"] == tables
+    assert stage_calls["face scans"] == scans
 
 
 def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, capsys):
