@@ -39,8 +39,8 @@ def inclusion_exclusion_levels(prep: Prepared, k: int):
     the face lattice (empty intersections count zero), and carries the
     sign (-1)^(l+1).  Returns a list of (level, sign, count_sum) triples.
     Every face count is read from the k-fold dilate's one face-count
-    table (``Prepared.face_counts``).  Raises BudgetExceededError before the walk when its
-    2^d - 1 facet subsets exceed the budget.
+    table (``Prepared.face_counts``).  Raises BudgetExceededError before
+    the walk when its 2^d - 1 facet subsets exceed the budget.
     """
     d = prep.spec.num_facets
     if (subsets := 2**d - 1) > prep.budget:

@@ -7,10 +7,10 @@ the tight-mask histogram of each dilate, built by the slab kernel, and
 its face-count table (``counting.face_counts``, one superset-sum pass),
 from which inclusion-exclusion, the per-face table and ``count_report``
 read every face count; the per-face histogram scan
-``read_count(..., "face")`` is kept as the tests' oracle.  Each operator series is expanded to its
-target's degree, and ``operators.operator_count`` and ``symbolic_ehrhart``
-read the count and the Ehrhart polynomial off the one applied polynomial
-of a kind.  The face lattice is built once, from the charts alone;
+``read_count(..., "face")`` is kept as the tests' oracle.  Each
+operator series is expanded to its target's degree, and
+``operators.operator_count`` and ``symbolic_ehrhart`` read the count and
+the Ehrhart polynomial off the one applied polynomial of a kind.  The face lattice is built once, from the charts alone;
 ``lattice`` hands it out only once the Delzant report passes, while the
 volume oracle's one more stage, the anchor's triangulation, reads it
 with no Delzant check.  A command or report holds one ``Prepared``

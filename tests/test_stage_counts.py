@@ -6,8 +6,8 @@ one CLI command runs.  A command builds each stage of its polytope once;
 every face count of a dilate is read from its one face-count table, with
 no per-face histogram scan; the brute comparison values build their own
 histogram of each dilate, apart from the kernel's, and the dilation check
-enumerates again, on purpose.  The command line builds the root parser and the running
-command's subparser, with that command's flags only.
+enumerates again, on purpose.  The command line builds the root parser
+and the running command's subparser, with that command's flags only.
 """
 
 import argparse
