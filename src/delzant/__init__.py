@@ -2,13 +2,7 @@
 polynomials for Delzant polytopes, with every formula cross-checked against
 brute-force enumeration."""
 
-from .counting import (
-    CountReport,
-    brute_count,
-    count_points,
-    count_report,
-    ehrhart_interpolate,
-)
+from .counting import count_points, ehrhart_interpolate
 from .errors import DelzantError
 from .hilbert import (
     CrossCheckReport,
@@ -46,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryVolumePolynomial",
-    "CountReport",
     "CrossCheckReport",
     "DelzantError",
     "FaceLattice",
@@ -60,10 +53,8 @@ __all__ = [
     "VolumePolynomial",
     "apply_operator_product",
     "boundary_volume_polynomial",
-    "brute_count",
     "build_face_lattice",
     "count_points",
-    "count_report",
     "cross_check",
     "cy_hilbert_polynomial",
     "ehrhart_interpolate",

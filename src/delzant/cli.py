@@ -20,7 +20,6 @@ from . import __version__
 from .counting import (
     DEFAULT_BUDGET,
     count_points,
-    count_report,
     ehrhart_interpolate,
     face_count,
     read_count,
@@ -253,19 +252,19 @@ def cmd_count(args, prep) -> Report:
         "region": region_text,
     }
     if args.output == "json":
-        # the JSON report mirrors the full CountReport, not just the one
-        # region; both are read from one enumeration of the dilate
+        # the JSON report gives every region and proper face, not just the
+        # one asked for; all are read from one enumeration of the dilate
         histogram, table = prep.histogram(args.k), prep.face_counts(args.k)
         value = face_count(table, face) if region == "face" else read_count(histogram, region)
-        report = count_report(histogram, prep.lattice, table)
+        total, interior = read_count(histogram, "full"), read_count(histogram, "interior")
         payload.update(
             count=value,
-            total=report.total,
-            interior=report.interior,
-            boundary=report.boundary,
+            total=total,
+            interior=interior,
+            boundary=total - interior,
             per_face=[
-                {"active_set": [i + 1 for i in key], "count": report.per_face[key]}
-                for key in sorted(report.per_face)
+                {"active_set": [i + 1 for i in key], "count": face_count(table, key)}
+                for key in (rec.active_set for rec in prep.lattice.proper_faces())
             ],
         )
     else:
@@ -282,7 +281,8 @@ def cmd_ehrhart(args, prep) -> Report:
         if args.kind == "interior":
             raise UsageError("--method operator supports kinds full and boundary only")
         result = symbolic_ehrhart(prep, args.kind)
-        applied_text = prep.applied(args.kind).to_text()
+        if args.output == "json":  # the one format that prints it
+            applied_text = prep.applied(args.kind).to_text()
     else:
         result = ehrhart_interpolate(
             prep.spec, args.kind, budget=prep.budget, charts=prep.charts
@@ -303,12 +303,11 @@ def cmd_ehrhart(args, prep) -> Report:
 def cmd_operator_count(args, prep) -> Report:
     kind = "full" if args.command == "khovanskii" else "boundary"
     value = operator_count(prep, kind)
-    applied_text = prep.applied(kind).to_text()
-    payload = {
-        "count": value,
-        "operator_applied": applied_text,
-    }
-    rows = [("count", value), ("operator_applied", applied_text)]
+    payload, rows = {"count": value}, [("count", value)]
+    if args.output != "text":  # text prints the count alone
+        applied_text = prep.applied(kind).to_text()
+        payload["operator_applied"] = applied_text
+        rows.append(("operator_applied", applied_text))
     return payload, [str(value)], rows, EXIT_OK
 
 

@@ -17,9 +17,10 @@ another prefix has already settled is read back, with the bits of the
 facets constant over it ORed in.  It serves
 ``count_points``, ``tight_histogram`` and ``ehrhart_interpolate``.  The
 per-point classifier (``_tight_masks``) tests every point of the box
-against the facets one by one; it serves only ``brute_histogram`` and
-``brute_count``, the brute-force oracle, and shares no classifying code
-with the kernel.
+against the facets one by one; it serves only ``brute_histogram``, the
+brute-force oracle, read by ``read_count`` as the kernel's histograms
+are, and shares no classifying code with the kernel.  Both take their
+box, and the one check of k, from ``_box``.
 Counts are fitted by exact interpolation (integer forward differences),
 and every fit must predict one extra count correctly before it is
 accepted as a polynomial.
@@ -27,26 +28,17 @@ accepted as a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 
 from .errors import BudgetExceededError, NotPolynomialError
 from .linalg import kernel_vector
 from .polynomial import UniPoly
-from .polytope import FaceLattice, HalfSpaceSpec, enumerate_vertices
+from .polytope import HalfSpaceSpec, enumerate_vertices
 
 DEFAULT_BUDGET = 10**8
 
 REGIONS = ("full", "interior", "boundary", "face")
-
-
-@dataclass(frozen=True)
-class CountReport:
-    total: int
-    interior: int
-    boundary: int
-    per_face: dict[tuple[int, ...], int] = field(default_factory=dict)
 
 
 def _bounding_box(spec: HalfSpaceSpec, k: int, charts):
@@ -400,8 +392,11 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
 def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):
     """Normals, dilated offsets and bounding box of the k-fold dilate.
 
-    The box's size is checked against ``budget`` before any work happens.
+    The one check of k, for the kernel and the oracle alike; the box's
+    size is checked against ``budget`` before any work happens.
     """
+    if k < 1:
+        raise ValueError("dilation k must be a positive integer")
     if charts is None:
         charts = enumerate_vertices(spec)
     lows, highs = _bounding_box(spec, k, charts)
@@ -429,8 +424,6 @@ def tight_histogram(
     then be read off with ``read_count``.  On a simple polytope
     each key is 0 or the active set of a face, as a bitmask.
     """
-    if k < 1:
-        raise ValueError("dilation k must be a positive integer")
     return _enumerate(spec, k, budget, charts)
 
 
@@ -486,9 +479,7 @@ def face_count(table: dict[int, int], face) -> int:
     return table.get(mask, 0)
 
 
-def _check_count_args(spec: HalfSpaceSpec, k: int, region: str, face) -> None:
-    if k < 1:
-        raise ValueError("dilation k must be a positive integer")
+def _check_count_args(spec: HalfSpaceSpec, region: str, face) -> None:
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
     if region == "face":
@@ -519,7 +510,7 @@ def count_points(
     pass of the slab kernel, so a count from here is independent of any
     histogram another caller holds.
     """
-    _check_count_args(spec, k, region, face)
+    _check_count_args(spec, region, face)
     return read_count(_enumerate(spec, k, budget, charts), region, face)
 
 
@@ -528,42 +519,7 @@ def brute_histogram(
 ) -> dict[int, int]:
     """``tight_histogram`` by the per-point classifier (``_tight_masks``), the
     brute-force oracle: same box and budget, no code shared with the kernel."""
-    if k < 1:
-        raise ValueError("dilation k must be a positive integer")
     return _tight_masks(*_box(spec, k, budget, charts))
-
-
-def brute_count(
-    spec: HalfSpaceSpec,
-    k: int,
-    region: str = "full",
-    *,
-    face=None,
-    budget: int = DEFAULT_BUDGET,
-    charts=None,
-) -> int:
-    """``count_points`` read from its own ``brute_histogram``: same arguments and checks."""
-    _check_count_args(spec, k, region, face)
-    return read_count(brute_histogram(spec, k, budget=budget, charts=charts), region, face)
-
-
-def count_report(
-    histogram: dict[int, int], lattice: FaceLattice, table: dict[int, int]
-) -> CountReport:
-    """Counts of the k-fold dilate, its interior and boundary, and every
-    proper face, read from the dilate's tight-mask histogram and its
-    ``face_counts`` table."""
-    total = read_count(histogram, "full")
-    interior = read_count(histogram, "interior")
-    per_face = {
-        rec.active_set: face_count(table, rec.active_set) for rec in lattice.proper_faces()
-    }
-    return CountReport(
-        total=total,
-        interior=interior,
-        boundary=total - interior,
-        per_face=per_face,
-    )
 
 
 def _forward_difference_fit(values) -> tuple[list[int], int]:

@@ -12,8 +12,8 @@ Route (a) and the per-face table read every face count from one table
 per dilate (``Prepared.face_counts``: one superset-sum pass over the slab
 kernel's histogram), not from a histogram scan per face; the scan,
 ``read_count(..., "face")``, is the tests' oracle for the table.
-Route (c) and every brute comparison value of ``cross_check`` read the
-per-point classifier's histogram of the dilate
+Route (c) and every brute comparison value of ``cross_check`` are
+``read_count`` of the per-point classifier's histogram of the dilate
 (``Prepared.brute_histogram``, one per k), so the kernel is always
 checked against code it shares nothing with.
 """

@@ -1,18 +1,19 @@
 """Exact linear algebra on small integer and rational matrices.
 
-Matrices are plain tuples/lists of row sequences.  Determinants, solves,
-inverses and kernel vectors stay in integers: fraction-free (Bareiss)
-elimination divides exactly at every step (Bareiss, Math. Comp. 1968),
-and ``int_solve`` returns the Cramer numerators X = det(A) A^{-1} C.  A
-caller with rational data scales it by q to integers and reads the
-solution as X / (det q), so it builds a Fraction only for a value it
-keeps.  There is no floating point anywhere in this package.
+Matrices are plain tuples/lists of row sequences.  Solves, inverses,
+independent rows and kernel vectors stay in integers: fraction-free
+(Bareiss) elimination divides exactly at every step (Bareiss, Math.
+Comp. 1968), and ``int_solve`` returns det(A) and the Cramer numerators
+X = det(A) A^{-1} C.  A caller with rational data scales it by q to
+integers and reads the solution as X / (det q), so it builds a Fraction
+only for a value it keeps.  ``ring_det``, the Laplace expansion, is the
+tests' determinant oracle.  There is no floating point anywhere in this
+package.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
 
 
 def _eliminate(a, ncols: int) -> tuple[int, int]:
@@ -62,23 +63,11 @@ def _back_substitute(a, k: int, det: int, columns) -> list[list[int]]:
     return x
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("int_det needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign, rank = _eliminate(a, n)
-    return sign * a[n - 1][n - 1] if rank == n else 0
-
-
 def int_solve(rows, cols):
     """(det, X) with rows . X == det . cols in integers, or None if singular.
 
-    ``rows`` is a nonempty square integer matrix with det = int_det(rows),
-    and ``cols`` has one integer row per row of it.  X, of the shape of
+    ``rows`` is a nonempty square integer matrix with determinant det, and
+    ``cols`` has one integer row per row of it.  X, of the shape of
     ``cols``, holds the Cramer numerators: rows^{-1} cols == X / det.  One
     elimination of [rows | cols], then back substitution on the triangle
     it leaves.

@@ -141,16 +141,21 @@ class MultiPoly:
 
     # -- evaluation and substitution -----------------------------------------
 
-    def _power_table(self, values: Sequence):
-        """Integer powers of ``values`` over one denominator, for the terms.
+    def evaluate(self, values: Sequence) -> Fraction:
+        """The value at ``values``: ``substitute_dilation(values)`` at k = 1."""
+        return self.substitute_dilation(values).evaluate(1)
 
-        With v_i = p_i / q_i and t_i the top exponent of variable i, the
-        table row of i holds p_i^e q_i^(t_i - e) for e = 0..t_i, so every
-        term is an integer over L prod_i q_i^t_i, L the lcm of the
-        coefficient denominators.  Returns the table, L and that
-        denominator.
+    def substitute_dilation(self, anchor: Sequence) -> "UniPoly":
+        """Substitute variable i -> k * anchor[i]; returns a polynomial in k.
+
+        Each term of degree n adds its value at the anchor to the
+        coefficient of k^n, summed per degree as integers over one
+        denominator.  With anchor[i] = p_i / q_i and t_i the top exponent
+        of variable i, the table row of i holds p_i^e q_i^(t_i - e) for
+        e = 0..t_i, so every term is an integer over L prod_i q_i^t_i, L
+        the lcm of the coefficient denominators.
         """
-        vals = [Fraction(v) for v in values]
+        vals = [Fraction(v) for v in anchor]
         if len(vals) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
         tops = [max(column) for column in zip(*self._terms)]
@@ -159,27 +164,7 @@ class MultiPoly:
             for v, top in zip(vals, tops)
         ]
         common = lcm(*(c.denominator for c in self._terms.values()))
-        return table, common, common * prod(v.denominator**top for v, top in zip(vals, tops))
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        """The value at ``values``, summed as integers over one denominator."""
-        table, common, denominator = self._power_table(values)
-        total = 0
-        for exps, coeff in self._terms.items():
-            term = coeff.numerator * (common // coeff.denominator)
-            for row, e in zip(table, exps):
-                term *= row[e]
-            total += term
-        return Fraction(total, denominator)
-
-    def substitute_dilation(self, anchor: Sequence) -> "UniPoly":
-        """Substitute variable i -> k * anchor[i]; returns a polynomial in k.
-
-        Each term of degree n adds its value at the anchor to the
-        coefficient of k^n, summed per degree as integers over one
-        denominator, as in ``evaluate``.
-        """
-        table, common, denominator = self._power_table(anchor)
+        denominator = common * prod(v.denominator**top for v, top in zip(vals, tops))
         by_degree: dict[int, int] = {}
         for exps, coeff in self._terms.items():
             term = coeff.numerator * (common // coeff.denominator)

@@ -2,23 +2,25 @@
 
 Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
-volume, then the Todd and A-hat operator products applied to those, and
-the tight-mask histogram of each dilate, built by the slab kernel, and
-its face-count table (``counting.face_counts``, one superset-sum pass),
-from which inclusion-exclusion, the per-face table and ``count_report``
-read every face count; the per-face histogram scan
-``read_count(..., "face")`` is kept as the tests' oracle.  Each
-operator series is expanded to its target's degree, and
-``operators.operator_count`` and ``symbolic_ehrhart`` read the count and
-the Ehrhart polynomial off the one applied polynomial of a kind.  The face lattice is built once, from the charts alone;
-``lattice`` hands it out only once the Delzant report passes, while the
-volume oracle's one more stage, the anchor's triangulation, reads it
-with no Delzant check.  A command or report holds one ``Prepared``
-and reads every stage from it, so each is built at most once however
-many checks read it.  The brute comparison values come from a second
+volume, then the Todd product on the volume or the A-hat product on the
+boundary volume (``applied``), from which ``operators.operator_count``
+and ``symbolic_ehrhart`` read the count and the Ehrhart polynomial of
+that kind.  Each dilate has the slab kernel's tight-mask histogram
+(``histogram``), read by ``read_count``, and its face-count table
+(``face_counts``, one superset-sum pass over the histogram), from which
+inclusion-exclusion, the per-face table and ``count --output json`` read
+every face count.  The brute comparison values come from a second
 histogram of each dilate, built by the per-point classifier
-(``brute_histogram``) and kept apart from the kernel's: the two share
-no code and no memo, so every brute value still checks the kernel.
+(``brute_histogram``): the two share no code and are kept under
+different keys, so every brute value still checks the kernel.  The
+stages built per kind or per k share one memo dict, keyed by stage and
+argument.
+
+The face lattice is built once, from the charts alone; ``lattice`` hands
+it out only once the Delzant report passes, while the volume oracle's one
+more stage, the anchor's triangulation, reads it with no Delzant check.
+A command or report holds one ``Prepared`` and reads every stage from
+it, so each is built at most once however many checks read it.
 """
 
 from __future__ import annotations
@@ -44,10 +46,7 @@ class Prepared:
 
     spec: polytope.HalfSpaceSpec
     budget: int = counting.DEFAULT_BUDGET
-    _applied: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _histograms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _brute: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def charts(self) -> tuple[polytope.VertexChart, ...]:
@@ -85,37 +84,37 @@ class Prepared:
     def boundary(self) -> volume.BoundaryVolumePolynomial:
         return volume.boundary_volume_polynomial(self.vol)
 
+    def _once(self, key, build):
+        """``build()``, called on the first use of ``key`` and kept."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def applied(self, kind: str) -> MultiPoly:
         """The Todd product on the volume (full) or the A-hat product on the
-        boundary volume (boundary), applied once per kind.
-
-        The count and the Ehrhart polynomial of the kind are both read from
-        this one polynomial (``operators.operator_count``, ``symbolic_ehrhart``).
-        """
-        if kind not in self._applied:
-            target = self.boundary.poly if kind == "boundary" else self.vol.poly
-            self._applied[kind] = operators.apply_operator_product(kind, target)
-        return self._applied[kind]
+        boundary volume (boundary), applied once per kind."""
+        return self._once(
+            ("applied", kind),
+            lambda: operators.apply_operator_product(
+                kind, (self.boundary if kind == "boundary" else self.vol).poly
+            ),
+        )
 
     def histogram(self, k: int) -> dict[int, int]:
         """The k-fold dilate's ``tight_histogram``, built once per k."""
-        if k not in self._histograms:
-            self._histograms[k] = counting.tight_histogram(
-                self.spec, k, budget=self.budget, charts=self.charts
-            )
-        return self._histograms[k]
+        return self._once(
+            ("histogram", k),
+            lambda: counting.tight_histogram(self.spec, k, budget=self.budget, charts=self.charts),
+        )
 
     def face_counts(self, k: int) -> dict[int, int]:
         """The k-fold dilate's ``counting.face_counts`` table, built once per k
         from ``histogram(k)``."""
-        if k not in self._tables:
-            self._tables[k] = counting.face_counts(self.histogram(k))
-        return self._tables[k]
+        return self._once(("face_counts", k), lambda: counting.face_counts(self.histogram(k)))
 
     def brute_histogram(self, k: int) -> dict[int, int]:
         """The k-fold dilate's ``brute_histogram``, built once per k, apart from ``histogram``."""
-        if k not in self._brute:
-            self._brute[k] = counting.brute_histogram(
-                self.spec, k, budget=self.budget, charts=self.charts
-            )
-        return self._brute[k]
+        return self._once(
+            ("brute_histogram", k),
+            lambda: counting.brute_histogram(self.spec, k, budget=self.budget, charts=self.charts),
+        )

@@ -249,17 +249,18 @@ def _anchor_vertices(normals, actives, offsets):
 def _cone_sum(simplices, coords):
     """Sum of |det| over simplices of active sets, as an integer pair (num, den).
 
-    ``coords`` maps each active set to (D, x), the point x / D.  A
-    simplex's det(p_v - p_0) is det(1, p_v) over its m + 1 vertices, and
-    scaling row v by D_v leaves the integer rows (D_v, x_v): it is
-    det(D_v, x_v) / prod D_v, the determinant solved by ``_solve``.
+    ``coords`` maps each active set to (D, x), the point x / D with D > 0.
+    A simplex's det(p_v - p_0) over its vertices v = 0..m has the integer
+    edge rows D_0 x_v - D_v x_0 = D_0 D_v (p_v - p_0), v >= 1: it is their
+    determinant, solved by ``_solve``, over D_0^m prod_{v>=1} D_v.
     """
     num, den = 0, 1
     for simplex in simplices:
-        rows = [[coords[v][0], *coords[v][1]] for v in simplex]
+        (d0, x0), *rest = (coords[v] for v in simplex)
+        rows = [[d0 * a - d * b for a, b in zip(x, x0)] for d, x in rest]
         solved = _solve(rows, [0] * len(rows))
         if solved:
-            scale = prod(row[0] for row in rows)
+            scale = d0 ** len(rows) * prod(d for d, _ in rest)
             common = lcm(den, scale)
             num, den = num * (common // den) + abs(solved[0]) * (common // scale), common
     return num, den

@@ -3,9 +3,9 @@
 The reference that the edge walk of ``delzant.polytope`` is compared
 against.  It solves each of the C(d, m) subsets on its own and checks,
 in order: boundedness (a trivial recession cone), nonemptiness and
-simplicity.  It shares the package's exact solves (``int_solve``,
-``int_det``, ``kernel_vector``) and its data types, and none of the
-walk's code.
+simplicity.  It shares the package's exact solves (``int_solve``, which
+also gives its minors, and ``kernel_vector``) and its data types, and
+none of the walk's code.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from itertools import combinations
 from math import lcm
 
 from delzant.errors import EmptyPolytopeError, NonSimpleError, UnboundedError
-from delzant.linalg import int_det, int_solve, kernel_vector
+from delzant.linalg import int_solve, kernel_vector
 from delzant.polytope import VertexChart, _sort_key
 
 
@@ -28,7 +28,9 @@ def kernel_direction(rows, m: int):
     direction = []
     for j in range(m):
         minor = [[row[c] for c in range(m) if c != j] for row in rows]
-        d = int_det(minor)
+        # int_solve's det: None when the minor is singular, 1 when it is empty (m = 1)
+        solved = int_solve(minor, [()] * len(minor)) if minor else (1,)
+        d = solved[0] if solved else 0
         direction.append(-d if j % 2 else d)
     if all(x == 0 for x in direction):
         return None

@@ -14,7 +14,7 @@ import pytest
 import delzant.operators as operators
 from delzant.cli import main
 from delzant.corpus import DELZANT_CORPUS, corpus_text, load
-from delzant.counting import brute_count, ehrhart_interpolate
+from delzant.counting import ehrhart_interpolate, read_count
 from delzant.errors import FormulaViolationError, NonSimpleError
 from delzant.hilbert import cross_check, cy_hilbert_polynomial, inclusion_exclusion_count
 from delzant.operators import (
@@ -78,7 +78,7 @@ def test_criterion_02_todd_operator_count_is_executable_theorem(prepare):
     for name in DELZANT_CORPUS:
         p = prepare(name)
         formula = operator_count(p, "full")
-        brute = brute_count(p.spec, 1, "full", charts=p.charts)
+        brute = read_count(p.brute_histogram(1), "full")
         assert formula == brute, name
     elapsed = watch.check()
     print(f"ACCEPTANCE 2: PASS ({len(DELZANT_CORPUS)} polytopes in {elapsed:.2f}s)")
@@ -89,7 +89,7 @@ def test_criterion_03_ahat_boundary_count_is_executable_theorem(prepare):
     for name in DELZANT_CORPUS:
         p = prepare(name)
         formula = operator_count(p, "boundary")
-        brute = brute_count(p.spec, 1, "boundary", charts=p.charts)
+        brute = read_count(p.brute_histogram(1), "boundary")
         assert formula == brute, name
     elapsed = watch.check()
     print(f"ACCEPTANCE 3: PASS ({len(DELZANT_CORPUS)} polytopes in {elapsed:.2f}s)")
@@ -101,7 +101,7 @@ def test_criterion_04_inclusion_exclusion_matches_brute_force(prepare):
         p = prepare(name)
         for k in range(1, 6):
             via_faces = inclusion_exclusion_count(p, k)
-            brute = brute_count(p.spec, k, "boundary", charts=p.charts)
+            brute = read_count(p.brute_histogram(k), "boundary")
             assert via_faces == brute, (name, k)
     elapsed = watch.check()
     print(f"ACCEPTANCE 4: PASS (k = 1..5 on {len(DELZANT_CORPUS)} polytopes in {elapsed:.2f}s)")
@@ -121,7 +121,7 @@ def test_criterion_06_ehrhart_reciprocity(prepare):
         full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
         m = p.spec.dim
         for k in range(1, 6):
-            interior = brute_count(p.spec, k, "interior", charts=p.charts)
+            interior = read_count(p.brute_histogram(k), "interior")
             assert (-1) ** m * full.evaluate(-k) == interior, (name, k)
     print(f"ACCEPTANCE 6: PASS (k = 1..5 on {len(DELZANT_CORPUS)} polytopes)")
 
@@ -216,7 +216,7 @@ def test_criterion_10_negative_paths(monkeypatch):
         return values
 
     monkeypatch.setattr(operators, "bernoulli_numbers", corrupted_bernoulli)
-    brute = brute_count(p.spec, 1, "full", charts=p.charts)
+    brute = read_count(p.brute_histogram(1), "full")
     try:
         assert operator_count(p, "full") != brute
     except FormulaViolationError:
@@ -235,7 +235,7 @@ def test_criterion_10_negative_paths(monkeypatch):
         return series_coefficients(name, order)
 
     monkeypatch.setattr(operators, "series_coefficients", corrupted_series)
-    brute_boundary = brute_count(q.spec, 1, "boundary", charts=q.charts)
+    brute_boundary = read_count(q.brute_histogram(1), "boundary")
     try:
         assert operator_count(q, "boundary") != brute_boundary
     except FormulaViolationError:

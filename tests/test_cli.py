@@ -267,8 +267,15 @@ class TestReportBuilders:
             # one per proper face (3 edges, 3 vertices), one per route
             (("hilbert-cy",), 6 + 3),
             (("ehrhart",), 1),
-            # the result and the operator-applied volume
-            (("ehrhart", "--method", "operator"), 2),
+            # the operator-applied volume is formatted only where it is
+            # printed: JSON of ehrhart, JSON and TSV of the two operator counts
+            (("ehrhart", "--method", "operator"), 1),
+            (("ehrhart", "--method", "operator", "--output", "tsv"), 1),
+            (("ehrhart", "--method", "operator", "--output", "json"), 2),
+            (("khovanskii",), 0),
+            (("boundary-formula",), 0),
+            (("khovanskii", "--output", "tsv"), 1),
+            (("boundary-formula", "--output", "json"), 1),
         ],
         ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
     )

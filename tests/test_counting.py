@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,9 +13,8 @@ from delzant.corpus import DELZANT_CORPUS, corpus_text, load
 import delzant.counting as counting_mod
 from delzant.counting import (
     _forward_difference_fit,
-    brute_count,
+    brute_histogram,
     count_points,
-    count_report,
     ehrhart_interpolate,
     face_count,
     face_counts,
@@ -24,7 +24,7 @@ from delzant.counting import (
 )
 from delzant.errors import BudgetExceededError, DisagreementError, NotPolynomialError
 from delzant.hilbert import cy_hilbert_polynomial
-from delzant.linalg import int_det
+from delzant.linalg import ring_det
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
@@ -52,20 +52,21 @@ class TestCountPoints:
 
     def test_face_region_argument_errors(self):
         spec = load("simplex_2")
-        for count in (count_points, brute_count):
+        with pytest.raises(ValueError):
+            count_points(spec, 1, "face")
+        with pytest.raises(ValueError):
+            count_points(spec, 1, "face", face=(7,))
+        with pytest.raises(ValueError):
+            count_points(spec, 1, "full", face=(0,))
+        with pytest.raises(ValueError):
+            count_points(spec, 1, "everything")
+        # the kernel and the oracle share one check of k
+        for count in (count_points, brute_histogram):
             with pytest.raises(ValueError):
-                count(spec, 1, "face")
-            with pytest.raises(ValueError):
-                count(spec, 1, "face", face=(7,))
-            with pytest.raises(ValueError):
-                count(spec, 1, "full", face=(0,))
-            with pytest.raises(ValueError):
-                count(spec, 0, "full")
-            with pytest.raises(ValueError):
-                count(spec, 1, "everything")
+                count(spec, 0)
 
     def test_budget_exceeded_reports_required_size(self):
-        for count in (count_points, brute_count):
+        for count in (count_points, brute_histogram):
             with pytest.raises(BudgetExceededError) as err:
                 count(load("cube_2"), 50, budget=1000)
             assert err.value.required == 101**3
@@ -82,10 +83,9 @@ class TestTightHistogram:
     def test_reads_equal_separate_enumerations(self, name, k, prepare):
         p = prepare(name)
         histogram = tight_histogram(p.spec, k, charts=p.charts)
+        brute = brute_histogram(p.spec, k, charts=p.charts)
         for region in ("full", "interior", "boundary"):
-            assert read_count(histogram, region) == brute_count(
-                p.spec, k, region, charts=p.charts
-            )
+            assert read_count(histogram, region) == read_count(brute, region)
         # every face, plus facet sets that cut out nothing and the empty set
         facet_sets = {rec.active_set for rec in p.lattice.faces.values()}
         facet_sets.add(tuple(range(p.spec.num_facets)))
@@ -95,9 +95,7 @@ class TestTightHistogram:
             for j in range(i + 1, p.spec.num_facets)
         )
         for face in sorted(facet_sets):
-            assert read_count(histogram, "face", face) == brute_count(
-                p.spec, k, "face", face=face, charts=p.charts
-            ), face
+            assert read_count(histogram, "face", face) == read_count(brute, "face", face), face
         assert read_count(histogram, "face", ()) == read_count(histogram, "full")
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
@@ -141,7 +139,7 @@ def _reference_histogram(spec, k):
 
     It walks the bounding box of the dilated vertices point by point and
     shares nothing with the fibre kernel behind ``tight_histogram`` or
-    with the odometer walk behind ``brute_count``.
+    with the odometer walk behind ``brute_histogram``.
     """
     anchors = [chart.anchor_ints() for chart in enumerate_vertices(spec)]
     ranges = [
@@ -302,12 +300,11 @@ class TestFibreKernel:
         # a lattice bijection that keeps the facet order keeps every mask count
         assert histogram == tight_histogram(spec, k)
         # the kernel's counts against the per-point oracle's
+        brute = brute_histogram(image, k)
         for region in ("full", "interior", "boundary"):
-            assert count_points(image, k, region) == brute_count(image, k, region)
+            assert count_points(image, k, region) == read_count(brute, region)
         face = (0, image.num_facets - 1)
-        assert count_points(image, k, "face", face=face) == brute_count(
-            image, k, "face", face=face
-        )
+        assert count_points(image, k, "face", face=face) == read_count(brute, "face", face)
 
 
 def _record_slab_helpers(monkeypatch):
@@ -469,7 +466,7 @@ class TestSlabMemo:
     )
     def test_each_distinct_slab_is_settled_once(self, monkeypatch, spec, k, lines):
         found, _ = _record_slab_helpers(monkeypatch)
-        assert count_points(spec, k) == brute_count(spec, k)
+        assert count_points(spec, k) == read_count(brute_histogram(spec, k))
         assert len(found) == lines
 
     @pytest.mark.parametrize("seed", range(8))
@@ -566,23 +563,32 @@ class TestUnimodularCharts:
                 assert mat_mul(inverse, rows) == identity
                 anchor = mat_vec(inverse, [offsets[i] for i in chart.active_set])
                 assert tuple(anchor) == chart.anchor
-                assert chart.det == int_det(rows)
+                assert chart.det == ring_det(rows)
+
+
+def _count_payload(name, k, tmp_path, capsys):
+    """The ``count --k K --output json`` report of a corpus member."""
+    path = tmp_path / f"{name}.poly"
+    path.write_text(corpus_text(name), encoding="utf-8")
+    assert main(["count", "--k", str(k), "--output", "json", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestCountReport:
-    @pytest.mark.parametrize("name", DELZANT_CORPUS)
-    def test_total_splits_into_interior_and_boundary(self, name, prepare):
-        p = prepare(name)
-        report = count_report(p.histogram(2), p.lattice, p.face_counts(2))
-        assert report.total == report.interior + report.boundary
-        brute_boundary = count_points(p.spec, 2, "boundary", charts=p.charts)
-        assert report.boundary == brute_boundary
+    """The ``count --output json`` report: every region and proper face of a dilate."""
 
-    def test_per_face_monotone_under_inclusion(self, prepare):
-        p = prepare("cube_unit")
-        report = count_report(p.histogram(2), p.lattice, p.face_counts(2))
-        for small, count_small in report.per_face.items():
-            for large, count_large in report.per_face.items():
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_total_splits_into_interior_and_boundary(self, name, tmp_path, capsys):
+        report = _count_payload(name, 2, tmp_path, capsys)
+        assert report["count"] == report["total"] == report["interior"] + report["boundary"]
+        assert report["boundary"] == read_count(brute_histogram(load(name), 2), "boundary")
+
+    def test_per_face_monotone_under_inclusion(self, tmp_path, capsys):
+        report = _count_payload("cube_unit", 2, tmp_path, capsys)
+        per_face = {tuple(f["active_set"]): f["count"] for f in report["per_face"]}
+        assert len(per_face) == 26
+        for small, count_small in per_face.items():
+            for large, count_large in per_face.items():
                 if set(small) <= set(large):
                     # larger active set means smaller face
                     assert count_large <= count_small

@@ -5,7 +5,7 @@ import pytest
 
 import delzant.counting as counting
 from delzant.corpus import DELZANT_CORPUS, load
-from delzant.counting import brute_count
+from delzant.counting import read_count
 from delzant.errors import DisagreementError, NotDelzantError
 from delzant.hilbert import (
     cross_check,
@@ -48,7 +48,7 @@ class TestInclusionExclusion:
     def test_equals_brute_boundary_count(self, name, k, prepare):
         p = prepare(name)
         via_faces = inclusion_exclusion_count(p, k)
-        assert via_faces == brute_count(p.spec, k, "boundary", charts=p.charts)
+        assert via_faces == read_count(p.brute_histogram(k), "boundary")
 
     def test_sign_pattern_parallels_product_expansion(self, prepare):
         # the level signs of the face-count sum and of the polynomial-ring

@@ -8,7 +8,6 @@ import pytest
 from delzant.errors import UnboundedError
 from delzant.linalg import (
     independent_rows,
-    int_det,
     int_solve,
     kernel_vector,
     ring_det,
@@ -25,32 +24,6 @@ def random_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
-class TestIntDet:
-    def test_hand_examples(self):
-        assert int_det([[0, -1], [1, 1]]) == 1
-        assert int_det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-        assert int_det([[0, -1], [2, 1]]) == 2
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            int_det([[1, 2, 3], [4, 5, 6]])
-
-    def test_matches_cofactor_oracle(self):
-        # ring_det is a cofactor (Laplace) expansion along the first row
-        rng = random.Random(17)
-        for n in (1, 2, 3, 4):
-            for _ in range(40):
-                m = random_matrix(rng, n)
-                assert int_det(m) == ring_det(m)
-
-    def test_multiplicative_on_products(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            a = random_matrix(rng, 3)
-            b = random_matrix(rng, 3)
-            assert int_det(mat_mul(a, b)) == int_det(a) * int_det(b)
-
-
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -60,7 +33,7 @@ class TestSolveInvert:
         rng = random.Random(5)
         for _ in range(20):
             m = random_matrix(rng, 3)
-            if int_det(m) == 0:
+            if ring_det(m) == 0:
                 continue
             rhs = [[rng.randint(-5, 5)] for _ in range(3)]
             det, x = int_solve(m, rhs)
@@ -99,8 +72,8 @@ class TestIntSolve:
     def test_det_and_numerators_on_random_systems(self):
         singular = swapped = 0
         for rows, cols in _solve_cases():
-            det = int_det(rows)
-            assert det == ring_det(rows)
+            # ring_det is a cofactor (Laplace) expansion along the first row
+            det = ring_det(rows)
             solved = int_solve(rows, cols)
             if det == 0:
                 assert solved is None
@@ -111,6 +84,23 @@ class TestIntSolve:
             swapped += rows[0][0] == 0
         # the cases reach both the singular exit and the row swap
         assert singular >= 20 and swapped >= 20
+
+    def test_det_hand_examples(self):
+        assert int_solve([[0, -1], [1, 1]], [[0], [0]])[0] == 1
+        assert int_solve(identity(3), identity(3)) == (1, identity(3))
+        assert int_solve([[0, -1], [2, 1]], [[0], [0]])[0] == 2
+
+    def test_det_multiplicative_on_products(self):
+        rng = random.Random(23)
+        zero = [[0]] * 3
+        for _ in range(40):
+            a = random_matrix(rng, 3)
+            b = random_matrix(rng, 3)
+            dets = []
+            for m in (mat_mul(a, b), a, b):
+                solved = int_solve(m, zero)
+                dets.append(solved[0] if solved else 0)  # None: singular, det 0
+            assert dets[0] == dets[1] * dets[2]
 
     def test_inverse_numerators(self):
         for rows, _ in _solve_cases():
@@ -140,16 +130,6 @@ class TestKernelDirection:
                 assert any(x != 0 for x in direction)
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, direction)) == 0
-
-
-class TestRingDet:
-    def test_matches_int_det_on_numbers(self):
-        # Laplace expansion and Bareiss elimination check each other
-        rng = random.Random(31)
-        for n in (1, 2, 3, 4):
-            for _ in range(40):
-                m = random_matrix(rng, n)
-                assert ring_det(m) == int_det(m)
 
 
 class TestRankDeficientRay:
@@ -188,7 +168,7 @@ def _rank(rows):
             for k in range(1, min(len(rows), m) + 1)
             for sub in combinations(rows, k)
             for cols in combinations(range(m), k)
-            if int_det([[row[c] for c in cols] for row in sub])
+            if ring_det([[row[c] for c in cols] for row in sub])
         ),
         default=0,
     )
@@ -228,7 +208,7 @@ class TestKernelVector:
             for _ in range(30):
                 rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
                 rows.append([a + b for a, b in zip(rows[0], rows[1])])
-                full_rank = any(int_det(list(square)) for square in combinations(rows, m))
+                full_rank = any(ring_det(list(square)) for square in combinations(rows, m))
                 vector = kernel_vector(rows)
                 if full_rank:
                     assert vector is None

@@ -72,6 +72,44 @@ class TestSubstituteDilation:
                 )
 
 
+class TestEvaluate:
+    """``evaluate`` and ``substitute_dilation`` share one integer term loop;
+    both are checked here against a term-by-term ``Fraction`` sum."""
+
+    @staticmethod
+    def naive(p, values):
+        total = Fraction(0)
+        for exps, coeff in p.terms().items():
+            term = coeff
+            for v, e in zip(values, exps):
+                term *= Fraction(v) ** e
+            total += term
+        return total
+
+    def test_matches_naive_sum_at_mixed_denominators(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            p = random_poly(rng, nvars=3, max_exp=3, terms=6)
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)]
+            values[rng.randrange(3)] = rng.randint(-3, 3)  # an int among the fractions
+            assert p.evaluate(values) == self.naive(p, values)
+
+    def test_dilation_coefficients_match_naive_sums_per_degree(self):
+        rng = random.Random(29)
+        anchor = (Fraction(2, 3), Fraction(-5, 4), 7)
+        for _ in range(25):
+            p = random_poly(rng, nvars=3, max_exp=3, terms=6)
+            by_degree = p.substitute_dilation(anchor)
+            for n in range(3 * 3 + 1):  # up to nvars * max_exp
+                part = MultiPoly(3, {e: c for e, c in p.terms().items() if sum(e) == n})
+                assert by_degree.coefficient(n) == self.naive(part, anchor)
+
+    def test_zero_and_length_mismatch(self):
+        assert MultiPoly.zero(2).evaluate((Fraction(1, 3), 2)) == 0
+        with pytest.raises(ValueError):
+            MultiPoly.constant(3, 1).evaluate((1, 2))
+
+
 class TestRingAxioms:
     def test_distributivity_on_random_triples(self):
         rng = random.Random(3)

@@ -34,7 +34,6 @@ STAGES = (
     ("delzant.counting", "tight_histogram"),
     ("delzant.counting", "face_counts"),
     ("delzant.counting", "count_points"),
-    ("delzant.counting", "brute_count"),
     ("delzant.counting", "brute_histogram"),
 )
 
@@ -100,7 +99,6 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     # dilates, route (c)'s nodes k = 1, 2 and probe k = 3, and 5 interior
     # counts of reciprocity) reads the oracle's one histogram per k = 1..5
     assert stage_calls["brute_histogram"] == 5
-    assert stage_calls["brute_count"] == 0
     # the fibre kernel fits the full polynomial of the reciprocity check
     assert stage_calls["count_points"] == 4
 
