@@ -28,6 +28,22 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def solve_det(m):
+    """The fraction-free (Bareiss) det that int_solve returns; 0 when singular."""
+    solved = int_solve(m, [[0]] * len(m))
+    return solved[0] if solved else 0
+
+
+class TestIntDet:
+    def test_matches_cofactor_oracle(self):
+        # ring_det is a cofactor (Laplace) expansion along the first row
+        rng = random.Random(17)
+        for n in (1, 2, 3, 4):
+            for _ in range(40):
+                m = random_matrix(rng, n)
+                assert solve_det(m) == ring_det(m)
+
+
 class TestSolveInvert:
     def test_solve_matches_inverse(self):
         rng = random.Random(5)
@@ -92,15 +108,10 @@ class TestIntSolve:
 
     def test_det_multiplicative_on_products(self):
         rng = random.Random(23)
-        zero = [[0]] * 3
         for _ in range(40):
             a = random_matrix(rng, 3)
             b = random_matrix(rng, 3)
-            dets = []
-            for m in (mat_mul(a, b), a, b):
-                solved = int_solve(m, zero)
-                dets.append(solved[0] if solved else 0)  # None: singular, det 0
-            assert dets[0] == dets[1] * dets[2]
+            assert solve_det(mat_mul(a, b)) == solve_det(a) * solve_det(b)
 
     def test_inverse_numerators(self):
         for rows, _ in _solve_cases():
@@ -130,6 +141,16 @@ class TestKernelDirection:
                 assert any(x != 0 for x in direction)
                 for row in rows:
                     assert sum(a * b for a, b in zip(row, direction)) == 0
+
+
+class TestRingDet:
+    def test_matches_int_det_on_numbers(self):
+        # Laplace expansion and Bareiss elimination check each other
+        rng = random.Random(31)
+        for n in (1, 2, 3, 4):
+            for _ in range(40):
+                m = random_matrix(rng, n)
+                assert ring_det(m) == solve_det(m)
 
 
 class TestRankDeficientRay:
