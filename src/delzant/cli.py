@@ -420,15 +420,15 @@ COMMANDS = {
 }
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for the command line ``argv``.
+def _add_flags(parser: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    """A command's parser: ``parser`` with the common flags and ``flags``."""
+    for flag, kwargs in (*_COMMON_FLAGS, *flags):
+        parser.add_argument(flag, **kwargs)
+    return parser
 
-    When ``argv`` starts with a command name, only that subcommand is
-    registered: argparse hands it every later word, and the other
-    subcommands are read only by the top-level help and the invalid-choice
-    message, which that ``argv`` cannot reach.  Any other ``argv`` gets
-    every subcommand.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level's --version and all nine subcommands."""
     parser = _Parser(
         prog="delzant",
         description="Exact lattice point counts and Hilbert polynomials "
@@ -436,13 +436,25 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    first = argv[0] if argv else None
-    for name in (first,) if first in COMMANDS else COMMANDS:
-        help_text, flags, _ = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in (*_COMMON_FLAGS, *flags):
-            p.add_argument(flag, **kwargs)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), flags)
     return parser
+
+
+def parse_command_line(argv) -> argparse.Namespace:
+    """The parsed command line ``argv``.
+
+    When ``argv`` starts with a command name, that command's parser alone
+    reads the rest: it is the parser ``build_parser`` registers for it,
+    and the full parser would hand it every later word.  Any other
+    ``argv`` (the top-level help or --version, an option first, an
+    unknown command, no words) goes to the full parser.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _add_flags(_Parser(prog=f"delzant {name}"), COMMANDS[name][1])
+        return parser.parse_args(argv[1:], argparse.Namespace(command=name))
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -450,7 +462,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     digits = max_digits()
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_command_line(argv)
         args.budget = _budget(args)
         if args.command == "count" and args.k < 1:
             raise UsageError(f"--k must be a positive integer, got {cut(args.k)}")

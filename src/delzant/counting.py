@@ -409,11 +409,6 @@ def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):
     return spec.normals(), bounds, lows, highs
 
 
-def _enumerate(spec: HalfSpaceSpec, k: int, budget: int, charts):
-    """The tight-mask histogram of the k-fold dilate, by the slab kernel."""
-    return _interval_masks(*_box(spec, k, budget, charts))
-
-
 def tight_histogram(
     spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None
 ) -> dict[int, int]:
@@ -424,7 +419,7 @@ def tight_histogram(
     then be read off with ``read_count``.  On a simple polytope
     each key is 0 or the active set of a face, as a bitmask.
     """
-    return _enumerate(spec, k, budget, charts)
+    return _interval_masks(*_box(spec, k, budget, charts))
 
 
 def read_count(histogram: dict[int, int], region: str = "full", face=None) -> int:
@@ -511,7 +506,7 @@ def count_points(
     histogram another caller holds.
     """
     _check_count_args(spec, region, face)
-    return read_count(_enumerate(spec, k, budget, charts), region, face)
+    return read_count(_interval_masks(*_box(spec, k, budget, charts)), region, face)
 
 
 def brute_histogram(

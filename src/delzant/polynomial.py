@@ -142,20 +142,28 @@ class MultiPoly:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, values: Sequence) -> Fraction:
-        """The value at ``values``: ``substitute_dilation(values)`` at k = 1."""
-        return self.substitute_dilation(values).evaluate(1)
+        """The value at ``values``: the per-degree sums of ``_by_degree``
+        added as integers over their one denominator."""
+        by_degree, denominator = self._by_degree(values)
+        return Fraction(sum(by_degree.values()), denominator)
 
     def substitute_dilation(self, anchor: Sequence) -> "UniPoly":
-        """Substitute variable i -> k * anchor[i]; returns a polynomial in k.
+        """Substitute variable i -> k * anchor[i]; returns a polynomial in k,
+        whose coefficient of k^n is the degree-n part's value at the anchor."""
+        by_degree, denominator = self._by_degree(anchor)
+        top = max(by_degree, default=0)
+        return UniPoly(Fraction(by_degree.get(i, 0), denominator) for i in range(top + 1))
 
-        Each term of degree n adds its value at the anchor to the
-        coefficient of k^n, summed per degree as integers over one
-        denominator.  With anchor[i] = p_i / q_i and t_i the top exponent
-        of variable i, the table row of i holds p_i^e q_i^(t_i - e) for
-        e = 0..t_i, so every term is an integer over L prod_i q_i^t_i, L
-        the lcm of the coefficient denominators.
+    def _by_degree(self, values: Sequence) -> tuple[dict[int, int], int]:
+        """Each degree's part evaluated at ``values``, as integer numerators
+        over one common denominator: ({degree n: numerator}, denominator).
+
+        With values[i] = p_i / q_i and t_i the top exponent of variable i,
+        the table row of i holds p_i^e q_i^(t_i - e) for e = 0..t_i, so
+        every term is an integer over L prod_i q_i^t_i, L the lcm of the
+        coefficient denominators.
         """
-        vals = [Fraction(v) for v in anchor]
+        vals = [Fraction(v) for v in values]
         if len(vals) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
         tops = [max(column) for column in zip(*self._terms)]
@@ -172,8 +180,7 @@ class MultiPoly:
                 term *= row[e]
             n = sum(exps)
             by_degree[n] = by_degree.get(n, 0) + term
-        top = max(by_degree, default=0)
-        return UniPoly(Fraction(by_degree.get(i, 0), denominator) for i in range(top + 1))
+        return by_degree, denominator
 
     # -- serialization -------------------------------------------------------
 

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import delzant
 from delzant import cli
@@ -164,13 +168,13 @@ class TestJsonOutput:
         import delzant.counting as counting_mod
 
         dilations = []
-        original = counting_mod._enumerate
+        original = counting_mod._box
 
         def recording(spec, k, *args):
             dilations.append(k)
             return original(spec, k, *args)
 
-        monkeypatch.setattr(counting_mod, "_enumerate", recording)
+        monkeypatch.setattr(counting_mod, "_box", recording)
         code, out, _ = run(
             capsys,
             "count", "--k", "3", "--region", "face=2", "--output", "json",
@@ -244,7 +248,7 @@ class TestReportBuilders:
         self, name, output, poly_file, capsys
     ):
         argv = [name, "--output", output, poly_file("simplex_2")]
-        args = cli.build_parser(argv).parse_args(argv)
+        args = cli.parse_command_line(argv)
         prep = Prepared(cli._load_spec(args), DEFAULT_BUDGET)
         payload, lines, rows, code = cli.COMMANDS[name][2](args, prep)
         assert capsys.readouterr() == ("", "")
@@ -283,7 +287,7 @@ class TestReportBuilders:
         self, argv, formatted, poly_file, monkeypatch
     ):
         argv = [*argv, poly_file("simplex_2")]
-        args = cli.build_parser(argv).parse_args(argv)
+        args = cli.parse_command_line(argv)
         prep = Prepared(cli._load_spec(args), DEFAULT_BUDGET)
         calls = []
         for cls in (UniPoly, MultiPoly):
@@ -593,9 +597,46 @@ class TestMiscFlags:
         assert out.splitlines()[0] == "faces: 7 (3 of dim 0, 3 of dim 1, 1 of dim 2)"
 
 
+def full_parse(argv):
+    """``parse_command_line`` as if no first word named a command: the full
+    parser reads every command line."""
+    return cli.build_parser().parse_args(argv)
+
+
+SIMPLEX_2 = str(Path(delzant.__file__).parent / "corpus_data" / "simplex_2.poly")
+# every table flag and some abbreviations (--k abbreviates ehrhart's --kind,
+# --me its --method), each followed by a good or a bad value
+FLAGS = ("--output", "--budget", "--k", "--region", "--kind", "--method", "--out", "--reg", "--me", "--b")
+VALUES = (
+    "text", "json", "tsv", "xml", "2", "3", "0", "-1", "two", "100000", "face=1", "face=1,2",
+    "face=x", "full", "interior", "boundary", "operator", "odd", "--normalize", "--",
+)
+# words that stand alone: help, --version, "--", joined values and junk
+LONE = (
+    "--normalize", "--norm", "-h", "--help", "--he", "--version", "--ver", "--", "--k=3", "--k=",
+    "--output=json", "--region=face=2", "-x", "--bogus", "junk", "-3", SIMPLEX_2, "missing.poly",
+)
+
+
+@st.composite
+def command_first_lines(draw):
+    words = [draw(st.sampled_from(sorted(cli.COMMANDS)))]
+    for _ in range(draw(st.integers(0, 4))):
+        words += draw(
+            st.one_of(
+                st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+                st.tuples(st.sampled_from(LONE)),
+            )
+        )
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(1, len(words))), SIMPLEX_2)
+    return words
+
+
 class TestLazyParser:
-    """``main`` builds only the subcommand its argv starts with; every command
-    line behaves as with the parser that builds all of them."""
+    """``main`` parses a command-first line with that command's parser alone
+    (``parse_command_line``); every command line behaves as with the full
+    parser, ``build_parser()``."""
 
     CASES = [
         ("--help",),
@@ -616,27 +657,36 @@ class TestLazyParser:
     ]
 
     @staticmethod
-    def outcome(capsys, argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # --help and --version
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+    def outcome(argv):
+        """(exit code, stdout, stderr) of ``main(argv)``."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help and --version
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def full_outcome(self, argv):
+        """``outcome`` with every command line read by the full parser."""
+        with mock.patch.object(cli, "parse_command_line", full_parse):
+            return self.outcome(argv)
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "none")
-    def test_same_streams_and_exit_code_as_the_full_parser(self, argv, capsys, monkeypatch):
-        lazy = self.outcome(capsys, argv)
-        build = cli.build_parser
-        # a first word that names no command: all nine subcommands, each with its flags
-        monkeypatch.setattr(cli, "build_parser", lambda _: build(["", *cli.COMMANDS]))
-        assert self.outcome(capsys, argv) == lazy
+    def test_same_streams_and_exit_code_as_the_full_parser(self, argv):
+        lazy = self.outcome(argv)
+        assert self.full_outcome(argv) == lazy
         code, out, err = lazy
         if code == 0:
             assert out and not err
         else:
             assert code == 2 and not out
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(argv=command_first_lines())
+    def test_generated_command_lines_match_the_full_parser(self, argv):
+        assert self.outcome(argv) == self.full_outcome(argv)
 
     def test_main_reads_sys_argv(self, poly_file, capsys, monkeypatch):
         monkeypatch.setattr(

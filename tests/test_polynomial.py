@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from delzant.corpus import DELZANT_CORPUS
 from delzant.polynomial import (
     MultiPoly,
     UniPoly,
@@ -73,8 +74,9 @@ class TestSubstituteDilation:
 
 
 class TestEvaluate:
-    """``evaluate`` and ``substitute_dilation`` share one integer term loop;
-    both are checked here against a term-by-term ``Fraction`` sum."""
+    """``evaluate`` and ``substitute_dilation`` share one integer term loop
+    (``_by_degree``); both are checked here against a term-by-term
+    ``Fraction`` sum, and against each other on the corpus."""
 
     @staticmethod
     def naive(p, values):
@@ -103,6 +105,20 @@ class TestEvaluate:
             for n in range(3 * 3 + 1):  # up to nvars * max_exp
                 part = MultiPoly(3, {e: c for e, c in p.terms().items() if sum(e) == n})
                 assert by_degree.coefficient(n) == self.naive(part, anchor)
+
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_value_is_the_dilation_at_one_on_the_corpus(self, name, prepare):
+        prep = prepare(name)
+        offsets = prep.spec.offsets()
+        rng = random.Random(name)
+        points = [
+            offsets,
+            [o + rng.randint(-2, 2) for o in offsets],
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in offsets],
+        ]
+        for p in (prep.vol.poly, prep.boundary.poly):
+            for values in points:
+                assert p.evaluate(values) == p.substitute_dilation(values).evaluate(1)
 
     def test_zero_and_length_mismatch(self):
         assert MultiPoly.zero(2).evaluate((Fraction(1, 3), 2)) == 0

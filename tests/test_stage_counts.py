@@ -316,12 +316,10 @@ def built_parsers(monkeypatch):
     return built
 
 
-def test_main_builds_the_running_command_and_the_root_parser_only(
-    built_parsers, simplex_2, capsys
-):
+def test_main_builds_the_running_commands_parser_only(built_parsers, simplex_2, capsys):
     assert main(["count", "--k", "2", simplex_2]) == 0
     assert capsys.readouterr().out == "6\n"
-    assert built_parsers == ["delzant", "delzant count"]
+    assert built_parsers == ["delzant count"]
 
 
 def test_top_level_help_builds_every_subparser(built_parsers, capsys):
@@ -350,5 +348,5 @@ def test_main_builds_only_the_running_commands_flags(
 ):
     assert main([*argv, simplex_2]) == 0
     capsys.readouterr()
-    # the top level's -h and --version, then the running command's flags
-    assert len(added_arguments) == 2 + flags
+    # the running command's flags only: no top level, so no --version
+    assert len(added_arguments) == flags
