@@ -11,6 +11,7 @@ documented in errors.py and in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -441,19 +442,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s parser, built on its first use in a process."""
+    return _add_flags(_Parser(prog=f"delzant {name}"), COMMANDS[name][1])
+
+
 def parse_command_line(argv) -> argparse.Namespace:
     """The parsed command line ``argv``.
 
     When ``argv`` starts with a command name, that command's parser alone
     reads the rest: it is the parser ``build_parser`` registers for it,
-    and the full parser would hand it every later word.  Any other
-    ``argv`` (the top-level help or --version, an option first, an
-    unknown command, no words) goes to the full parser.
+    and the full parser would hand it every later word.  Each command's
+    parser is built once per process and parses every later line of that
+    command into a fresh namespace.  Any other ``argv`` (the top-level
+    help or --version, an option first, an unknown command, no words)
+    goes to the full parser, built anew each time.
     """
     if argv and argv[0] in COMMANDS:
         name = argv[0]
-        parser = _add_flags(_Parser(prog=f"delzant {name}"), COMMANDS[name][1])
-        return parser.parse_args(argv[1:], argparse.Namespace(command=name))
+        return _command_parser(name).parse_args(argv[1:], argparse.Namespace(command=name))
     return build_parser().parse_args(argv)
 
 

@@ -635,8 +635,9 @@ def command_first_lines(draw):
 
 class TestLazyParser:
     """``main`` parses a command-first line with that command's parser alone
-    (``parse_command_line``); every command line behaves as with the full
-    parser, ``build_parser()``."""
+    (``parse_command_line``), built once per process on the command's first
+    line and reused by every later one; every command line behaves as with
+    the full parser, ``build_parser()``."""
 
     CASES = [
         ("--help",),
@@ -687,6 +688,25 @@ class TestLazyParser:
     @given(argv=command_first_lines())
     def test_generated_command_lines_match_the_full_parser(self, argv):
         assert self.outcome(argv) == self.full_outcome(argv)
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            ("count", "--k", "3", "--region", "face=1", "--budget", "50", "--normalize",
+             "--output", "json"),
+            ("ehrhart", "--kind", "boundary", "--method", "operator", "--output", "tsv"),
+            ("count", "--k", "two"),
+            ("count", "--region", "side"),
+        ],
+        ids=" ".join,
+    )
+    def test_no_value_crosses_to_the_next_line(self, first, poly_file):
+        """A line that sets no flag reads every default, after a line of the
+        same command that set every flag or was a usage error."""
+        path = poly_file("cube_unit")
+        self.outcome([*first, path])
+        second = [first[0], path]
+        assert self.outcome(second) == self.full_outcome(second)
 
     def test_main_reads_sys_argv(self, poly_file, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -6,8 +6,9 @@ one CLI command runs.  A command builds each stage of its polytope once;
 every face count of a dilate is read from its one face-count table, with
 no per-face histogram scan; the brute comparison values build their own
 histogram of each dilate, apart from the kernel's, and the dilation check
-enumerates again, on purpose.  The command line builds the root parser
-and the running command's subparser, with that command's flags only.
+enumerates again, on purpose.  A command-first line builds that
+command's parser alone, with its flags only, on the command's first line
+in a process; later lines of the command reuse it.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import delzant.cli as cli
 import delzant.counting as counting
 import delzant.polytope as polytope
 import delzant.volume as volume
@@ -290,7 +292,9 @@ def test_edge_walk_ratio_tests_each_edge_once(ratio_tests, spec, vertices, tests
 
 @pytest.fixture
 def added_arguments(monkeypatch):
-    """The names of every argument added to any argparse parser."""
+    """The names of every argument added to any argparse parser, from an
+    empty command-parser cache."""
+    cli._command_parser.cache_clear()
     names = []
     original = argparse.ArgumentParser.add_argument
 
@@ -304,7 +308,9 @@ def added_arguments(monkeypatch):
 
 @pytest.fixture
 def built_parsers(monkeypatch):
-    """The prog of every argparse parser built, subparsers included."""
+    """The prog of every argparse parser built, subparsers included, from
+    an empty command-parser cache."""
+    cli._command_parser.cache_clear()
     built = []
     original = argparse.ArgumentParser.__init__
 
@@ -320,6 +326,14 @@ def test_main_builds_the_running_commands_parser_only(built_parsers, simplex_2, 
     assert main(["count", "--k", "2", simplex_2]) == 0
     assert capsys.readouterr().out == "6\n"
     assert built_parsers == ["delzant count"]
+    # a later line of the same command reuses its parser
+    assert main(["count", "--k", "3", simplex_2]) == 0
+    assert capsys.readouterr().out == "10\n"
+    assert built_parsers == ["delzant count"]
+    # another command builds its own parser alone
+    assert main(["validate", simplex_2]) == 0
+    capsys.readouterr()
+    assert built_parsers == ["delzant count", "delzant validate"]
 
 
 def test_top_level_help_builds_every_subparser(built_parsers, capsys):
