@@ -696,13 +696,15 @@ class TestLazyParser:
              "--output", "json"),
             ("ehrhart", "--kind", "boundary", "--method", "operator", "--output", "tsv"),
             ("count", "--k", "two"),
+            ("count", "--k", "0"),
             ("count", "--region", "side"),
         ],
         ids=" ".join,
     )
     def test_no_value_crosses_to_the_next_line(self, first, poly_file):
         """A line that sets no flag reads every default, after a line of the
-        same command that set every flag or was a usage error."""
+        same command that set every flag or was a usage error, in parsing
+        or after it."""
         path = poly_file("cube_unit")
         self.outcome([*first, path])
         second = [first[0], path]
