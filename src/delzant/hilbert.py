@@ -2,9 +2,11 @@
 
 The boundary lattice point count of a Delzant polytope is computed by
 (a) inclusion-exclusion over the face lattice, (b) the A-hat operator
-formula on the boundary volume, with the offsets replaced by k times the
-anchor (``symbolic_ehrhart``), and (c) direct brute-force counting; (a)
-and (c) are fitted to a polynomial in the dilation factor k.  Each route
+formula on the boundary volume at the offsets k times the anchor
+(``symbolic_ehrhart``, which applies the operator to each vertex's term
+of the volume formula as one univariate series, with no volume
+polynomial), and (c) direct brute-force counting; (a) and (c) are fitted
+to a polynomial in the dilation factor k.  Each route
 gives a plain ``UniPoly`` in k.  The three are proven-equal identities,
 so any disagreement aborts loudly: it always means an implementation bug
 or invalid input, never an acceptable warning.

@@ -9,6 +9,19 @@ series act exactly: the targets are polynomials, and each series is
 expanded to the target's degree, past which every derivative of the
 target vanishes.
 
+Two routes apply the operators.  ``symbolic_ehrhart`` reads the Ehrhart
+polynomial off the vertices: the operator acts on each vertex's term of
+the volume formula on its own, as one univariate series per vertex, and
+builds no volume polynomial.  ``apply_operator_product`` expands the
+operator over a d-variable polynomial (``Prepared.applied``).  Its result
+is printed as ``operator_applied``, and ``operator_count`` evaluates it at
+the anchor, so the counts of ``khovanskii``, ``boundary-formula`` and
+``cross-check`` still read the expansion.  Moving them to the vertex sum
+waits on the benchmark's peak-RSS metric, which grows with the passes a
+run makes (ROADMAP item 1a).  The tests check that the two routes give
+the same polynomial, which keeps the operator identity on the volume
+polynomial checked.
+
 Series conventions (coefficients of x^j):
 
     Td(x)      = x / (1 - exp(-x))      -> b_j / j!, Bernoulli numbers with b_1 = +1/2
@@ -20,10 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 from .errors import FormulaViolationError
 from .polynomial import MultiPoly, UniPoly
+from .volume import _edge_pairings, _moment_direction
 
 SERIES_NAMES = ("Td", "Ahat", "invAhat")
 
@@ -44,9 +58,12 @@ def bernoulli_numbers(order: int) -> list[Fraction]:
     return numbers
 
 
-def series_multiply(a, b, order: int) -> list[Fraction]:
-    """Cauchy product of two coefficient lists, truncated at the given order."""
-    out = [Fraction(0)] * (order + 1)
+def series_multiply(a, b, order: int) -> list:
+    """Cauchy product of two coefficient lists, truncated at the given order.
+
+    The accumulator starts at integer 0, so integer lists multiply in integers.
+    """
+    out = [0] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
         if ai == 0:
             continue
@@ -169,6 +186,64 @@ def operator_count(prep, kind: str) -> int:
     return int(value)
 
 
+def _integer_series(name: str, order: int) -> tuple[list[int], int]:
+    """The named series as integer numerators over one denominator."""
+    coeffs = series_coefficients(name, order)
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
 def symbolic_ehrhart(prep, kind: str) -> UniPoly:
-    """Ehrhart polynomial via operators: apply, then substitute offsets -> k * anchor."""
-    return prep.applied(kind).substitute_dilation(prep.spec.offsets())
+    """Ehrhart polynomial via operators, summed over the vertices.
+
+    The volume is the Lawrence sum of one term s_v^m / (m! den_v) per
+    vertex (``volume._lawrence_volume``), with s_v = sum_a C_a o_a over the
+    active facets.  The operator is linear, so it acts on each term alone
+    (Brion and Vergne, JAMS 10, 1997): there d/do_a is C_a d/ds_v, and the
+    series of a facet off the vertex acts as its constant term 1.  So
+    vertex v needs one univariate series t_v, truncated at x^m:
+
+        full:     prod_a Td(C_a x)
+        boundary: sigma x invAhat(sigma x) prod_a Ahat(C_a x),  sigma = sum_a C_a
+
+    (the boundary volume is the summed derivative of the volume, which
+    gives its factor sigma x).  At the offsets k anchor, s_v = k S_v, and
+    the coefficient of k^n is sum_v t_{v,m-n} S_v^n / (n! den_v).  The
+    series are integer numerators over one denominator per series, and the
+    vertices' are summed over the lcm of the den_v; only the returned
+    coefficients are Fractions.
+    """
+    if kind not in _PRODUCTS:
+        raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
+    charts, anchor = prep.require_delzant().charts, prep.spec.offsets()
+    m = prep.spec.dim
+    per_variable, summed = _PRODUCTS[kind]
+    base, scale = _integer_series(per_variable, m)
+    denominator = scale**m
+    if summed is not None:
+        summed_series, summed_scale = _integer_series(summed, m - 1)
+        denominator *= summed_scale
+    xi = _moment_direction(charts, m)
+    vertices = []
+    for chart in charts:
+        pairings = _edge_pairings(chart, xi)
+        series = [1] + [0] * m
+        for c in pairings:  # the factor first: its zero coefficients are skipped
+            series = series_multiply([s * c**j for j, s in enumerate(base)], series, m)
+        if summed is not None:
+            sigma = sum(pairings)
+            factor = [0] + [s * sigma ** (j + 1) for j, s in enumerate(summed_series)]
+            series = series_multiply(factor, series, m)
+        s_anchor = sum(c * anchor[a] for a, c in zip(chart.active_set, pairings))
+        vertices.append((abs(chart.det) * prod(pairings), series, s_anchor))
+    common = lcm(*(abs(den) for den, _, _ in vertices))
+    numerators = [0] * (m + 1)
+    for den, series, s_anchor in vertices:
+        power = common // den
+        for n in range(m + 1):
+            numerators[n] += series[m - n] * power
+            power *= s_anchor
+    return UniPoly(
+        Fraction(value, common * denominator * factorial(n))
+        for n, value in enumerate(numerators)
+    )

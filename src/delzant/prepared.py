@@ -4,17 +4,20 @@ Every answer of the package comes from one chain per polytope: vertex
 charts -> Delzant report -> face lattice -> volume polynomial -> boundary
 volume, then the Todd product on the volume or the A-hat product on the
 boundary volume (``applied``), from which ``operators.operator_count``
-and ``symbolic_ehrhart`` read the count and the Ehrhart polynomial of
-that kind.  Each dilate has the slab kernel's tight-mask histogram
-(``histogram``), read by ``read_count``, and its face-count table
-(``face_counts``, one superset-sum pass over the histogram), from which
-inclusion-exclusion, the per-face table and ``count --output json`` read
-every face count.  The brute comparison values come from a second
-histogram of each dilate, built by the per-point classifier
-(``brute_histogram``): the two share no code and are kept under
-different keys, so every brute value still checks the kernel.  The
-stages built per kind or per k share one memo dict, keyed by stage and
-argument.
+reads the count of that kind and the formats that print
+``operator_applied`` read its text.  ``operators.symbolic_ehrhart`` reads
+only the Delzant-checked charts, one series per vertex, so the Ehrhart
+polynomials of ``ehrhart --method operator`` and of route (b) of
+``hilbert-cy`` build no volume polynomial and no applied product.  Each
+dilate has the slab kernel's tight-mask histogram (``histogram``), read
+by ``read_count``, and its face-count table (``face_counts``, one
+superset-sum pass over the histogram), from which inclusion-exclusion,
+the per-face table and ``count --output json`` read every face count.
+The brute comparison values come from a second histogram of each dilate,
+built by the per-point classifier (``brute_histogram``): the two share
+no code and are kept under different keys, so every brute value still
+checks the kernel.  The stages built per kind or per k share one memo
+dict, keyed by stage and argument.
 
 The face lattice is built once, from the charts alone; ``lattice`` hands
 it out only once the Delzant report passes, while the volume oracle's one
@@ -92,7 +95,8 @@ class Prepared:
 
     def applied(self, kind: str) -> MultiPoly:
         """The Todd product on the volume (full) or the A-hat product on the
-        boundary volume (boundary), applied once per kind."""
+        boundary volume (boundary), applied once per kind; read by the
+        operator counts and the printed ``operator_applied``."""
         return self._once(
             ("applied", kind),
             lambda: operators.apply_operator_product(

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import delzant.operators as operators
 from delzant.corpus import DELZANT_CORPUS, load
 from delzant.counting import count_points, ehrhart_interpolate
-from delzant.errors import FormulaViolationError
+from delzant.errors import DisagreementError, FormulaViolationError
+from delzant.hilbert import cy_hilbert_polynomial
 from delzant.operators import (
     apply_operator_product,
     bernoulli_numbers,
@@ -18,10 +22,15 @@ from delzant.operators import (
     symbolic_ehrhart,
     todd_denominator_series,
 )
+from delzant.polyfile import parse_polytope_file
 from delzant.polynomial import MultiPoly
 from delzant.prepared import Prepared
 
 from test_polynomial import random_poly
+from test_polytope import _blow_up
+from test_volume import product_spec
+
+DATA = Path(__file__).parent / "data"
 
 
 def ones(order):
@@ -213,25 +222,86 @@ class TestSymbolicEhrhart:
         assert via_operator == via_counts
 
 
+class TestVertexSum:
+    """``symbolic_ehrhart`` sums one univariate series per vertex.  The
+    expansion route applies the operator product to the d-variable volume
+    (full) or boundary volume (boundary) and substitutes offsets -> k anchor;
+    the two must give the same polynomial, and the operator counts, which
+    read the expansion at the anchor, its value at k = 1.  This keeps the
+    operator identity on the volume polynomial checked."""
+
+    @staticmethod
+    def assert_routes_agree(prep):
+        for kind in ("full", "boundary"):
+            by_vertex = symbolic_ehrhart(prep, kind)
+            assert prep.applied(kind).substitute_dilation(prep.spec.offsets()) == by_vertex
+            assert operator_count(prep, kind) == by_vertex.evaluate(1)
+
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_corpus(self, name, prepare):
+        self.assert_routes_agree(prepare(name))
+
+    def test_blow_ups_and_products(self):
+        @settings(derandomize=True, max_examples=40, deadline=None)
+        @given(
+            name=st.sampled_from(DELZANT_CORPUS),
+            factor=st.sampled_from((None, "segment_unit", "simplex_2", "hirzebruch_b")),
+            cuts=st.sets(st.integers(0, 8), max_size=3),
+        )
+        def check(name, factor, cuts):
+            spec = load(name)
+            if factor is not None:
+                spec = product_spec(spec, load(factor))
+            assume(spec.dim <= 5)
+            self.assert_routes_agree(Prepared(_blow_up(spec, cuts)).require_delzant())
+
+        check()
+
+    def test_blow_up_fixture(self):
+        # a 5-cube of side 40 with 12 vertices cut off: d = 22, 80 vertices
+        spec = parse_polytope_file((DATA / "cube5_blowup12.poly").read_text())
+        self.assert_routes_agree(Prepared(spec))
+
+
+def _corrupt_bernoulli(monkeypatch):
+    """B_2 read as 1/7; its true value is 1/6."""
+    good = bernoulli_numbers(8)
+
+    def corrupted(order):
+        values = good[: order + 1]
+        if order >= 2:
+            values[2] = Fraction(1, 7)
+        return values
+
+    monkeypatch.setattr(operators, "bernoulli_numbers", corrupted)
+
+
+def _corrupt_x2(monkeypatch, name, value):
+    """The named series' x^2 coefficient read as ``value``.  A-hat is the
+    series inverse of invAhat, so a corrupted invAhat corrupts it too, as a
+    wrong constant in ``series_coefficients`` would."""
+
+    def corrupted(series, order):
+        coeffs = list(series_coefficients(series, order))
+        if series == name and order >= 2:
+            coeffs[2] = value
+        return tuple(coeffs)
+
+    monkeypatch.setattr(operators, "series_coefficients", corrupted)
+
+
 class TestMutation:
     """Corrupting a series constant must break the executable theorems.
 
     The Todd route feeds the full-count identity and the A-hat route the
-    boundary identity; the inclusion-exclusion identity uses no series
-    constants at all, by construction, so no mutation can reach it.
+    boundary identity, both by the expansion and by the vertex sum; the
+    inclusion-exclusion identity uses no series constants at all, by
+    construction, so no mutation can reach it.
     """
 
     def test_corrupt_bernoulli_breaks_khovanskii(self, monkeypatch):
         p = Prepared(load("simplex_2"))  # its own pipeline, built under the mutation
-        good = bernoulli_numbers(8)
-
-        def corrupted(order):
-            values = good[: order + 1]
-            if order >= 2:
-                values[2] = Fraction(1, 7)  # true value is 1/6
-            return values
-
-        monkeypatch.setattr(operators, "bernoulli_numbers", corrupted)
+        _corrupt_bernoulli(monkeypatch)
         brute = count_points(p.spec, 1, "full", charts=p.charts)
         try:
             value = operator_count(p, "full")
@@ -241,20 +311,30 @@ class TestMutation:
 
     def test_corrupt_ahat_breaks_boundary_formula(self, monkeypatch):
         p = Prepared(load("simplex_3"))  # its own pipeline, built under the mutation
-        good = series_coefficients("Ahat", 10)
-
-        def corrupted(name, order):
-            if name == "Ahat":
-                coeffs = list(good[: order + 1])
-                if order >= 2:
-                    coeffs[2] = Fraction(-1, 23)  # true value is -1/24
-                return tuple(coeffs)
-            return series_coefficients(name, order)
-
-        monkeypatch.setattr(operators, "series_coefficients", corrupted)
+        _corrupt_x2(monkeypatch, "Ahat", Fraction(-1, 23))  # true value is -1/24
         brute = count_points(p.spec, 1, "boundary", charts=p.charts)
         try:
             value = operator_count(p, "boundary")
         except FormulaViolationError:
             return
         assert value != brute
+
+    @pytest.mark.parametrize(
+        "corrupt, kind",
+        [
+            (_corrupt_bernoulli, "full"),
+            (lambda mp: _corrupt_x2(mp, "Ahat", Fraction(-1, 23)), "boundary"),
+            (lambda mp: _corrupt_x2(mp, "invAhat", Fraction(1, 25)), "boundary"),
+        ],
+        ids=["bernoulli-B2", "ahat-x2", "inv-ahat-x2"],
+    )
+    def test_corruption_breaks_the_vertex_sum(self, monkeypatch, corrupt, kind):
+        """The Ehrhart polynomial no longer matches the fitted counts, and
+        route (b) of ``cy_hilbert_polynomial``, which reads the boundary
+        kind, disagrees with the other two."""
+        p = Prepared(load("simplex_3"))
+        corrupt(monkeypatch)
+        assert symbolic_ehrhart(p, kind) != ehrhart_interpolate(p.spec, kind, charts=p.charts)
+        if kind == "boundary":
+            with pytest.raises(DisagreementError):
+                cy_hilbert_polynomial(p)

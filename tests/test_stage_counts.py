@@ -128,6 +128,29 @@ def test_face_counts_come_from_one_table_per_dilate(
     assert stage_calls["face scans"] == scans
 
 
+@pytest.mark.parametrize(
+    "argv, lattices, products",
+    [
+        # route (b) sums one series per vertex; route (a) reads the lattice
+        (("hilbert-cy",), 1, 0),
+        # the Ehrhart polynomial reads only the Delzant-checked charts
+        (("ehrhart", "--method", "operator"), 0, 0),
+        (("ehrhart", "--method", "operator", "--kind", "boundary", "--output", "tsv"), 0, 0),
+        # JSON prints operator_applied, so it expands the product once
+        (("ehrhart", "--method", "operator", "--output", "json"), 1, 1),
+    ],
+    ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
+)
+def test_ehrhart_polynomials_expand_no_operator_product(
+    argv, lattices, products, stage_calls, simplex_2, capsys
+):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["build_face_lattice"] == lattices
+    assert stage_calls["volume_polynomial"] == products
+    assert stage_calls["apply_operator_product"] == products
+
+
 def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, capsys):
     """The oracle solves only the anchor's vertices, never at the anchor's offsets."""
     offsets, solved, proving = [], Counter(), [False]
