@@ -285,9 +285,7 @@ def cmd_ehrhart(args, prep) -> Report:
         if args.output == "json":  # the one format that prints it
             applied_text = prep.applied(args.kind).to_text()
     else:
-        result = ehrhart_interpolate(
-            prep.spec, args.kind, budget=prep.budget, charts=prep.charts
-        )
+        result = ehrhart_interpolate(prep, args.kind)
     text = result.to_text()
     payload = {
         "kind": args.kind,

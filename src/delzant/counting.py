@@ -14,8 +14,9 @@ envelopes meet go through a per-fibre interval count.  Its prefix walk
 settles each distinct sub-box once: keyed by the slacks of the facets
 that still vary over it, a sub-box (a slab, or a box of slabs) that
 another prefix has already settled is read back, with the bits of the
-facets constant over it ORed in.  It serves
-``count_points``, ``tight_histogram`` and ``ehrhart_interpolate``.  The
+facets constant over it ORed in.  ``tight_histogram`` alone calls it,
+for ``Prepared.histogram`` (one per dilate, read by ``ehrhart_interpolate``
+and the reports) and ``count_points`` (a fresh pass per call).  The
 per-point classifier (``_tight_masks``) tests every point of the box
 against the facets one by one; it serves only ``brute_histogram``, the
 brute-force oracle, read by ``read_count`` as the kernel's histograms
@@ -415,9 +416,10 @@ def tight_histogram(
     """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
 
     One pass of the slab kernel over the bounding box (checked against
-    ``budget``), as in ``count_points``; every region of the dilate can
-    then be read off with ``read_count``.  On a simple polytope
-    each key is 0 or the active set of a face, as a bitmask.
+    ``budget``), and the kernel's one caller: ``Prepared.histogram`` keeps
+    one per k, ``count_points`` reads a fresh one.  Every region of the
+    dilate is read off with ``read_count``; on a simple polytope each key
+    is 0 or the active set of a face, as a bitmask.
     """
     return _interval_masks(*_box(spec, k, budget, charts))
 
@@ -501,12 +503,12 @@ def count_points(
     region 'face' counts the points of the face cut out by the given facet
     index set; an empty intersection simply counts zero.  The enumeration
     domain is the bounding box of the dilated vertices; its size is checked
-    against ``budget`` before any work happens.  Each call runs its own
-    pass of the slab kernel, so a count from here is independent of any
-    histogram another caller holds.
+    against ``budget`` before any work happens.  Each call reads a fresh
+    ``tight_histogram``, so a count from here is independent of any
+    histogram a ``Prepared`` holds.
     """
     _check_count_args(spec, region, face)
-    return read_count(_interval_masks(*_box(spec, k, budget, charts)), region, face)
+    return read_count(tight_histogram(spec, k, budget=budget, charts=charts), region, face)
 
 
 def brute_histogram(
@@ -566,29 +568,18 @@ def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
     return UniPoly(Fraction(c, denominator) for c in numerators)
 
 
-def ehrhart_interpolate(
-    spec: HalfSpaceSpec,
-    kind: str = "full",
-    *,
-    budget: int = DEFAULT_BUDGET,
-    charts=None,
-) -> UniPoly:
+def ehrhart_interpolate(prep, kind: str = "full") -> UniPoly:
     """Ehrhart polynomial of the polytope, its interior or its boundary.
 
+    Fitted by ``interpolate_counts`` through the counts of ``kind`` read
+    off ``prep.histogram(k)``, the polytope's one histogram per dilate.
     Interpolation nodes start at k = 1; k = 0 is never used because the
     boundary count of the zero dilate is set-theoretically 1 while the
     boundary polynomial's constant term need not be.  The degree+2
     prediction check takes over the role of a k = 0 node.
     """
-    if charts is None:
-        charts = enumerate_vertices(spec)
-    m = spec.dim
-    if kind in ("full", "interior"):
-        degree = m
-    elif kind == "boundary":
-        degree = m - 1
-    else:
+    drop = {"full": 0, "interior": 0, "boundary": 1}.get(kind)  # the degree below dim
+    if drop is None:
         raise ValueError(f"unknown Ehrhart kind {kind!r}")
-
-    counts = lambda k: count_points(spec, k, kind, budget=budget, charts=charts)
-    return interpolate_counts(counts, degree, kind)
+    counts = lambda k: read_count(prep.histogram(k), kind)
+    return interpolate_counts(counts, prep.spec.dim - drop, kind)

@@ -13,6 +13,7 @@ integer offset.  '#' starts a comment and blank lines are skipped.
 
 from __future__ import annotations
 
+import re
 import sys
 from math import gcd
 
@@ -28,6 +29,13 @@ from .polytope import HalfSpaceSpec
 
 # the int-to-str digit limit of CPython 3.10.7 and later (0: no limit)
 max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# a decimal number as ``float`` spells it, less nan and inf: a sign, digits (one
+# ``_`` between two), a point and/or an exponent; matched, never evaluated
+_DIGITS = r"\d(?:_?\d)*"
+_DECIMAL = re.compile(
+    rf"[+-]?(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][+-]?{_DIGITS})?"
+)
 
 
 def over_limit(token: str) -> str | None:
@@ -101,7 +109,7 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
             parsed = [_parse_int(tok, lineno) for tok in values]
             for pos, (tok, val) in enumerate(zip(values, parsed)):
                 if val is None:
-                    if pos == dim and _parse_float(tok) is not None:
+                    if pos == dim and _DECIMAL.fullmatch(tok):
                         raise NonIntegerOffsetError(
                             f"offset {cut(tok)} is not an integer", lineno
                         )
@@ -137,10 +145,3 @@ def parse_polytope_file(text: str, *, normalize: bool = False) -> HalfSpaceSpec:
         return HalfSpaceSpec(dim, facets, name=name)
     except ValueError as exc:
         raise PolytopeParseError(str(exc)) from exc
-
-
-def _parse_float(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None

@@ -105,7 +105,8 @@ class Prepared:
         )
 
     def histogram(self, k: int) -> dict[int, int]:
-        """The k-fold dilate's ``tight_histogram``, built once per k."""
+        """The k-fold dilate's ``tight_histogram``, built once per k; read by
+        ``counting.ehrhart_interpolate``, the face-count table and the reports."""
         return self._once(
             ("histogram", k),
             lambda: counting.tight_histogram(self.spec, k, budget=self.budget, charts=self.charts),

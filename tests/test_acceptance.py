@@ -118,7 +118,7 @@ def test_criterion_05_product_expansion_identity():
 def test_criterion_06_ehrhart_reciprocity(prepare):
     for name in DELZANT_CORPUS:
         p = prepare(name)
-        full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
+        full = ehrhart_interpolate(p, "full")
         m = p.spec.dim
         for k in range(1, 6):
             interior = read_count(p.brute_histogram(k), "interior")

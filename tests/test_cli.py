@@ -374,6 +374,12 @@ class TestExitCodes:
         assert code == 5
         assert "budget" in err
 
+    def test_ehrhart_interpolation_budget_exceeded_is_5(self, poly_file, capsys):
+        # the k = 1 box of the 2-cube [0, 2]^3 holds 3^3 points
+        code, out, err = run(capsys, "ehrhart", "--budget", "10", poly_file("cube_2"))
+        assert (code, out) == (5, "")
+        assert err == "error: enumeration needs 27 point classifications, budget is 10\n"
+
     def test_cross_check_budget_exceeded_is_5(self, poly_file, capsys):
         # the budget ends the command; it is not one more failed identity
         code, out, err = run(

@@ -633,33 +633,33 @@ class TestFaceCounts:
 
 class TestEhrhartInterpolate:
     def test_simplex_full(self):
-        result = ehrhart_interpolate(load("simplex_2"), "full")
+        result = ehrhart_interpolate(Prepared(load("simplex_2")), "full")
         assert result == UniPoly([1, Fraction(3, 2), Fraction(1, 2)])
 
     def test_simplex_boundary(self):
-        result = ehrhart_interpolate(load("simplex_2"), "boundary")
+        result = ehrhart_interpolate(Prepared(load("simplex_2")), "boundary")
         assert result == UniPoly([0, 3])
 
     def test_simplex3_boundary(self):
-        result = ehrhart_interpolate(load("simplex_3"), "boundary")
+        result = ehrhart_interpolate(Prepared(load("simplex_3")), "boundary")
         assert result == UniPoly([2, 0, 2])
 
     def test_unknown_kind_rejected(self):
         for kind in ("face", "nope"):
             with pytest.raises(ValueError, match="unknown Ehrhart kind"):
-                ehrhart_interpolate(load("simplex_3"), kind)
+                ehrhart_interpolate(Prepared(load("simplex_3")), kind)
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_full_constant_term_is_one(self, name, prepare):
         p = prepare(name)
-        full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
+        full = ehrhart_interpolate(p, "full")
         assert full.coefficient(0) == 1
         assert full.degree == p.spec.dim
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     def test_full_leading_coefficient_is_volume(self, name, prepare):
         p = prepare(name)
-        full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
+        full = ehrhart_interpolate(p, "full")
         assert full.coefficient(p.spec.dim) == p.vol.poly.evaluate(
             p.spec.offsets()
         )
@@ -668,20 +668,30 @@ class TestEhrhartInterpolate:
     def test_boundary_constant_term(self, name, prepare):
         # E_boundary(0) = 1 - (-1)^m, verified corpus-wide by brute force
         p = prepare(name)
-        boundary = ehrhart_interpolate(p.spec, "boundary", charts=p.charts)
+        boundary = ehrhart_interpolate(p, "boundary")
         assert boundary.evaluate(0) == 1 - (-1) ** p.spec.dim
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_reciprocity(self, name, k, prepare):
         p = prepare(name)
-        full = ehrhart_interpolate(p.spec, "full", charts=p.charts)
+        full = ehrhart_interpolate(p, "full")
         interior = count_points(p.spec, k, "interior", charts=p.charts)
         assert (-1) ** p.spec.dim * full.evaluate(-k) == interior
         boundary = count_points(p.spec, k, "boundary", charts=p.charts)
         assert full.evaluate(k) - (-1) ** p.spec.dim * full.evaluate(
             -k
         ) == boundary
+
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    @pytest.mark.parametrize("kind", ["full", "interior", "boundary"])
+    def test_matches_a_fit_of_fresh_counts(self, name, kind, prepare):
+        # the fit through the kept histograms against the route it replaced:
+        # one fresh ``count_points`` pass per node
+        p = prepare(name)
+        degree = p.spec.dim - (kind == "boundary")
+        counts = lambda k: count_points(p.spec, k, kind, charts=p.charts)
+        assert ehrhart_interpolate(p, kind) == interpolate_counts(counts, degree, kind)
 
     def test_prediction_check_catches_non_polynomial_counts(self):
         # counts that lie at the probe node must be rejected

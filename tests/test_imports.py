@@ -179,3 +179,47 @@ def test_brute_count_never_reaches_the_fibre_kernel():
     assert "_tight_masks" in brute
     # nor any other module function the kernel reaches
     assert call_tree_names(source, FIBRE_KERNEL) & functions & brute == set()
+
+
+def callers(root: Path, name: str) -> set[tuple[str, str]]:
+    """(module, function) for every function under ``root`` that names
+    ``name`` in its own body, not in a function nested in it."""
+    found = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            todo = list(node.body)
+            while todo:
+                child = todo.pop()
+                if isinstance(child, ast.FunctionDef):
+                    continue
+                if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                    found.add((path.stem, node.name))
+                todo.extend(ast.iter_child_nodes(child))
+    return found
+
+
+def test_tight_histogram_is_the_one_door_to_the_slab_kernel():
+    assert callers(PACKAGE, FIBRE_KERNEL) == {("counting", "tight_histogram")}
+    # a fresh pass per call for the one-region counts of ``count`` and the
+    # reciprocity fit; everything else reads ``Prepared.histogram``
+    assert callers(PACKAGE, "count_points") == {
+        ("cli", "cmd_count"),
+        ("hilbert", "check_reciprocity"),
+    }
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_no_test_module_imports_another():
+    # shared helpers live in modules that collect no tests, such as ``generators``
+    borrowed = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_"):
+                borrowed.append((path.name, node.module))
+            elif isinstance(node, ast.Import):
+                borrowed += [(path.name, a.name) for a in node.names if a.name.startswith("test_")]
+    assert borrowed == []

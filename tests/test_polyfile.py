@@ -61,6 +61,25 @@ class TestParse:
             parse_polytope_file("dim 2\nfacet -1 0 0.5\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("0.5", "offset 0.5 is not an integer"),
+            ("1e3", "offset 1e3 is not an integer"),
+            ("-2.5e-3", "offset -2.5e-3 is not an integer"),
+            ("1_0.5", "offset 1_0.5 is not an integer"),
+            # read by form, not by ``float``: nan and inf are no numbers here
+            ("nan", "bad integer 'nan'"),
+            ("inf", "bad integer 'inf'"),
+            ("1/2", "bad integer '1/2'"),
+        ],
+    )
+    def test_offset_message_by_token_form(self, token, message):
+        with pytest.raises(PolytopeParseError) as err:
+            parse_polytope_file(f"dim 1\nfacet -1 0\nfacet 1 {token}\n")
+        assert isinstance(err.value, NonIntegerOffsetError) == message.startswith("offset")
+        assert str(err.value) == f"line 3: {message}"
+
     def test_bad_integer_in_normal(self):
         with pytest.raises(PolytopeParseError):
             parse_polytope_file("dim 2\nfacet -1 x 0\n")

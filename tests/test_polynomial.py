@@ -10,16 +10,7 @@ from delzant.polynomial import (
     euler_expansion_identity,
     euler_expansion_levels,
 )
-
-
-def random_poly(rng, nvars=3, max_exp=2, terms=4):
-    out = {}
-    for _ in range(terms):
-        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
-        out[exps] = out.get(exps, Fraction(0)) + Fraction(
-            rng.randint(-4, 4), rng.randint(1, 4)
-        )
-    return MultiPoly(nvars, out)
+from generators import random_poly
 
 
 class TestScalar:

@@ -26,8 +26,10 @@ from delzant.polytope import (
 )
 from delzant.prepared import Prepared
 from delzant.volume import chamber_samples
+# bound as _blow_up: derandomized Hypothesis seeds each test from its source
+# text, so renaming the calls would change the examples drawn
+from generators import blow_up as _blow_up, product_spec
 from subset_reference import feasible_vertex_points, independent_subsets, subset_charts
-from test_volume import product_spec
 
 
 DATA = Path(__file__).parent / "data"
@@ -395,24 +397,6 @@ class TestEdgeWalk:
         charts = walk(spec)
         assert len(charts) == 80
         assert charts == _subset_path(spec)
-
-
-def _blow_up(spec, cuts):
-    """``spec`` dilated by 3, with the vertices ``cuts`` (indices into its
-    sorted vertices, those past the end ignored) cut off one lattice step deep.
-
-    At a Delzant vertex v on facets A, the facet sum_A n_a . x <= sum_A n_a . v - 1
-    meets each edge of v one step from v.  Every edge of the dilate is at
-    least 3 steps long, so the cuts leave a simple Delzant polytope.
-    """
-    big = spec.dilate(3)
-    charts = subset_charts(big.normals(), big.offsets())
-    facets = [*big.facets]
-    for k in sorted(k for k in cuts if k < len(charts)):
-        active, vertex = charts[k].active_set, charts[k].anchor_ints()
-        normal = tuple(map(sum, zip(*(big.facets[a].normal for a in active))))
-        facets.append((normal, sum(n * x for n, x in zip(normal, vertex)) - 1))
-    return HalfSpaceSpec(spec.dim, facets)
 
 
 class TestPhaseOne:

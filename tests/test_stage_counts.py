@@ -92,9 +92,10 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["build_face_lattice"] == 1
     # the polytope's own charts, plus the dilates k = 1, 2, 3 of the dilation check
     assert stage_calls["enumerate_vertices"] == 4
-    # one histogram for each k = 1..5, and one face-count table read by
-    # every face count, with no per-face scan
-    assert stage_calls["tight_histogram"] == 5
+    # one kept histogram for each k = 1..5, plus the fresh passes of the 4
+    # ``count_points`` calls below; one face-count table read by every face
+    # count, with no per-face scan
+    assert stage_calls["tight_histogram"] == 5 + 4
     assert stage_calls["face_counts"] == 5
     assert stage_calls["face scans"] == 0
     # every brute comparison value (2 operator counts, 5 inclusion-exclusion
@@ -113,7 +114,8 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
         (("hilbert-cy",), 3, 0),
         (("count", "--k", "2", "--output", "json"), 1, 0),
         (("count", "--k", "2", "--output", "json", "--region", "face=3"), 1, 0),
-        # text output counts one region by ``count_points``, which scans
+        # text output counts one region by ``count_points``: a fresh
+        # histogram, scanned for the face, and no table
         (("count", "--k", "2", "--region", "face=3"), 0, 1),
     ],
     ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
@@ -123,9 +125,31 @@ def test_face_counts_come_from_one_table_per_dilate(
 ):
     assert main([*argv, simplex_2]) == 0
     capsys.readouterr()
-    assert stage_calls["tight_histogram"] == tables
+    # each histogram is kept and feeds one table, or is scanned once
+    assert stage_calls["tight_histogram"] == tables + scans
     assert stage_calls["face_counts"] == tables
     assert stage_calls["face scans"] == scans
+
+
+@pytest.mark.parametrize(
+    "kind, histograms",
+    [
+        # degree 2: k = 1, 2, 3 and the probe k = 4
+        ("full", 4),
+        ("interior", 4),
+        # degree 1: k = 1, 2 and the probe k = 3
+        ("boundary", 3),
+    ],
+)
+def test_ehrhart_interpolation_reads_one_histogram_per_node(
+    kind, histograms, stage_calls, simplex_2, capsys
+):
+    assert main(["ehrhart", "--kind", kind, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["tight_histogram"] == histograms
+    # every node reads the kept histogram, with no fresh pass
+    assert stage_calls["count_points"] == 0
+    assert stage_calls["face_counts"] == 0
 
 
 @pytest.mark.parametrize(

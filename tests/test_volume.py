@@ -28,6 +28,7 @@ from delzant.volume import (
     numeric_volume_at,
     volume_polynomial,
 )
+from generators import product_spec
 from subset_reference import feasible_vertex_points
 
 SAMPLE_COUNT_CAP = 40  # the full C(d+m, m) sweep runs in the acceptance suite
@@ -41,17 +42,6 @@ HALF_TRIANGLE = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)])
 
 def variables(n):
     return [MultiPoly.variable(n, i) for i in range(n)]
-
-
-def product_spec(*factors):
-    """P x Q x ...: each factor's facets, padded with zeros to the full dimension."""
-    dim = sum(f.dim for f in factors)
-    facets, shift = [], 0
-    for f in factors:
-        for normal, offset in f.facets:
-            facets.append(((0,) * shift + normal + (0,) * (dim - shift - f.dim), offset))
-        shift += f.dim
-    return HalfSpaceSpec(dim, facets)
 
 
 def volume_of(spec):
