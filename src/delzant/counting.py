@@ -14,14 +14,22 @@ envelopes meet go through a per-fibre interval count.  Its prefix walk
 settles each distinct sub-box once: keyed by the slacks of the facets
 that still vary over it, a sub-box (a slab, or a box of slabs) that
 another prefix has already settled is read back, with the bits of the
-facets constant over it ORed in.  ``tight_histogram`` alone calls it,
-for ``Prepared.histogram`` (one per dilate, read by ``ehrhart_interpolate``
-and the reports) and ``count_points`` (a fresh pass per call).  The
-per-point classifier (``_tight_masks``) tests every point of the box
-against the facets one by one; it serves only ``brute_histogram``, the
-brute-force oracle, read by ``read_count`` as the kernel's histograms
-are, and shares no classifying code with the kernel.  Both take their
-box, and the one check of k, from ``_box``.
+facets constant over it ORed in.  Its coordinates are in block order,
+each product factor's together, smallest first, so a level whose
+coordinate no deeper facet reads is separable: its sub-box is settled
+once and its range split into runs as a fibre's is, at O(#facets)
+whatever k.  That order, the level tables and the box of the vertices
+are one ``SlabPlan`` (``slab_plan``), built once per ``Prepared`` or
+``count_points`` call and kept nowhere else; a pass at dilate k only
+scales the offsets and the box.  ``tight_histogram`` alone calls the
+kernel, for ``Prepared.histogram`` (one per dilate, read by
+``ehrhart_interpolate`` and the reports) and ``count_points`` (a fresh
+pass per call).  The per-point classifier (``_tight_masks``) tests every
+point of the box against the facets one by one, in the input's
+coordinate order; it serves only ``brute_histogram``, the brute-force
+oracle, read by ``read_count`` as the kernel's histograms are, and
+shares no classifying code with the kernel and reads nothing of its
+plan.  Both take their box, and the one check of k, from ``_box``.
 Counts are fitted by exact interpolation (integer forward differences),
 and every fit must predict one extra count correctly before it is
 accepted as a polynomial.
@@ -31,6 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
+from operator import itemgetter, sub
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, NotPolynomialError
 from .linalg import kernel_vector
@@ -42,10 +52,11 @@ DEFAULT_BUDGET = 10**8
 REGIONS = ("full", "interior", "boundary", "face")
 
 
-def _bounding_box(spec: HalfSpaceSpec, k: int, charts):
+def _bounding_box(spec: HalfSpaceSpec, charts):
+    """The integer box of the vertices; k times it is the k-fold dilate's."""
     anchors = [c.anchor_ints() for c in charts]
-    lows = [k * min(a[c] for a in anchors) for c in range(spec.dim)]
-    highs = [k * max(a[c] for a in anchors) for c in range(spec.dim)]
+    lows = [min(a[c] for a in anchors) for c in range(spec.dim)]
+    highs = [max(a[c] for a in anchors) for c in range(spec.dim)]
     return lows, highs
 
 
@@ -206,41 +217,84 @@ def _settled_bits(slacks, facets):
     return bits
 
 
-def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
-    """Count the inside points of the box by mask, a two-axis slab at a time.
+def _half_lines(slacks, facets, lo: int, hi: int, y: int = 0):
+    """The points x of [lo, hi] with a x + b y <= s_j for each facet (j, a,
+    b, bit), a != 0, s_j = slacks[j], as (bits, count) runs, count > 0.
 
-    The prefix walk is the one ``_tight_masks`` makes, stopped one level
-    earlier: x_0..x_{m-3} fixed leave a slab in y = x_{m-2} and x =
-    x_{m-1}, where facet j with slack s reads b y + a x <= s (a = n_j[m-1],
-    b = n_j[m-2]).  Facets with a = 0 only narrow the rows of y, and can be
-    tight only on the slab's two end rows.  Each other facet is a line, and
-    bounds x by an upper edge floor((s - b y)/a) when a > 0 or a lower edge
-    ceil((s - b y)/a) when a < 0; the box's range of x adds one edge of
-    each kind, with no bit.  Between breakpoints of the two envelopes one
-    line is lowest among the upper edges and one highest among the lower
-    edges, so rows where the first lies strictly above the second hold
-    hi - lo + 1 points summed by two floor sums (``_floor_sum``).  A point
-    tight on a line is then an end of its row, at the rows where a divides
-    s - b y (``_congruent_rows``), and keys that line's bits; the rest key
-    0.  The slab's two end rows, a row where distinct lines tie, and a row
-    where the envelopes meet go through ``count_fibre`` instead: each facet
-    bounds x by a half-line, and the fibre's points are counted from the
-    ends of their intersection [lo, hi], which alone can be tight.
-
-    Each distinct sub-box x_c..x_{m-1} is settled once.  A facet whose
-    normal is zero from coordinate c on has one slack over the sub-box,
-    and is settled by the walk before it (``_settled_bits``); at the slab
-    level these are the facets with a = b = 0.  With their bits taken out,
-    the sub-box's histogram depends only on the slacks of the live facets,
-    those with a nonzero entry from c on, so it is keyed by (c, live
-    slacks) and each prefix ORs its settled bits back into the keys.  Two
-    prefixes share a key only if they differ by a kernel vector of the
-    live facets' prefix columns n_j[:c]; a level whose columns have full
-    rank would only ever meet new keys, and stores nothing.  No point is
-    visited, every step is exact integer arithmetic, and no key ever gets
-    a count of zero.
+    Each facet bounds x by a half-line: x <= floor(s/a) when a > 0, x >=
+    ceil(s/a) when a < 0, for s = s_j - b y.  A facet can be tight (a
+    divides s) only at an end of the intersection, so the runs are its
+    plain inside and at most its two ends, each with the bits of the
+    facets tight there.
     """
-    m = len(lows)
+    lo_bits = hi_bits = 0
+    for j, a, b, bit in facets:
+        x, r = divmod(slacks[j] - b * y, a)  # x = floor(s/a); r == 0 iff a divides s
+        if a > 0:
+            if x < hi:
+                hi, hi_bits = x, 0 if r else bit
+            elif x == hi and not r:
+                hi_bits |= bit
+        else:
+            if r:
+                x += 1  # ceil(s/a)
+            if x > lo:
+                lo, lo_bits = x, 0 if r else bit
+            elif x == lo and not r:
+                lo_bits |= bit
+    if lo > hi:
+        return ()
+    if lo == hi:
+        return ((lo_bits | hi_bits, 1),)
+    runs, plain = [], hi - lo + 1
+    for bits in (lo_bits, hi_bits):
+        if bits:
+            runs.append((bits, 1))
+            plain -= 1
+    if plain:
+        runs.append((0, plain))
+    return runs
+
+
+def _block_order(normals) -> list[int]:
+    """The coordinates, each product factor's kept together, smallest
+    factor first.
+
+    The factors are the connected components of the coordinates, two
+    joined when one normal is nonzero at both.  Factors of one size keep
+    the order of their first coordinates, and each keeps its coordinates
+    in the input's order, so a polytope with one factor keeps its order.
+    """
+    m = len(normals[0])
+    block = list(range(m))  # each coordinate's factor, named by its least coordinate
+    for normal in normals:
+        named = None
+        for c, x in enumerate(normal):
+            if x:
+                b = block[c]
+                if named is None:
+                    named = b
+                elif b != named:
+                    named, b = min(named, b), max(named, b)
+                    block = [named if e == b else e for e in block]
+    return sorted(range(m), key=lambda c: (block.count(block[c]), block[c]))
+
+
+def _slab_tables(normals):
+    """The level tables of ``_interval_masks``, in ``_block_order``.
+
+    Returns (order, live, settled, stores, columns, parallel, crossing,
+    separable, keys) over the normals with their coordinates put in that
+    order: per level c, the facets live from c on, the facets settled
+    there and whether c stores its sub-boxes; per prefix coordinate its
+    column of the normals; the slab's facets parallel to its last axis
+    and those crossing it; per level below the slab, the half-lines (j,
+    n_j[c], 0, bit) of the facets settled at c + 1 if c is separable, else
+    None; and per level the reader of its live slacks, the memo's key.
+    """
+    order = _block_order(normals)
+    normals = [[n[c] for c in order] for n in normals]
+    m = len(order)
     top = max(m - 2, 0)  # the level whose sub-box is one slab (for m = 1, one fibre)
     live = [[j for j, n in enumerate(normals) if any(n[c:])] for c in range(top + 1)]
     # the facets settled from level c on: zero from c on, but not from c - 1
@@ -251,76 +305,115 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
         for c in range(top + 1)
     ]
     columns = [[normal[c] for normal in normals] for c in range(m - 1)]
-    parallel = [(j, 1 << j) for j in live[top] if normals[j][m - 1] == 0]
-    crossing = [(j, n[m - 1], 1 << j) for j, n in enumerate(normals) if n[m - 1]]
+    # the slab's facets, a x + b y <= s in its axes y = x_{m-2} (b = 0 for m = 1), x = x_{m-1}
+    ab = [(n[m - 1], n[m - 2] if m > 1 else 0) for n in normals]
+    parallel = [(j, ab[j][1], 1 << j) for j in live[top] if ab[j][0] == 0]
+    crossing = [(j, a, b, 1 << j) for j, (a, b) in enumerate(ab) if a]
+    # no facet live below a separable level reads its coordinate
+    separable = [
+        [(j, normals[j][c], 0, bit) for j, bit in settled[c + 1]]
+        if not any(normals[j][c] for j in live[c + 1])
+        else None
+        for c in range(top)
+    ]
+    keys = [itemgetter(*facets) if facets else lambda slacks: () for facets in live]
+    return order, live, settled, stores, columns, parallel, crossing, separable, keys
+
+
+def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
+    """Count the inside points of the box by mask, a two-axis slab at a time.
+
+    ``tables`` are the normals' ``_slab_tables``, with the coordinates in
+    ``_block_order``: each product factor's together, smallest first.  The
+    box is in the input's coordinates, and the keys, facet bitmasks, do
+    not depend on the order.  The prefix walk is the one ``_tight_masks``
+    makes, stopped one level earlier: x_0..x_{m-3} fixed leave a slab in
+    y = x_{m-2} and x = x_{m-1}, where facet j with slack s reads b y + a x
+    <= s (a = n_j[m-1], b = n_j[m-2]).  Facets with a = 0 only narrow the
+    rows of y, and can be tight only on the slab's two end rows.  Each other facet is a line, and
+    bounds x by an upper edge floor((s - b y)/a) when a > 0 or a lower edge
+    ceil((s - b y)/a) when a < 0; the box's range of x adds one edge of
+    each kind, with no bit.  Between breakpoints of the two envelopes one
+    line is lowest among the upper edges and one highest among the lower
+    edges, so rows where the first lies strictly above the second hold
+    hi - lo + 1 points summed by two floor sums (``_floor_sum``).  A point
+    tight on a line is then an end of its row, at the rows where a divides
+    s - b y (``_congruent_rows``), and keys that line's bits; the rest key
+    0.  The slab's two end rows, a row where distinct lines tie, and a row
+    where the envelopes meet go through ``fibre`` instead: each facet
+    bounds x by a half-line, and the fibre's points are counted from the
+    ends of their intersection (``_half_lines``), which alone can be tight.
+
+    Each distinct sub-box x_c..x_{m-1} is settled once.  A facet whose
+    normal is zero from coordinate c on has one slack over the sub-box,
+    and is settled by the walk before it (``_settled_bits``); at the slab
+    level these are the facets with a = b = 0.  With their bits taken out,
+    the sub-box's histogram depends only on the slacks of the live facets,
+    those with a nonzero entry from c on, so it is keyed by (c, live
+    slacks) and each prefix ORs its settled bits back into the keys.  Two
+    prefixes share a key only if they differ by a kernel vector of the
+    live facets' prefix columns n_j[:c]; a level whose columns have full
+    rank would only ever meet new keys, and stores nothing.  A level c is
+    separable when no facet live below it reads x_c, as at each factor's
+    last coordinate but the slab's: its sub-box is then settled once for
+    every x_c, and x_c is counted as a fibre is, its range split by the
+    half-lines of the facets settled at c + 1 into one plain run and at
+    most two end points, each merging that sub-box once, times its
+    count.  A box or a prism so costs O(#facets) per such level, whatever
+    k.  No point is visited, every step is exact integer arithmetic, and
+    no key ever gets a count of zero.
+    """
+    order, live, settled, stores, columns, parallel, crossing, separable, keys = tables
+    lows, highs = [lows[c] for c in order], [highs[c] for c in order]
+    m = len(lows)
+    top = len(live) - 1
     first, last = lows[m - 1], highs[m - 1]
-    column = columns[m - 2] if m > 1 else None
     memo = {}
 
     def add(out, key, n):
         if n:
             out[key] = out.get(key, 0) + n
 
-    def count_fibre(slacks, out):
-        base = _settled_bits(slacks, parallel)
-        if base is None:
-            return
-        lo, hi, lo_bits, hi_bits = first, last, 0, 0
-        for j, a, bit in crossing:
-            x, r = divmod(slacks[j], a)  # x = floor(s/a); r == 0 iff a divides s
-            if a > 0:
-                if x < hi:
-                    hi, hi_bits = x, 0 if r else bit
-                elif x == hi and not r:
-                    hi_bits |= bit
-            else:
-                if r:
-                    x += 1  # ceil(s/a)
-                if x > lo:
-                    lo, lo_bits = x, 0 if r else bit
-                elif x == lo and not r:
-                    lo_bits |= bit
-        if lo > hi:
-            return
-        ends = (lo_bits | hi_bits,) if lo == hi else (lo_bits, hi_bits)
-        plain = hi - lo + 1
-        for bits in ends:
-            if bits:
-                plain -= 1
-                add(out, base | bits, 1)
-        add(out, base, plain)
-
-    def row(slacks, y, out):
-        count_fibre([s - b * y for s, b in zip(slacks, column)], out)
+    def fibre(slacks, y, out):
+        """Row y of the slab (for m = 1, the box's one fibre, at y = 0)."""
+        base = 0
+        for j, b, bit in parallel:
+            slack = slacks[j] - b * y
+            if slack < 0:
+                return
+            if slack == 0:
+                base |= bit
+        for bits, n in _half_lines(slacks, crossing, first, last, y):
+            out[base | bits] = out.get(base | bits, 0) + n
 
     def count_slab(slacks, out):
         y, end = lows[m - 2], highs[m - 2]
-        for j, _ in parallel:
-            s, b = slacks[j], column[j]
+        for j, b, _ in parallel:
+            s = slacks[j]
             if b > 0:
                 end = min(end, s // b)
             else:
                 y = max(y, -(s // -b))  # ceil(s/b)
         if y > end:
             return
-        row(slacks, y, out)
+        fibre(slacks, y, out)
         if y == end:
             return
-        row(slacks, end, out)
+        fibre(slacks, end, out)
         # an upper edge is x <= (s - b y)/a; a lower edge, with a < 0, is
         # -x <= (s - b y)/|a|: the lowest line of each set is its envelope
         tops, bottoms = [(1, 0, last, 0)], [(1, 0, -first, 0)]
-        for j, a, bit in crossing:
+        for j, a, b, bit in crossing:
             if a > 0:
-                tops.append((a, column[j], slacks[j], bit))
+                tops.append((a, b, slacks[j], bit))
             else:
-                bottoms.append((-a, column[j], slacks[j], bit))
+                bottoms.append((-a, b, slacks[j], bit))
         y += 1
         while y < end:
             top_line = _lowest_line(tops, y, end - 1)
             bottom_line = _lowest_line(bottoms, y, end - 1)
             if top_line is None or bottom_line is None:
-                row(slacks, y, out)
+                fibre(slacks, y, out)
                 y += 1
                 continue
             au, bu, su, top_bits, stop = top_line
@@ -337,12 +430,12 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
                 else:
                     start = max(y, meet + 1)
                 if not r and y <= meet <= stop:
-                    row(slacks, meet, out)
+                    fibre(slacks, meet, out)
             elif c0 <= 0:
                 finish = y - 1
                 if c0 == 0:  # the envelopes coincide: every row is a meeting row
                     for meet in range(y, stop + 1):
-                        row(slacks, meet, out)
+                        fibre(slacks, meet, out)
             if start <= finish:
                 n = finish - start + 1
                 plain = (
@@ -363,7 +456,18 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
         the bits of the facets live at level c."""
         out = {}
         if c == top:
-            (count_slab if m > 1 else count_fibre)(slacks, out)
+            if m > 1:
+                count_slab(slacks, out)
+            else:
+                fibre(slacks, 0, out)
+            return out
+        runs = separable[c]
+        if runs is not None:
+            runs = _half_lines(slacks, runs, lows[c], highs[c])
+            child = walk(c + 1, slacks) if runs else {}
+            for bits, n in runs:
+                for key, count in child.items():
+                    out[key | bits] = out.get(key | bits, 0) + n * count
             return out
         column = columns[c]
         slacks = [s - a * lows[c] for s, a in zip(slacks, column)]
@@ -372,13 +476,13 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
             if bits is not None:
                 for key, n in walk(c + 1, slacks).items():
                     out[key | bits] = out.get(key | bits, 0) + n
-            slacks = [s - a for s, a in zip(slacks, column)]
+            slacks = list(map(sub, slacks, column))
         return out
 
     def walk(c, slacks):
         if not stores[c]:
             return sub_box(c, slacks)
-        key = (c, *[slacks[j] for j in live[c]])
+        key = (c, keys[c](slacks))
         found = memo.get(key)
         if found is None:
             found = memo[key] = sub_box(c, slacks)
@@ -390,17 +494,21 @@ def _interval_masks(normals, bounds, lows, highs) -> dict[int, int]:
     return {key | bits: n for key, n in walk(0, list(bounds)).items()}
 
 
-def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):
+def _box(spec: HalfSpaceSpec, k: int, budget: int, charts, unit=None):
     """Normals, dilated offsets and bounding box of the k-fold dilate.
 
-    The one check of k, for the kernel and the oracle alike; the box's
-    size is checked against ``budget`` before any work happens.
+    The one check of k, for the kernel and the oracle alike; the box is k
+    times ``unit``, the slab plan's box of the vertices, or for the oracle
+    the charts' own (``_bounding_box``), and its size is checked against
+    ``budget`` before any work happens.
     """
     if k < 1:
         raise ValueError("dilation k must be a positive integer")
-    if charts is None:
-        charts = enumerate_vertices(spec)
-    lows, highs = _bounding_box(spec, k, charts)
+    if unit is None:
+        if charts is None:
+            charts = enumerate_vertices(spec)
+        unit = _bounding_box(spec, charts)
+    lows, highs = ([k * x for x in side] for side in unit)
     size = 1
     for lo, hi in zip(lows, highs):
         size *= hi - lo + 1
@@ -410,18 +518,41 @@ def _box(spec: HalfSpaceSpec, k: int, budget: int, charts):
     return spec.normals(), bounds, lows, highs
 
 
+class SlabPlan(NamedTuple):
+    """What the slab kernel reads of a polytope at every dilate: its box of
+    the vertices (``unit``, in the input's coordinates) and the level
+    tables of ``_slab_tables``.  Built by ``slab_plan``; a pass at the
+    k-fold dilate only scales the offsets and the box."""
+
+    unit: tuple
+    tables: tuple
+
+
+def slab_plan(spec: HalfSpaceSpec, charts=None) -> SlabPlan:
+    """The slab kernel's plan of ``spec``: ``Prepared`` builds one and keeps
+    it for all its dilates, and a ``tight_histogram`` call without one
+    builds its own.  No plan is kept anywhere else."""
+    if charts is None:
+        charts = enumerate_vertices(spec)
+    return SlabPlan(_bounding_box(spec, charts), _slab_tables(spec.normals()))
+
+
 def tight_histogram(
-    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None
+    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None, plan=None
 ) -> dict[int, int]:
     """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
 
     One pass of the slab kernel over the bounding box (checked against
     ``budget``), and the kernel's one caller: ``Prepared.histogram`` keeps
-    one per k, ``count_points`` reads a fresh one.  Every region of the
-    dilate is read off with ``read_count``; on a simple polytope each key
-    is 0 or the active set of a face, as a bitmask.
+    one per k, all read through the polytope's one ``plan``, and
+    ``count_points`` reads a fresh one, through a plan of its own.  Every
+    region of the dilate is read off with ``read_count``; on a simple
+    polytope each key is 0 or the active set of a face, as a bitmask.
     """
-    return _interval_masks(*_box(spec, k, budget, charts))
+    if plan is None:
+        plan = slab_plan(spec, charts)
+    _, bounds, lows, highs = _box(spec, k, budget, None, plan.unit)
+    return _interval_masks(plan.tables, bounds, lows, highs)
 
 
 def read_count(histogram: dict[int, int], region: str = "full", face=None) -> int:
@@ -504,8 +635,8 @@ def count_points(
     index set; an empty intersection simply counts zero.  The enumeration
     domain is the bounding box of the dilated vertices; its size is checked
     against ``budget`` before any work happens.  Each call reads a fresh
-    ``tight_histogram``, so a count from here is independent of any
-    histogram a ``Prepared`` holds.
+    ``tight_histogram``, through a slab plan of its own, so a count from
+    here is independent of any histogram or plan a ``Prepared`` holds.
     """
     _check_count_args(spec, region, face)
     return read_count(tight_histogram(spec, k, budget=budget, charts=charts), region, face)

@@ -11,10 +11,12 @@ polytope (Avis and Fukuda, Discrete Comput. Geom. 8, 1992): one exact
 integer solve for the start vertex, which an exact phase 1 finds when
 the first basis of facets is infeasible, and one exact integer pivot of
 that chart along each edge to every other vertex (Avis, Comput. Geom.
-15, 2000).  The walk raises every structural error: rank-deficient
-normals or an edge nothing blocks (unbounded), a positive phase-1
-minimum (empty), and a start vertex or a tied ratio test on more than m
-facets (not simple).
+15, 2000).  A pivot reads the neighbour's point and facet slacks off the
+rates its ratio test has just computed, so it costs O(d) beyond the
+chart's rank-one update, with no dot product per facet.  The walk raises
+every structural error: rank-deficient normals or an edge nothing blocks
+(unbounded), a positive phase-1 minimum (empty), and a start vertex or a
+tied ratio test on more than m facets (not simple).
 """
 
 from __future__ import annotations
@@ -183,15 +185,23 @@ def _vertex(rows, rhs, active, identity):
     return _read_off(rows, rhs, active, *int_solve([rows[i] for i in active], identity))
 
 
-def _pivot(normals, offsets, det, inverse, i, j, neighbour):
+def _pivot(normals, vertex, active, i, j, neighbour, direction, rates):
     """The ``_vertex`` tuple of ``neighbour`` = A - A[i] + j, in sorted
-    order, from the chart (det, X) of A: one exact rank-one update.
+    order, from A's: one exact rank-one update of the chart (det, X), and
+    the point and slacks read from the rates of the ratio test that found j.
 
     Row i of N_A replaced by n_j has det' = n_j . X[:, i].  Its X' keeps
     column i, and column k != i is (det' X[:, k] - (n_j . X[:, k]) X[:, i])
     / det, exact by Sylvester's identity.  Sorting n_j into place moves
     column i there and multiplies det' and X' by the sign of that cycle.
+    The edge is P/D + t ``direction``, D = |det|, and with R the rates
+    rows . direction row j blocks it at t = S_j / (D R_j), where R_j =
+    |det'|.  So P' = (R_j P + S_j direction) / D and S'_r = (S_r R_j - S_j
+    R_r) / D: both divisions are exact, as P' and S' are the integer point
+    and slacks |det'| times the neighbour's.  The left facet A[i], whose
+    rate is -D, gets slack S_j; the other active rows keep 0.
     """
+    det, inverse, point, slacks = vertex
     pairings = [_dot(normals[j], column) for column in zip(*inverse)]
     new_det = pairings[i]
     place = neighbour.index(j)
@@ -203,19 +213,25 @@ def _pivot(normals, offsets, det, inverse, i, j, neighbour):
         moved[i] = x
         moved.insert(place, moved.pop(i))
         pivoted.append(moved if sign > 0 else [-y for y in moved])
-    return _read_off(normals, offsets, neighbour, sign * new_det, pivoted)
+    scale, rate, slack = abs(det), rates[j], slacks[j]
+    moved_point = [(rate * p + slack * e) // scale for p, e in zip(point, direction)]
+    moved_slacks = [(s * rate - slack * r) // scale for s, r in zip(slacks, rates)]
+    moved_slacks[active[i]] = slack
+    return sign * new_det, pivoted, moved_point, moved_slacks
 
 
 def _ratio_test(rows, slacks, direction, outside):
-    """The inactive rows ``outside`` that block ``direction`` first, and their rate.
+    """The inactive rows ``outside`` that block ``direction`` first, and the rates.
 
     Row j blocks at slack_j / rate_j over the rates rows_j . direction > 0;
     the least ratios are found by cross-multiplication.  No row blocks an
-    unbounded direction: the list is then empty.
+    unbounded direction: the list is then empty.  The rates come back as
+    one list over all rows, 0 at the rows not in ``outside``, for
+    ``_pivot`` to read the neighbour off.
     """
-    blocking, least = [], None
+    blocking, least, rates = [], None, [0] * len(rows)
     for j in outside:
-        rate = _dot(rows[j], direction)
+        rate = rates[j] = _dot(rows[j], direction)
         if rate <= 0:
             continue
         if blocking:
@@ -227,7 +243,7 @@ def _ratio_test(rows, slacks, direction, outside):
                 blocking.append(j)
                 continue
         blocking, least = [j], rate
-    return blocking, least
+    return blocking, rates
 
 
 def _phase_one(normals, offsets, basis, slacks):
@@ -280,8 +296,10 @@ def _edge_walk(normals, offsets):
     that vertex on exactly m facets; its chart is the one solved there.
     At a vertex with active set A and chart (det, X), the edge that leaves
     facet A[i] has integer direction -s X[:, i], and ``_ratio_test`` gives
-    the facet j that blocks it; the neighbour is A - A[i] + j, and its
-    point, slacks and chart are pivoted from A's (``_pivot``).  An edge
+    the facet j that blocks it and every row's rate along it; the
+    neighbour is A - A[i] + j, its chart is pivoted from A's, and its point
+    and slacks are read from those rates (``_pivot``), with no dot product
+    of its own; ``_read_off`` serves only the start vertex.  An edge
     nothing blocks raises UnboundedError along its primitive direction,
     and two facets blocking at once raise NonSimpleError at the point
     they meet, with every facet tight there.  A vertex reached along an
@@ -310,7 +328,8 @@ def _edge_walk(normals, offsets):
     queue = deque([(start, first)])
     charts = []
     while queue:
-        active, (det, inverse, point, slacks) = queue.popleft()
+        active, vertex = queue.popleft()
+        det, inverse, point, slacks = vertex
         charts.append(VertexChart(active, det, tuple(map(tuple, inverse)), tuple(point)))
         sign = 1 if det > 0 else -1
         outside = [j for j in range(len(normals)) if j not in active]
@@ -318,14 +337,15 @@ def _edge_walk(normals, offsets):
             if (active, active[i]) in walked:
                 continue
             direction = [-sign * row[i] for row in inverse]
-            blocking, rate = _ratio_test(normals, slacks, direction, outside)
+            blocking, rates = _ratio_test(normals, slacks, direction, outside)
             if not blocking:
                 g = gcd(*direction)
                 raise UnboundedError(c // g for c in direction)
             others = (*active[:i], *active[i + 1 :])
             if len(blocking) > 1:
                 # the edge ends at P / D + (slack / rate) direction / D
-                slack, scale = slacks[blocking[0]], abs(det) * rate
+                slack, rate = slacks[blocking[0]], rates[blocking[0]]
+                scale = abs(det) * rate
                 meet = [Fraction(p * rate + slack * e, scale) for p, e in zip(point, direction)]
                 raise NonSimpleError(meet, sorted(j + 1 for j in (*others, *blocking)))
             neighbour = tuple(sorted((*others, blocking[0])))
@@ -333,7 +353,7 @@ def _edge_walk(normals, offsets):
             walked.add((neighbour, blocking[0]))
             if neighbour not in seen:
                 seen.add(neighbour)
-                chart = _pivot(normals, offsets, det, inverse, i, blocking[0], neighbour)
+                chart = _pivot(normals, vertex, active, i, blocking[0], neighbour, direction, rates)
                 queue.append((neighbour, chart))
     scale = lcm(*(abs(chart.det) for chart in charts))
     return sorted(

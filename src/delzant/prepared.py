@@ -8,9 +8,11 @@ reads the count of that kind and the formats that print
 ``operator_applied`` read its text.  ``operators.symbolic_ehrhart`` reads
 only the Delzant-checked charts, one series per vertex, so the Ehrhart
 polynomials of ``ehrhart --method operator`` and of route (b) of
-``hilbert-cy`` build no volume polynomial and no applied product.  Each
-dilate has the slab kernel's tight-mask histogram (``histogram``), read
-by ``read_count``, and its face-count table (``face_counts``, one
+``hilbert-cy`` build no volume polynomial and no applied product.  The
+slab kernel's plan (``slab_plan``: the box of the vertices, the block
+order and the level tables) is built once, and each dilate has the
+kernel's tight-mask histogram through it (``histogram``), read by
+``read_count``, and its face-count table (``face_counts``, one
 superset-sum pass over the histogram), from which inclusion-exclusion,
 the per-face table and ``count --output json`` read every face count.
 The brute comparison values come from a second histogram of each dilate,
@@ -42,6 +44,8 @@ class Prepared:
 
     ``budget`` bounds each enumeration: both kinds of histogram built
     here and the counts that readers run with ``budget=prep.budget``.
+    The kernel's histograms all read one ``slab_plan``, which lives as
+    long as this object and no longer.
     Reading ``charts`` raises if the family is degenerate (unbounded,
     empty, not simple, redundant); reading ``lattice`` or anything built
     on it raises NotDelzantError unless every vertex is unimodular.
@@ -104,12 +108,21 @@ class Prepared:
             ),
         )
 
+    @cached_property
+    def slab_plan(self) -> counting.SlabPlan:
+        """The slab kernel's plan (box of the vertices, level tables, block
+        order), built once and read by every ``histogram``; held nowhere else."""
+        return counting.slab_plan(self.spec, self.charts)
+
     def histogram(self, k: int) -> dict[int, int]:
-        """The k-fold dilate's ``tight_histogram``, built once per k; read by
-        ``counting.ehrhart_interpolate``, the face-count table and the reports."""
+        """The k-fold dilate's ``tight_histogram``, built once per k through
+        the one ``slab_plan``; read by ``counting.ehrhart_interpolate``, the
+        face-count table and the reports."""
         return self._once(
             ("histogram", k),
-            lambda: counting.tight_histogram(self.spec, k, budget=self.budget, charts=self.charts),
+            lambda: counting.tight_histogram(
+                self.spec, k, budget=self.budget, plan=self.slab_plan
+            ),
         )
 
     def face_counts(self, k: int) -> dict[int, int]:

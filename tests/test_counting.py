@@ -2,7 +2,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -28,6 +28,7 @@ from delzant.linalg import ring_det
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
+from generators import product_spec
 
 
 class TestCountPoints:
@@ -307,10 +308,17 @@ class TestFibreKernel:
         assert count_points(image, k, "face", face=face) == read_count(brute, "face", face)
 
 
-def _record_slab_helpers(monkeypatch):
-    """Record each result of the kernel's line and congruence helpers."""
+def _record_slab_helpers(monkeypatch, settled=None):
+    """Record each result of the kernel's line and congruence helpers, and
+    into ``settled``, when given, each of its ``_settled_bits`` tests."""
     lines, congruences = [], []
     lowest_line, congruent_rows = counting_mod._lowest_line, counting_mod._congruent_rows
+    settled_bits = counting_mod._settled_bits
+
+    def recording_settled_bits(slacks, facets):
+        result = settled_bits(slacks, facets)
+        settled.append(result)
+        return result
 
     def recording_lowest_line(lines_, y, last):
         result = lowest_line(lines_, y, last)
@@ -324,6 +332,8 @@ def _record_slab_helpers(monkeypatch):
 
     monkeypatch.setattr(counting_mod, "_lowest_line", recording_lowest_line)
     monkeypatch.setattr(counting_mod, "_congruent_rows", recording_congruent_rows)
+    if settled is not None:
+        monkeypatch.setattr(counting_mod, "_settled_bits", recording_settled_bits)
     return lines, congruences
 
 
@@ -337,6 +347,11 @@ def _meet_at_lattice_row(y, top, bottom):
         if not r and not r_lo and hi == -minus_lo:
             return True
     return False
+
+
+def _kernel(normals, bounds, lows, highs):
+    """The slab kernel on any box, through the normals' own tables."""
+    return counting_mod._interval_masks(counting_mod._slab_tables(normals), bounds, lows, highs)
 
 
 class TestSlabKernel:
@@ -354,7 +369,7 @@ class TestSlabKernel:
             lows = [rng.randint(-6, 2) for _ in range(m)]
             highs = [lo + rng.randint(0, (14, 7, 4)[m - 2]) for lo in lows]
             box = (normals, bounds, lows, highs)
-            assert counting_mod._interval_masks(*box) == counting_mod._tight_masks(*box), box
+            assert _kernel(*box) == counting_mod._tight_masks(*box), box
 
     def test_floor_sum_matches_loop(self):
         rng = random.Random(0)
@@ -483,7 +498,7 @@ class TestSlabMemo:
         rng = random.Random(seed)
         for _ in range(100):
             box = _product_or_shear_family(rng)
-            assert counting_mod._interval_masks(*box) == counting_mod._tight_masks(*box), box
+            assert _kernel(*box) == counting_mod._tight_masks(*box), box
         # levels that store their sub-boxes and levels at full rank both occur
         assert True in stored and False in stored
 
@@ -493,14 +508,76 @@ class TestSlabMemo:
         spec = load("simplex_3")
         peaks = []
         for k in (100, 1000):
-            box = counting_mod._box(spec, k, 10**10, None)
+            normals, *box = counting_mod._box(spec, k, 10**10, None)
+            tables = counting_mod._slab_tables(normals)
             tracemalloc.start()
             try:
-                counting_mod._interval_masks(*box)
+                counting_mod._interval_masks(tables, *box)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 4096, peaks
+
+
+def _permuted(spec, order):
+    """``spec`` with its coordinates relabelled: coordinate i of the image is
+    coordinate order[i] of ``spec``."""
+    return HalfSpaceSpec(spec.dim, [(tuple(n[c] for c in order), o) for n, o in spec.facets])
+
+
+class TestBlockOrder:
+    """The kernel puts each product factor's coordinates together, smallest
+    factor first, so its work does not depend on how the input labels them."""
+
+    def test_factors_come_smallest_first_in_the_inputs_order(self):
+        block_order = counting_mod._block_order
+        # prism x segment: the triangle (0, 1), the prism's segment 2, the segment 3
+        spec = product_spec(load("prism"), load("segment_unit"))
+        assert block_order(spec.normals()) == [2, 3, 0, 1]
+        # the triangle's coordinates stay in the input's order, wherever they are
+        assert block_order(_permuted(spec, (3, 1, 2, 0)).normals()) == [0, 2, 1, 3]
+        # factors of one size keep the input's order; one factor keeps it all
+        square = product_spec(load("simplex_2"), load("simplex_2"))
+        assert block_order(square.normals()) == [0, 1, 2, 3]
+        assert block_order(_permuted(load("simplex_4"), (2, 0, 3, 1)).normals()) == [0, 1, 2, 3]
+        # a facet that reads x_0 and x_2 joins them, with x_1 left alone first
+        assert block_order([(1, 0, 1), (0, 1, 0), (-1, 0, 0), (0, 0, -1)]) == [1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "factors",
+        [("prism", "segment_unit"), ("simplex_2", "simplex_2"), ("cube_unit", "simplex_2")],
+        ids="-x-".join,
+    )
+    def test_every_relabelling_matches_the_per_point_classifier(self, factors):
+        spec = product_spec(*map(load, factors))
+        for order in permutations(range(spec.dim)):
+            p = Prepared(_permuted(spec, order))
+            for k in range(1, 5):
+                assert p.histogram(k) == p.brute_histogram(k), (order, k)
+
+    def test_every_relabelling_settles_the_same_slabs(self, monkeypatch):
+        # the two segments are separable levels and the triangle is the slab,
+        # settled once, whichever coordinates the input gives them
+        settled = []
+        lines, congruences = _record_slab_helpers(monkeypatch, settled)
+        spec = product_spec(load("prism"), load("segment_unit"))
+        work = set()
+        for order in permutations(range(4)):
+            del lines[:], congruences[:], settled[:]
+            tight_histogram(_permuted(spec, order), 6)
+            work.add((len(lines), len(congruences), len(settled)))
+        assert len(work) == 1, work
+
+    def test_a_box_settles_the_same_slabs_at_every_k(self, monkeypatch):
+        settled = []
+        lines, congruences = _record_slab_helpers(monkeypatch, settled)
+        work = []
+        for k in (40, 4000):
+            del lines[:], congruences[:], settled[:]
+            histogram = tight_histogram(load("cube_unit"), k, budget=10**12)
+            assert read_count(histogram, "full") == (k + 1) ** 3
+            work.append((len(lines), len(congruences), len(settled)))
+        assert work[0] == work[1]
 
 
 def _drop_one_tight_point(monkeypatch):

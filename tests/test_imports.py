@@ -181,6 +181,23 @@ def test_brute_count_never_reaches_the_fibre_kernel():
     assert call_tree_names(source, FIBRE_KERNEL) & functions & brute == set()
 
 
+# what the slab kernel's plan holds and how it is built: its block order,
+# level tables and separable levels
+SLAB_PLAN = ("slab_plan", "SlabPlan", "_slab_tables", "_block_order", "separable")
+
+
+def test_the_oracle_reads_no_slab_plan():
+    # the per-point classifier keeps the input's coordinate order, so the
+    # kernel's plan is checked by code that shares none of it
+    source = (PACKAGE / "counting.py").read_text(encoding="utf-8")
+    counted = call_tree_names(source, "count_points")
+    for root in ("brute_histogram", "_tight_masks"):
+        reached = call_tree_names(source, root)
+        for name in SLAB_PLAN:
+            assert name in counted, name
+            assert name not in reached, (root, name)
+
+
 def callers(root: Path, name: str) -> set[tuple[str, str]]:
     """(module, function) for every function under ``root`` that names
     ``name`` in its own body, not in a function nested in it."""
@@ -207,6 +224,14 @@ def test_tight_histogram_is_the_one_door_to_the_slab_kernel():
     assert callers(PACKAGE, "count_points") == {
         ("cli", "cmd_count"),
         ("hilbert", "check_reciprocity"),
+    }
+    # a plan is built by the kernel's door for one pass, or kept by a
+    # ``Prepared`` for all of its dilates and read by its ``histogram``,
+    # and named nowhere else
+    assert callers(PACKAGE, "slab_plan") == {
+        ("counting", "tight_histogram"),
+        ("prepared", "slab_plan"),
+        ("prepared", "histogram"),
     }
 
 

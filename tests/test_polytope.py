@@ -307,6 +307,11 @@ class TestFeasibleVertexPoints:
             )
 
 
+def _as_lists(x):
+    """An integer, or nested sequences of them as nested lists."""
+    return [_as_lists(y) for y in x] if isinstance(x, (list, tuple)) else x
+
+
 def _subset_path(spec):
     return subset_charts(spec.normals(), spec.offsets())
 
@@ -397,6 +402,55 @@ class TestEdgeWalk:
         charts = walk(spec)
         assert len(charts) == 80
         assert charts == _subset_path(spec)
+
+    @pytest.mark.parametrize("name", [*DELZANT_CORPUS, "triangle_det2"])
+    def test_reads_off_the_start_vertex_only(self, monkeypatch, name):
+        """Every corpus member's first basis is feasible, so no phase 1 runs,
+        and every other vertex's point and slacks come from the rates of
+        the ratio test that found it (``_pivot``)."""
+        read_offs = []
+        read_off = polytope._read_off
+
+        def counted(rows, rhs, active, det, inverse):
+            read_offs.append(active)
+            return read_off(rows, rhs, active, det, inverse)
+
+        monkeypatch.setattr(polytope, "_read_off", counted)
+        spec = load(name)
+        charts = walk(spec)
+        assert charts == _subset_path(spec)
+        assert read_offs == [polytope._first_basis(spec.normals())]
+        assert len(charts) > 1
+
+    @pytest.mark.parametrize(
+        "spec, widest",
+        [
+            (_blow_up(product_spec(load("triangle_det2"), WEIGHTED), {0, 2}), 6),
+            # Delzant, and phase 1 finds the start
+            (parse_polytope_file((DATA / "cube5_blowup12.poly").read_text()), 1),
+        ],
+        ids=["det2-by-weighted", "cube5_blowup12"],
+    )
+    def test_each_pivot_equals_a_fresh_solve(self, monkeypatch, spec, widest):
+        """The neighbour's point and slacks, read from the rates, and its
+        chart, from the rank-one update, are those its own solve gives."""
+        offsets, pivots = spec.offsets(), []
+        identity = [[int(i == j) for j in range(spec.dim)] for i in range(spec.dim)]
+        pivot = polytope._pivot
+
+        def checked(normals, vertex, active, i, j, neighbour, direction, rates):
+            det, inverse, point, slacks = pivot(
+                normals, vertex, active, i, j, neighbour, direction, rates
+            )
+            solved = polytope._vertex(normals, offsets, neighbour, identity)
+            assert (det, inverse, point, slacks) == tuple(map(_as_lists, solved))
+            pivots.append(abs(det))
+            return det, inverse, point, slacks
+
+        monkeypatch.setattr(polytope, "_pivot", checked)
+        charts = walk(spec)
+        assert len(pivots) == len(charts) - 1
+        assert max(pivots) == widest
 
 
 class TestPhaseOne:

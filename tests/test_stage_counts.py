@@ -33,6 +33,7 @@ STAGES = (
     ("delzant.polytope", "build_face_lattice"),
     ("delzant.volume", "volume_polynomial"),
     ("delzant.operators", "apply_operator_product"),
+    ("delzant.counting", "slab_plan"),
     ("delzant.counting", "tight_histogram"),
     ("delzant.counting", "face_counts"),
     ("delzant.counting", "count_points"),
@@ -104,6 +105,9 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["brute_histogram"] == 5
     # the fibre kernel fits the full polynomial of the reciprocity check
     assert stage_calls["count_points"] == 4
+    # one slab plan for the polytope's kept histograms, and one of its own
+    # for each ``count_points`` pass
+    assert stage_calls["slab_plan"] == 1 + 4
 
 
 @pytest.mark.parametrize(
@@ -150,6 +154,29 @@ def test_ehrhart_interpolation_reads_one_histogram_per_node(
     # every node reads the kept histogram, with no fresh pass
     assert stage_calls["count_points"] == 0
     assert stage_calls["face_counts"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, plans",
+    [
+        # the m + 2 = 4 histograms of the fit read one plan
+        (("ehrhart", "--kind", "full"), 1),
+        # text output: the plan of ``count_points``' own pass
+        (("count", "--k", "2"), 1),
+        (("count", "--k", "2", "--output", "json"), 1),
+        (("hilbert-cy",), 1),
+        (("validate",), 0),
+    ],
+    ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
+)
+def test_one_slab_plan_per_polytope(argv, plans, stage_calls, simplex_2, capsys):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["slab_plan"] == plans
+    # no plan outlives its command: the same line again builds its own
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["slab_plan"] == 2 * plans
 
 
 @pytest.mark.parametrize(
