@@ -11,9 +11,11 @@ documented in errors.py and in the README.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
 import os
+import re
 import sys
 from collections import Counter
 
@@ -54,21 +56,23 @@ def _face_key_text(active_set) -> str:
 
 
 def _parse_region(text: str):
-    """--region full|interior|boundary|face=1,2 (facet numbers are 1-based)."""
+    """--region full|interior|boundary|face=1,2 (facet numbers are 1-based); a bad
+    value is named cut short, an index over Python's digit limit by its digit count."""
     if text in ("full", "interior", "boundary"):
         return text, None
     if text.startswith("face="):
+        tokens, bad = text[5:].split(","), f"bad face index list in {cut(text)!r}"
         try:
-            indices = tuple(sorted(int(tok) - 1 for tok in text[5:].split(",")))
+            indices = tuple(sorted(int(tok) - 1 for tok in tokens))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad face index list in {text!r}")
+            raise argparse.ArgumentTypeError(next(filter(None, map(over_limit, tokens)), bad))
         if not indices or any(i < 0 for i in indices):
-            raise argparse.ArgumentTypeError(f"bad face index list in {text!r}")
+            raise argparse.ArgumentTypeError(bad)
         if len(set(indices)) != len(indices):
-            raise argparse.ArgumentTypeError(f"repeated facet index in {text!r}")
+            raise argparse.ArgumentTypeError(f"repeated facet index in {cut(text)!r}")
         return "face", indices
     raise argparse.ArgumentTypeError(
-        f"unknown region {text!r}; use full, interior, boundary, or face=1,2"
+        f"unknown region {cut(text)!r}; use full, interior, boundary, or face=1,2"
     )
 
 
@@ -83,10 +87,22 @@ def _integer(text: str) -> int:
         ) from None
 
 
+# argparse's messages that quote a bad value whole, an invalid choice as its repr
+_INVALID_CHOICE = re.compile(r"""(.*?invalid choice: )('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")(.*)""")
+_UNRECOGNIZED = "unrecognized arguments: "
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a UsageError: one 'error:' line, exit 2."""
+    """Reports a bad command line as a UsageError: one 'error:' line, exit 2,
+    with an invalid choice and each unrecognized argument cut short."""
 
     def error(self, message):
+        if match := _INVALID_CHOICE.fullmatch(message):
+            head, value, tail = match.groups()
+            message = head + repr(cut(ast.literal_eval(value))) + tail
+        elif message.startswith(_UNRECOGNIZED):
+            words = message[len(_UNRECOGNIZED) :].split(" ")
+            message = _UNRECOGNIZED + " ".join(map(cut, words))
         raise UsageError(message)
 
 
@@ -242,7 +258,7 @@ def cmd_count(args, prep) -> Report:
     region, face = args.region
     if face is not None and face[-1] >= spec.num_facets:
         raise UsageError(
-            f"--region face: facet {face[-1] + 1} does not exist, "
+            f"--region face: facet {cut(face[-1] + 1)} does not exist, "
             f"the polytope has {spec.num_facets} facets"
         )
     region_text = region if face is None else "face=" + ",".join(

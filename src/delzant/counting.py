@@ -5,8 +5,11 @@ the k-fold dilate, each into a histogram of the inside points by their
 tight-facet bitmask, from which the full, interior, boundary and every
 face count of that dilate are read: one face by a scan of the histogram
 (``read_count``), every face at once from one superset-sum table
-(``face_counts``).  The slab kernel
-(``_interval_masks``) settles each slab of the last two axes at once:
+(``face_counts``).  The slab kernel (``_interval_masks``) counts a
+product one factor at a time, each factor (a connected component of the
+coordinates that share a facet) on its own box, and multiplies the
+factors' histograms: each pair of keys ORed, their counts multiplied.
+Within a factor it settles each slab of the last two axes at once:
 between breakpoints of the facets' lines it sums the rows' lengths by
 exact floor sums and counts their tight ends by a congruence, and only
 the slab's end rows, rows where distinct lines tie and the row where the
@@ -14,18 +17,14 @@ envelopes meet go through a per-fibre interval count.  Its prefix walk
 settles each distinct sub-box once: keyed by the slacks of the facets
 that still vary over it, a sub-box (a slab, or a box of slabs) that
 another prefix has already settled is read back, with the bits of the
-facets constant over it ORed in.  Its coordinates are in block order,
-each product factor's together, smallest first, so a level whose
-coordinate no deeper facet reads is separable: its sub-box is settled
-once and its range split into runs as a fibre's is, at O(#facets)
-whatever k.  That order, the level tables and the box of the vertices
-are one ``SlabPlan`` (``slab_plan``), built once per ``Prepared`` or
-``count_points`` call and kept nowhere else; a pass at dilate k only
-scales the offsets and the box.  ``tight_histogram`` alone calls the
-kernel, for ``Prepared.histogram`` (one per dilate, read by
-``ehrhart_interpolate`` and the reports) and ``count_points`` (a fresh
-pass per call).  The per-point classifier (``_tight_masks``) tests every
-point of the box against the facets one by one, in the input's
+facets constant over it ORed in.  The factors, their level tables and
+the box of the vertices are one ``SlabPlan`` (``slab_plan``), built once
+per ``Prepared`` or ``count_points`` call and kept nowhere else; a pass
+at dilate k only scales the offsets and the box.  ``tight_histogram``
+alone calls the kernel, for ``Prepared.histogram`` (one per dilate, read
+by ``ehrhart_interpolate`` and the reports) and ``count_points`` (a
+fresh pass per call).  The per-point classifier (``_tight_masks``) tests
+every point of the box against the facets one by one, in the input's
 coordinate order; it serves only ``brute_histogram``, the brute-force
 oracle, read by ``read_count`` as the kernel's histograms are, and
 shares no classifying code with the kernel and reads nothing of its
@@ -52,8 +51,10 @@ DEFAULT_BUDGET = 10**8
 REGIONS = ("full", "interior", "boundary", "face")
 
 
-def _bounding_box(spec: HalfSpaceSpec, charts):
-    """The integer box of the vertices; k times it is the k-fold dilate's."""
+def _bounding_box(spec: HalfSpaceSpec, charts=None):
+    """The integer box of the vertices (``charts``, else enumerated); k times it is the dilate's."""
+    if charts is None:
+        charts = enumerate_vertices(spec)
     anchors = [c.anchor_ints() for c in charts]
     lows = [min(a[c] for a in anchors) for c in range(spec.dim)]
     highs = [max(a[c] for a in anchors) for c in range(spec.dim)]
@@ -217,7 +218,7 @@ def _settled_bits(slacks, facets):
     return bits
 
 
-def _half_lines(slacks, facets, lo: int, hi: int, y: int = 0):
+def _half_lines(slacks, facets, lo: int, hi: int, y: int):
     """The points x of [lo, hi] with a x + b y <= s_j for each facet (j, a,
     b, bit), a != 0, s_j = slacks[j], as (bits, count) runs, count > 0.
 
@@ -256,93 +257,98 @@ def _half_lines(slacks, facets, lo: int, hi: int, y: int = 0):
     return runs
 
 
-def _block_order(normals) -> list[int]:
-    """The coordinates, each product factor's kept together, smallest
-    factor first.
-
-    The factors are the connected components of the coordinates, two
-    joined when one normal is nonzero at both.  Factors of one size keep
-    the order of their first coordinates, and each keeps its coordinates
-    in the input's order, so a polytope with one factor keeps its order.
-    """
+def _factors(normals) -> list[list[int]]:
+    """The product factors: the connected components of the coordinates,
+    two joined when one normal is nonzero at both, each in the input's
+    order, in the order of their least coordinates."""
     m = len(normals[0])
     block = list(range(m))  # each coordinate's factor, named by its least coordinate
     for normal in normals:
-        named = None
-        for c, x in enumerate(normal):
-            if x:
-                b = block[c]
-                if named is None:
-                    named = b
-                elif b != named:
-                    named, b = min(named, b), max(named, b)
-                    block = [named if e == b else e for e in block]
-    return sorted(range(m), key=lambda c: (block.count(block[c]), block[c]))
+        joined = {block[c] for c, x in enumerate(normal) if x}
+        if len(joined) > 1:
+            block = [min(joined) if b in joined else b for b in block]
+    return [[c for c in range(m) if block[c] == f] for f in sorted(set(block))]
 
 
 def _slab_tables(normals):
-    """The level tables of ``_interval_masks``, in ``_block_order``.
-
-    Returns (order, live, settled, stores, columns, parallel, crossing,
-    separable, keys) over the normals with their coordinates put in that
-    order: per level c, the facets live from c on, the facets settled
-    there and whether c stores its sub-boxes; per prefix coordinate its
-    column of the normals; the slab's facets parallel to its last axis
-    and those crossing it; per level below the slab, the half-lines (j,
-    n_j[c], 0, bit) of the facets settled at c + 1 if c is separable, else
-    None; and per level the reader of its live slacks, the memo's key.
+    """The tables of ``_interval_masks``: the facets whose normal is zero,
+    as (j, bit), and per factor (``_factors``) its coordinates, its facet
+    ids (the normals nonzero on it, which read no other factor) and, over
+    those, with facet j's bit 1 << j: per level c below the slab the
+    facets settled once x_c is fixed, per level its memo's key (the reader
+    of its live slacks) or None if it stores no sub-box, per prefix
+    coordinate its column of the normals, and the slab's facets parallel
+    to its last axis and those crossing it.
     """
-    order = _block_order(normals)
-    normals = [[n[c] for c in order] for n in normals]
-    m = len(order)
-    top = max(m - 2, 0)  # the level whose sub-box is one slab (for m = 1, one fibre)
-    live = [[j for j, n in enumerate(normals) if any(n[c:])] for c in range(top + 1)]
-    # the facets settled from level c on: zero from c on, but not from c - 1
-    settled = [[(j, 1 << j) for j, n in enumerate(normals) if not any(n)]]
-    settled += [[(j, 1 << j) for j in live[c - 1] if j not in live[c]] for c in range(1, top + 1)]
-    stores = [
-        c > 0 and (not live[c] or kernel_vector([normals[j][:c] for j in live[c]]) is not None)
-        for c in range(top + 1)
-    ]
-    columns = [[normal[c] for normal in normals] for c in range(m - 1)]
-    # the slab's facets, a x + b y <= s in its axes y = x_{m-2} (b = 0 for m = 1), x = x_{m-1}
-    ab = [(n[m - 1], n[m - 2] if m > 1 else 0) for n in normals]
-    parallel = [(j, ab[j][1], 1 << j) for j in live[top] if ab[j][0] == 0]
-    crossing = [(j, a, b, 1 << j) for j, (a, b) in enumerate(ab) if a]
-    # no facet live below a separable level reads its coordinate
-    separable = [
-        [(j, normals[j][c], 0, bit) for j, bit in settled[c + 1]]
-        if not any(normals[j][c] for j in live[c + 1])
-        else None
-        for c in range(top)
-    ]
-    keys = [itemgetter(*facets) if facets else lambda slacks: () for facets in live]
-    return order, live, settled, stores, columns, parallel, crossing, separable, keys
+    zero = [(j, 1 << j) for j, n in enumerate(normals) if not any(n)]
+    factors = []
+    for coords in _factors(normals):
+        rows = [[n[c] for c in coords] for n in normals]
+        ids = [j for j, row in enumerate(rows) if any(row)]
+        rows = [rows[j] for j in ids]
+        m = len(coords)
+        top = max(m - 2, 0)  # the level whose sub-box is one slab (for m = 1, one fibre)
+        live = [[i for i, n in enumerate(rows) if any(n[c:])] for c in range(top + 1)]
+        # the facets settled at level c + 1: zero from c + 1 on, but not from c
+        settled = [[(i, 1 << ids[i]) for i in live[c] if i not in live[c + 1]] for c in range(top)]
+        keys = [None] * (top + 1)
+        for c in range(1, top + 1):
+            if kernel_vector([rows[i][:c] for i in live[c]]) is not None:
+                keys[c] = itemgetter(*live[c])
+        columns = [[n[c] for n in rows] for c in range(m - 1)]
+        # the slab's facets, a x + b y <= s in its axes y = x_{m-2} (b = 0 for m = 1), x = x_{m-1}
+        ab = [(n[m - 1], n[m - 2] if m > 1 else 0) for n in rows]
+        parallel = [(i, ab[i][1], 1 << ids[i]) for i in live[top] if ab[i][0] == 0]
+        crossing = [(i, a, b, 1 << ids[i]) for i, (a, b) in enumerate(ab) if a]
+        factors.append((coords, ids, settled, keys, columns, parallel, crossing))
+    return zero, factors
 
 
 def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
-    """Count the inside points of the box by mask, a two-axis slab at a time.
+    """Count the inside points of the box by mask, one product factor at a time.
 
-    ``tables`` are the normals' ``_slab_tables``, with the coordinates in
-    ``_block_order``: each product factor's together, smallest first.  The
-    box is in the input's coordinates, and the keys, facet bitmasks, do
-    not depend on the order.  The prefix walk is the one ``_tight_masks``
-    makes, stopped one level earlier: x_0..x_{m-3} fixed leave a slab in
-    y = x_{m-2} and x = x_{m-1}, where facet j with slack s reads b y + a x
-    <= s (a = n_j[m-1], b = n_j[m-2]).  Facets with a = 0 only narrow the
-    rows of y, and can be tight only on the slab's two end rows.  Each other facet is a line, and
-    bounds x by an upper edge floor((s - b y)/a) when a > 0 or a lower edge
-    ceil((s - b y)/a) when a < 0; the box's range of x adds one edge of
-    each kind, with no bit.  Between breakpoints of the two envelopes one
-    line is lowest among the upper edges and one highest among the lower
-    edges, so rows where the first lies strictly above the second hold
-    hi - lo + 1 points summed by two floor sums (``_floor_sum``).  A point
-    tight on a line is then an end of its row, at the rows where a divides
-    s - b y (``_congruent_rows``), and keys that line's bits; the rest key
-    0.  The slab's two end rows, a row where distinct lines tie, and a row
-    where the envelopes meet go through ``fibre`` instead: each facet
-    bounds x by a half-line, and the fibre's points are counted from the
-    ends of their intersection (``_half_lines``), which alone can be tight.
+    ``tables`` are the normals' ``_slab_tables``.  A facet whose normal is
+    zero has one slack over the box, settled first (``_settled_bits``).
+    Every other facet reads one factor alone, so each factor is counted on
+    its own facets and box (``_factor_masks``) and their histograms are
+    multiplied: each pair of keys ORed, their counts multiplied.  The
+    factors' facets are disjoint, so no two pairs OR to one key, and a
+    product costs the sum of its factors.
+    """
+    zero, factors = tables
+    bits = _settled_bits(bounds, zero)
+    if bits is None:
+        return {}
+    histogram = {bits: 1}
+    for coords, ids, *levels in factors:
+        box = [lows[c] for c in coords], [highs[c] for c in coords]
+        part = _factor_masks(levels, [bounds[j] for j in ids], *box)
+        histogram = {a | b: n * p for a, n in histogram.items() for b, p in part.items()}
+    return histogram
+
+
+def _factor_masks(levels, bounds, lows, highs) -> dict[int, int]:
+    """Count one factor's box by mask, a two-axis slab at a time.
+
+    ``levels`` are the factor's tables, ``bounds`` its facets' offsets
+    and the box its coordinates' range.  The prefix walk is the one
+    ``_tight_masks`` makes, stopped one level earlier: x_0..x_{m-3} fixed
+    leave a slab in y = x_{m-2} and x = x_{m-1}, where facet j with slack
+    s reads b y + a x <= s (a = n_j[m-1], b = n_j[m-2]).  Facets with a =
+    0 only narrow the rows of y, and can be tight only on the slab's two
+    end rows.  Each other facet is a line, and bounds x by an upper edge
+    floor((s - b y)/a) when a > 0 or a lower edge ceil((s - b y)/a) when
+    a < 0; the box's range of x adds one edge of each kind, with no bit.
+    Between breakpoints of the two envelopes one line is lowest among the
+    upper edges and one highest among the lower edges, so rows where the
+    first lies strictly above the second hold hi - lo + 1 points summed by
+    two floor sums (``_floor_sum``).  A point tight on a line is then an
+    end of its row, at the rows where a divides s - b y
+    (``_congruent_rows``), and keys that line's bits; the rest key 0.  The
+    slab's two end rows, a row where distinct lines tie, and a row where
+    the envelopes meet go through ``fibre`` instead: each facet bounds x
+    by a half-line, and the fibre's points are counted from the ends of
+    their intersection (``_half_lines``), which alone can be tight.
 
     Each distinct sub-box x_c..x_{m-1} is settled once.  A facet whose
     normal is zero from coordinate c on has one slack over the sub-box,
@@ -353,20 +359,12 @@ def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
     slacks) and each prefix ORs its settled bits back into the keys.  Two
     prefixes share a key only if they differ by a kernel vector of the
     live facets' prefix columns n_j[:c]; a level whose columns have full
-    rank would only ever meet new keys, and stores nothing.  A level c is
-    separable when no facet live below it reads x_c, as at each factor's
-    last coordinate but the slab's: its sub-box is then settled once for
-    every x_c, and x_c is counted as a fibre is, its range split by the
-    half-lines of the facets settled at c + 1 into one plain run and at
-    most two end points, each merging that sub-box once, times its
-    count.  A box or a prism so costs O(#facets) per such level, whatever
-    k.  No point is visited, every step is exact integer arithmetic, and
-    no key ever gets a count of zero.
+    rank would only ever meet new keys, and stores nothing.  No point is
+    visited, every step is exact integer arithmetic, and no key ever gets
+    a count of zero.
     """
-    order, live, settled, stores, columns, parallel, crossing, separable, keys = tables
-    lows, highs = [lows[c] for c in order], [highs[c] for c in order]
-    m = len(lows)
-    top = len(live) - 1
+    settled, keys, columns, parallel, crossing = levels
+    m, top = len(lows), len(keys) - 1
     first, last = lows[m - 1], highs[m - 1]
     memo = {}
 
@@ -375,7 +373,7 @@ def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
             out[key] = out.get(key, 0) + n
 
     def fibre(slacks, y, out):
-        """Row y of the slab (for m = 1, the box's one fibre, at y = 0)."""
+        """Row y of the slab (for m = 1, the factor's one fibre, at y = 0)."""
         base = 0
         for j, b, bit in parallel:
             slack = slacks[j] - b * y
@@ -461,18 +459,10 @@ def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
             else:
                 fibre(slacks, 0, out)
             return out
-        runs = separable[c]
-        if runs is not None:
-            runs = _half_lines(slacks, runs, lows[c], highs[c])
-            child = walk(c + 1, slacks) if runs else {}
-            for bits, n in runs:
-                for key, count in child.items():
-                    out[key | bits] = out.get(key | bits, 0) + n * count
-            return out
         column = columns[c]
         slacks = [s - a * lows[c] for s, a in zip(slacks, column)]
         for _ in range(lows[c], highs[c] + 1):
-            bits = _settled_bits(slacks, settled[c + 1])
+            bits = _settled_bits(slacks, settled[c])
             if bits is not None:
                 for key, n in walk(c + 1, slacks).items():
                     out[key | bits] = out.get(key | bits, 0) + n
@@ -480,7 +470,7 @@ def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
         return out
 
     def walk(c, slacks):
-        if not stores[c]:
+        if keys[c] is None:
             return sub_box(c, slacks)
         key = (c, keys[c](slacks))
         found = memo.get(key)
@@ -488,26 +478,19 @@ def _interval_masks(tables, bounds, lows, highs) -> dict[int, int]:
             found = memo[key] = sub_box(c, slacks)
         return found
 
-    bits = _settled_bits(bounds, settled[0])
-    if bits is None:
-        return {}
-    return {key | bits: n for key, n in walk(0, list(bounds)).items()}
+    return walk(0, bounds)
 
 
-def _box(spec: HalfSpaceSpec, k: int, budget: int, charts, unit=None):
+def _box(spec: HalfSpaceSpec, k: int, budget: int, unit):
     """Normals, dilated offsets and bounding box of the k-fold dilate.
 
     The one check of k, for the kernel and the oracle alike; the box is k
-    times ``unit``, the slab plan's box of the vertices, or for the oracle
-    the charts' own (``_bounding_box``), and its size is checked against
+    times ``unit``, a box of the vertices (the slab plan's, or the
+    oracle's own ``_bounding_box``), and its size is checked against
     ``budget`` before any work happens.
     """
     if k < 1:
         raise ValueError("dilation k must be a positive integer")
-    if unit is None:
-        if charts is None:
-            charts = enumerate_vertices(spec)
-        unit = _bounding_box(spec, charts)
     lows, highs = ([k * x for x in side] for side in unit)
     size = 1
     for lo, hi in zip(lows, highs):
@@ -520,9 +503,9 @@ def _box(spec: HalfSpaceSpec, k: int, budget: int, charts, unit=None):
 
 class SlabPlan(NamedTuple):
     """What the slab kernel reads of a polytope at every dilate: its box of
-    the vertices (``unit``, in the input's coordinates) and the level
-    tables of ``_slab_tables``.  Built by ``slab_plan``; a pass at the
-    k-fold dilate only scales the offsets and the box."""
+    the vertices (``unit``) and ``_slab_tables``' split into product
+    factors, with each factor's level tables.  Built by ``slab_plan``; a
+    pass at the k-fold dilate only scales the offsets and the box."""
 
     unit: tuple
     tables: tuple
@@ -530,15 +513,14 @@ class SlabPlan(NamedTuple):
 
 def slab_plan(spec: HalfSpaceSpec, charts=None) -> SlabPlan:
     """The slab kernel's plan of ``spec``: ``Prepared`` builds one and keeps
-    it for all its dilates, and a ``tight_histogram`` call without one
-    builds its own.  No plan is kept anywhere else."""
-    if charts is None:
-        charts = enumerate_vertices(spec)
+    it for all its dilates, ``count_points`` builds one for its pass, and
+    a ``tight_histogram`` call without one builds its own.  No plan is
+    kept anywhere else."""
     return SlabPlan(_bounding_box(spec, charts), _slab_tables(spec.normals()))
 
 
 def tight_histogram(
-    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None, plan=None
+    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, plan=None
 ) -> dict[int, int]:
     """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
 
@@ -550,8 +532,8 @@ def tight_histogram(
     polytope each key is 0 or the active set of a face, as a bitmask.
     """
     if plan is None:
-        plan = slab_plan(spec, charts)
-    _, bounds, lows, highs = _box(spec, k, budget, None, plan.unit)
+        plan = slab_plan(spec)
+    _, bounds, lows, highs = _box(spec, k, budget, plan.unit)
     return _interval_masks(plan.tables, bounds, lows, highs)
 
 
@@ -639,7 +621,8 @@ def count_points(
     here is independent of any histogram or plan a ``Prepared`` holds.
     """
     _check_count_args(spec, region, face)
-    return read_count(tight_histogram(spec, k, budget=budget, charts=charts), region, face)
+    plan = slab_plan(spec, charts)
+    return read_count(tight_histogram(spec, k, budget=budget, plan=plan), region, face)
 
 
 def brute_histogram(
@@ -647,7 +630,7 @@ def brute_histogram(
 ) -> dict[int, int]:
     """``tight_histogram`` by the per-point classifier (``_tight_masks``), the
     brute-force oracle: same box and budget, no code shared with the kernel."""
-    return _tight_masks(*_box(spec, k, budget, charts))
+    return _tight_masks(*_box(spec, k, budget, _bounding_box(spec, charts)))
 
 
 def _forward_difference_fit(values) -> tuple[list[int], int]:

@@ -9,9 +9,9 @@ reads the count of that kind and the formats that print
 only the Delzant-checked charts, one series per vertex, so the Ehrhart
 polynomials of ``ehrhart --method operator`` and of route (b) of
 ``hilbert-cy`` build no volume polynomial and no applied product.  The
-slab kernel's plan (``slab_plan``: the box of the vertices, the block
-order and the level tables) is built once, and each dilate has the
-kernel's tight-mask histogram through it (``histogram``), read by
+slab kernel's plan (``slab_plan``: the box of the vertices and the
+product factors with their level tables) is built once, and each dilate
+has the kernel's tight-mask histogram through it (``histogram``), read by
 ``read_count``, and its face-count table (``face_counts``, one
 superset-sum pass over the histogram), from which inclusion-exclusion,
 the per-face table and ``count --output json`` read every face count.
@@ -110,8 +110,9 @@ class Prepared:
 
     @cached_property
     def slab_plan(self) -> counting.SlabPlan:
-        """The slab kernel's plan (box of the vertices, level tables, block
-        order), built once and read by every ``histogram``; held nowhere else."""
+        """The slab kernel's plan (box of the vertices, product factors and
+        their level tables), built once and read by every ``histogram``;
+        held nowhere else."""
         return counting.slab_plan(self.spec, self.charts)
 
     def histogram(self, k: int) -> dict[int, int]:

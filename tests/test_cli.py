@@ -522,16 +522,58 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, shown",
         [
-            (("--k", "x" * 5000), "--k: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...'"),
-            (("--k", "-" + "9" * 4000), "--k must be a positive integer, got -99999999999"),
-            (("--budget", "-" + "9" * 4000), "got -9999999999999999999..."),
+            (("count", "--k", "x" * 5000), "--k: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...'"),
+            (
+                ("count", "--k", "-" + "9" * 4000),
+                "--k must be a positive integer, got -99999999999",
+            ),
+            (("count", "--budget", "-" + "9" * 4000), "got -9999999999999999999..."),
+            (
+                ("count", "--region", "face=" + "9" * 4000),
+                "facet 99999999999999999999... does not",
+            ),
+            (
+                ("count", "--region", "face=" + "9" * 5000),
+                "'99999999999999999999...' has 5000 digits",
+            ),
+            (("count", "--region", "x" * 5000), "unknown region 'xxxxxxxxxxxxxxxxxxxx...'"),
+            (("count", "--region", "face=1," + "x" * 5000), "list in 'face=1,xxxxxxxxxxxxx...'"),
+            (
+                ("count", "--output", "x" * 5000),
+                "--output: invalid choice: 'xxxxxxxxxxxxxxxxxxxx...' (choose",
+            ),
+            (
+                ("count", "--output", "x'" + "y" * 5000),
+                """--output: invalid choice: "x'yyyyyyyyyyyyyyyyyy..." (choose""",
+            ),
+            (
+                ("ehrhart", "--kind", "x" * 5000),
+                "--kind: invalid choice: 'xxxxxxxxxxxxxxxxxxxx...' (choose",
+            ),
+            (("x" * 5000,), "command: invalid choice: 'xxxxxxxxxxxxxxxxxxxx...' (choose"),
+            (("count", "--" + "x" * 5000), "unrecognized arguments: --xxxxxxxxxxxxxxxxxx..."),
         ],
-        ids=["bad --k", "negative --k", "negative --budget"],
+        ids=[
+            "bad --k",
+            "negative --k",
+            "negative --budget",
+            "no such facet",
+            "face index over the digit limit",
+            "unknown region",
+            "bad face index",
+            "bad --output",
+            "bad --output with a quote",
+            "bad --kind",
+            "bad command",
+            "unrecognized argument",
+        ],
     )
     def test_long_flag_values_are_cut(self, argv, shown, poly_file, capsys):
-        code, out, err = run(capsys, "count", *argv, poly_file("simplex_2"))
+        code, out, err = run(capsys, *argv, poly_file("simplex_2"))
         self.assert_one_line_usage_error(code, err, shown)
-        assert len(err) < 120 and not out
+        # an invalid command's message also lists the nine commands
+        listing = err.partition("(choose from 'validate'")[2]
+        assert len(err) - len(listing) < 120 and not out
 
     def test_long_budget_env_value_is_cut(self, poly_file, capsys, monkeypatch):
         monkeypatch.setenv("DELZANT_BUDGET", "-" + "9" * 4000)

@@ -83,7 +83,7 @@ class TestTightHistogram:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_reads_equal_separate_enumerations(self, name, k, prepare):
         p = prepare(name)
-        histogram = tight_histogram(p.spec, k, charts=p.charts)
+        histogram = tight_histogram(p.spec, k, plan=p.slab_plan)
         brute = brute_histogram(p.spec, k, charts=p.charts)
         for region in ("full", "interior", "boundary"):
             assert read_count(histogram, region) == read_count(brute, region)
@@ -104,13 +104,13 @@ class TestTightHistogram:
         p = prepare(name)
         active = {_mask(key) for key in p.lattice.faces}
         for k in (1, 2, 3):
-            histogram = tight_histogram(p.spec, k, charts=p.charts)
+            histogram = tight_histogram(p.spec, k, plan=p.slab_plan)
             assert set(histogram) <= active
             assert all(n > 0 for n in histogram.values())
         # a lattice polytope of dim m has an interior point at k = m + 1, and so
         # has each face in its relative interior: then every face is a key
         k = p.spec.dim + 1
-        assert set(tight_histogram(p.spec, k, charts=p.charts)) == active
+        assert set(tight_histogram(p.spec, k, plan=p.slab_plan)) == active
 
     def test_argument_errors(self):
         spec = load("simplex_2")
@@ -460,19 +460,18 @@ def _product_or_shear_family(rng):
 
 
 class TestSlabMemo:
-    """The prefix walk of ``_interval_masks`` settles each distinct sub-box once."""
+    """The prefix walk of ``_factor_masks`` settles each distinct sub-box once."""
 
     @pytest.mark.parametrize(
         "spec, k, lines",
         [
-            # every slab of a box has the same live slacks: one slab is
-            # settled, by one top and one bottom line (settling all 256 slabs
-            # would take 512 calls)
-            (_unit_cube(4), 15, 2),
+            # a box's factors are its coordinates, each one fibre: no slab
+            # is settled (settling all 256 slabs would take 512 calls)
+            (_unit_cube(4), 15, 0),
             # the slab's key is the slack of x_0 + .. + x_3 <= 15: 31 distinct
             # values of x_0 + x_1 over the 256 slabs
             (load("simplex_4"), 15, 62),
-            (load("cube_unit"), 40, 2),
+            (load("cube_unit"), 40, 0),
             # x_0 alone moves the slack of x_0 + x_1 + x_2 <= 40: every key is
             # new, so each of the 41 slabs is settled
             (load("simplex_3"), 40, 82),
@@ -508,7 +507,7 @@ class TestSlabMemo:
         spec = load("simplex_3")
         peaks = []
         for k in (100, 1000):
-            normals, *box = counting_mod._box(spec, k, 10**10, None)
+            normals, *box = counting_mod._box(spec, k, 10**10, counting_mod.slab_plan(spec).unit)
             tables = counting_mod._slab_tables(normals)
             tracemalloc.start()
             try:
@@ -526,22 +525,19 @@ def _permuted(spec, order):
 
 
 class TestBlockOrder:
-    """The kernel puts each product factor's coordinates together, smallest
-    factor first, so its work does not depend on how the input labels them."""
+    """The kernel counts each product factor on its own, so its work does
+    not depend on how the input labels the coordinates."""
 
-    def test_factors_come_smallest_first_in_the_inputs_order(self):
-        block_order = counting_mod._block_order
+    def test_factors_are_the_connected_coordinates_in_the_inputs_order(self):
+        factors = counting_mod._factors
         # prism x segment: the triangle (0, 1), the prism's segment 2, the segment 3
         spec = product_spec(load("prism"), load("segment_unit"))
-        assert block_order(spec.normals()) == [2, 3, 0, 1]
+        assert factors(spec.normals()) == [[0, 1], [2], [3]]
         # the triangle's coordinates stay in the input's order, wherever they are
-        assert block_order(_permuted(spec, (3, 1, 2, 0)).normals()) == [0, 2, 1, 3]
-        # factors of one size keep the input's order; one factor keeps it all
-        square = product_spec(load("simplex_2"), load("simplex_2"))
-        assert block_order(square.normals()) == [0, 1, 2, 3]
-        assert block_order(_permuted(load("simplex_4"), (2, 0, 3, 1)).normals()) == [0, 1, 2, 3]
-        # a facet that reads x_0 and x_2 joins them, with x_1 left alone first
-        assert block_order([(1, 0, 1), (0, 1, 0), (-1, 0, 0), (0, 0, -1)]) == [1, 0, 2]
+        assert factors(_permuted(spec, (3, 1, 2, 0)).normals()) == [[0], [1, 3], [2]]
+        assert factors(_permuted(load("simplex_4"), (2, 0, 3, 1)).normals()) == [[0, 1, 2, 3]]
+        # a facet that reads x_0 and x_2 joins them, with x_1 left alone
+        assert factors([(1, 0, 1), (0, 1, 0), (-1, 0, 0), (0, 0, -1)]) == [[0, 2], [1]]
 
     @pytest.mark.parametrize(
         "factors",
@@ -556,8 +552,8 @@ class TestBlockOrder:
                 assert p.histogram(k) == p.brute_histogram(k), (order, k)
 
     def test_every_relabelling_settles_the_same_slabs(self, monkeypatch):
-        # the two segments are separable levels and the triangle is the slab,
-        # settled once, whichever coordinates the input gives them
+        # the two segments are fibres and the triangle one slab, each its
+        # own factor, whichever coordinates the input gives them
         settled = []
         lines, congruences = _record_slab_helpers(monkeypatch, settled)
         spec = product_spec(load("prism"), load("segment_unit"))
@@ -578,6 +574,43 @@ class TestBlockOrder:
             assert read_count(histogram, "full") == (k + 1) ** 3
             work.append((len(lines), len(congruences), len(settled)))
         assert work[0] == work[1]
+
+    def test_a_product_settles_what_one_factor_settles(self, monkeypatch):
+        # simplex_2 x simplex_2 is two factors of one slab each: as many
+        # settled-bit tests as one triangle, where walking the first
+        # triangle's k + 1 rows would test one more per row
+        settled = []
+        _record_slab_helpers(monkeypatch, settled)
+        for k in (10, 90, 1000):
+            work = []
+            for name in ("simplex2x2", "simplex_2"):
+                del settled[:]
+                tight_histogram(load(name), k, budget=10**13)
+                work.append(len(settled))
+            assert work[0] == work[1], (k, work)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ("simplex_2", "segment_unit"),
+            ("prism", "simplex_2"),
+            ("pentagon", "hirzebruch_a"),
+            ("simplex_3", "box_2x3"),
+            ("hirzebruch_b", "segment_3"),
+        ],
+        ids="-x-".join,
+    )
+    def test_a_product_histogram_is_its_factors_multiplied(self, factors):
+        # each face of P x Q is a face of P times a face of Q, so each pair
+        # of keys is ORed, Q's facets after P's, and their counts multiplied
+        p, q = map(load, factors)
+        spec = product_spec(p, q)
+        for k, budget in ((1, 10**8), (2, 10**8), (3, 10**8), (4, 10**8), (200, 10**13)):
+            left, right = (tight_histogram(f, k, budget=budget) for f in (p, q))
+            expected = {
+                a | b << p.num_facets: n * m for a, n in left.items() for b, m in right.items()
+            }
+            assert tight_histogram(spec, k, budget=budget) == expected, k
 
 
 def _drop_one_tight_point(monkeypatch):

@@ -181,9 +181,9 @@ def test_brute_count_never_reaches_the_fibre_kernel():
     assert call_tree_names(source, FIBRE_KERNEL) & functions & brute == set()
 
 
-# what the slab kernel's plan holds and how it is built: its block order,
-# level tables and separable levels
-SLAB_PLAN = ("slab_plan", "SlabPlan", "_slab_tables", "_block_order", "separable")
+# what the slab kernel's plan holds and how it is built and walked: its
+# split into product factors, their level tables and the per-factor walk
+SLAB_PLAN = ("slab_plan", "SlabPlan", "_slab_tables", "_factors", "_factor_masks")
 
 
 def test_the_oracle_reads_no_slab_plan():
@@ -225,10 +225,11 @@ def test_tight_histogram_is_the_one_door_to_the_slab_kernel():
         ("cli", "cmd_count"),
         ("hilbert", "check_reciprocity"),
     }
-    # a plan is built by the kernel's door for one pass, or kept by a
-    # ``Prepared`` for all of its dilates and read by its ``histogram``,
-    # and named nowhere else
+    # a plan is built for one pass, by ``count_points`` or by the kernel's
+    # door when given none, or kept by a ``Prepared`` for all of its
+    # dilates and read by its ``histogram``, and named nowhere else
     assert callers(PACKAGE, "slab_plan") == {
+        ("counting", "count_points"),
         ("counting", "tight_histogram"),
         ("prepared", "slab_plan"),
         ("prepared", "histogram"),
