@@ -20,13 +20,7 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .counting import (
-    DEFAULT_BUDGET,
-    count_points,
-    ehrhart_interpolate,
-    face_count,
-    read_count,
-)
+from .counting import DEFAULT_BUDGET, count_points, ehrhart_interpolate
 from .errors import (
     DelzantError,
     FormulaViolationError,
@@ -125,7 +119,8 @@ _COMMON_FLAGS = (
         dict(
             type=_integer,
             default=None,
-            help=f"max points to classify, or facet subsets to walk "
+            help=f"max points to classify per enumeration, or facet subsets to walk; "
+            f"count --k K above K = dim + 2 enumerates only its fit's small dilates "
             f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})",
         ),
     ),
@@ -270,17 +265,17 @@ def cmd_count(args, prep) -> Report:
     }
     if args.output == "json":
         # the JSON report gives every region and proper face, not just the
-        # one asked for; all are read from one enumeration of the dilate
-        histogram, table = prep.histogram(args.k), prep.face_counts(args.k)
-        value = face_count(table, face) if region == "face" else read_count(histogram, region)
-        total, interior = read_count(histogram, "full"), read_count(histogram, "interior")
+        # one asked for; all are read from one enumeration of the dilate,
+        # or above k = m + 2 from the fits through the same few small ones
+        count = functools.partial(prep.count, args.k)
+        value, total, interior = count(region, face), count("full"), count("interior")
         payload.update(
             count=value,
             total=total,
             interior=interior,
             boundary=total - interior,
             per_face=[
-                {"active_set": [i + 1 for i in key], "count": face_count(table, key)}
+                {"active_set": [i + 1 for i in key], "count": count("face", key)}
                 for key in (rec.active_set for rec in prep.lattice.proper_faces())
             ],
         )

@@ -22,21 +22,29 @@ the box of the vertices are one ``SlabPlan`` (``slab_plan``), built once
 per ``Prepared`` or ``count_points`` call and kept nowhere else; a pass
 at dilate k only scales the offsets and the box.  ``tight_histogram``
 alone calls the kernel, for ``Prepared.histogram`` (one per dilate, read
-by ``ehrhart_interpolate`` and the reports) and ``count_points`` (a
-fresh pass per call).  The per-point classifier (``_tight_masks``) tests
+by ``ehrhart_interpolate`` and the reports) and ``count_points`` (fresh
+passes per call).  The per-point classifier (``_tight_masks``) tests
 every point of the box against the facets one by one, in the input's
 coordinate order; it serves only ``brute_histogram``, the brute-force
-oracle, read by ``read_count`` as the kernel's histograms are, and
-shares no classifying code with the kernel and reads nothing of its
-plan.  Both take their box, and the one check of k, from ``_box``.
-Counts are fitted by exact interpolation (integer forward differences),
-and every fit must predict one extra count correctly before it is
-accepted as a polynomial.
+oracle, read as the kernel's histograms are, and shares no classifying
+code with the kernel and reads nothing of its plan.  Both take their
+box, and the one check of k, from ``_box``.
+
+Counts are fitted by exact interpolation (integer forward differences,
+``IntegerFit``), and every fit must predict one extra count correctly
+before it is accepted as a polynomial.  ``interpolate_counts`` fits
+through k = 1..n+1 and assumes nothing at k <= 0; ``fit_region`` fits
+on both sides of zero (``interpolate_two_sided``), each histogram at k
+giving the value at -k by Ehrhart-Macdonald reciprocity, so a degree-n
+fit reads only the dilates k = 1..ceil(n/2)+1.  ``count_points`` reads
+a count above k = m + 2 off such a fit (``reads_fit``), so neither its
+time nor its budget grows with k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 from operator import itemgetter, sub
 from typing import NamedTuple
@@ -52,12 +60,16 @@ REGIONS = ("full", "interior", "boundary", "face")
 
 
 def _bounding_box(spec: HalfSpaceSpec, charts=None):
-    """The integer box of the vertices (``charts``, else enumerated); k times it is the dilate's."""
+    """The least integer box around the vertices (``charts``, else
+    enumerated); k times it holds the dilate's.  A vertex of a chart is
+    its integer ``point`` over |det|, so the box's ends are floor and
+    ceiling divisions, and are the vertices' own coordinates when every
+    vertex is a lattice point."""
     if charts is None:
         charts = enumerate_vertices(spec)
-    anchors = [c.anchor_ints() for c in charts]
-    lows = [min(a[c] for a in anchors) for c in range(spec.dim)]
-    highs = [max(a[c] for a in anchors) for c in range(spec.dim)]
+    scaled = [(c.point, abs(c.det)) for c in charts]
+    lows = [min(p[c] // d for p, d in scaled) for c in range(spec.dim)]
+    highs = [max(-(-p[c] // d) for p, d in scaled) for c in range(spec.dim)]
     return lows, highs
 
 
@@ -602,6 +614,15 @@ def _check_count_args(spec: HalfSpaceSpec, region: str, face) -> None:
         raise ValueError("facet index set is only meaningful with region 'face'")
 
 
+def reads_fit(spec: HalfSpaceSpec, k: int, charts) -> bool:
+    """Whether a count of the k-fold dilate is read off its Ehrhart
+    polynomial (``fit_region``) rather than a pass at k: above k = m + 2,
+    where a pass at k outgrows every node of the fit, and only when every
+    vertex in ``charts`` is a lattice point.  A polytope with a vertex off
+    the lattice has a quasi-polynomial count, which no fit reads."""
+    return k > spec.dim + 2 and all(c._lattice_point is not None for c in charts)
+
+
 def count_points(
     spec: HalfSpaceSpec,
     k: int,
@@ -614,15 +635,24 @@ def count_points(
     """Exact lattice point count of the k-fold dilate (or a region of it).
 
     region 'face' counts the points of the face cut out by the given facet
-    index set; an empty intersection simply counts zero.  The enumeration
-    domain is the bounding box of the dilated vertices; its size is checked
-    against ``budget`` before any work happens.  Each call reads a fresh
-    ``tight_histogram``, through a slab plan of its own, so a count from
-    here is independent of any histogram or plan a ``Prepared`` holds.
+    index set; an empty intersection simply counts zero.  Each call reads
+    fresh ``tight_histogram`` passes, through a slab plan of its own, so a
+    count from here is independent of any histogram or plan a
+    ``Prepared`` holds.  Where ``reads_fit`` holds, the count is the
+    region's Ehrhart polynomial at k, fitted on both sides of zero through
+    passes at k = 1..h+1 (``fit_region``); otherwise it is read off one
+    pass at k.  Each pass's box, the bounding box of that dilate's
+    vertices, is checked against ``budget`` before any work happens, so a
+    fitted count needs only its largest node's box to fit the budget.
     """
     _check_count_args(spec, region, face)
+    if charts is None:
+        charts = enumerate_vertices(spec)
     plan = slab_plan(spec, charts)
-    return read_count(tight_histogram(spec, k, budget=budget, plan=plan), region, face)
+    histogram = cache(lambda j: tight_histogram(spec, j, budget=budget, plan=plan))
+    if reads_fit(spec, k, charts):
+        return fit_region(histogram, spec.dim, region, face).at(k)
+    return read_count(histogram(k), region, face)
 
 
 def brute_histogram(
@@ -633,28 +663,64 @@ def brute_histogram(
     return _tight_masks(*_box(spec, k, budget, _bounding_box(spec, charts)))
 
 
-def _forward_difference_fit(values) -> tuple[list[int], int]:
-    """The polynomial of degree < n through (k, values[k-1]) for k = 1..n.
+class IntegerFit(NamedTuple):
+    """A fitted polynomial as integer numerators, lowest power first, over
+    one denominator; only ``poly`` builds fractions."""
 
-    Newton's form p(k) = sum_i D^i y_1 C(k-1, i), where D^i y_1 is the
-    i-th forward difference, is summed in integers over the common
-    denominator (n-1)!: term i adds D^i y_1 (n-1)!/i! (k-1)(k-2)...(k-i).
-    Returns the integer numerators, lowest power first, and (n-1)!.
+    numerators: list[int]
+    denominator: int
+
+    def scaled(self, k: int) -> int:
+        """The denominator times the value at k, by Horner's rule in integers."""
+        value = 0
+        for c in reversed(self.numerators):
+            value = value * k + c
+        return value
+
+    def at(self, k: int) -> int:
+        """The value at the integer k.  Exact: every fit here takes integer
+        values at as many consecutive integers as it has coefficients, so
+        it takes an integer value at every integer."""
+        return self.scaled(k) // self.denominator
+
+    def poly(self) -> UniPoly:
+        return UniPoly(Fraction(c, self.denominator) for c in self.numerators)
+
+
+def _forward_difference_fit(values, start: int = 1) -> IntegerFit:
+    """The polynomial of degree < n through (start + i, values[i]) for i < n.
+
+    Newton's form p(k) = sum_i D^i y_0 C(k - start, i), where D^i y_0 is
+    the i-th forward difference, is summed in integers over the common
+    denominator (n-1)!: term i adds D^i y_0 (n-1)!/i! times the product of
+    (k - start - j) over j < i.
     """
     n = len(values)
     numerators = [0] * n
     diffs = list(values)
-    falling = [1]  # (k-1)(k-2)...(k-i), lowest power first
+    falling = [1]  # (k - start)(k - start - 1)...(k - start - i + 1), lowest power first
     denominator = scale = factorial(n - 1)  # scale is (n-1)!/i!
     for i in range(n):
         lead = diffs[0] * scale
         for power, c in enumerate(falling):
             numerators[power] += lead * c
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        t = i + 1
-        falling = [a - t * b for a, b in zip([0, *falling], [*falling, 0])]
-        scale //= t
-    return numerators, denominator
+        node = start + i
+        falling = [a - node * b for a, b in zip([0, *falling], [*falling, 0])]
+        scale //= i + 1
+    return IntegerFit(numerators, denominator)
+
+
+def _check_probe(fit: IntegerFit, probe: int, actual: int, degree: int, kind: str) -> None:
+    """Raise NotPolynomialError unless ``fit`` predicts the count ``actual``
+    at ``probe``, checked in integers: the fit's numerators at the probe
+    against the count times its denominator."""
+    predicted = fit.scaled(probe)
+    if predicted != actual * fit.denominator:
+        raise NotPolynomialError(
+            f"{kind} counts are not a degree-{degree} polynomial: "
+            f"predicted {Fraction(predicted, fit.denominator)} at k={probe}, counted {actual}"
+        )
 
 
 def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
@@ -662,38 +728,113 @@ def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
 
     ``counts`` is a callable k -> int.  The verification failure means the
     counts do not follow a polynomial of that degree, which for lattice
-    input always signals a bug.  The probe is checked in integers, the
-    fit's numerators at degree+2 against the count times the fit's
-    denominator; only the returned coefficients become fractions.
+    input always signals a bug.  The fit assumes nothing of its values at
+    k <= 0, so it also checks the parity that ``interpolate_two_sided``
+    assumes.
     """
-    numerators, denominator = _forward_difference_fit(
-        [counts(k) for k in range(1, degree + 2)]
-    )
+    fit = _forward_difference_fit([counts(k) for k in range(1, degree + 2)])
     probe = degree + 2
-    predicted = 0
-    for c in reversed(numerators):
-        predicted = predicted * probe + c
-    actual = counts(probe)
-    if predicted != actual * denominator:
+    _check_probe(fit, probe, counts(probe), degree, kind)
+    return fit.poly()
+
+
+def interpolate_two_sided(pairs, zero: int, degree: int, kind: str) -> IntegerFit:
+    """Fit ``degree`` through k = -h..h, h = ceil(degree/2), and verify at h+1.
+
+    ``pairs`` is a callable k -> (value at k, value at -k), read for k =
+    1..h+1, and ``zero`` the value at 0: each count at k > 0 supplies its
+    value at -k too, by reciprocity (``fit_region``), so a degree-n fit
+    reads h + 1 dilates instead of n + 2.  The 2h + 1 nodes fit a
+    polynomial of degree up to 2h; when 2h > degree its top coefficient
+    must be 0.  The probe is the value at k = h + 1, which no node read,
+    checked in integers as ``interpolate_counts`` checks its own.  The fit
+    assumes the values at -k; the probe and the top coefficient are its
+    checks of the polynomial's form.
+    """
+    h = -(-degree // 2)
+    above, below = [], []
+    for k in range(1, h + 1):
+        at_k, at_minus_k = pairs(k)
+        above.append(at_k)
+        below.append(at_minus_k)
+    fit = _forward_difference_fit([*below[::-1], zero, *above], start=-h)
+    if 2 * h > degree and fit.numerators[-1]:
         raise NotPolynomialError(
-            f"{kind} counts are not a degree-{degree} polynomial: "
-            f"predicted {Fraction(predicted, denominator)} at k={probe}, counted {actual}"
+            f"{kind} counts are not a degree-{degree} polynomial: the fit through "
+            f"k = -{h}..{h} has k^{2 * h} coefficient "
+            f"{Fraction(fit.numerators[-1], fit.denominator)}"
         )
-    return UniPoly(Fraction(c, denominator) for c in numerators)
+    probe = h + 1
+    _check_probe(fit, probe, pairs(probe)[0], degree, kind)
+    return fit
+
+
+def fit_region(histograms, m: int, region: str = "full", face=None, tables=None) -> IntegerFit:
+    """The Ehrhart polynomial of one region of a dim-m lattice polytope,
+    fitted on both sides of zero (``interpolate_two_sided``).
+
+    ``histograms`` is a callable k -> the tight-mask histogram of the
+    k-fold dilate, and ``tables``, if given, k -> its ``face_counts``
+    table, read for a face's count instead of a histogram scan.  Each
+    histogram at k > 0 gives the value at -k by Ehrhart-Macdonald
+    reciprocity, L(-k) = (-1)^dim L°(k), on the polytope or on a face
+    (Beck and Robins, *Computing the Continuous Discretely*, ch. 4); for
+    the boundary polynomial of Z this is Serre duality:
+
+        region     value at -k             value at 0
+        full       (-1)^m interior         1
+        interior   (-1)^m full             (-1)^m
+        boundary   (-1)^(m-1) boundary     1 - (-1)^m
+        face S     (-1)^f hist[S]          1
+
+    The closed face cut out by the facet set S has dimension f = m - |S|
+    on a simple polytope, and its relative interior is hist[S], the points
+    whose tight set is exactly S.  A facet set that cuts out no face (no
+    point at k = 1, where every vertex is a lattice point) reads the zero
+    polynomial and is not fitted.
+    """
+    sign = (-1) ** m
+    if region == "face":
+        mask = 0
+        for i in face:
+            mask |= 1 << i
+        if tables is None:
+            closed = lambda k: read_count(histograms(k), "face", face)
+        else:
+            closed = lambda k: face_count(tables(k), face)
+        if not closed(1):
+            return IntegerFit([], 1)
+        f = m - bin(mask).count("1")
+        pairs = lambda k: (closed(k), (-1) ** f * histograms(k).get(mask, 0))
+        return interpolate_two_sided(pairs, 1, f, region)
+
+    def pairs(k):
+        histogram = histograms(k)
+        total, interior = sum(histogram.values()), histogram.get(0, 0)
+        if region == "full":
+            return total, sign * interior
+        if region == "interior":
+            return interior, sign * total
+        return total - interior, -sign * (total - interior)
+
+    zero = {"full": 1, "interior": sign, "boundary": 1 - sign}[region]
+    return interpolate_two_sided(pairs, zero, m - (region == "boundary"), region)
 
 
 def ehrhart_interpolate(prep, kind: str = "full") -> UniPoly:
     """Ehrhart polynomial of the polytope, its interior or its boundary.
 
-    Fitted by ``interpolate_counts`` through the counts of ``kind`` read
-    off ``prep.histogram(k)``, the polytope's one histogram per dilate.
-    Interpolation nodes start at k = 1; k = 0 is never used because the
-    boundary count of the zero dilate is set-theoretically 1 while the
-    boundary polynomial's constant term need not be.  The degree+2
-    prediction check takes over the role of a k = 0 node.
+    Fitted on both sides of zero (``fit_region``) through the counts of
+    ``kind`` read off ``prep.histogram(k)``, the polytope's one histogram
+    per dilate, at k = 1..h+1, h = ceil(n/2) for degree n.  The value at
+    k = 0 is not counted but known (1, (-1)^m or 1 - (-1)^m): the boundary
+    count of the zero dilate is set-theoretically 1, while the boundary
+    polynomial's constant term is 1 - (-1)^m.  The fit assumes
+    reciprocity; its probe at k = h + 1 checks the polynomial's form.
+    Every vertex must be a lattice point (ValueError otherwise).
     """
-    drop = {"full": 0, "interior": 0, "boundary": 1}.get(kind)  # the degree below dim
-    if drop is None:
+    if kind not in ("full", "interior", "boundary"):
         raise ValueError(f"unknown Ehrhart kind {kind!r}")
-    counts = lambda k: read_count(prep.histogram(k), kind)
-    return interpolate_counts(counts, prep.spec.dim - drop, kind)
+    for chart in prep.charts:
+        chart.anchor_ints()  # raises off the lattice, where counts are quasi-polynomials
+    return fit_region(prep.histogram, prep.spec.dim, kind).poly()

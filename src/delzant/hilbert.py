@@ -6,16 +6,21 @@ formula on the boundary volume at the offsets k times the anchor
 (``symbolic_ehrhart``, which applies the operator to each vertex's term
 of the volume formula as one univariate series, with no volume
 polynomial), and (c) direct brute-force counting; (a) and (c) are fitted
-to a polynomial in the dilation factor k.  Each route
-gives a plain ``UniPoly`` in k.  The three are proven-equal identities,
-so any disagreement aborts loudly: it always means an implementation bug
-or invalid input, never an acceptable warning.
+to a polynomial in the dilation factor k.  Route (c) fits on both sides
+of zero (``fit_region``): it assumes Serre duality on the Calabi-Yau
+hypersurface, H(-k) = (-1)^(m-1) H(k), and so reads the dilates k =
+1..h+1, h = ceil((m-1)/2), not k = 1..m+1.  Route (a) and the per-face
+table fit from k = 1..n+1 alone (``interpolate_counts``), assuming
+nothing at k <= 0, so route (a) checks the parity route (c) assumes.
+Each route gives a plain ``UniPoly`` in k.  The three are proven-equal
+identities, so any disagreement aborts loudly: it always means an
+implementation bug or invalid input, never an acceptable warning.
 Route (a) and the per-face table read every face count from one table
 per dilate (``Prepared.face_counts``: one superset-sum pass over the slab
 kernel's histogram), not from a histogram scan per face; the scan,
 ``read_count(..., "face")``, is the tests' oracle for the table.
-Route (c) and every brute comparison value of ``cross_check`` are
-``read_count`` of the per-point classifier's histogram of the dilate
+Route (c) and every brute comparison value of ``cross_check`` read the
+per-point classifier's histogram of the dilate
 (``Prepared.brute_histogram``, one per k), so the kernel is always
 checked against code it shares nothing with.
 """
@@ -25,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import count_points, face_count, interpolate_counts, read_count
-from .errors import BudgetExceededError, DisagreementError
+from .counting import count_points, face_count, fit_region, interpolate_counts, read_count
+from .errors import BudgetExceededError, DisagreementError, NotPolynomialError
 from .operators import operator_count, symbolic_ehrhart
 from .polynomial import UniPoly
 from .polytope import enumerate_vertices
@@ -69,9 +74,12 @@ def inclusion_exclusion_count(prep: Prepared, k: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertReport:
+    """The three routes' polynomials; ``by_oracle`` is None when the
+    oracle's counts fit no polynomial of route (c)'s form."""
+
     by_inclusion_exclusion: UniPoly
     by_operator_formula: UniPoly
-    by_oracle: UniPoly
+    by_oracle: UniPoly | None
     agree: bool
     per_face: dict[tuple[int, ...], UniPoly]
 
@@ -80,10 +88,13 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     """Boundary Hilbert polynomial, three ways, with mandatory agreement.
 
     The inclusion-exclusion fit and the per-face table read their face
-    counts from the polytope's one face-count table per dilation k.
-    The oracle route reads the per-point classifier's histogram of each
-    dilate instead (``Prepared.brute_histogram``).  Raises NotDelzantError
-    on invalid input.
+    counts from the polytope's one face-count table per dilation k, at k =
+    1..n+2, and assume nothing at k <= 0.  The oracle route reads the
+    per-point classifier's histogram of each dilate instead
+    (``Prepared.brute_histogram``), fitted on both sides of zero, so it
+    assumes reciprocity; oracle counts that break it fit no polynomial,
+    and that too is a disagreement.  Raises NotDelzantError on invalid
+    input.
     """
     spec = prep.require_delzant().spec
     degree = max(spec.dim - 1, 0)
@@ -91,9 +102,10 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
         lambda k: inclusion_exclusion_count(prep, k), degree, "boundary"
     )
     by_operator = symbolic_ehrhart(prep, "boundary")
-    by_oracle = interpolate_counts(
-        lambda k: read_count(prep.brute_histogram(k), "boundary"), degree, "boundary"
-    )
+    try:
+        by_oracle, failure = fit_region(prep.brute_histogram, spec.dim, "boundary").poly(), None
+    except NotPolynomialError as exc:
+        by_oracle, failure = None, exc
 
     per_face = {}
     for record in prep.lattice.proper_faces():
@@ -116,7 +128,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
             "boundary Hilbert polynomial routes disagree: "
             f"inclusion-exclusion {via_faces.to_text()}, "
             f"operator {by_operator.to_text()}, "
-            f"oracle {by_oracle.to_text()}",
+            f"oracle {by_oracle.to_text() if failure is None else f'none ({failure})'}",
             report=report,
         )
     return report

@@ -14,7 +14,8 @@ product factors with their level tables) is built once, and each dilate
 has the kernel's tight-mask histogram through it (``histogram``), read by
 ``read_count``, and its face-count table (``face_counts``, one
 superset-sum pass over the histogram), from which inclusion-exclusion,
-the per-face table and ``count --output json`` read every face count.
+the per-face table and ``count --output json`` (``count``, or above k =
+m + 2 the fits through the tables at k = 1..h+1) read every face count.
 The brute comparison values come from a second histogram of each dilate,
 built by the per-point classifier (``brute_histogram``): the two share
 no code and are kept under different keys, so every brute value still
@@ -45,7 +46,11 @@ class Prepared:
     ``budget`` bounds each enumeration: both kinds of histogram built
     here and the counts that readers run with ``budget=prep.budget``.
     The kernel's histograms all read one ``slab_plan``, which lives as
-    long as this object and no longer.
+    long as this object and no longer.  ``count`` above k = m + 2, like
+    ``counting.ehrhart_interpolate`` at every k, reads a two-sided fit
+    (``counting.fit_region``) through the kept histograms at k =
+    1..h+1, which assumes Ehrhart-Macdonald reciprocity, so the budget
+    bounds only those dilates' boxes.
     Reading ``charts`` raises if the family is degenerate (unbounded,
     empty, not simple, redundant); reading ``lattice`` or anything built
     on it raises NotDelzantError unless every vertex is unimodular.
@@ -130,6 +135,19 @@ class Prepared:
         """The k-fold dilate's ``counting.face_counts`` table, built once per k
         from ``histogram(k)``."""
         return self._once(("face_counts", k), lambda: counting.face_counts(self.histogram(k)))
+
+    def count(self, k: int, region: str = "full", face=None) -> int:
+        """The count of ``region`` in the k-fold dilate (for a face, the one
+        cut out by the facet index set ``face``), read off ``histogram(k)``
+        and ``face_counts(k)``, or, where ``counting.reads_fit`` holds, off
+        the region's Ehrhart polynomial fitted through those at k =
+        1..h+1 (``counting.fit_region``); read by ``count --output json``."""
+        if counting.reads_fit(self.spec, k, self.charts):
+            fit = counting.fit_region(self.histogram, self.spec.dim, region, face, self.face_counts)
+            return fit.at(k)
+        if region == "face":
+            return counting.face_count(self.face_counts(k), face)
+        return counting.read_count(self.histogram(k), region)
 
     def brute_histogram(self, k: int) -> dict[int, int]:
         """The k-fold dilate's ``brute_histogram``, built once per k, apart from ``histogram``."""

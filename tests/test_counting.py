@@ -18,7 +18,9 @@ from delzant.counting import (
     ehrhart_interpolate,
     face_count,
     face_counts,
+    fit_region,
     interpolate_counts,
+    interpolate_two_sided,
     read_count,
     tight_histogram,
 )
@@ -28,7 +30,7 @@ from delzant.linalg import ring_det
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
-from generators import product_spec
+from generators import blow_up, product_spec
 
 
 class TestCountPoints:
@@ -67,11 +69,16 @@ class TestCountPoints:
                 count(spec, 0)
 
     def test_budget_exceeded_reports_required_size(self):
-        for count in (count_points, brute_histogram):
-            with pytest.raises(BudgetExceededError) as err:
-                count(load("cube_2"), 50, budget=1000)
-            assert err.value.required == 101**3
-            assert err.value.budget == 1000
+        with pytest.raises(BudgetExceededError) as err:
+            brute_histogram(load("cube_2"), 50, budget=1000)
+        assert err.value.required == 101**3
+        assert err.value.budget == 1000
+        # k = 50 is read off the fit through the passes at k = 1, 2, 3, so
+        # only the largest node's box, 7^3, must fit the budget
+        assert count_points(load("cube_2"), 50, budget=7**3) == 101**3
+        with pytest.raises(BudgetExceededError) as err:
+            count_points(load("cube_2"), 50, budget=7**3 - 1)
+        assert (err.value.required, err.value.budget) == (7**3, 7**3 - 1)
 
 
 def _mask(active_set):
@@ -480,7 +487,7 @@ class TestSlabMemo:
     )
     def test_each_distinct_slab_is_settled_once(self, monkeypatch, spec, k, lines):
         found, _ = _record_slab_helpers(monkeypatch)
-        assert count_points(spec, k) == read_count(brute_histogram(spec, k))
+        assert tight_histogram(spec, k) == brute_histogram(spec, k)
         assert len(found) == lines
 
     @pytest.mark.parametrize("seed", range(8))
@@ -833,3 +840,155 @@ class TestForwardDifferenceFit:
             numerators, denominator = _forward_difference_fit(values)
             fit = UniPoly(Fraction(c, denominator) for c in numerators)
             assert fit == UniPoly.interpolate(nodes)
+
+
+# lattice polytopes beyond the corpus: blow-ups (dilated by 3, vertices cut
+# off) and products, dims 3-5
+GENERATED = {
+    "cube_unit cut at 0, 3": lambda: blow_up(load("cube_unit"), {0, 3}),
+    "simplex_3 cut at 0": lambda: blow_up(load("simplex_3"), {0}),
+    "hirzebruch_b x simplex_2 cut at 1": lambda: blow_up(
+        product_spec(load("hirzebruch_b"), load("simplex_2")), {1}
+    ),
+    "pentagon x segment": lambda: product_spec(load("pentagon"), load("segment_unit")),
+    "simplex_2^2 x segment": lambda: product_spec(
+        load("simplex_2"), load("simplex_2"), load("segment_unit")
+    ),
+}
+
+
+@pytest.fixture(params=[*DELZANT_CORPUS, *GENERATED])
+def lattice_polytope(request, prepare):
+    """A corpus member or a generated polytope, as a Delzant ``Prepared``."""
+    if request.param in GENERATED:
+        return Prepared(GENERATED[request.param]()).require_delzant()
+    return prepare(request.param)
+
+
+class TestTwoSidedFit:
+    """Fits through k = -h..h, each negative node read by reciprocity."""
+
+    def test_equals_the_one_sided_fits(self, lattice_polytope):
+        p, m = lattice_polytope, lattice_polytope.spec.dim
+        for region in ("full", "interior", "boundary"):
+            degree = m - (region == "boundary")
+            counts = lambda k: read_count(p.histogram(k), region)
+            expected = interpolate_counts(counts, degree, region)
+            assert fit_region(p.histogram, m, region).poly() == expected, region
+            nodes = [(k, counts(k)) for k in range(1, degree + 2)]
+            assert UniPoly.interpolate(nodes) == expected
+        for record in p.lattice.proper_faces():
+            face = record.active_set
+            counts = lambda k: face_count(p.face_counts(k), face)
+            expected = interpolate_counts(counts, record.dim, "face")
+            # through the face-count tables and by scans of the histograms
+            assert fit_region(p.histogram, m, "face", face, p.face_counts).poly() == expected
+            assert fit_region(p.histogram, m, "face", face).poly() == expected
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_recovers_any_polynomial(self, degree):
+        # any degree and parity, not only Ehrhart polynomials: integer
+        # values at k = 0..degree make a polynomial integer-valued
+        rng = random.Random(degree)
+        for _ in range(20):
+            poly = UniPoly.interpolate([(k, rng.randint(-50, 50)) for k in range(degree + 1)])
+            value = lambda k: int(poly.evaluate(k))
+            fit = interpolate_two_sided(lambda k: (value(k), value(-k)), value(0), degree, "full")
+            assert fit.poly() == poly
+            assert [fit.at(k) for k in (-7, 0, 97)] == [value(k) for k in (-7, 0, 97)]
+
+    def test_spare_top_coefficient_must_vanish(self):
+        # degree 1 fits k = -1, 0, 1; a square there has k^2 coefficient 1
+        with pytest.raises(NotPolynomialError) as err:
+            interpolate_two_sided(lambda k: (k * k, k * k), 0, 1, "boundary")
+        assert str(err.value) == (
+            "boundary counts are not a degree-1 polynomial: "
+            "the fit through k = -1..1 has k^2 coefficient 1"
+        )
+
+    def test_a_count_off_by_one_at_the_probe_is_rejected(self, prepare):
+        # simplex_3, full: the nodes read k = 1, 2 and the probe k = 3
+        p = prepare("simplex_3")
+
+        def histograms(k):
+            histogram = dict(p.histogram(k))
+            if k == 3:
+                histogram[0] = histogram.get(0, 0) + 1
+            return histogram
+
+        with pytest.raises(NotPolynomialError) as err:
+            fit_region(histograms, 3, "full")
+        assert str(err.value) == (
+            "full counts are not a degree-3 polynomial: predicted 20 at k=3, counted 21"
+        )
+        assert fit_region(p.histogram, 3, "full").at(3) == 20
+
+    def test_a_facet_set_that_cuts_out_no_face_reads_zero(self, prepare):
+        p = prepare("cube_unit")
+        for face in ((0, 1), (0, 2, 4, 1)):
+            fit = fit_region(p.histogram, 3, "face", face, p.face_counts)
+            assert fit.poly() == UniPoly() and fit.at(997) == 0
+
+
+class TestFittedCount:
+    """``count_points`` above k = m + 2 reads the region's fit, not a pass at k."""
+
+    @staticmethod
+    def kernel_dilates(monkeypatch):
+        """The dilates of every ``tight_histogram`` pass from here on."""
+        dilates, real = [], counting_mod.tight_histogram
+
+        def recording(spec, k, **kwargs):
+            dilates.append(k)
+            return real(spec, k, **kwargs)
+
+        monkeypatch.setattr(counting_mod, "tight_histogram", recording)
+        return dilates
+
+    @pytest.mark.parametrize("far", ["m+3", 97, 997])
+    @pytest.mark.parametrize("name", DELZANT_CORPUS)
+    def test_equals_a_kernel_pass_at_k(self, name, far, prepare, monkeypatch):
+        p = prepare(name)
+        m = p.spec.dim
+        k = m + 3 if far == "m+3" else far
+        histogram = tight_histogram(p.spec, k, budget=10**30, plan=p.slab_plan)
+        dilates = self.kernel_dilates(monkeypatch)
+        faces = [rec.active_set for rec in p.lattice.proper_faces()]
+        # a facet set that cuts out no face: every facet
+        faces.append(tuple(range(p.spec.num_facets)))
+        for region, face in [("full", None), ("interior", None), ("boundary", None)] + [
+            ("face", face) for face in faces
+        ]:
+            dilates.clear()
+            got = count_points(p.spec, k, region, face=face, charts=p.charts)
+            assert got == read_count(histogram, region, face), (region, face)
+            # the default budget holds only the nodes' boxes, never k's
+            assert max(dilates) <= (m + 1) // 2 + 1 < k
+
+    def test_a_non_lattice_polytope_keeps_the_direct_pass(self, monkeypatch):
+        # the vertex (1/2, 0) is off the lattice: the counts are a
+        # quasi-polynomial of period 2, which no fit reads
+        spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)])
+        dilates = self.kernel_dilates(monkeypatch)
+        for k in (7, 8, 97):
+            dilates.clear()
+            for region in ("full", "interior", "boundary"):
+                assert count_points(spec, k, region) == read_count(brute_histogram(spec, k), region)
+            assert dilates == [k] * 3
+        # floor((k + 2)^2 / 4) points at k, not a polynomial
+        assert [count_points(spec, k) for k in range(1, 7)] == [2, 4, 6, 9, 12, 16]
+        with pytest.raises(ValueError, match="is not a lattice point"):
+            ehrhart_interpolate(Prepared(spec))
+
+    @pytest.mark.parametrize("name", ["simplex_3", "cube_2", "prism", "hirzebruch_b"])
+    def test_json_report_reads_the_fits(self, name, tmp_path, capsys, prepare):
+        p = prepare(name)
+        k = 97
+        histogram = tight_histogram(p.spec, k, budget=10**30, plan=p.slab_plan)
+        report = _count_payload(name, k, tmp_path, capsys)
+        assert report["total"] == read_count(histogram, "full")
+        assert report["interior"] == read_count(histogram, "interior")
+        assert report["boundary"] == read_count(histogram, "boundary")
+        for entry in report["per_face"]:
+            face = tuple(i - 1 for i in entry["active_set"])
+            assert entry["count"] == read_count(histogram, "face", face)

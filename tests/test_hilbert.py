@@ -121,6 +121,28 @@ class TestCyHilbertPolynomial:
         assert err.value.report is not None
         assert not err.value.report.agree
 
+    def test_oracle_counts_that_break_reciprocity_fit_no_polynomial(self, monkeypatch):
+        # route (c) assumes H(-k) = -H(k) on simplex_2: its boundary counts
+        # 3k + 1 read 4 at k = 1 and -4 at k = -1, so the fit 4k misses the
+        # probe k = 2, and the routes disagree with no oracle polynomial
+        real = counting.brute_histogram
+
+        def lying(spec, k, **kwargs):
+            histogram = dict(real(spec, k, **kwargs))
+            histogram[1] = histogram.get(1, 0) + 1
+            return histogram
+
+        monkeypatch.setattr(counting, "brute_histogram", lying)
+        with pytest.raises(DisagreementError) as err:
+            cy_hilbert_polynomial(Prepared(load("simplex_2")))
+        assert err.value.report.by_oracle is None
+        assert err.value.report.by_inclusion_exclusion == UniPoly([0, 3])
+        assert str(err.value) == (
+            "boundary Hilbert polynomial routes disagree: inclusion-exclusion 3k, "
+            "operator 3k, oracle none (boundary counts are not a degree-1 "
+            "polynomial: predicted 8 at k=2, counted 7)"
+        )
+
 
 class TestCrossCheck:
     def test_all_checks_pass_on_a_small_polytope(self):

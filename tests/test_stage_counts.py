@@ -100,10 +100,12 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["face_counts"] == 5
     assert stage_calls["face scans"] == 0
     # every brute comparison value (2 operator counts, 5 inclusion-exclusion
-    # dilates, route (c)'s nodes k = 1, 2 and probe k = 3, and 5 interior
-    # counts of reciprocity) reads the oracle's one histogram per k = 1..5
+    # dilates, route (c)'s two-sided node k = 1 and probe k = 2, and 5
+    # interior counts of reciprocity) reads the oracle's one histogram per
+    # k = 1..5
     assert stage_calls["brute_histogram"] == 5
-    # the fibre kernel fits the full polynomial of the reciprocity check
+    # the fibre kernel fits the full polynomial of the reciprocity check,
+    # one direct pass at each k = 1..4 <= m + 2
     assert stage_calls["count_points"] == 4
     # one slab plan for the polytope's kept histograms, and one of its own
     # for each ``count_points`` pass
@@ -138,11 +140,11 @@ def test_face_counts_come_from_one_table_per_dilate(
 @pytest.mark.parametrize(
     "kind, histograms",
     [
-        # degree 2: k = 1, 2, 3 and the probe k = 4
-        ("full", 4),
-        ("interior", 4),
-        # degree 1: k = 1, 2 and the probe k = 3
-        ("boundary", 3),
+        # two-sided, degree 2 or 1: the nodes k = -1, 0, 1 read k = 1 (its
+        # value at -1 by reciprocity), then the probe k = 2
+        ("full", 2),
+        ("interior", 2),
+        ("boundary", 2),
     ],
 )
 def test_ehrhart_interpolation_reads_one_histogram_per_node(
@@ -157,9 +159,33 @@ def test_ehrhart_interpolation_reads_one_histogram_per_node(
 
 
 @pytest.mark.parametrize(
+    "argv, kernel, oracle",
+    [
+        # route (a) and the per-face table fit one-sided, from k = 1, 2 and
+        # the probe k = 3; route (c) two-sided, from the oracle's node k = 1
+        # (its value at -1 by reciprocity) and the probe k = 2
+        (("hilbert-cy",), 3, 2),
+        # above k = m + 2 = 4, every region and face is read off a fit
+        # through k = 1 and the probe k = 2, never a pass at k = 1000
+        (("count", "--k", "1000"), 2, 0),
+        (("count", "--k", "1000", "--region", "face=1"), 2, 0),
+        (("count", "--k", "1000", "--output", "json"), 2, 0),
+        # up to k = m + 2, one pass at k
+        (("count", "--k", "4"), 1, 0),
+    ],
+    ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
+)
+def test_fits_read_few_dilates(argv, kernel, oracle, stage_calls, simplex_2, capsys):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["tight_histogram"] == kernel
+    assert stage_calls["brute_histogram"] == oracle
+
+
+@pytest.mark.parametrize(
     "argv, plans",
     [
-        # the m + 2 = 4 histograms of the fit read one plan
+        # the 2 histograms of the two-sided fit read one plan
         (("ehrhart", "--kind", "full"), 1),
         # text output: the plan of ``count_points``' own pass
         (("count", "--k", "2"), 1),
