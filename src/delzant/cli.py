@@ -13,15 +13,14 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
-import json
 import os
 import re
 import sys
 from collections import Counter
 
-from . import __version__
-from .counting import DEFAULT_BUDGET, count_points, ehrhart_interpolate
+from . import __version__, counting, hilbert, operators
 from .errors import (
+    DEFAULT_BUDGET,
     DelzantError,
     FormulaViolationError,
     NotDelzantError,
@@ -29,8 +28,6 @@ from .errors import (
     UsageError,
     cut,
 )
-from .hilbert import cross_check, cy_hilbert_polynomial
-from .operators import operator_count, symbolic_ehrhart
 from .polyfile import max_digits, over_limit, parse_polytope_file
 from .prepared import Prepared
 
@@ -171,6 +168,8 @@ def _polytope_json(spec) -> dict:
 def _emit(args, spec, payload: dict, text_lines: list[str], tsv_rows: list[tuple]) -> None:
     """Print one report; the JSON payload also carries the command and the polytope."""
     if args.output == "json":
+        import json  # here, so that only a JSON report pays for loading it
+
         payload = {**payload, "command": args.command, "polytope": _polytope_json(spec)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.output == "tsv":
@@ -280,7 +279,7 @@ def cmd_count(args, prep) -> Report:
             ],
         )
     else:
-        value = count_points(
+        value = counting.count_points(
             spec, args.k, region, face=face, budget=prep.budget, charts=prep.charts
         )
     rows = [("k", args.k), ("region", region_text), ("count", value)]
@@ -292,11 +291,11 @@ def cmd_ehrhart(args, prep) -> Report:
     if args.method == "operator":
         if args.kind == "interior":
             raise UsageError("--method operator supports kinds full and boundary only")
-        result = symbolic_ehrhart(prep, args.kind)
+        result = operators.symbolic_ehrhart(prep, args.kind)
         if args.output == "json":  # the one format that prints it
             applied_text = prep.applied(args.kind).to_text()
     else:
-        result = ehrhart_interpolate(prep, args.kind)
+        result = counting.ehrhart_interpolate(prep, args.kind)
     text = result.to_text()
     payload = {
         "kind": args.kind,
@@ -312,7 +311,7 @@ def cmd_ehrhart(args, prep) -> Report:
 
 def cmd_operator_count(args, prep) -> Report:
     kind = "full" if args.command == "khovanskii" else "boundary"
-    value = operator_count(prep, kind)
+    value = operators.operator_count(prep, kind)
     payload, rows = {"count": value}, [("count", value)]
     if args.output != "text":  # text prints the count alone
         applied_text = prep.applied(kind).to_text()
@@ -322,7 +321,7 @@ def cmd_operator_count(args, prep) -> Report:
 
 
 def cmd_hilbert_cy(args, prep) -> Report:
-    report = cy_hilbert_polynomial(prep)
+    report = hilbert.cy_hilbert_polynomial(prep)
     faces = [(key, report.per_face[key].to_text()) for key in sorted(report.per_face)]
     oracle_text = report.by_oracle.to_text()
     payload = {
@@ -355,7 +354,7 @@ def cmd_hilbert_cy(args, prep) -> Report:
 
 
 def cmd_cross_check(args, prep) -> Report:
-    report = cross_check(prep)
+    report = hilbert.cross_check(prep)
     payload = {
         "ok": report.ok,
         "checks": [

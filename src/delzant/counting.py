@@ -38,7 +38,9 @@ on both sides of zero (``interpolate_two_sided``), each histogram at k
 giving the value at -k by Ehrhart-Macdonald reciprocity, so a degree-n
 fit reads only the dilates k = 1..ceil(n/2)+1.  ``count_points`` reads
 a count above k = m + 2 off such a fit (``reads_fit``), so neither its
-time nor its budget grows with k.
+time nor its budget grows with k.  A fit reads in integers; only
+``IntegerFit.poly`` builds a ``UniPoly``, and it alone reads the lazily
+loaded ``polynomial``, so a count runs no ``polynomial`` in any format.
 """
 
 from __future__ import annotations
@@ -49,12 +51,10 @@ from math import factorial, gcd
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, NotPolynomialError
+from . import polynomial
+from .errors import DEFAULT_BUDGET, BudgetExceededError, NotPolynomialError
 from .linalg import kernel_vector
-from .polynomial import UniPoly
 from .polytope import HalfSpaceSpec, enumerate_vertices
-
-DEFAULT_BUDGET = 10**8
 
 REGIONS = ("full", "interior", "boundary", "face")
 
@@ -683,8 +683,8 @@ class IntegerFit(NamedTuple):
         it takes an integer value at every integer."""
         return self.scaled(k) // self.denominator
 
-    def poly(self) -> UniPoly:
-        return UniPoly(Fraction(c, self.denominator) for c in self.numerators)
+    def poly(self) -> polynomial.UniPoly:
+        return polynomial.UniPoly(Fraction(c, self.denominator) for c in self.numerators)
 
 
 def _forward_difference_fit(values, start: int = 1) -> IntegerFit:
@@ -723,7 +723,7 @@ def _check_probe(fit: IntegerFit, probe: int, actual: int, degree: int, kind: st
         )
 
 
-def interpolate_counts(counts, degree: int, kind: str) -> UniPoly:
+def interpolate_counts(counts, degree: int, kind: str) -> polynomial.UniPoly:
     """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
 
     ``counts`` is a callable k -> int.  The verification failure means the
@@ -821,7 +821,7 @@ def fit_region(histograms, m: int, region: str = "full", face=None, tables=None)
     return interpolate_two_sided(pairs, zero, m - (region == "boundary"), region)
 
 
-def ehrhart_interpolate(prep, kind: str = "full") -> UniPoly:
+def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
     """Ehrhart polynomial of the polytope, its interior or its boundary.
 
     Fitted on both sides of zero (``fit_region``) through the counts of

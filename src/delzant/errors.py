@@ -105,6 +105,11 @@ class NotDelzantError(PolytopeStructureError):
         super().__init__("polytope is not Delzant: " + report.summary())
 
 
+# points to classify per enumeration, or facet subsets to walk, unless
+# --budget or $DELZANT_BUDGET says otherwise
+DEFAULT_BUDGET = 10**8
+
+
 class BudgetExceededError(DelzantError):
     exit_code = 5
 

@@ -27,6 +27,12 @@ it out only once the Delzant report passes, while the volume oracle's one
 more stage, the anchor's triangulation, reads it with no Delzant check.
 A command or report holds one ``Prepared`` and reads every stage from
 it, so each is built at most once however many checks read it.
+
+``counting``, ``volume``, ``operators`` and ``polynomial`` are loaded
+lazily (see the package docstring), and this module reads them only as
+``module.name`` inside the stage that needs them: the charts, the
+Delzant report and the face lattice run none of them, a histogram runs
+``counting`` alone, and the default budget comes from ``errors``.
 """
 
 from __future__ import annotations
@@ -34,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import counting, operators, polytope, volume
-from .errors import NotDelzantError
-from .polynomial import MultiPoly
+from . import counting, operators, polynomial, polytope, volume
+from .errors import DEFAULT_BUDGET, NotDelzantError
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class Prepared:
     """
 
     spec: polytope.HalfSpaceSpec
-    budget: int = counting.DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -102,7 +107,7 @@ class Prepared:
             self._memo[key] = build()
         return self._memo[key]
 
-    def applied(self, kind: str) -> MultiPoly:
+    def applied(self, kind: str) -> polynomial.MultiPoly:
         """The Todd product on the volume (full) or the A-hat product on the
         boundary volume (boundary), applied once per kind; read by the
         operator counts and the printed ``operator_applied``."""

@@ -16,7 +16,7 @@ import delzant
 from delzant import cli
 from delzant.cli import main
 from delzant.corpus import corpus_text
-from delzant.counting import DEFAULT_BUDGET
+from delzant.errors import DEFAULT_BUDGET
 from delzant.polynomial import MultiPoly, UniPoly
 from delzant.prepared import Prepared
 

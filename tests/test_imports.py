@@ -1,15 +1,20 @@
-"""No module of the package imports a name it never uses.
-
-``__init__.py`` is exempt: its imports are the package's re-exports.
+"""No module of the package imports a name it never uses, no module on the
+eager path runs a lazily loaded one at import, and each route stays
+independent of the one it checks.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import delzant
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delzant"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +44,125 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def runs_at_import(tree: ast.Module):
+    """The nodes of ``tree`` that run when the module is imported: all but
+    function and lambda bodies and, under ``from __future__ import
+    annotations``, annotations.  A function's decorators and default
+    values run, and so does a class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += getattr(node, "decorator_list", [])
+            todo += [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+        elif isinstance(node, ast.AnnAssign):
+            todo += [node.target, *filter(None, [node.value])]
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
+def lazy_reads_at_import(source, lazy=delzant.LAZY_MODULES, exports=delzant.__all__) -> list[str]:
+    """What runs a lazy module of the package when ``source`` is imported.
+
+    ``from .counting import x`` runs ``counting`` (the import statement
+    reads the module), and so does ``counting.x`` in code that runs at
+    import.  ``import delzant.counting as c`` runs it too, so any absolute
+    import of a lazy module counts; ``from . import counting`` binds the
+    module and runs nothing.  A name the package re-exports (``from .
+    import count_points``) runs the module it comes from.
+    """
+    found = []
+    for node in runs_at_import(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:  # absolute: from delzant[.module] import ...
+                head, _, rest = module.partition(".")
+                module = rest if head == "delzant" else None
+            if module in lazy:
+                found.append(f"line {node.lineno}: from {module} import")
+            elif module == "":
+                names = [alias.name for alias in node.names if alias.name in exports]
+                found += [f"line {node.lineno}: import of {name}" for name in names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "delzant" and rest.split(".")[0] in lazy:
+                    found.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in lazy:
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_scanner_finds_a_lazy_module_run_at_import():
+    bad = (
+        "from .counting import count_points\n"
+        "import delzant.volume\n"
+        "from delzant.hilbert import cross_check\n"
+        "from . import count_points\n"
+        "class P:\n    budget: int = counting.DEFAULT_BUDGET\n"
+        "def f(x=operators.apply_operator_product):\n    pass\n"
+    )
+    assert sorted(lazy_reads_at_import(bad)) == [
+        "line 1: from counting import",
+        "line 2: import delzant.volume",
+        "line 3: from hilbert import",
+        "line 4: import of count_points",
+        "line 6: counting.DEFAULT_BUDGET",
+        "line 7: operators.apply_operator_product",
+    ]
+    good = (
+        "from __future__ import annotations\n"
+        "from . import counting, polytope\n"
+        "from .errors import DEFAULT_BUDGET\n"
+        "import delzant.polytope\n"
+        "class P:\n    plan: counting.SlabPlan\n"
+        "    def slab_plan(self) -> counting.SlabPlan:\n        return counting.slab_plan(self)\n"
+        "run = lambda prep: counting.count_points(prep)\n"
+    )
+    assert lazy_reads_at_import(good) == []
+
+
+EAGER_MODULES = sorted(set(MODULES) - {f"{name}.py" for name in delzant.LAZY_MODULES})
+
+
+def test_the_cli_path_is_eager():
+    cli_path = {"cli.py", "prepared.py", "polyfile.py", "polytope.py", "linalg.py", "errors.py"}
+    assert cli_path <= set(EAGER_MODULES)
+
+
+@pytest.mark.parametrize("module", EAGER_MODULES)
+def test_eager_module_runs_no_lazy_module_at_import(module):
+    # such an import would run the lazy module in every process that
+    # imports this one, and undo the package's lazy loading unnoticed
+    assert lazy_reads_at_import((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+EXPORTS_CHECK = """
+import delzant
+listed = set(dir(delzant))
+for name in delzant.__all__:
+    getattr(delzant, name)
+try:
+    delzant.no_such_name
+except AttributeError as exc:
+    print(exc)
+print(sorted(set(delzant.__all__) - listed))
+"""
+
+
+def test_every_export_is_listed_and_resolves():
+    # in a fresh interpreter, so dir() is read before any name has resolved
+    env = dict(os.environ)
+    paths = (str(PACKAGE.parent), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    done = subprocess.run(
+        [sys.executable, "-c", EXPORTS_CHECK], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "module 'delzant' has no attribute 'no_such_name'\n[]\n"
 
 
 ORACLE_BORROWINGS = ("linalg", "feasible_vertex_points")
