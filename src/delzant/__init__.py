@@ -10,7 +10,8 @@ first attribute read (``_LazyModule``); the rest (``cli``, ``prepared``,
 read a lazy module only as ``module.name`` when a command calls it.  So
 ``validate`` and ``faces`` run no lazy module, ``count`` runs
 ``counting`` alone, and only ``hilbert-cy`` and ``cross-check`` run all
-five.  The names of ``__all__`` resolve on first use (PEP 562).
+five.  The package root exports four names, those of the README's
+library example (``__all__``), and each resolves on first use (PEP 562).
 """
 
 import _thread
@@ -22,41 +23,13 @@ __version__ = "0.1.0"
 
 LAZY_MODULES = ("polynomial", "counting", "volume", "operators", "hilbert")
 
-# module -> the names the package re-exports from it
+# module -> the names the package re-exports from it: the four the README's
+# library example imports; every other name is read from its module
 _EXPORTED = {
-    "counting": ("count_points", "ehrhart_interpolate"),
-    "errors": ("DelzantError",),
-    "hilbert": (
-        "CrossCheckReport",
-        "HilbertReport",
-        "cross_check",
-        "cy_hilbert_polynomial",
-        "inclusion_exclusion_count",
-    ),
-    "operators": (
-        "apply_operator_product",
-        "operator_count",
-        "series_coefficients",
-        "symbolic_ehrhart",
-    ),
+    "hilbert": ("cy_hilbert_polynomial",),
+    "operators": ("operator_count",),
     "polyfile": ("parse_polytope_file",),
-    "polynomial": ("MultiPoly", "Scalar", "UniPoly", "euler_expansion_identity"),
-    "polytope": (
-        "FaceLattice",
-        "HalfSpaceSpec",
-        "VertexChart",
-        "build_face_lattice",
-        "enumerate_vertices",
-        "validate_delzant",
-    ),
     "prepared": ("Prepared",),
-    "volume": (
-        "BoundaryVolumePolynomial",
-        "VolumePolynomial",
-        "boundary_volume_polynomial",
-        "numeric_volume_at",
-        "volume_polynomial",
-    ),
 }
 _HOME = {name: module for module, names in _EXPORTED.items() for name in names}
 

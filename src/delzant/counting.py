@@ -36,11 +36,14 @@ before it is accepted as a polynomial.  ``interpolate_counts`` fits
 through k = 1..n+1 and assumes nothing at k <= 0; ``fit_region`` fits
 on both sides of zero (``interpolate_two_sided``), each histogram at k
 giving the value at -k by Ehrhart-Macdonald reciprocity, so a degree-n
-fit reads only the dilates k = 1..ceil(n/2)+1.  ``count_points`` reads
-a count above k = m + 2 off such a fit (``reads_fit``), so neither its
-time nor its budget grows with k.  A fit reads in integers; only
-``IntegerFit.poly`` builds a ``UniPoly``, and it alone reads the lazily
-loaded ``polynomial``, so a count runs no ``polynomial`` in any format.
+fit reads only the dilates k = 1..ceil(n/2)+1.  One reader,
+``read_dilate``, serves ``count_points`` (fresh passes, no table) and
+``Prepared.count`` (the kept histograms and face-count tables): above
+k = m + 2, on a lattice polytope, it reads the count off such a fit,
+so neither its time nor its budget grows with k.  A fit reads in
+integers; only ``IntegerFit.poly`` builds a ``UniPoly``, and it alone
+reads the lazily loaded ``polynomial``, so a count runs no
+``polynomial`` in any format.
 """
 
 from __future__ import annotations
@@ -614,13 +617,26 @@ def _check_count_args(spec: HalfSpaceSpec, region: str, face) -> None:
         raise ValueError("facet index set is only meaningful with region 'face'")
 
 
-def reads_fit(spec: HalfSpaceSpec, k: int, charts) -> bool:
-    """Whether a count of the k-fold dilate is read off its Ehrhart
-    polynomial (``fit_region``) rather than a pass at k: above k = m + 2,
-    where a pass at k outgrows every node of the fit, and only when every
-    vertex in ``charts`` is a lattice point.  A polytope with a vertex off
-    the lattice has a quasi-polynomial count, which no fit reads."""
-    return k > spec.dim + 2 and all(c._lattice_point is not None for c in charts)
+def read_dilate(histograms, charts, m: int, k: int, region="full", face=None, tables=None) -> int:
+    """The count of ``region`` in the k-fold dilate of a dim-m polytope with
+    vertex ``charts``: the one reader behind ``count_points`` and
+    ``Prepared.count``.
+
+    ``histograms`` is a callable j -> the tight-mask histogram of the j-fold
+    dilate, and ``tables``, if given, j -> its ``face_counts`` table, read
+    for a face instead of a scan of the histogram.  Above k = m + 2, where
+    a pass at k outgrows every node of the fit, and only when every vertex
+    is a lattice point, the count is the region's Ehrhart polynomial at k,
+    fitted on both sides of zero through the dilates j = 1..h+1
+    (``fit_region``); otherwise it is read off the one dilate k.  A
+    polytope with a vertex off the lattice has a quasi-polynomial count,
+    which no fit reads.
+    """
+    if k > m + 2 and all(c._lattice_point is not None for c in charts):
+        return fit_region(histograms, m, region, face, tables).at(k)
+    if region == "face" and tables is not None:
+        return face_count(tables(k), face)
+    return read_count(histograms(k), region, face)
 
 
 def count_points(
@@ -638,10 +654,10 @@ def count_points(
     index set; an empty intersection simply counts zero.  Each call reads
     fresh ``tight_histogram`` passes, through a slab plan of its own, so a
     count from here is independent of any histogram or plan a
-    ``Prepared`` holds.  Where ``reads_fit`` holds, the count is the
-    region's Ehrhart polynomial at k, fitted on both sides of zero through
-    passes at k = 1..h+1 (``fit_region``); otherwise it is read off one
-    pass at k.  Each pass's box, the bounding box of that dilate's
+    ``Prepared`` holds.  The count is read by ``read_dilate``, with no
+    face-count table, so a face is one scan of a histogram: above
+    k = m + 2 the region's fit through passes at k = 1..h+1, otherwise
+    one pass at k.  Each pass's box, the bounding box of that dilate's
     vertices, is checked against ``budget`` before any work happens, so a
     fitted count needs only its largest node's box to fit the budget.
     """
@@ -650,9 +666,7 @@ def count_points(
         charts = enumerate_vertices(spec)
     plan = slab_plan(spec, charts)
     histogram = cache(lambda j: tight_histogram(spec, j, budget=budget, plan=plan))
-    if reads_fit(spec, k, charts):
-        return fit_region(histogram, spec.dim, region, face).at(k)
-    return read_count(histogram(k), region, face)
+    return read_dilate(histogram, charts, spec.dim, k, region, face)
 
 
 def brute_histogram(

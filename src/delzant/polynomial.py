@@ -18,8 +18,6 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
-
 Exponent = tuple[int, ...]
 
 

@@ -380,6 +380,22 @@ class TestExitCodes:
         assert (code, out) == (5, "")
         assert err == "error: enumeration needs 27 point classifications, budget is 10\n"
 
+    def test_fitted_count_budget_splits_json_from_text_and_tsv(self, poly_file, capsys):
+        # Above k = m + 2 text and TSV fit the boundary alone (degree 2: nodes
+        # k = 1, 2, a 3^3 box), while JSON also fits the full and interior counts
+        # (degree 3: node k = 3, a 4^3 box), so a budget of 30 parts them. This
+        # pins today's split; ROADMAP item 8c (one budget total per command) is
+        # the change allowed to move it.
+        argv = ("count", "--k", "10", "--region", "boundary", "--budget", "30")
+        cube = poly_file("cube_unit")
+        assert run(capsys, *argv, cube) == (0, "602\n", "")
+        assert run(capsys, *argv, "--output", "tsv", cube) == (
+            0, "k\t10\nregion\tboundary\ncount\t602\n", ""
+        )
+        assert run(capsys, *argv, "--output", "json", cube) == (
+            5, "", "error: enumeration needs 64 point classifications, budget is 30\n"
+        )
+
     def test_cross_check_budget_exceeded_is_5(self, poly_file, capsys):
         # the budget ends the command; it is not one more failed identity
         code, out, err = run(

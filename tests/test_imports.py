@@ -72,7 +72,7 @@ def lazy_reads_at_import(source, lazy=delzant.LAZY_MODULES, exports=delzant.__al
     import.  ``import delzant.counting as c`` runs it too, so any absolute
     import of a lazy module counts; ``from . import counting`` binds the
     module and runs nothing.  A name the package re-exports (``from .
-    import count_points``) runs the module it comes from.
+    import operator_count``) runs the module it comes from.
     """
     found = []
     for node in runs_at_import(ast.parse(source)):
@@ -101,7 +101,7 @@ def test_scanner_finds_a_lazy_module_run_at_import():
         "from .counting import count_points\n"
         "import delzant.volume\n"
         "from delzant.hilbert import cross_check\n"
-        "from . import count_points\n"
+        "from . import operator_count\n"
         "class P:\n    budget: int = counting.DEFAULT_BUDGET\n"
         "def f(x=operators.apply_operator_product):\n    pass\n"
     )
@@ -109,7 +109,7 @@ def test_scanner_finds_a_lazy_module_run_at_import():
         "line 1: from counting import",
         "line 2: import delzant.volume",
         "line 3: from hilbert import",
-        "line 4: import of count_points",
+        "line 4: import of operator_count",
         "line 6: counting.DEFAULT_BUDGET",
         "line 7: operators.apply_operator_product",
     ]

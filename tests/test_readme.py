@@ -1,5 +1,6 @@
 """The README's library example runs as printed, and the export list holds."""
 
+import ast
 import contextlib
 import io
 import re
@@ -30,3 +31,15 @@ def test_exports_resolve_and_are_sorted():
     for name in delzant.__all__:
         assert getattr(delzant, name) is not None, name
     assert delzant.__all__ == sorted(delzant.__all__)
+
+
+def test_exports_are_the_names_the_example_imports():
+    # the package root exports what README documents, so the two move together
+    (block,) = python_blocks(README.read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "delzant"
+        for alias in node.names
+    ]
+    assert delzant.__all__ == sorted(imported)
