@@ -9,6 +9,16 @@ denominator, and print canonically as ``p/q`` (or ``p`` when q = 1).
 Terms are ordered graded-lexicographically (total degree first, then the
 exponent tuple) whenever a canonical sequence is needed, e.g. for text
 serialization.  Arithmetic itself is order-free.
+
+Where Fractions are built: the ring operations here work on Fractions,
+but the hot producers hand in finished ones, each built once from
+integers (the volume's Lawrence sum and its derivatives in ``volume``,
+the fits in ``counting``), and ``UniPoly`` and ``MultiPoly`` keep a
+Fraction as given.  Evaluation (``_by_degree``) works on integer
+numerators over one denominator and builds one Fraction per value.
+Printing (``_format_term``) reads each coefficient's numerator and
+denominator as integers, with no Fraction arithmetic, comparison or
+``str``.
 """
 
 from __future__ import annotations
@@ -19,10 +29,6 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
-
-
-def _grlex_key(exps: Exponent):
-    return (sum(exps), exps)
 
 
 class MultiPoly:
@@ -79,7 +85,9 @@ class MultiPoly:
 
     def canonical_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms sorted graded-lex, largest first."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        terms = self._terms
+        ranked = sorted(zip(map(sum, terms), terms), reverse=True)
+        return [(exps, terms[exps]) for _, exps in ranked]
 
     def coefficient(self, exps: Exponent) -> Fraction:
         return self._terms.get(tuple(exps), Fraction(0))
@@ -186,29 +194,34 @@ class MultiPoly:
         """Canonical text form, e.g. ``(1/2)*l1^2 + (3/2)*l1 + 1``."""
         if not self._terms:
             return "0"
+        terms = self.canonical_terms()
+        # powers[i][e] is the text of l_{i+1}^e, and "" for e = 0
+        top = sum(terms[0][0])
+        powers = [
+            ["", f"l{i + 1}", *(f"l{i + 1}^{e}" for e in range(2, top + 1))]
+            for i in range(self.nvars)
+        ]
         parts: list[str] = []
-        for exps, coeff in self.canonical_terms():
-            mono = "*".join(
-                f"l{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            )
+        for exps, coeff in terms:
+            mono = "*".join(filter(None, map(list.__getitem__, powers, exps)))
             parts.append(_format_term(coeff, mono, first=not parts))
         return "".join(parts)
 
 
 def _format_term(coeff: Fraction, mono: str, first: bool, sep: str = "*") -> str:
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    if mono:
-        if mag == 1:
-            body = mono
-        elif mag.denominator == 1:
-            body = f"{mag}{sep}{mono}"
-        else:
-            body = f"({mag}){sep}{mono}"
+    """One term of a text form, read off the integers n/d of ``coeff``:
+    they print as ``str(Fraction)`` does (``n/d``, or ``n`` when d = 1)."""
+    n, d = coeff.numerator, coeff.denominator
+    sign = "+"
+    if n < 0:
+        sign, n = "-", -n
+    if d != 1:
+        mag = f"{n}/{d}"
+        body = f"({mag}){sep}{mono}" if mono else mag
+    elif mono:
+        body = mono if n == 1 else f"{n}{sep}{mono}"
     else:
-        body = str(mag)
+        body = f"{n}"
     if first:
         return body if sign == "+" else "-" + body
     return f" {sign} {body}"
@@ -220,8 +233,8 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -302,7 +315,7 @@ class UniPoly:
         parts: list[str] = []
         for power in range(len(self.coeffs) - 1, -1, -1):
             coeff = self.coeffs[power]
-            if coeff == 0:
+            if not coeff:
                 continue
             if power == 0:
                 mono = ""

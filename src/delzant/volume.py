@@ -17,9 +17,17 @@ over one shared denominator.
 
 The boundary volume is the derivative sum over all offsets; per facet it
 equals the Euclidean facet volume divided by the length of the primitive
-facet normal.  The numeric oracle and the direct facet volumes share no
-code with the vertex formula, and no solver with the vertex enumeration.
-Both cone the anchor's face lattice into simplices of vertex active sets
+facet normal.  Both polynomials keep integers until their coefficients
+are final: the Lawrence sum adds vertex terms over one denominator, and
+the derivatives act on the volume's integer numerators over its one
+common denominator, so each coefficient of the volume and of the
+boundary volume is one Fraction, built once.  The per-facet derivatives
+are built only when read (``per_facet``, printed by ``volume-poly``
+alone).
+
+The numeric oracle and the direct facet volumes share no code with the
+vertex formula, and no solver with the vertex enumeration.  Both cone
+the anchor's face lattice into simplices of vertex active sets
 (``_triangulate``, combinatorial, so one triangulation serves every point
 of the chamber), place each vertex as an integer pair (D, x), the point
 x / D, and sum simplex determinants; their one fraction-free elimination
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import mul
@@ -53,8 +62,15 @@ class VolumePolynomial:
 
 @dataclass(frozen=True)
 class BoundaryVolumePolynomial:
+    """The summed offset derivative ``poly`` of ``volume``; the derivative
+    per facet (``per_facet``) is built on its first read."""
+
+    volume: MultiPoly
     poly: MultiPoly
-    per_facet: tuple[MultiPoly, ...]
+
+    @cached_property
+    def per_facet(self) -> tuple[MultiPoly, ...]:
+        return facet_derivatives(self.volume)
 
 
 def _edge_pairings(chart: VertexChart, xi) -> list[int]:
@@ -136,28 +152,45 @@ def volume_polynomial(spec: HalfSpaceSpec, lattice: FaceLattice) -> VolumePolyno
     return VolumePolynomial(poly=poly)
 
 
+def _integer_terms(poly: MultiPoly) -> tuple[dict[tuple[int, ...], int], int]:
+    """The coefficients of ``poly`` as integer numerators over their lcm:
+    ({exponents: numerator}, denominator)."""
+    terms = poly.terms()
+    common = lcm(*(c.denominator for c in terms.values()))
+    return {exps: c.numerator * (common // c.denominator) for exps, c in terms.items()}, common
+
+
 def boundary_volume_polynomial(vol: VolumePolynomial) -> BoundaryVolumePolynomial:
-    """Sum of the offset derivatives of the volume, kept per facet.
+    """Sum of the offset derivatives of the volume, on its integer
+    numerators over one denominator; each coefficient is one Fraction."""
+    numerators, common = _integer_terms(vol.poly)
+    total: dict[tuple[int, ...], int] = {}
+    for exps, num in numerators.items():
+        for i, e in enumerate(exps):
+            if e:
+                key = exps[:i] + (e - 1,) + exps[i + 1 :]
+                total[key] = total.get(key, 0) + e * num
+    poly = MultiPoly(
+        vol.poly.nvars, {key: Fraction(num, common) for key, num in total.items() if num}
+    )
+    return BoundaryVolumePolynomial(volume=vol.poly, poly=poly)
+
+
+def facet_derivatives(volume: MultiPoly) -> tuple[MultiPoly, ...]:
+    """The offset derivative of the volume polynomial for each facet.
 
     A monomial that occurs in several facet derivatives is keyed by one
     shared exponent tuple in all of them.
     """
-    nvars = vol.poly.nvars
-    per_facet: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(nvars)]
-    total: dict[tuple[int, ...], Fraction] = {}
+    numerators, common = _integer_terms(volume)
+    per_facet: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(volume.nvars)]
     keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for exps, coeff in vol.poly.terms().items():
+    for exps, num in numerators.items():
         for i, e in enumerate(exps):
             if e:
                 key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                key = keys.setdefault(key, key)
-                value = coeff * e
-                per_facet[i][key] = value
-                total[key] = total.get(key, 0) + value
-    return BoundaryVolumePolynomial(
-        poly=MultiPoly(nvars, total),
-        per_facet=tuple(MultiPoly(nvars, terms) for terms in per_facet),
-    )
+                per_facet[i][keys.setdefault(key, key)] = Fraction(e * num, common)
+    return tuple(MultiPoly(volume.nvars, terms) for terms in per_facet)
 
 
 def _triangulate(faces, key):

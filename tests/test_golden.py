@@ -7,13 +7,16 @@ operator route must print exactly what it holds.  ``golden/commands.json``
 covers the other commands (validate, faces, count in four regions,
 ehrhart by interpolation in three kinds, hilbert-cy and cross-check) in
 every output format on every corpus file, the two negative ones
-included, and also pins what they write to stderr.  Re-record both only
-when an output change is intended:
+included, and also pins what they write to stderr.  The three formats of
+volume-poly on the d = 22 fixture ``data/cube5_blowup12.poly`` are pinned
+by their sha256 (``LARGE_VOLUME_POLY``).  Re-record both files only when
+an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -117,6 +120,26 @@ def test_symbolic_output_matches_golden(case, corpus_paths, golden):
 @pytest.mark.parametrize("case", _cases("commands.json"), ids=_case_id)
 def test_command_output_matches_golden(case, corpus_paths, golden):
     _check("commands.json", *case, corpus_paths, golden)
+
+
+# volume-poly on the d = 22 fixture (a 5-cube with 12 vertices cut off),
+# 2,382 terms across its polynomials: format -> (stdout bytes, sha256)
+LARGE_VOLUME_POLY = {
+    "text": (202_625, "47b4608268ead00e8e3298b1298f1d5d6ebad5826e4296bd475576c42a87057e"),
+    "json": (205_706, "9d1ba5c232f7ec8d8343117f75177fcb29e0578158823c3539275d6a1b56ed01"),
+    "tsv": (202_599, "5e572ae1f1301af3b892adc78a0064abc5f0c910918f013a8317ff271053311d"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_large_volume_poly_output_is_pinned(fmt):
+    path = Path(__file__).with_name("data") / "cube5_blowup12.poly"
+    got = _run(("volume-poly",), fmt, path, with_stderr=True)
+    stdout = got["stdout"].encode("utf-8")
+    size, digest = LARGE_VOLUME_POLY[fmt]
+    assert (got["exit"], got["stderr"]) == (0, "")
+    assert len(stdout) == size
+    assert hashlib.sha256(stdout).hexdigest() == digest
 
 
 def record() -> None:

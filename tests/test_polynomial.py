@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delzant.corpus import DELZANT_CORPUS
 from delzant.polynomial import (
@@ -11,6 +13,7 @@ from delzant.polynomial import (
     euler_expansion_levels,
 )
 from generators import random_poly
+from reference_printer import multi_text, uni_text
 
 
 class TestScalar:
@@ -200,3 +203,76 @@ class TestMultiPolyText:
 
     def test_zero(self):
         assert MultiPoly.zero(2).to_text() == "0"
+
+
+# negative, +-1, integral and fractional, some past the small-int range
+_COEFFS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(0)]),
+    st.fractions(max_denominator=12).filter(lambda c: abs(c.numerator) < 10**4),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+
+
+class TestTextMatchesReference:
+    """The integer printers against the Fraction-based reference printer."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        nvars=st.integers(1, 4),
+        raw=st.lists(
+            st.tuples(st.lists(st.integers(0, 3), min_size=4, max_size=4), _COEFFS),
+            max_size=8,
+        ),
+    )
+    def test_multi_poly(self, nvars, raw):
+        # terms with every exponent 0 are constant terms; an empty or
+        # all-zero draw is the zero polynomial
+        poly = MultiPoly(nvars, {tuple(exps[:nvars]): c for exps, c in raw})
+        assert poly.to_text() == multi_text(poly)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(coeffs=st.lists(_COEFFS, max_size=7))
+    def test_uni_poly(self, coeffs):
+        poly = UniPoly(coeffs)
+        assert poly.to_text() == uni_text(poly)
+
+    @pytest.mark.parametrize(
+        "poly, text",
+        [
+            (MultiPoly.zero(3), "0"),
+            (MultiPoly.constant(2, -1), "-1"),
+            (MultiPoly.constant(2, Fraction(-7, 3)), "-7/3"),
+            (MultiPoly(2, {(1, 0): Fraction(-1), (0, 0): Fraction(1)}), "-l1 + 1"),
+            (
+                MultiPoly(3, {(0, 2, 1): Fraction(-12), (1, 0, 0): Fraction(5, 2)}),
+                "-12*l2^2*l3 + (5/2)*l1",
+            ),
+            (MultiPoly(2, {(0, 1): Fraction(-1, 2), (1, 0): Fraction(1)}), "l1 - (1/2)*l2"),
+            (UniPoly(), "0"),
+            (UniPoly([0]), "0"),
+            (UniPoly([-1]), "-1"),
+            (UniPoly([Fraction(-1, 2)]), "-1/2"),
+            (UniPoly([0, -1]), "-k"),
+            (UniPoly([3, 0, -1]), "-k^2 + 3"),
+            (UniPoly([Fraction(7, 4), 1]), "k + 7/4"),
+            (UniPoly([0, Fraction(-3, 2), -10]), "-10k^2 - (3/2)k"),
+        ],
+    )
+    def test_edge_cases(self, poly, text):
+        assert poly.to_text() == text
+        reference = multi_text if isinstance(poly, MultiPoly) else uni_text
+        assert reference(poly) == text
+
+    def test_volume_polynomials_of_the_corpus(self, prepare):
+        for name in DELZANT_CORPUS:
+            p = prepare(name)
+            for poly in (p.vol.poly, p.boundary.poly, *p.boundary.per_facet):
+                assert poly.to_text() == multi_text(poly)
+
+
+def test_unipoly_keeps_fraction_coefficients_as_given():
+    half = Fraction(1, 2)
+    poly = UniPoly([half, 2, Fraction(0)])
+    assert poly.coeffs[0] is half
+    assert poly.coeffs == (half, Fraction(2))
+    assert type(poly.coeffs[1]) is Fraction

@@ -3,12 +3,14 @@
 Every stage function is counted at every binding it has in the package
 (a function imported by name has one binding per importing module), then
 one CLI command runs.  A command builds each stage of its polytope once;
-every face count of a dilate is read from its one face-count table, with
-no per-face histogram scan; the brute comparison values build their own
-histogram of each dilate, apart from the kernel's, and the dilation check
-enumerates again, on purpose.  A command-first line builds that
-command's parser alone, with its flags only, on the command's first line
-in a process; later lines of the command reuse it.
+the per-facet boundary derivatives are built only by volume-poly, which
+prints them; every face count of a dilate is read from its one
+face-count table, with no per-face histogram scan; the brute comparison
+values build their own histogram of each dilate, apart from the
+kernel's, and the dilation check enumerates again, on purpose.  A
+command-first line builds that command's parser alone, with its flags
+only, on the command's first line in a process; later lines of the
+command reuse it.
 """
 
 import argparse
@@ -32,6 +34,8 @@ STAGES = (
     ("delzant.polytope", "validate_delzant"),
     ("delzant.polytope", "build_face_lattice"),
     ("delzant.volume", "volume_polynomial"),
+    ("delzant.volume", "boundary_volume_polynomial"),
+    ("delzant.volume", "facet_derivatives"),
     ("delzant.operators", "apply_operator_product"),
     ("delzant.counting", "slab_plan"),
     ("delzant.counting", "tight_histogram"),
@@ -203,6 +207,32 @@ def test_one_slab_plan_per_polytope(argv, plans, stage_calls, simplex_2, capsys)
     assert main([*argv, simplex_2]) == 0
     capsys.readouterr()
     assert stage_calls["slab_plan"] == 2 * plans
+
+
+@pytest.mark.parametrize(
+    "argv, boundaries, pieces",
+    [
+        # the per-facet derivatives are printed by volume-poly alone, in
+        # every format, and built once for all facets
+        (("volume-poly",), 1, 1),
+        (("volume-poly", "--output", "json"), 1, 1),
+        (("volume-poly", "--output", "tsv"), 1, 1),
+        # the A-hat product and the facet-volume check read the summed
+        # derivative only
+        (("boundary-formula",), 1, 0),
+        (("boundary-formula", "--output", "json"), 1, 0),
+        (("cross-check",), 1, 0),
+        (("khovanskii",), 0, 0),
+    ],
+    ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
+)
+def test_per_facet_derivatives_are_built_only_when_printed(
+    argv, boundaries, pieces, stage_calls, simplex_2, capsys
+):
+    assert main([*argv, simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["boundary_volume_polynomial"] == boundaries
+    assert stage_calls["facet_derivatives"] == pieces
 
 
 @pytest.mark.parametrize(
