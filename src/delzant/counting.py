@@ -32,18 +32,19 @@ box, and the one check of k, from ``_box``.
 
 Counts are fitted by exact interpolation (integer forward differences,
 ``IntegerFit``), and every fit must predict one extra count correctly
-before it is accepted as a polynomial.  ``interpolate_counts`` fits
-through k = 1..n+1 and assumes nothing at k <= 0; ``fit_region`` fits
-on both sides of zero (``interpolate_two_sided``), each histogram at k
+before it is accepted as a polynomial.  Every reported polynomial is
+fitted on both sides of zero (``fit_region``), each histogram at k
 giving the value at -k by Ehrhart-Macdonald reciprocity, so a degree-n
-fit reads only the dilates k = 1..ceil(n/2)+1.  One reader,
-``read_dilate``, serves ``count_points`` (fresh passes, no table) and
-``Prepared.count`` (the kept histograms and face-count tables): above
-k = m + 2, on a lattice polytope, it reads the count off such a fit,
-so neither its time nor its budget grows with k.  A fit reads in
-integers; only ``IntegerFit.poly`` builds a ``UniPoly``, and it alone
-reads the lazily loaded ``polynomial``, so a count runs no
-``polynomial`` in any format.
+fit reads only the dilates k = 1..ceil(n/2)+1.  ``interpolate_counts``
+fits through k = 1..n+1, assuming nothing at k <= 0, for the two checks
+that need that: route (a) of ``hilbert`` and ``cross_check``'s
+reciprocity.  One reader, ``read_dilate``, checks and serves
+``count_points`` (fresh passes) and ``Prepared.count`` (the kept
+histograms and face-count tables): above k = m + 2, on a lattice
+polytope, it reads a two-sided fit, so neither its time nor its budget
+grows with k.  A fit reads in integers; only ``IntegerFit.poly`` builds
+a ``UniPoly`` and reads the lazily loaded ``polynomial``, so a count
+runs no ``polynomial`` in any format.
 """
 
 from __future__ import annotations
@@ -552,6 +553,13 @@ def tight_histogram(
     return _interval_masks(plan.tables, bounds, lows, highs)
 
 
+def _facet_mask(face) -> int:
+    mask = 0
+    for i in face:
+        mask |= 1 << i
+    return mask
+
+
 def read_count(histogram: dict[int, int], region: str = "full", face=None) -> int:
     """One region's count from a tight-mask histogram.
 
@@ -566,9 +574,7 @@ def read_count(histogram: dict[int, int], region: str = "full", face=None) -> in
     if region == "boundary":
         return sum(histogram.values()) - histogram.get(0, 0)
     if region == "face":
-        wanted = 0
-        for i in face:
-            wanted |= 1 << i
+        wanted = _facet_mask(face)
         return sum(n for mask, n in histogram.items() if mask & wanted == wanted)
     raise ValueError(f"unknown region {region!r}")
 
@@ -598,10 +604,7 @@ def face_counts(histogram: dict[int, int]) -> dict[int, int]:
 def face_count(table: dict[int, int], face) -> int:
     """The count of the face cut out by the facet index set ``face``, read
     from a ``face_counts`` table (an empty intersection reads zero)."""
-    mask = 0
-    for i in face:
-        mask |= 1 << i
-    return table.get(mask, 0)
+    return table.get(_facet_mask(face), 0)
 
 
 def _check_count_args(spec: HalfSpaceSpec, region: str, face) -> None:
@@ -617,10 +620,12 @@ def _check_count_args(spec: HalfSpaceSpec, region: str, face) -> None:
         raise ValueError("facet index set is only meaningful with region 'face'")
 
 
-def read_dilate(histograms, charts, m: int, k: int, region="full", face=None, tables=None) -> int:
-    """The count of ``region`` in the k-fold dilate of a dim-m polytope with
-    vertex ``charts``: the one reader behind ``count_points`` and
-    ``Prepared.count``.
+def read_dilate(
+    spec: HalfSpaceSpec, histograms, charts, k: int, region="full", face=None, tables=None
+) -> int:
+    """The count of ``region`` in the k-fold dilate of ``spec``, a dim-m
+    polytope with vertex ``charts``: the one reader behind ``count_points``
+    and ``Prepared.count``, and the one check of their region and face.
 
     ``histograms`` is a callable j -> the tight-mask histogram of the j-fold
     dilate, and ``tables``, if given, j -> its ``face_counts`` table, read
@@ -632,6 +637,8 @@ def read_dilate(histograms, charts, m: int, k: int, region="full", face=None, ta
     polytope with a vertex off the lattice has a quasi-polynomial count,
     which no fit reads.
     """
+    _check_count_args(spec, region, face)
+    m = spec.dim
     if k > m + 2 and all(c._lattice_point is not None for c in charts):
         return fit_region(histograms, m, region, face, tables).at(k)
     if region == "face" and tables is not None:
@@ -654,19 +661,19 @@ def count_points(
     index set; an empty intersection simply counts zero.  Each call reads
     fresh ``tight_histogram`` passes, through a slab plan of its own, so a
     count from here is independent of any histogram or plan a
-    ``Prepared`` holds.  The count is read by ``read_dilate``, with no
-    face-count table, so a face is one scan of a histogram: above
-    k = m + 2 the region's fit through passes at k = 1..h+1, otherwise
-    one pass at k.  Each pass's box, the bounding box of that dilate's
-    vertices, is checked against ``budget`` before any work happens, so a
-    fitted count needs only its largest node's box to fit the budget.
+    ``Prepared`` holds.  The count is read, and its region and face
+    checked, by ``read_dilate``, with no face-count table, so a face is
+    one scan of a histogram: above k = m + 2 the region's fit through
+    passes at k = 1..h+1, otherwise one pass at k.  Each pass's box, the
+    bounding box of that dilate's vertices, is checked against ``budget``
+    before any work happens, so a fitted count needs only its largest
+    node's box to fit the budget.
     """
-    _check_count_args(spec, region, face)
     if charts is None:
         charts = enumerate_vertices(spec)
     plan = slab_plan(spec, charts)
     histogram = cache(lambda j: tight_histogram(spec, j, budget=budget, plan=plan))
-    return read_dilate(histogram, charts, spec.dim, k, region, face)
+    return read_dilate(spec, histogram, charts, k, region, face)
 
 
 def brute_histogram(
@@ -737,19 +744,20 @@ def _check_probe(fit: IntegerFit, probe: int, actual: int, degree: int, kind: st
         )
 
 
-def interpolate_counts(counts, degree: int, kind: str) -> polynomial.UniPoly:
+def interpolate_counts(counts, degree: int, kind: str) -> IntegerFit:
     """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
 
     ``counts`` is a callable k -> int.  The verification failure means the
     counts do not follow a polynomial of that degree, which for lattice
     input always signals a bug.  The fit assumes nothing of its values at
     k <= 0, so it also checks the parity that ``interpolate_two_sided``
-    assumes.
+    assumes: it serves only route (a) of ``hilbert`` and ``cross_check``'s
+    reciprocity check, which read ``.poly()`` and ``.at(-k)``.
     """
     fit = _forward_difference_fit([counts(k) for k in range(1, degree + 2)])
     probe = degree + 2
     _check_probe(fit, probe, counts(probe), degree, kind)
-    return fit.poly()
+    return fit
 
 
 def interpolate_two_sided(pairs, zero: int, degree: int, kind: str) -> IntegerFit:
@@ -809,9 +817,7 @@ def fit_region(histograms, m: int, region: str = "full", face=None, tables=None)
     """
     sign = (-1) ** m
     if region == "face":
-        mask = 0
-        for i in face:
-            mask |= 1 << i
+        mask = _facet_mask(face)
         if tables is None:
             closed = lambda k: read_count(histograms(k), "face", face)
         else:

@@ -9,16 +9,18 @@ polynomial), and (c) direct brute-force counting; (a) and (c) are fitted
 to a polynomial in the dilation factor k.  Route (c) fits on both sides
 of zero (``fit_region``): it assumes Serre duality on the Calabi-Yau
 hypersurface, H(-k) = (-1)^(m-1) H(k), and so reads the dilates k =
-1..h+1, h = ceil((m-1)/2), not k = 1..m+1.  Route (a) and the per-face
-table fit from k = 1..n+1 alone (``interpolate_counts``), assuming
-nothing at k <= 0, so route (a) checks the parity route (c) assumes.
-Each route gives a plain ``UniPoly`` in k.  The three are proven-equal
+1..h+1, h = ceil((m-1)/2), not k = 1..m+1.  Route (a) fits from k =
+1..m alone, with the probe k = m + 1 (``interpolate_counts``), assuming
+nothing at k <= 0, so it checks the parity route (c) assumes.  Each
+route gives a plain ``UniPoly`` in k.  The three are proven-equal
 identities, so any disagreement aborts loudly: it always means an
-implementation bug or invalid input, never an acceptable warning.
-Route (a) and the per-face table read every face count from one table
-per dilate (``Prepared.face_counts``: one superset-sum pass over the slab
-kernel's histogram), not from a histogram scan per face; the scan,
-``read_count(..., "face")``, is the tests' oracle for the table.
+implementation bug or invalid input, never an acceptable warning.  Only
+then is the per-face table, each proper face's Ehrhart polynomial,
+fitted on both sides of zero (``fit_region``), from no dilate beyond
+route (a)'s.  Route (a) and the per-face table read every face count
+from one table per dilate (``Prepared.face_counts``: one superset-sum
+pass over the slab kernel's histogram), not from a histogram scan per
+face; the scan, ``read_count(..., "face")``, is the tests' oracle.
 Route (c) and every brute comparison value of ``cross_check`` read the
 per-point classifier's histogram of the dilate
 (``Prepared.brute_histogram``, one per k), so the kernel is always
@@ -75,7 +77,8 @@ def inclusion_exclusion_count(prep: Prepared, k: int) -> int:
 @dataclass(frozen=True)
 class HilbertReport:
     """The three routes' polynomials; ``by_oracle`` is None when the
-    oracle's counts fit no polynomial of route (c)'s form."""
+    oracle's counts fit no polynomial of route (c)'s form; ``per_face`` is
+    empty when the routes disagree."""
 
     by_inclusion_exclusion: UniPoly
     by_operator_formula: UniPoly
@@ -87,35 +90,31 @@ class HilbertReport:
 def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     """Boundary Hilbert polynomial, three ways, with mandatory agreement.
 
-    The inclusion-exclusion fit and the per-face table read their face
-    counts from the polytope's one face-count table per dilation k, at k =
-    1..n+2, and assume nothing at k <= 0.  The oracle route reads the
-    per-point classifier's histogram of each dilate instead
-    (``Prepared.brute_histogram``), fitted on both sides of zero, so it
-    assumes reciprocity; oracle counts that break it fit no polynomial,
-    and that too is a disagreement.  Raises NotDelzantError on invalid
-    input.
+    The inclusion-exclusion fit reads its face counts from the polytope's
+    one face-count table per dilation k, at k = 1..m+1, and assumes
+    nothing at k <= 0.  The oracle route reads the per-point classifier's
+    histogram of each dilate instead (``Prepared.brute_histogram``),
+    fitted on both sides of zero, so it assumes reciprocity; oracle counts
+    that break it fit no polynomial, and that too is a disagreement.  Only
+    once the three agree is each proper face fitted, on both sides of
+    zero, from the same tables.  Raises NotDelzantError on invalid input.
     """
     spec = prep.require_delzant().spec
-    degree = max(spec.dim - 1, 0)
+    m = spec.dim
     via_faces = interpolate_counts(
-        lambda k: inclusion_exclusion_count(prep, k), degree, "boundary"
-    )
+        lambda k: inclusion_exclusion_count(prep, k), max(m - 1, 0), "boundary"
+    ).poly()
     by_operator = symbolic_ehrhart(prep, "boundary")
     try:
-        by_oracle, failure = fit_region(prep.brute_histogram, spec.dim, "boundary").poly(), None
+        by_oracle, failure = fit_region(prep.brute_histogram, m, "boundary").poly(), None
     except NotPolynomialError as exc:
         by_oracle, failure = None, exc
-
-    per_face = {}
-    for record in prep.lattice.proper_faces():
-        per_face[record.active_set] = interpolate_counts(
-            lambda k, face=record.active_set: face_count(prep.face_counts(k), face),
-            record.dim,
-            "face",
-        )
-
     agree = via_faces == by_operator == by_oracle
+    per_face = {}
+    if agree:
+        for record in prep.lattice.proper_faces():
+            face = record.active_set
+            per_face[face] = fit_region(prep.histogram, m, "face", face, prep.face_counts).poly()
     report = HilbertReport(
         by_inclusion_exclusion=via_faces,
         by_operator_formula=by_operator,
@@ -192,7 +191,7 @@ def cross_check(prep: Prepared) -> CrossCheckReport:
             lambda k: count_points(spec, k, "full", budget=budget, charts=charts), m, "full"
         )
         for k in range(1, 6):
-            predicted = (-1) ** m * full.evaluate(-k)
+            predicted = (-1) ** m * full.at(-k)
             interior = read_count(prep.brute_histogram(k), "interior")
             if predicted != interior:
                 raise AssertionError(f"k={k}: {predicted} != {interior}")

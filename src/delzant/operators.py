@@ -22,22 +22,26 @@ run makes (ROADMAP item 1a).  The tests check that the two routes give
 the same polynomial, which keeps the operator identity on the volume
 polynomial checked.
 
-Series conventions (coefficients of x^j):
+Series conventions (coefficients of x^j, b_j the Bernoulli numbers with
+b_1 = +1/2):
 
-    Td(x)      = x / (1 - exp(-x))      -> b_j / j!, Bernoulli numbers with b_1 = +1/2
-    Ahat(x)    = (x/2) / sinh(x/2)      -> series inverse of invAhat
+    Td(x)      = x / (1 - exp(-x))      -> b_j / j!
+    Ahat(x)    = (x/2) / sinh(x/2)      -> (2 - 2^j) b_j / (2^j j!), 0 for odd j
     invAhat(x) = sinh(x/2) / (x/2)      -> 1 / (2^(2j) (2j+1)!) in degree 2j
+
+Each series has one closed form here; the tests check Td and Ahat
+against a power series inversion of (1 - exp(-x))/x and of invAhat.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 
 from .errors import FormulaViolationError
 from .polynomial import MultiPoly, UniPoly
-from .volume import _edge_pairings, _moment_direction
+from .volume import _lawrence_rows, _moment_direction
 
 SERIES_NAMES = ("Td", "Ahat", "invAhat")
 
@@ -72,40 +76,24 @@ def series_multiply(a, b, order: int) -> list:
     return out
 
 
-def series_invert(a, order: int) -> list[Fraction]:
-    """Multiplicative inverse of a power series with nonzero constant term."""
-    a0 = Fraction(a[0])
-    if a0 == 0:
-        raise ValueError("series has no inverse: constant term is zero")
-    inv = [1 / a0]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            ai = Fraction(a[i]) if i < len(a) else Fraction(0)
-            acc += ai * inv[n - i]
-        inv.append(-acc / a0)
-    return inv
-
-
-def todd_denominator_series(order: int) -> list[Fraction]:
-    """(1 - exp(-x)) / x, the reciprocal of Td; inversion oracle for tests."""
-    return [Fraction((-1) ** n, factorial(n + 1)) for n in range(order + 1)]
-
-
 def series_coefficients(name: str, order: int) -> tuple[Fraction, ...]:
     """Coefficients of x^0..x^order of the named series."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if name == "Td":
-        bernoulli = bernoulli_numbers(order)
-        coeffs = [bernoulli[j] / factorial(j) for j in range(order + 1)]
+        coeffs = [b / factorial(j) for j, b in enumerate(bernoulli_numbers(order))]
+    elif name == "Ahat":
+        # (x/2)/sinh(x/2) = sum_j (2 - 2^j) B_j x^j / (2^j j!), which vanishes
+        # at every odd j: B_1 has 2 - 2^1 = 0, and the other odd B_j are 0
+        coeffs = [
+            (2 - 2**j) * b / (2**j * factorial(j))
+            for j, b in enumerate(bernoulli_numbers(order))
+        ]
     elif name == "invAhat":
         coeffs = [
             Fraction(1, 2**j * factorial(j + 1)) if j % 2 == 0 else Fraction(0)
             for j in range(order + 1)
         ]
-    elif name == "Ahat":
-        coeffs = series_invert(series_coefficients("invAhat", order), order)
     else:
         raise ValueError(f"unknown series {name!r}; expected one of {SERIES_NAMES}")
     return tuple(coeffs)
@@ -223,10 +211,9 @@ def symbolic_ehrhart(prep, kind: str) -> UniPoly:
     if summed is not None:
         summed_series, summed_scale = _integer_series(summed, m - 1)
         denominator *= summed_scale
-    xi = _moment_direction(charts, m)
-    vertices = []
-    for chart in charts:
-        pairings = _edge_pairings(chart, xi)
+    rows, common = _lawrence_rows(charts, _moment_direction(charts, m))
+    numerators = [0] * (m + 1)
+    for active, pairings, den in rows:
         series = [1] + [0] * m
         for c in pairings:  # the factor first: its zero coefficients are skipped
             series = series_multiply([s * c**j for j, s in enumerate(base)], series, m)
@@ -234,11 +221,7 @@ def symbolic_ehrhart(prep, kind: str) -> UniPoly:
             sigma = sum(pairings)
             factor = [0] + [s * sigma ** (j + 1) for j, s in enumerate(summed_series)]
             series = series_multiply(factor, series, m)
-        s_anchor = sum(c * anchor[a] for a, c in zip(chart.active_set, pairings))
-        vertices.append((abs(chart.det) * prod(pairings), series, s_anchor))
-    common = lcm(*(abs(den) for den, _, _ in vertices))
-    numerators = [0] * (m + 1)
-    for den, series, s_anchor in vertices:
+        s_anchor = sum(c * anchor[a] for a, c in zip(active, pairings))
         power = common // den
         for n in range(m + 1):
             numerators[n] += series[m - n] * power

@@ -145,13 +145,14 @@ class Prepared:
 
     def count(self, k: int, region: str = "full", face=None) -> int:
         """The count of ``region`` in the k-fold dilate (for a face, the one
-        cut out by the facet index set ``face``), read by
+        cut out by the facet index set ``face``), read and checked by
         ``counting.read_dilate``, the reader behind ``count_points`` too,
-        off the kept ``histogram`` and ``face_counts``: at k, or above k =
-        m + 2 through the region's fit at k = 1..h+1; read by ``count
-        --output json``."""
+        so a bad region or face raises the same ValueError; it reads the
+        kept ``histogram`` and ``face_counts``: at k, or above k = m + 2
+        through the region's fit at k = 1..h+1; read by ``count --output
+        json``."""
         return counting.read_dilate(
-            self.histogram, self.charts, self.spec.dim, k, region, face, self.face_counts
+            self.spec, self.histogram, self.charts, k, region, face, self.face_counts
         )
 
     def brute_histogram(self, k: int) -> dict[int, int]:

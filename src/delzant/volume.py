@@ -103,6 +103,19 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _lawrence_rows(charts, xi) -> tuple[list, int]:
+    """([(A_v, C, den_v)], lcm of the |den_v|): each vertex's row of the
+    vertex formula for xi, read by ``_lawrence_volume`` and
+    ``operators.symbolic_ehrhart``."""
+    rows = []
+    for chart in charts:
+        pairings = _edge_pairings(chart, xi)
+        if not all(pairings):
+            raise ValueError(f"direction {xi} is orthogonal to an edge at {chart.anchor}")
+        rows.append((chart.active_set, pairings, abs(chart.det) * prod(pairings)))
+    return rows, lcm(*(abs(den) for _, _, den in rows))
+
+
 def _lawrence_volume(charts, nvars: int, xi) -> MultiPoly:
     """The vertex formula for direction xi, summed exactly.
 
@@ -113,13 +126,7 @@ def _lawrence_volume(charts, nvars: int, xi) -> MultiPoly:
     the den_v; only the final coefficients become Fractions.
     """
     m = len(xi)
-    vertices = []
-    for chart in charts:
-        pairings = _edge_pairings(chart, xi)
-        if not all(pairings):
-            raise ValueError(f"direction {xi} is orthogonal to an edge at {chart.anchor}")
-        vertices.append((chart.active_set, pairings, abs(chart.det) * prod(pairings)))
-    common = lcm(*(abs(den) for _, _, den in vertices))
+    vertices, common = _lawrence_rows(charts, xi)
     splits = _compositions(m, m)
     numerators: dict[tuple[int, ...], int] = {}
     for active, pairings, den in vertices:

@@ -68,6 +68,22 @@ class TestCountPoints:
             with pytest.raises(ValueError):
                 count(spec, 0)
 
+    @pytest.mark.parametrize("k", [2, 40])
+    @pytest.mark.parametrize(
+        "region, face",
+        [("face", (99,)), ("full", (0,)), ("face", None), ("bogus", None)],
+        ids=["face-out-of-range", "face-with-full", "face-without-set", "unknown-region"],
+    )
+    def test_prepared_count_checks_its_arguments_as_count_points_does(self, region, face, k):
+        # one check behind both doors, at a dilate read directly (k = 2) and
+        # at one read off a fit (k = 40 > m + 2)
+        spec = load("cube_unit")
+        with pytest.raises(ValueError) as direct:
+            count_points(spec, k, region, face=face)
+        with pytest.raises(ValueError) as prepared:
+            Prepared(spec).count(k, region, face)
+        assert str(prepared.value) == str(direct.value)
+
     def test_budget_exceeded_reports_required_size(self):
         with pytest.raises(BudgetExceededError) as err:
             brute_histogram(load("cube_2"), 50, budget=1000)
@@ -808,7 +824,7 @@ class TestEhrhartInterpolate:
         p = prepare(name)
         degree = p.spec.dim - (kind == "boundary")
         counts = lambda k: count_points(p.spec, k, kind, charts=p.charts)
-        assert ehrhart_interpolate(p, kind) == interpolate_counts(counts, degree, kind)
+        assert ehrhart_interpolate(p, kind) == interpolate_counts(counts, degree, kind).poly()
 
     def test_prediction_check_catches_non_polynomial_counts(self):
         # counts that lie at the probe node must be rejected
@@ -873,14 +889,14 @@ class TestTwoSidedFit:
         for region in ("full", "interior", "boundary"):
             degree = m - (region == "boundary")
             counts = lambda k: read_count(p.histogram(k), region)
-            expected = interpolate_counts(counts, degree, region)
+            expected = interpolate_counts(counts, degree, region).poly()
             assert fit_region(p.histogram, m, region).poly() == expected, region
             nodes = [(k, counts(k)) for k in range(1, degree + 2)]
             assert UniPoly.interpolate(nodes) == expected
         for record in p.lattice.proper_faces():
             face = record.active_set
             counts = lambda k: face_count(p.face_counts(k), face)
-            expected = interpolate_counts(counts, record.dim, "face")
+            expected = interpolate_counts(counts, record.dim, "face").poly()
             # through the face-count tables and by scans of the histograms
             assert fit_region(p.histogram, m, "face", face, p.face_counts).poly() == expected
             assert fit_region(p.histogram, m, "face", face).poly() == expected

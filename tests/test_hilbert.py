@@ -120,6 +120,8 @@ class TestCyHilbertPolynomial:
             cy_hilbert_polynomial(Prepared(load("simplex_2")))
         assert err.value.report is not None
         assert not err.value.report.agree
+        # the per-face table is fitted only once the three routes agree
+        assert err.value.report.per_face == {}
 
     def test_oracle_counts_that_break_reciprocity_fit_no_polynomial(self, monkeypatch):
         # route (c) assumes H(-k) = -H(k) on simplex_2: its boundary counts

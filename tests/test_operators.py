@@ -17,10 +17,8 @@ from delzant.operators import (
     bernoulli_numbers,
     operator_count,
     series_coefficients,
-    series_invert,
     series_multiply,
     symbolic_ehrhart,
-    todd_denominator_series,
 )
 from delzant.polyfile import parse_polytope_file
 from delzant.polynomial import MultiPoly
@@ -29,6 +27,7 @@ from delzant.prepared import Prepared
 # bound as _blow_up: derandomized Hypothesis seeds each test from its source
 # text, so renaming the calls would change the examples drawn
 from generators import blow_up as _blow_up, product_spec, random_poly
+from series_reference import series_invert, todd_denominator_series
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,8 +55,8 @@ class TestSeriesCoefficients:
     def test_todd_matches_inversion_oracle(self):
         # two independent routes to the same constants: the Bernoulli
         # recurrence and power series inversion of (1 - exp(-x))/x
-        recurrence = series_coefficients("Td", 10)
-        inverted = series_invert(todd_denominator_series(10), 10)
+        recurrence = series_coefficients("Td", 20)
+        inverted = series_invert(todd_denominator_series(20), 20)
         assert list(recurrence) == inverted
 
     def test_todd_odd_coefficients_vanish(self):
@@ -89,13 +88,18 @@ class TestSeriesCoefficients:
             Fraction(0),
             Fraction(7, 5760),
         ]
+        # the Bernoulli closed form against the inverse of sinh(x/2)/(x/2),
+        # and the other way round
+        ahat, inv = series_coefficients("Ahat", 20), series_coefficients("invAhat", 20)
+        assert list(ahat) == series_invert(inv, 20)
+        assert list(inv) == series_invert(ahat, 20)
 
     def test_reciprocal_products_are_one(self):
-        td = series_coefficients("Td", 10)
-        assert series_multiply(td, todd_denominator_series(10), 10) == ones(10)
-        ahat = series_coefficients("Ahat", 10)
-        inv = series_coefficients("invAhat", 10)
-        assert series_multiply(ahat, inv, 10) == ones(10)
+        td = series_coefficients("Td", 20)
+        assert series_multiply(td, todd_denominator_series(20), 20) == ones(20)
+        ahat = series_coefficients("Ahat", 20)
+        inv = series_coefficients("invAhat", 20)
+        assert series_multiply(ahat, inv, 20) == ones(20)
 
     def test_unknown_series(self):
         with pytest.raises(ValueError):
@@ -277,9 +281,10 @@ def _corrupt_bernoulli(monkeypatch):
 
 
 def _corrupt_x2(monkeypatch, name, value):
-    """The named series' x^2 coefficient read as ``value``.  A-hat is the
-    series inverse of invAhat, so a corrupted invAhat corrupts it too, as a
-    wrong constant in ``series_coefficients`` would."""
+    """The named series' x^2 coefficient read as ``value``.  A-hat and
+    invAhat each have their own closed form, so the corruption reaches the
+    named series alone, as a wrong constant in ``series_coefficients``
+    would."""
 
     def corrupted(series, order):
         coeffs = list(series_coefficients(series, order))

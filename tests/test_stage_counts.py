@@ -42,6 +42,7 @@ STAGES = (
     ("delzant.counting", "face_counts"),
     ("delzant.counting", "count_points"),
     ("delzant.counting", "brute_histogram"),
+    ("delzant.counting", "interpolate_counts"),
 )
 
 
@@ -114,6 +115,23 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     # one slab plan for the polytope's kept histograms, and one of its own
     # for each ``count_points`` pass
     assert stage_calls["slab_plan"] == 1 + 4
+    # the one-sided fits of route (a) and of the reciprocity check
+    assert stage_calls["interpolate_counts"] == 2
+
+
+def test_hilbert_cy_fits_one_sided_for_route_a_alone(stage_calls, simplex_2, capsys):
+    """The per-face table reads the two-sided fits, over the histograms and
+    face-count tables that route (a) builds anyway."""
+    assert main(["hilbert-cy", simplex_2]) == 0
+    capsys.readouterr()
+    assert stage_calls["interpolate_counts"] == 1
+    # route (a): k = 1, 2 and the probe k = 3; each edge's fit reads k = 1
+    # and the probe k = 2, each vertex's the probe k = 1
+    assert stage_calls["tight_histogram"] == 3
+    assert stage_calls["face_counts"] == 3
+    assert stage_calls["face scans"] == 0
+    # route (c): the node k = 1 and the probe k = 2
+    assert stage_calls["brute_histogram"] == 2
 
 
 @pytest.mark.parametrize(
