@@ -289,10 +289,10 @@ def cmd_count(args, prep) -> Report:
 def cmd_ehrhart(args, prep) -> Report:
     applied_text = None
     if args.method == "operator":
-        if args.kind == "interior":
-            raise UsageError("--method operator supports kinds full and boundary only")
         result = operators.symbolic_ehrhart(prep, args.kind)
-        if args.output == "json":  # the one format that prints it
+        # the one format that prints it; the interior is read off the full
+        # polynomial, with no product of its own
+        if args.output == "json" and args.kind != "interior":
             applied_text = prep.applied(args.kind).to_text()
     else:
         result = counting.ehrhart_interpolate(prep, args.kind)

@@ -3,17 +3,19 @@
 Two classifiers count the lattice points of the integer bounding box of
 the k-fold dilate, each into a histogram of the inside points by their
 tight-facet bitmask, from which the full, interior, boundary and every
-face count of that dilate are read: one face by a scan of the histogram
-(``read_count``), every face at once from one superset-sum table
-(``face_counts``).  The slab kernel (``_interval_masks``) counts a
-product one factor at a time, each factor (a connected component of the
-coordinates that share a facet) on its own box, and multiplies the
-factors' histograms: each pair of keys ORed, their counts multiplied.
-Within a factor it settles each slab of the last two axes at once:
-between breakpoints of the facets' lines it sums the rows' lengths by
-exact floor sums and counts their tight ends by a congruence, and only
-the slab's end rows, rows where distinct lines tie and the row where the
-envelopes meet go through a per-fibre interval count.  Its prefix walk
+face count of that dilate are read: every face at once from one
+superset-sum table (``face_counts``), or one face by a scan of the
+histogram (``read_count``), as ``count_points`` reads a face, and the
+tests' oracle for the table.  The slab
+kernel (``_interval_masks``) counts a product one factor at a time, each
+factor (a connected component of the coordinates that share a facet) on
+its own box, and multiplies the factors' histograms: each pair of keys
+ORed, their counts multiplied.  Within a factor it settles each slab of
+the last two axes at once: between breakpoints of the facets' lines it
+sums the rows' lengths by exact floor sums and counts their tight ends
+by a congruence, and only the slab's end rows, rows where distinct lines
+tie and the row where the envelopes meet go through a per-fibre interval
+count.  Its prefix walk
 settles each distinct sub-box once: keyed by the slacks of the facets
 that still vary over it, a sub-box (a slab, or a box of slabs) that
 another prefix has already settled is read back, with the bits of the
@@ -31,20 +33,28 @@ code with the kernel and reads nothing of its plan.  Both take their
 box, and the one check of k, from ``_box``.
 
 Counts are fitted by exact interpolation (integer forward differences,
-``IntegerFit``), and every fit must predict one extra count correctly
-before it is accepted as a polynomial.  Every reported polynomial is
-fitted on both sides of zero (``fit_region``), each histogram at k
-giving the value at -k by Ehrhart-Macdonald reciprocity, so a degree-n
-fit reads only the dilates k = 1..ceil(n/2)+1.  ``interpolate_counts``
-fits through k = 1..n+1, assuming nothing at k <= 0, for the two checks
-that need that: route (a) of ``hilbert`` and ``cross_check``'s
-reciprocity.  One reader, ``read_dilate``, checks and serves
-``count_points`` (fresh passes) and ``Prepared.count`` (the kept
-histograms and face-count tables): above k = m + 2, on a lattice
-polytope, it reads a two-sided fit, so neither its time nor its budget
-grows with k.  A fit reads in integers; only ``IntegerFit.poly`` builds
-a ``UniPoly`` and reads the lazily loaded ``polynomial``, so a count
-runs no ``polynomial`` in any format.
+``IntegerFit``), and every fit must predict the counts it did not read
+before it is accepted as a polynomial.  There is one fit of counts,
+``fit_face``: the Ehrhart polynomial of a closed face, the facet set ()
+being the polytope itself, fitted on both sides of zero, each histogram
+at k giving the value at -k by Ehrhart-Macdonald reciprocity, so a
+degree-n fit reads only the dilates k = 1..ceil(n/2)+1.  The interior
+and the boundary are not fitted but read off the polytope's fit L by one
+rule (``read_region``): interior (-1)^m L(-k), boundary L(k) - (-1)^m
+L(-k), the K-theory Euler class [O_Z] = 1 - [K_M] of the Calabi-Yau
+hypersurface Z.  The same rule reads a histogram's counts, a fitted
+count and a printed polynomial.  ``interpolate_counts`` fits through k =
+1..n+1, assuming nothing at k <= 0, for the two checks that need that:
+route (a) of ``hilbert`` and ``cross_check``'s reciprocity.  One reader,
+``read_dilate``, checks and serves ``count_points`` (fresh passes, each
+scanned for the one face asked) and ``Prepared.count`` (the kept
+histograms and tables): above k = m + 2, on a lattice polytope, it reads a
+two-sided fit, so neither its time nor its budget grows with k.  No
+stage rebuilds an input it is not handed: the box and the plan read the
+vertex charts, a pass reads its plan, and a fit its histograms and
+tables.  A fit reads in integers; only ``IntegerFit.poly`` builds a
+``UniPoly`` and reads the lazily loaded ``polynomial``, so a count runs
+no ``polynomial`` in any format.
 """
 
 from __future__ import annotations
@@ -58,19 +68,16 @@ from typing import NamedTuple
 from . import polynomial
 from .errors import DEFAULT_BUDGET, BudgetExceededError, NotPolynomialError
 from .linalg import kernel_vector
-from .polytope import HalfSpaceSpec, enumerate_vertices
+from .polytope import HalfSpaceSpec
 
 REGIONS = ("full", "interior", "boundary", "face")
 
 
-def _bounding_box(spec: HalfSpaceSpec, charts=None):
-    """The least integer box around the vertices (``charts``, else
-    enumerated); k times it holds the dilate's.  A vertex of a chart is
-    its integer ``point`` over |det|, so the box's ends are floor and
-    ceiling divisions, and are the vertices' own coordinates when every
-    vertex is a lattice point."""
-    if charts is None:
-        charts = enumerate_vertices(spec)
+def _bounding_box(spec: HalfSpaceSpec, charts):
+    """The least integer box around the vertex ``charts``; k times it
+    holds the dilate's.  A vertex of a chart is its integer ``point`` over
+    |det|, so the box's ends are floor and ceiling divisions, and are the
+    vertices' own coordinates when every vertex is a lattice point."""
     scaled = [(c.point, abs(c.det)) for c in charts]
     lows = [min(p[c] // d for p, d in scaled) for c in range(spec.dim)]
     highs = [max(-(-p[c] // d) for p, d in scaled) for c in range(spec.dim)]
@@ -527,16 +534,16 @@ class SlabPlan(NamedTuple):
     tables: tuple
 
 
-def slab_plan(spec: HalfSpaceSpec, charts=None) -> SlabPlan:
-    """The slab kernel's plan of ``spec``: ``Prepared`` builds one and keeps
-    it for all its dilates, ``count_points`` builds one for its pass, and
-    a ``tight_histogram`` call without one builds its own.  No plan is
-    kept anywhere else."""
+def slab_plan(spec: HalfSpaceSpec, charts) -> SlabPlan:
+    """The slab kernel's plan of ``spec``, whose vertex ``charts`` give its
+    box: ``Prepared`` builds one and keeps it for all its dilates, and
+    ``count_points`` builds one for its passes.  No plan is kept anywhere
+    else."""
     return SlabPlan(_bounding_box(spec, charts), _slab_tables(spec.normals()))
 
 
 def tight_histogram(
-    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, plan=None
+    spec: HalfSpaceSpec, k: int, *, plan: SlabPlan, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """Lattice points of the k-fold dilate, counted by tight-facet bitmask.
 
@@ -547,8 +554,6 @@ def tight_histogram(
     region of the dilate is read off with ``read_count``; on a simple
     polytope each key is 0 or the active set of a face, as a bitmask.
     """
-    if plan is None:
-        plan = slab_plan(spec)
     _, bounds, lows, highs = _box(spec, k, budget, plan.unit)
     return _interval_masks(plan.tables, bounds, lows, highs)
 
@@ -560,23 +565,39 @@ def _facet_mask(face) -> int:
     return mask
 
 
+def read_region(region: str, full, interior):
+    """The count of ``region`` read off the polytope's count ``full`` =
+    L(k) and its interior's ``interior`` = (-1)^m L(-k) (Ehrhart-Macdonald
+    reciprocity): counts, fitted values and polynomials alike.
+
+    The boundary is L(k) - (-1)^m L(-k).  For a dim-m Delzant polytope
+    with toric variety M and Z in |-K_M|, the K-theory Euler class of
+    Z's normal bundle is [O_Z] = 1 - [O(-Z)] = 1 - [K_M], so chi(Z, L^k)
+    = chi(M, L^k) - chi(M, L^k (x) K_M), and the second term is
+    (-1)^m L(-k) by Serre duality on M: the boundary count is Z's
+    Hilbert polynomial.
+    """
+    if region == "full":
+        return full
+    if region == "interior":
+        return interior
+    if region == "boundary":
+        return full - interior
+    raise ValueError(f"unknown region {region!r}")
+
+
 def read_count(histogram: dict[int, int], region: str = "full", face=None) -> int:
     """One region's count from a tight-mask histogram.
 
-    full is every point, interior the points of mask 0, boundary the rest;
-    the face cut out by a facet index set S is the sum over masks that
-    contain S (a superset sum, so an empty intersection reads zero).
+    full is every point and interior the points of mask 0, read as every
+    count is (``read_region``); the face cut out by a facet index set S
+    is the sum over masks that contain S (a superset sum, so an empty
+    intersection reads zero).
     """
-    if region == "full":
-        return sum(histogram.values())
-    if region == "interior":
-        return histogram.get(0, 0)
-    if region == "boundary":
-        return sum(histogram.values()) - histogram.get(0, 0)
     if region == "face":
         wanted = _facet_mask(face)
         return sum(n for mask, n in histogram.items() if mask & wanted == wanted)
-    raise ValueError(f"unknown region {region!r}")
+    return read_region(region, sum(histogram.values()), histogram.get(0, 0))
 
 
 def face_counts(histogram: dict[int, int]) -> dict[int, int]:
@@ -588,7 +609,7 @@ def face_counts(histogram: dict[int, int]) -> dict[int, int]:
     STOC 2007) over the masks present, at most #faces * 2^m steps on a
     simple polytope.  Returns {S: points whose tight mask contains S},
     S a bitmask, read by ``face_count``; ``read_count(..., "face")``
-    scans the histogram for one S instead, and is the tests' oracle.
+    scans the histogram for one S instead, as ``count_points`` does.
     """
     table: dict[int, int] = {}
     for mask, n in histogram.items():
@@ -621,29 +642,33 @@ def _check_count_args(spec: HalfSpaceSpec, region: str, face) -> None:
 
 
 def read_dilate(
-    spec: HalfSpaceSpec, histograms, charts, k: int, region="full", face=None, tables=None
+    spec: HalfSpaceSpec, histograms, tables, charts, k: int, region="full", face=None
 ) -> int:
     """The count of ``region`` in the k-fold dilate of ``spec``, a dim-m
     polytope with vertex ``charts``: the one reader behind ``count_points``
     and ``Prepared.count``, and the one check of their region and face.
 
     ``histograms`` is a callable j -> the tight-mask histogram of the j-fold
-    dilate, and ``tables``, if given, j -> its ``face_counts`` table, read
-    for a face instead of a scan of the histogram.  Above k = m + 2, where
-    a pass at k outgrows every node of the fit, and only when every vertex
-    is a lattice point, the count is the region's Ehrhart polynomial at k,
-    fitted on both sides of zero through the dilates j = 1..h+1
-    (``fit_region``); otherwise it is read off the one dilate k.  A
-    polytope with a vertex off the lattice has a quasi-polynomial count,
-    which no fit reads.
+    dilate, and ``tables`` j -> its face counts by facet mask (its
+    ``face_counts`` table, or one entry for the asked face), read only for
+    a face.  Above k = m + 2, where a pass at k outgrows every node of the
+    fit, and only when every vertex is a lattice point, the count is read
+    off a fit on both sides of zero through the dilates j = 1..h+1
+    (``fit_face``): a face's own fit at k, and every other region read
+    off the polytope's fit L (``read_region``); otherwise it is read off
+    the one dilate k.  A polytope with a vertex off the lattice has a
+    quasi-polynomial count, which no fit reads.
     """
     _check_count_args(spec, region, face)
     m = spec.dim
     if k > m + 2 and all(c._lattice_point is not None for c in charts):
-        return fit_region(histograms, m, region, face, tables).at(k)
-    if region == "face" and tables is not None:
+        fit = fit_face(histograms, tables, m, face or ())
+        if region == "face":
+            return fit.at(k)
+        return read_region(region, fit.at(k), (-1) ** m * fit.at(-k))
+    if region == "face":
         return face_count(tables(k), face)
-    return read_count(histograms(k), region, face)
+    return read_count(histograms(k), region)
 
 
 def count_points(
@@ -651,33 +676,34 @@ def count_points(
     k: int,
     region: str = "full",
     *,
+    charts,
     face=None,
     budget: int = DEFAULT_BUDGET,
-    charts=None,
 ) -> int:
-    """Exact lattice point count of the k-fold dilate (or a region of it).
+    """Exact lattice point count of the k-fold dilate (or a region of it)
+    of ``spec``, with vertex ``charts``.
 
     region 'face' counts the points of the face cut out by the given facet
     index set; an empty intersection simply counts zero.  Each call reads
     fresh ``tight_histogram`` passes, through a slab plan of its own, so a
     count from here is independent of any histogram or plan a
     ``Prepared`` holds.  The count is read, and its region and face
-    checked, by ``read_dilate``, with no face-count table, so a face is
-    one scan of a histogram: above k = m + 2 the region's fit through
-    passes at k = 1..h+1, otherwise one pass at k.  Each pass's box, the
-    bounding box of that dilate's vertices, is checked against ``budget``
-    before any work happens, so a fitted count needs only its largest
-    node's box to fit the budget.
+    checked, by ``read_dilate``, through tables that hold only the asked
+    face's count, each scanned off its pass (``read_count``) only when a
+    face is read: above k = m + 2 a fit through passes at k = 1..h+1,
+    otherwise one pass at k.
+    Each pass's box, the bounding box of that dilate's vertices, is
+    checked against ``budget`` before any work happens, so a fitted count
+    needs only its largest node's box to fit the budget.
     """
-    if charts is None:
-        charts = enumerate_vertices(spec)
     plan = slab_plan(spec, charts)
     histogram = cache(lambda j: tight_histogram(spec, j, budget=budget, plan=plan))
-    return read_dilate(spec, histogram, charts, k, region, face)
+    tables = cache(lambda j: {_facet_mask(face): read_count(histogram(j), "face", face)})
+    return read_dilate(spec, histogram, tables, charts, k, region, face)
 
 
 def brute_histogram(
-    spec: HalfSpaceSpec, k: int, *, budget: int = DEFAULT_BUDGET, charts=None
+    spec: HalfSpaceSpec, k: int, *, charts, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """``tight_histogram`` by the per-point classifier (``_tight_masks``), the
     brute-force oracle: same box and budget, no code shared with the kernel."""
@@ -760,17 +786,19 @@ def interpolate_counts(counts, degree: int, kind: str) -> IntegerFit:
     return fit
 
 
-def interpolate_two_sided(pairs, zero: int, degree: int, kind: str) -> IntegerFit:
-    """Fit ``degree`` through k = -h..h, h = ceil(degree/2), and verify at h+1.
+def interpolate_two_sided(pairs, degree: int, kind: str) -> IntegerFit:
+    """Fit ``degree`` through k = -h..h, h = ceil(degree/2), and verify at
+    k = h+1 and k = -(h+1).
 
     ``pairs`` is a callable k -> (value at k, value at -k), read for k =
-    1..h+1, and ``zero`` the value at 0: each count at k > 0 supplies its
-    value at -k too, by reciprocity (``fit_region``), so a degree-n fit
-    reads h + 1 dilates instead of n + 2.  The 2h + 1 nodes fit a
-    polynomial of degree up to 2h; when 2h > degree its top coefficient
-    must be 0.  The probe is the value at k = h + 1, which no node read,
+    1..h+1, and the value at 0 is 1, the one point of a closed face's
+    zero dilate: each count at k > 0 supplies its value at -k too, by
+    reciprocity (``fit_face``), so a degree-n fit reads h + 1 dilates
+    instead of n + 2.  The 2h + 1 nodes fit a polynomial of degree up to
+    2h; when 2h > degree its top coefficient must be 0.  The probes are
+    the two values at k = h + 1 and -(h + 1), which no node read, each
     checked in integers as ``interpolate_counts`` checks its own.  The fit
-    assumes the values at -k; the probe and the top coefficient are its
+    assumes the values at -k; the probes and the top coefficient are its
     checks of the polynomial's form.
     """
     h = -(-degree // 2)
@@ -779,7 +807,7 @@ def interpolate_two_sided(pairs, zero: int, degree: int, kind: str) -> IntegerFi
         at_k, at_minus_k = pairs(k)
         above.append(at_k)
         below.append(at_minus_k)
-    fit = _forward_difference_fit([*below[::-1], zero, *above], start=-h)
+    fit = _forward_difference_fit([*below[::-1], 1, *above], start=-h)
     if 2 * h > degree and fit.numerators[-1]:
         raise NotPolynomialError(
             f"{kind} counts are not a degree-{degree} polynomial: the fit through "
@@ -787,74 +815,58 @@ def interpolate_two_sided(pairs, zero: int, degree: int, kind: str) -> IntegerFi
             f"{Fraction(fit.numerators[-1], fit.denominator)}"
         )
     probe = h + 1
-    _check_probe(fit, probe, pairs(probe)[0], degree, kind)
+    at_k, at_minus_k = pairs(probe)
+    _check_probe(fit, probe, at_k, degree, kind)
+    _check_probe(fit, -probe, at_minus_k, degree, kind)
     return fit
 
 
-def fit_region(histograms, m: int, region: str = "full", face=None, tables=None) -> IntegerFit:
-    """The Ehrhart polynomial of one region of a dim-m lattice polytope,
+def fit_face(histograms, tables, m: int, face=()) -> IntegerFit:
+    """The Ehrhart polynomial of the closed face cut out by the facet set
+    ``face`` of a dim-m lattice polytope, () being the polytope itself,
     fitted on both sides of zero (``interpolate_two_sided``).
 
     ``histograms`` is a callable k -> the tight-mask histogram of the
-    k-fold dilate, and ``tables``, if given, k -> its ``face_counts``
-    table, read for a face's count instead of a histogram scan.  Each
-    histogram at k > 0 gives the value at -k by Ehrhart-Macdonald
-    reciprocity, L(-k) = (-1)^dim L°(k), on the polytope or on a face
-    (Beck and Robins, *Computing the Continuous Discretely*, ch. 4); for
-    the boundary polynomial of Z this is Serre duality:
-
-        region     value at -k             value at 0
-        full       (-1)^m interior         1
-        interior   (-1)^m full             (-1)^m
-        boundary   (-1)^(m-1) boundary     1 - (-1)^m
-        face S     (-1)^f hist[S]          1
-
-    The closed face cut out by the facet set S has dimension f = m - |S|
-    on a simple polytope, and its relative interior is hist[S], the points
-    whose tight set is exactly S.  A facet set that cuts out no face (no
-    point at k = 1, where every vertex is a lattice point) reads the zero
+    k-fold dilate, and ``tables`` k -> its face counts by facet mask, read
+    only for a proper face's count; the polytope's count is its histogram's
+    total.  On a simple polytope the face of S has dimension f = m - |S|,
+    and its relative interior at k is hist[S], the points whose tight set
+    is exactly S.  So by Ehrhart-Macdonald reciprocity, L(-k) = (-1)^f
+    L°(k) (Beck and Robins, *Computing the Continuous Discretely*, ch. 4),
+    each histogram at k > 0 gives the value at -k as (-1)^f hist[S], and
+    the value at 0 is 1.  The interior and boundary are read off the fit
+    of () (``read_region``).  A facet set that cuts out no face (no point
+    at k = 1, where every vertex is a lattice point) reads the zero
     polynomial and is not fitted.
     """
-    sign = (-1) ** m
-    if region == "face":
-        mask = _facet_mask(face)
-        if tables is None:
-            closed = lambda k: read_count(histograms(k), "face", face)
-        else:
-            closed = lambda k: face_count(tables(k), face)
-        if not closed(1):
-            return IntegerFit([], 1)
-        f = m - bin(mask).count("1")
-        pairs = lambda k: (closed(k), (-1) ** f * histograms(k).get(mask, 0))
-        return interpolate_two_sided(pairs, 1, f, region)
-
-    def pairs(k):
-        histogram = histograms(k)
-        total, interior = sum(histogram.values()), histogram.get(0, 0)
-        if region == "full":
-            return total, sign * interior
-        if region == "interior":
-            return interior, sign * total
-        return total - interior, -sign * (total - interior)
-
-    zero = {"full": 1, "interior": sign, "boundary": 1 - sign}[region]
-    return interpolate_two_sided(pairs, zero, m - (region == "boundary"), region)
+    mask = _facet_mask(face)
+    if mask:
+        closed = lambda k: tables(k).get(mask, 0)
+    else:
+        closed = lambda k: sum(histograms(k).values())
+    if not closed(1):
+        return IntegerFit([], 1)
+    f = m - mask.bit_count()
+    pairs = lambda k: (closed(k), (-1) ** f * histograms(k).get(mask, 0))
+    return interpolate_two_sided(pairs, f, "face" if mask else "full")
 
 
 def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
     """Ehrhart polynomial of the polytope, its interior or its boundary.
 
-    Fitted on both sides of zero (``fit_region``) through the counts of
-    ``kind`` read off ``prep.histogram(k)``, the polytope's one histogram
-    per dilate, at k = 1..h+1, h = ceil(n/2) for degree n.  The value at
-    k = 0 is not counted but known (1, (-1)^m or 1 - (-1)^m): the boundary
-    count of the zero dilate is set-theoretically 1, while the boundary
-    polynomial's constant term is 1 - (-1)^m.  The fit assumes
-    reciprocity; its probe at k = h + 1 checks the polynomial's form.
-    Every vertex must be a lattice point (ValueError otherwise).
+    The polytope's fit L (``fit_face``) through ``prep.histogram(k)``, the
+    polytope's one histogram per dilate, at k = 1..h+1, h = ceil(m/2), and
+    the region read off it (``read_region``): the interior's is (-1)^m
+    L(-k) and the boundary's L(k) - (-1)^m L(-k), whose constant term is
+    1 - (-1)^m, though the boundary count of the zero dilate is
+    set-theoretically 1.  The fit assumes reciprocity; its probes at k =
+    +-(h + 1) check the polynomial's form.  Every vertex must be a
+    lattice point (ValueError otherwise).
     """
     if kind not in ("full", "interior", "boundary"):
         raise ValueError(f"unknown Ehrhart kind {kind!r}")
     for chart in prep.charts:
         chart.anchor_ints()  # raises off the lattice, where counts are quasi-polynomials
-    return fit_region(prep.histogram, prep.spec.dim, kind).poly()
+    m = prep.spec.dim
+    full = fit_face(prep.histogram, prep.face_counts, m).poly()
+    return read_region(kind, full, full.reflected(m))

@@ -6,17 +6,20 @@ formula on the boundary volume at the offsets k times the anchor
 (``symbolic_ehrhart``, which applies the operator to each vertex's term
 of the volume formula as one univariate series, with no volume
 polynomial), and (c) direct brute-force counting; (a) and (c) are fitted
-to a polynomial in the dilation factor k.  Route (c) fits on both sides
-of zero (``fit_region``): it assumes Serre duality on the Calabi-Yau
-hypersurface, H(-k) = (-1)^(m-1) H(k), and so reads the dilates k =
-1..h+1, h = ceil((m-1)/2), not k = 1..m+1.  Route (a) fits from k =
-1..m alone, with the probe k = m + 1 (``interpolate_counts``), assuming
-nothing at k <= 0, so it checks the parity route (c) assumes.  Each
-route gives a plain ``UniPoly`` in k.  The three are proven-equal
+to a polynomial in the dilation factor k.  Route (c) reads the boundary
+off the oracle's fit of the polytope L (``fit_face``), by the one reading
+of every boundary count (``read_region``): the K-theory Euler class of
+the Calabi-Yau hypersurface Z in |-K_M| is [O_Z] = 1 - [K_M], so H(k) =
+L(k) - (-1)^m L(-k), the second term by Serre duality on M.  The fit is
+two-sided, so it assumes Ehrhart-Macdonald reciprocity and reads the
+dilates k = 1..h+1, h = ceil(m/2), not k = 1..m+1.  Route (a) fits from
+k = 1..m alone, with the probe k = m + 1 (``interpolate_counts``),
+assuming nothing at k <= 0, so it checks the parity route (c) assumes.
+Each route gives a plain ``UniPoly`` in k.  The three are proven-equal
 identities, so any disagreement aborts loudly: it always means an
 implementation bug or invalid input, never an acceptable warning.  Only
 then is the per-face table, each proper face's Ehrhart polynomial,
-fitted on both sides of zero (``fit_region``), from no dilate beyond
+fitted on both sides of zero (``fit_face``), from no dilate beyond
 route (a)'s.  Route (a) and the per-face table read every face count
 from one table per dilate (``Prepared.face_counts``: one superset-sum
 pass over the slab kernel's histogram), not from a histogram scan per
@@ -32,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import count_points, face_count, fit_region, interpolate_counts, read_count
+from .counting import count_points, face_count, fit_face, interpolate_counts
+from .counting import read_count, read_region
 from .errors import BudgetExceededError, DisagreementError, NotPolynomialError
 from .operators import operator_count, symbolic_ehrhart
 from .polynomial import UniPoly
@@ -93,9 +97,10 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     The inclusion-exclusion fit reads its face counts from the polytope's
     one face-count table per dilation k, at k = 1..m+1, and assumes
     nothing at k <= 0.  The oracle route reads the per-point classifier's
-    histogram of each dilate instead (``Prepared.brute_histogram``),
-    fitted on both sides of zero, so it assumes reciprocity; oracle counts
-    that break it fit no polynomial, and that too is a disagreement.  Only
+    histogram of each dilate instead (``Prepared.brute_histogram``): the
+    polytope's fit through them, on both sides of zero, and the boundary
+    read off it, so it assumes reciprocity; oracle counts that break it
+    fit no polynomial, and that too is a disagreement.  Only
     once the three agree is each proper face fitted, on both sides of
     zero, from the same tables.  Raises NotDelzantError on invalid input.
     """
@@ -106,7 +111,8 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     ).poly()
     by_operator = symbolic_ehrhart(prep, "boundary")
     try:
-        by_oracle, failure = fit_region(prep.brute_histogram, m, "boundary").poly(), None
+        oracle = fit_face(prep.brute_histogram, None, m).poly()  # the polytope reads no table
+        by_oracle, failure = read_region("boundary", oracle, oracle.reflected(m)), None
     except NotPolynomialError as exc:
         by_oracle, failure = None, exc
     agree = via_faces == by_operator == by_oracle
@@ -114,7 +120,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     if agree:
         for record in prep.lattice.proper_faces():
             face = record.active_set
-            per_face[face] = fit_region(prep.histogram, m, "face", face, prep.face_counts).poly()
+            per_face[face] = fit_face(prep.histogram, prep.face_counts, m, face).poly()
     report = HilbertReport(
         by_inclusion_exclusion=via_faces,
         by_operator_formula=by_operator,

@@ -12,7 +12,11 @@ target vanishes.
 Two routes apply the operators.  ``symbolic_ehrhart`` reads the Ehrhart
 polynomial off the vertices: the operator acts on each vertex's term of
 the volume formula on its own, as one univariate series per vertex, and
-builds no volume polynomial.  ``apply_operator_product`` expands the
+builds no volume polynomial.  The interior's polynomial is read off the
+Todd sum L as every interior count is, (-1)^m L(-k) (Ehrhart-Macdonald
+reciprocity, ``UniPoly.reflected``), while the boundary's keeps its own
+A-hat series: the boundary count L(k) - (-1)^m L(-k), the reading of
+the Euler class [O_Z] = 1 - [K_M], is what that series checks.  ``apply_operator_product`` expands the
 operator over a d-variable polynomial (``Prepared.applied``).  Its result
 is printed as ``operator_applied``, and ``operator_count`` evaluates it at
 the anchor, so the counts of ``khovanskii``, ``boundary-formula`` and
@@ -199,10 +203,14 @@ def symbolic_ehrhart(prep, kind: str) -> UniPoly:
     the coefficient of k^n is sum_v t_{v,m-n} S_v^n / (n! den_v).  The
     series are integer numerators over one denominator per series, and the
     vertices' are summed over the lcm of the den_v; only the returned
-    coefficients are Fractions.
+    coefficients are Fractions.  The interior's polynomial is read off the
+    full one by Ehrhart-Macdonald reciprocity, (-1)^m L(-k), as every
+    interior count is, with no series of its own.
     """
+    if kind == "interior":
+        return symbolic_ehrhart(prep, "full").reflected(prep.spec.dim)
     if kind not in _PRODUCTS:
-        raise ValueError(f"unknown kind {kind!r}; expected 'full' or 'boundary'")
+        raise ValueError(f"unknown kind {kind!r}; expected 'full', 'interior' or 'boundary'")
     charts, anchor = prep.require_delzant().charts, prep.spec.offsets()
     m = prep.spec.dim
     per_variable, summed = _PRODUCTS[kind]

@@ -284,6 +284,12 @@ class UniPoly:
 
     __rmul__ = __mul__
 
+    def reflected(self, m: int) -> "UniPoly":
+        """(-1)^m p(-k): the coefficient of k^i weighted by (-1)^(m+i).  Of
+        a dim-m polytope's Ehrhart polynomial, its interior's (Ehrhart-
+        Macdonald reciprocity)."""
+        return UniPoly((-1) ** (m + i) * c for i, c in enumerate(self.coeffs))
+
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
 

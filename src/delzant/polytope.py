@@ -399,14 +399,13 @@ def _anchor_text(anchor) -> str:
     return f"({parts})"
 
 
-def validate_delzant(spec: HalfSpaceSpec, charts=None) -> DelzantReport:
-    """Check the unimodularity condition at every vertex.
+def validate_delzant(spec: HalfSpaceSpec, charts) -> DelzantReport:
+    """Check the unimodularity condition at every vertex chart of ``spec``.
 
     Failures are report entries, not exceptions; structural problems
-    (non-simple, unbounded, empty) still raise from enumerate_vertices.
+    (non-simple, unbounded, empty) raise from enumerate_vertices, which
+    builds the charts.
     """
-    if charts is None:
-        charts = enumerate_vertices(spec)
     failures = tuple(c for c in charts if c.det not in (1, -1))
     return DelzantReport(ok=not failures, failures=failures)
 

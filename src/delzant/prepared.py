@@ -16,7 +16,11 @@ has the kernel's tight-mask histogram through it (``histogram``), read by
 superset-sum pass over the histogram), from which inclusion-exclusion,
 the per-face table and ``count --output json`` (``count``, through
 ``counting.read_dilate``: at k, or above k = m + 2 the fits through the
-tables at k = 1..h+1) read every face count.
+tables at k = 1..h+1) read every face count.  Every fit is a closed
+face's (``counting.fit_face``), and the interior and boundary are read
+off the polytope's own fit by one rule (``counting.read_region``), the
+Euler-class reading of the Calabi-Yau hypersurface's Hilbert
+polynomial.
 The brute comparison values come from a second histogram of each dilate,
 built by the per-point classifier (``brute_histogram``): the two share
 no code and are kept under different keys, so every brute value still
@@ -55,9 +59,10 @@ class Prepared:
     long as this object and no longer.  ``count`` goes through
     ``counting.read_dilate``, the one reader that ``count_points`` also
     calls; above k = m + 2 it, like ``counting.ehrhart_interpolate`` at
-    every k, reads a two-sided fit (``counting.fit_region``) through the
-    kept histograms at k = 1..h+1, which assumes Ehrhart-Macdonald
-    reciprocity, so the budget bounds only those dilates' boxes.
+    every k, reads a two-sided fit (``counting.fit_face``) through the
+    kept histograms and face-count tables at k = 1..h+1, which assumes
+    Ehrhart-Macdonald reciprocity, so the budget bounds only those
+    dilates' boxes.
     Reading ``charts`` raises if the family is degenerate (unbounded,
     empty, not simple, redundant); reading ``lattice`` or anything built
     on it raises NotDelzantError unless every vertex is unimodular.
@@ -149,10 +154,10 @@ class Prepared:
         ``counting.read_dilate``, the reader behind ``count_points`` too,
         so a bad region or face raises the same ValueError; it reads the
         kept ``histogram`` and ``face_counts``: at k, or above k = m + 2
-        through the region's fit at k = 1..h+1; read by ``count --output
-        json``."""
+        off the face's or the polytope's fit at k = 1..h+1; read by
+        ``count --output json``."""
         return counting.read_dilate(
-            self.spec, self.histogram, self.charts, k, region, face, self.face_counts
+            self.spec, self.histogram, self.face_counts, self.charts, k, region, face
         )
 
     def brute_histogram(self, k: int) -> dict[int, int]:

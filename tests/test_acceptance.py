@@ -191,7 +191,8 @@ def test_criterion_09_cross_check_in_dimension_5():
 
 def test_criterion_10_negative_paths(monkeypatch):
     # det-2 triangle: validation failure names the offending vertex
-    report = validate_delzant(load("triangle_det2"))
+    triangle = load("triangle_det2")
+    report = validate_delzant(triangle, Prepared(triangle).charts)
     assert not report.ok
     assert report.failures[0].anchor == (1, 0)
     assert abs(report.failures[0].det) == 2

@@ -237,6 +237,24 @@ class TestJsonOutput:
         jsonschema.validate(payload, SCHEMA)
         assert payload["operator_applied"] is None
 
+    def test_ehrhart_operator_interior_is_read_off_the_todd_sum(
+        self, poly_file, capsys, monkeypatch
+    ):
+        # (-1)^3 L(-k) of the Todd sum L = (2k + 1)^3, with no operator
+        # product expanded: JSON prints no applied polynomial for it
+        import delzant.operators as operators_mod
+
+        monkeypatch.setattr(operators_mod, "apply_operator_product", None)
+        argv = ("ehrhart", "--kind", "interior", "--method", "operator")
+        cube = poly_file("cube_2")
+        assert run(capsys, *argv, cube) == (0, "interior Ehrhart: 8k^3 - 12k^2 + 6k - 1\n", "")
+        code, out, _ = run(capsys, *argv, "--output", "json", cube)
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["polynomial"] == "8k^3 - 12k^2 + 6k - 1"
+        assert payload["operator_applied"] is None
+
 
 class TestReportBuilders:
     """Each command table entry builds its report and prints nothing; ``main``
@@ -381,20 +399,24 @@ class TestExitCodes:
         assert err == "error: enumeration needs 27 point classifications, budget is 10\n"
 
     def test_fitted_count_budget_splits_json_from_text_and_tsv(self, poly_file, capsys):
-        # Above k = m + 2 text and TSV fit the boundary alone (degree 2: nodes
-        # k = 1, 2, a 3^3 box), while JSON also fits the full and interior counts
-        # (degree 3: node k = 3, a 4^3 box), so a budget of 30 parts them. This
-        # pins today's split; ROADMAP item 8c (one budget total per command) is
-        # the change allowed to move it.
+        # Above k = m + 2 every format reads the boundary off the polytope's
+        # fit (degree 3: nodes k = 1, 2 and the probe k = 3, a 4^3 box), as
+        # JSON reads its total and interior, so a budget of 30 stops them all.
         argv = ("count", "--k", "10", "--region", "boundary", "--budget", "30")
         cube = poly_file("cube_unit")
-        assert run(capsys, *argv, cube) == (0, "602\n", "")
+        error = "error: enumeration needs 64 point classifications, budget is 30\n"
+        for output in ("text", "tsv", "json"):
+            assert run(capsys, *argv, "--output", output, cube) == (5, "", error)
+        # A face still parts them: text and TSV fit the facet alone (degree 2:
+        # the node k = 1 and the probe k = 2, a 3^3 box), while JSON also fits
+        # the polytope.  This pins today's split; ROADMAP item 8c (one budget
+        # total per command) is the change allowed to move it.
+        argv = ("count", "--k", "10", "--region", "face=1", "--budget", "30")
+        assert run(capsys, *argv, cube) == (0, "121\n", "")
         assert run(capsys, *argv, "--output", "tsv", cube) == (
-            0, "k\t10\nregion\tboundary\ncount\t602\n", ""
+            0, "k\t10\nregion\tface=1\ncount\t121\n", ""
         )
-        assert run(capsys, *argv, "--output", "json", cube) == (
-            5, "", "error: enumeration needs 64 point classifications, budget is 30\n"
-        )
+        assert run(capsys, *argv, "--output", "json", cube) == (5, "", error)
 
     def test_cross_check_budget_exceeded_is_5(self, poly_file, capsys):
         # the budget ends the command; it is not one more failed identity
@@ -461,11 +483,11 @@ class TestExitCodes:
             "--kind",
             "interior",
             "--method",
-            "operator",
+            "symbolic",
             poly_file("simplex_2"),
         )
         assert code == 2
-        assert "full and boundary" in err
+        assert "invalid choice: 'symbolic'" in err
 
     @staticmethod
     def assert_one_line_usage_error(code, err, *words):

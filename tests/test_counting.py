@@ -18,15 +18,17 @@ from delzant.counting import (
     ehrhart_interpolate,
     face_count,
     face_counts,
-    fit_region,
+    fit_face,
     interpolate_counts,
     interpolate_two_sided,
     read_count,
+    read_region,
     tight_histogram,
 )
 from delzant.errors import BudgetExceededError, DisagreementError, NotPolynomialError
 from delzant.hilbert import cy_hilbert_polynomial
 from delzant.linalg import ring_det
+from delzant.operators import symbolic_ehrhart
 from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
@@ -35,38 +37,40 @@ from generators import blow_up, product_spec
 
 class TestCountPoints:
     def test_simplex_examples(self):
-        spec = load("simplex_2")
-        assert count_points(spec, 1, "full") == 3
-        assert count_points(spec, 3, "interior") == 1
-        assert count_points(load("simplex_3"), 1, "boundary") == 4
+        spec, simplex_3 = load("simplex_2"), load("simplex_3")
+        charts = Prepared(spec).charts
+        assert count_points(spec, 1, "full", charts=charts) == 3
+        assert count_points(spec, 3, "interior", charts=charts) == 1
+        assert count_points(simplex_3, 1, "boundary", charts=Prepared(simplex_3).charts) == 4
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_unit_simplex_binomial(self, m, k):
         spec = load(f"simplex_{m}") if m > 1 else load("segment_unit")
-        assert count_points(spec, k, "full") == comb(k + m, m)
+        assert count_points(spec, k, "full", charts=Prepared(spec).charts) == comb(k + m, m)
 
     def test_face_region(self, prepare):
         p = prepare("simplex_2")
         # the hypotenuse x + y = k carries k + 1 points
-        assert count_points(p.spec, 4, "face", face=(2,)) == 5
+        assert count_points(p.spec, 4, "face", face=(2,), charts=p.charts) == 5
         # empty intersection counts zero without complaint
-        assert count_points(p.spec, 2, "face", face=(0, 1, 2)) == 0
+        assert count_points(p.spec, 2, "face", face=(0, 1, 2), charts=p.charts) == 0
 
     def test_face_region_argument_errors(self):
         spec = load("simplex_2")
+        charts = Prepared(spec).charts
         with pytest.raises(ValueError):
-            count_points(spec, 1, "face")
+            count_points(spec, 1, "face", charts=charts)
         with pytest.raises(ValueError):
-            count_points(spec, 1, "face", face=(7,))
+            count_points(spec, 1, "face", face=(7,), charts=charts)
         with pytest.raises(ValueError):
-            count_points(spec, 1, "full", face=(0,))
+            count_points(spec, 1, "full", face=(0,), charts=charts)
         with pytest.raises(ValueError):
-            count_points(spec, 1, "everything")
+            count_points(spec, 1, "everything", charts=charts)
         # the kernel and the oracle share one check of k
         for count in (count_points, brute_histogram):
             with pytest.raises(ValueError):
-                count(spec, 0)
+                count(spec, 0, charts=charts)
 
     @pytest.mark.parametrize("k", [2, 40])
     @pytest.mark.parametrize(
@@ -79,21 +83,38 @@ class TestCountPoints:
         # at one read off a fit (k = 40 > m + 2)
         spec = load("cube_unit")
         with pytest.raises(ValueError) as direct:
-            count_points(spec, k, region, face=face)
+            count_points(spec, k, region, face=face, charts=Prepared(spec).charts)
         with pytest.raises(ValueError) as prepared:
             Prepared(spec).count(k, region, face)
         assert str(prepared.value) == str(direct.value)
 
+    def test_the_box_reaches_vertices_off_the_lattice_on_both_sides(self):
+        # the triangle with the vertex (1/2, 0) and its mirror image, with
+        # (-1/2, 0): each box rounds its vertex outward, so a dilate's box
+        # holds the point (k/2, 0) or (-k/2, 0) at every even k
+        for sign in (1, -1):
+            spec = HalfSpaceSpec(2, [((-sign, 0), 0), ((0, -1), 0), ((2 * sign, 1), 1)])
+            charts = Prepared(spec).charts
+            low, high = (0, 1) if sign == 1 else (-1, 0)
+            assert counting_mod._bounding_box(spec, charts) == ([low, 0], [high, 1])
+            # floor((k + 2)^2 / 4) points at k, from the kernel and the oracle
+            expected = [2, 4, 6, 9, 12, 16]
+            assert [count_points(spec, k, charts=charts) for k in range(1, 7)] == expected
+            brute = [read_count(brute_histogram(spec, k, charts=charts)) for k in range(1, 7)]
+            assert brute == expected
+
     def test_budget_exceeded_reports_required_size(self):
+        spec = load("cube_2")
+        charts = Prepared(spec).charts
         with pytest.raises(BudgetExceededError) as err:
-            brute_histogram(load("cube_2"), 50, budget=1000)
+            brute_histogram(spec, 50, charts=charts, budget=1000)
         assert err.value.required == 101**3
         assert err.value.budget == 1000
         # k = 50 is read off the fit through the passes at k = 1, 2, 3, so
         # only the largest node's box, 7^3, must fit the budget
-        assert count_points(load("cube_2"), 50, budget=7**3) == 101**3
+        assert count_points(spec, 50, charts=charts, budget=7**3) == 101**3
         with pytest.raises(BudgetExceededError) as err:
-            count_points(load("cube_2"), 50, budget=7**3 - 1)
+            count_points(spec, 50, charts=charts, budget=7**3 - 1)
         assert (err.value.required, err.value.budget) == (7**3, 7**3 - 1)
 
 
@@ -136,11 +157,11 @@ class TestTightHistogram:
         assert set(tight_histogram(p.spec, k, plan=p.slab_plan)) == active
 
     def test_argument_errors(self):
-        spec = load("simplex_2")
+        spec, cube = load("simplex_2"), load("cube_2")
         with pytest.raises(ValueError):
-            tight_histogram(spec, 0)
+            tight_histogram(spec, 0, plan=Prepared(spec).slab_plan)
         with pytest.raises(BudgetExceededError):
-            tight_histogram(load("cube_2"), 50, budget=1000)
+            tight_histogram(cube, 50, plan=Prepared(cube).slab_plan, budget=1000)
         with pytest.raises(ValueError):
             read_count({0: 1}, "everything")
 
@@ -282,7 +303,7 @@ class TestFibreKernel:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_edge_cases_match_reference(self, name, k):
         spec = _KERNEL_EDGE_CASES[name]
-        histogram = tight_histogram(spec, k)
+        histogram = tight_histogram(spec, k, plan=Prepared(spec).slab_plan)
         assert histogram == _reference_histogram(spec, k)
         assert all(n > 0 for n in histogram.values())
 
@@ -292,18 +313,24 @@ class TestFibreKernel:
         assert {-3, -2, 2, 3} <= lasts
         # the fibres x = 0..4 hold 1, 0, 1, 2 and 3 points
         thin = cases["crossing_facets_empty_a_fibre"]
-        assert count_points(thin, 1, "face", face=(2,)) == 3
-        assert count_points(thin, 1) == 1 + 0 + 1 + 2 + 3
+        charts = Prepared(thin).charts
+        assert count_points(thin, 1, "face", face=(2,), charts=charts) == 3
+        assert count_points(thin, 1, charts=charts) == 1 + 0 + 1 + 2 + 3
         # the translate has the same histogram as its original
-        shifted, original = cases["negative_coordinates"], cases["last_coefficients_-3_2"]
-        assert all(c < 0 for chart in enumerate_vertices(shifted) for c in chart.anchor)
-        assert tight_histogram(shifted, 2) == tight_histogram(original, 2)
+        shifted, original = (
+            Prepared(cases[name]) for name in ("negative_coordinates", "last_coefficients_-3_2")
+        )
+        assert all(c < 0 for chart in shifted.charts for c in chart.anchor)
+        assert tight_histogram(shifted.spec, 2, plan=shifted.slab_plan) == tight_histogram(
+            original.spec, 2, plan=original.slab_plan
+        )
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_corpus_histograms_match_reference(self, name, k):
         spec = load(name)
-        assert tight_histogram(spec, k) == _reference_histogram(spec, k)
+        histogram = tight_histogram(spec, k, plan=Prepared(spec).slab_plan)
+        assert histogram == _reference_histogram(spec, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_parallel_facet_settles_whole_fibres(self, k):
@@ -313,22 +340,26 @@ class TestFibreKernel:
         facets = [([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0)]
         facets += [([1, 0, 0], 2), ([0, 1, 0], 2), ([0, 0, 1], 2), ([1, 1, 0], 3)]
         spec = HalfSpaceSpec(3, facets)
-        assert tight_histogram(spec, k) == _reference_histogram(spec, k)
+        histogram = tight_histogram(spec, k, plan=Prepared(spec).slab_plan)
+        assert histogram == _reference_histogram(spec, k)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(pair=_unimodular_images(), k=st.integers(1, 2))
     def test_unimodular_images_match_reference(self, pair, k):
         spec, image = pair
-        histogram = tight_histogram(image, k)
+        prepared_image = Prepared(image)
+        charts = prepared_image.charts
+        histogram = tight_histogram(image, k, plan=prepared_image.slab_plan)
         assert histogram == _reference_histogram(image, k)
         # a lattice bijection that keeps the facet order keeps every mask count
-        assert histogram == tight_histogram(spec, k)
+        assert histogram == tight_histogram(spec, k, plan=Prepared(spec).slab_plan)
         # the kernel's counts against the per-point oracle's
-        brute = brute_histogram(image, k)
+        brute = brute_histogram(image, k, charts=charts)
         for region in ("full", "interior", "boundary"):
-            assert count_points(image, k, region) == read_count(brute, region)
+            assert count_points(image, k, region, charts=charts) == read_count(brute, region)
         face = (0, image.num_facets - 1)
-        assert count_points(image, k, "face", face=face) == read_count(brute, "face", face)
+        got = count_points(image, k, "face", face=face, charts=charts)
+        assert got == read_count(brute, "face", face)
 
 
 def _record_slab_helpers(monkeypatch, settled=None):
@@ -415,7 +446,7 @@ class TestSlabKernel:
         reached = {}
         for name in sorted(n for n in cases if cases[n].dim == 3):
             del lines[:], congruences[:]
-            histogram = tight_histogram(cases[name], 1)
+            histogram = tight_histogram(cases[name], 1, plan=Prepared(cases[name]).slab_plan)
             reached[name] = (list(lines), list(congruences), histogram)
         # a tie of distinct lines makes a row's lowest line None
         lines_, _, _ = reached["tie_at_integer_row"]
@@ -503,7 +534,9 @@ class TestSlabMemo:
     )
     def test_each_distinct_slab_is_settled_once(self, monkeypatch, spec, k, lines):
         found, _ = _record_slab_helpers(monkeypatch)
-        assert tight_histogram(spec, k) == brute_histogram(spec, k)
+        p = Prepared(spec)
+        histogram = tight_histogram(spec, k, plan=p.slab_plan)
+        assert histogram == brute_histogram(spec, k, charts=p.charts)
         assert len(found) == lines
 
     @pytest.mark.parametrize("seed", range(8))
@@ -530,7 +563,7 @@ class TestSlabMemo:
         spec = load("simplex_3")
         peaks = []
         for k in (100, 1000):
-            normals, *box = counting_mod._box(spec, k, 10**10, counting_mod.slab_plan(spec).unit)
+            normals, *box = counting_mod._box(spec, k, 10**10, Prepared(spec).slab_plan.unit)
             tables = counting_mod._slab_tables(normals)
             tracemalloc.start()
             try:
@@ -582,8 +615,9 @@ class TestBlockOrder:
         spec = product_spec(load("prism"), load("segment_unit"))
         work = set()
         for order in permutations(range(4)):
+            image = Prepared(_permuted(spec, order))
             del lines[:], congruences[:], settled[:]
-            tight_histogram(_permuted(spec, order), 6)
+            tight_histogram(image.spec, 6, plan=image.slab_plan)
             work.add((len(lines), len(congruences), len(settled)))
         assert len(work) == 1, work
 
@@ -591,9 +625,10 @@ class TestBlockOrder:
         settled = []
         lines, congruences = _record_slab_helpers(monkeypatch, settled)
         work = []
+        cube = Prepared(load("cube_unit"))
         for k in (40, 4000):
             del lines[:], congruences[:], settled[:]
-            histogram = tight_histogram(load("cube_unit"), k, budget=10**12)
+            histogram = tight_histogram(cube.spec, k, plan=cube.slab_plan, budget=10**12)
             assert read_count(histogram, "full") == (k + 1) ** 3
             work.append((len(lines), len(congruences), len(settled)))
         assert work[0] == work[1]
@@ -607,8 +642,9 @@ class TestBlockOrder:
         for k in (10, 90, 1000):
             work = []
             for name in ("simplex2x2", "simplex_2"):
+                p = Prepared(load(name))
                 del settled[:]
-                tight_histogram(load(name), k, budget=10**13)
+                tight_histogram(p.spec, k, plan=p.slab_plan, budget=10**13)
                 work.append(len(settled))
             assert work[0] == work[1], (k, work)
 
@@ -628,12 +664,17 @@ class TestBlockOrder:
         # of keys is ORed, Q's facets after P's, and their counts multiplied
         p, q = map(load, factors)
         spec = product_spec(p, q)
+        prep_p, prep_q, prep_pq = map(Prepared, (p, q, spec))
         for k, budget in ((1, 10**8), (2, 10**8), (3, 10**8), (4, 10**8), (200, 10**13)):
-            left, right = (tight_histogram(f, k, budget=budget) for f in (p, q))
+            left, right = (
+                tight_histogram(f.spec, k, plan=f.slab_plan, budget=budget)
+                for f in (prep_p, prep_q)
+            )
             expected = {
                 a | b << p.num_facets: n * m for a, n in left.items() for b, m in right.items()
             }
-            assert tight_histogram(spec, k, budget=budget) == expected, k
+            got = tight_histogram(spec, k, plan=prep_pq.slab_plan, budget=budget)
+            assert got == expected, k
 
 
 def _drop_one_tight_point(monkeypatch):
@@ -714,7 +755,9 @@ class TestCountReport:
     def test_total_splits_into_interior_and_boundary(self, name, tmp_path, capsys):
         report = _count_payload(name, 2, tmp_path, capsys)
         assert report["count"] == report["total"] == report["interior"] + report["boundary"]
-        assert report["boundary"] == read_count(brute_histogram(load(name), 2), "boundary")
+        spec = load(name)
+        brute = brute_histogram(spec, 2, charts=Prepared(spec).charts)
+        assert report["boundary"] == read_count(brute, "boundary")
 
     def test_per_face_monotone_under_inclusion(self, tmp_path, capsys):
         report = _count_payload("cube_unit", 2, tmp_path, capsys)
@@ -882,41 +925,67 @@ def lattice_polytope(request, prepare):
 
 
 class TestTwoSidedFit:
-    """Fits through k = -h..h, each negative node read by reciprocity."""
+    """Fits of closed faces through k = -h..h, each negative node read by
+    reciprocity, and the regions read off the polytope's fit."""
 
     def test_equals_the_one_sided_fits(self, lattice_polytope):
         p, m = lattice_polytope, lattice_polytope.spec.dim
+        full = fit_face(p.histogram, p.face_counts, m).poly()
         for region in ("full", "interior", "boundary"):
             degree = m - (region == "boundary")
             counts = lambda k: read_count(p.histogram(k), region)
             expected = interpolate_counts(counts, degree, region).poly()
-            assert fit_region(p.histogram, m, region).poly() == expected, region
+            assert read_region(region, full, full.reflected(m)) == expected, region
             nodes = [(k, counts(k)) for k in range(1, degree + 2)]
             assert UniPoly.interpolate(nodes) == expected
         for record in p.lattice.proper_faces():
             face = record.active_set
-            counts = lambda k: face_count(p.face_counts(k), face)
+            counts = lambda k: read_count(p.histogram(k), "face", face)
             expected = interpolate_counts(counts, record.dim, "face").poly()
-            # through the face-count tables and by scans of the histograms
-            assert fit_region(p.histogram, m, "face", face, p.face_counts).poly() == expected
-            assert fit_region(p.histogram, m, "face", face).poly() == expected
+            assert fit_face(p.histogram, p.face_counts, m, face).poly() == expected
+
+    def test_the_euler_class_parallel_holds_as_polynomials(self, lattice_polytope):
+        # the paper's parallel: inclusion-exclusion over the per-face fits,
+        # sum_F (-1)^(codim F + 1) L_F, equals the reading of the polytope's
+        # fit, L(k) - (-1)^m L(-k) (the Euler class 1 - [K_M]), equals the
+        # A-hat vertex sum
+        p, m = lattice_polytope, lattice_polytope.spec.dim
+        by_faces = UniPoly()
+        for record in p.lattice.proper_faces():
+            fit = fit_face(p.histogram, p.face_counts, m, record.active_set).poly()
+            by_faces = by_faces + fit * (-1) ** (m - record.dim + 1)
+        full = fit_face(p.histogram, p.face_counts, m).poly()
+        by_reading = read_region("boundary", full, full.reflected(m))
+        assert by_faces == by_reading == symbolic_ehrhart(p, "boundary")
+        assert by_reading.degree == m - 1
+
+    def test_the_operator_interior_equals_brute_interior_counts(self, lattice_polytope):
+        # the Todd vertex sum read by reciprocity, against the per-point
+        # oracle at m + 1 dilates, which fix a polynomial of degree m
+        p, m = lattice_polytope, lattice_polytope.spec.dim
+        interior = symbolic_ehrhart(p, "interior")
+        assert interior.degree == m
+        for k in range(1, m + 2):
+            assert interior.evaluate(k) == read_count(p.brute_histogram(k), "interior"), k
+        assert interior == ehrhart_interpolate(p, "interior")
 
     @pytest.mark.parametrize("degree", range(8))
     def test_recovers_any_polynomial(self, degree):
         # any degree and parity, not only Ehrhart polynomials: integer
-        # values at k = 0..degree make a polynomial integer-valued
+        # values at k = 0..degree, 1 at k = 0, make a polynomial integer-valued
         rng = random.Random(degree)
         for _ in range(20):
-            poly = UniPoly.interpolate([(k, rng.randint(-50, 50)) for k in range(degree + 1)])
+            nodes = [(0, 1)] + [(k, rng.randint(-50, 50)) for k in range(1, degree + 1)]
+            poly = UniPoly.interpolate(nodes)
             value = lambda k: int(poly.evaluate(k))
-            fit = interpolate_two_sided(lambda k: (value(k), value(-k)), value(0), degree, "full")
+            fit = interpolate_two_sided(lambda k: (value(k), value(-k)), degree, "full")
             assert fit.poly() == poly
             assert [fit.at(k) for k in (-7, 0, 97)] == [value(k) for k in (-7, 0, 97)]
 
     def test_spare_top_coefficient_must_vanish(self):
-        # degree 1 fits k = -1, 0, 1; a square there has k^2 coefficient 1
+        # degree 1 fits k = -1, 0, 1; 1 + k^2 there has k^2 coefficient 1
         with pytest.raises(NotPolynomialError) as err:
-            interpolate_two_sided(lambda k: (k * k, k * k), 0, 1, "boundary")
+            interpolate_two_sided(lambda k: (k * k + 1, k * k + 1), 1, "boundary")
         assert str(err.value) == (
             "boundary counts are not a degree-1 polynomial: "
             "the fit through k = -1..1 has k^2 coefficient 1"
@@ -933,16 +1002,36 @@ class TestTwoSidedFit:
             return histogram
 
         with pytest.raises(NotPolynomialError) as err:
-            fit_region(histograms, 3, "full")
+            fit_face(histograms, p.face_counts, 3)
         assert str(err.value) == (
             "full counts are not a degree-3 polynomial: predicted 20 at k=3, counted 21"
         )
-        assert fit_region(p.histogram, 3, "full").at(3) == 20
+        assert fit_face(p.histogram, p.face_counts, 3).at(3) == 20
+
+    def test_an_interior_count_off_by_one_is_rejected_at_minus_the_probe(self, prepare):
+        # simplex_3: a boundary point at the probe k = 3 read as interior
+        # keeps the total, 20, so the probe k = 3 passes; the interior,
+        # C(2, 3) = 0, reads 1, and the fit's value at k = -3 is -0
+        p = prepare("simplex_3")
+
+        def histograms(k):
+            histogram = dict(p.histogram(k))
+            if k == 3:
+                histogram[0] = histogram.get(0, 0) + 1
+                histogram[0b1] -= 1
+            return histogram
+
+        with pytest.raises(NotPolynomialError) as err:
+            fit_face(histograms, p.face_counts, 3)
+        assert str(err.value) == (
+            "full counts are not a degree-3 polynomial: predicted 0 at k=-3, counted -1"
+        )
+        assert read_count(p.histogram(3), "interior") == 0
 
     def test_a_facet_set_that_cuts_out_no_face_reads_zero(self, prepare):
         p = prepare("cube_unit")
         for face in ((0, 1), (0, 2, 4, 1)):
-            fit = fit_region(p.histogram, 3, "face", face, p.face_counts)
+            fit = fit_face(p.histogram, p.face_counts, 3, face)
             assert fit.poly() == UniPoly() and fit.at(997) == 0
 
 
@@ -985,14 +1074,16 @@ class TestFittedCount:
         # the vertex (1/2, 0) is off the lattice: the counts are a
         # quasi-polynomial of period 2, which no fit reads
         spec = HalfSpaceSpec(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)])
+        charts = Prepared(spec).charts
         dilates = self.kernel_dilates(monkeypatch)
         for k in (7, 8, 97):
             dilates.clear()
             for region in ("full", "interior", "boundary"):
-                assert count_points(spec, k, region) == read_count(brute_histogram(spec, k), region)
+                brute = brute_histogram(spec, k, charts=charts)
+                assert count_points(spec, k, region, charts=charts) == read_count(brute, region)
             assert dilates == [k] * 3
         # floor((k + 2)^2 / 4) points at k, not a polynomial
-        assert [count_points(spec, k) for k in range(1, 7)] == [2, 4, 6, 9, 12, 16]
+        assert [count_points(spec, k, charts=charts) for k in range(1, 7)] == [2, 4, 6, 9, 12, 16]
         with pytest.raises(ValueError, match="is not a lattice point"):
             ehrhart_interpolate(Prepared(spec))
 

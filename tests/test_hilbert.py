@@ -124,9 +124,10 @@ class TestCyHilbertPolynomial:
         assert err.value.report.per_face == {}
 
     def test_oracle_counts_that_break_reciprocity_fit_no_polynomial(self, monkeypatch):
-        # route (c) assumes H(-k) = -H(k) on simplex_2: its boundary counts
-        # 3k + 1 read 4 at k = 1 and -4 at k = -1, so the fit 4k misses the
-        # probe k = 2, and the routes disagree with no oracle polynomial
+        # route (c) reads the boundary off the oracle's fit of simplex_2, L(k),
+        # which assumes L(-k) = (-1)^2 L°(k): counts L(k) + 1 read 4 at k = 1
+        # and 0 at k = -1, so the fit k^2 + 2k + 1 misses the probe k = 2, and
+        # the routes disagree with no oracle polynomial
         real = counting.brute_histogram
 
         def lying(spec, k, **kwargs):
@@ -141,8 +142,8 @@ class TestCyHilbertPolynomial:
         assert err.value.report.by_inclusion_exclusion == UniPoly([0, 3])
         assert str(err.value) == (
             "boundary Hilbert polynomial routes disagree: inclusion-exclusion 3k, "
-            "operator 3k, oracle none (boundary counts are not a degree-1 "
-            "polynomial: predicted 8 at k=2, counted 7)"
+            "operator 3k, oracle none (full counts are not a degree-2 "
+            "polynomial: predicted 9 at k=2, counted 7)"
         )
 
 

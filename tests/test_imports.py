@@ -349,12 +349,11 @@ def test_tight_histogram_is_the_one_door_to_the_slab_kernel():
         ("cli", "cmd_count"),
         ("hilbert", "check_reciprocity"),
     }
-    # a plan is built for one pass, by ``count_points`` or by the kernel's
-    # door when given none, or kept by a ``Prepared`` for all of its
-    # dilates and read by its ``histogram``, and named nowhere else
+    # a plan is built for the passes of one ``count_points`` call, or kept
+    # by a ``Prepared`` for all of its dilates and read by its
+    # ``histogram``, and named nowhere else: the kernel's door is handed one
     assert callers(PACKAGE, "slab_plan") == {
         ("counting", "count_points"),
-        ("counting", "tight_histogram"),
         ("prepared", "slab_plan"),
         ("prepared", "histogram"),
     }

@@ -215,7 +215,7 @@ class TestSymbolicEhrhart:
     def test_unknown_kind(self, prepare):
         p = prepare("simplex_2")
         with pytest.raises(ValueError):
-            symbolic_ehrhart(p, "interior")
+            symbolic_ehrhart(p, "face")
 
     @pytest.mark.parametrize("name", DELZANT_CORPUS)
     @pytest.mark.parametrize("kind", ["full", "boundary"])

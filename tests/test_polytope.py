@@ -186,12 +186,17 @@ class TestEnumerateVertices:
         )
 
 
+def _validate(name):
+    spec = load(name)
+    return validate_delzant(spec, Prepared(spec).charts)
+
+
 class TestValidateDelzant:
     def test_simplex_passes(self):
-        assert validate_delzant(load("simplex_2")).ok
+        assert _validate("simplex_2").ok
 
     def test_det2_triangle_fails_at_expected_vertex(self):
-        report = validate_delzant(load("triangle_det2"))
+        report = _validate("triangle_det2")
         assert not report.ok
         assert len(report.failures) == 1
         failure = report.failures[0]
@@ -199,7 +204,7 @@ class TestValidateDelzant:
         assert abs(failure.det) == 2
 
     def test_hirzebruch_passes(self):
-        assert validate_delzant(load("hirzebruch_a")).ok
+        assert _validate("hirzebruch_a").ok
 
 
 class TestFaceLattice:

@@ -145,6 +145,9 @@ def test_hilbert_cy_fits_one_sided_for_route_a_alone(stage_calls, simplex_2, cap
         # text output counts one region by ``count_points``: a fresh
         # histogram, scanned for the face, and no table
         (("count", "--k", "2", "--region", "face=3"), 0, 1),
+        # above k = m + 2 the edge's fit reads the node k = 1 and the probe
+        # k = 2, each pass scanned once
+        (("count", "--k", "1000", "--region", "face=3"), 0, 2),
     ],
     ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
 )
