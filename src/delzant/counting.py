@@ -33,7 +33,10 @@ code with the kernel and reads nothing of its plan.  Both take their
 box, and the one check of k, from ``_box``.
 
 Counts are fitted by exact interpolation (integer forward differences,
-``IntegerFit``), and every fit must predict the counts it did not read
+``IntegerFit``): the Newton expansion through n nodes from a first node
+is a set of integer rows over (n-1)!, built once per (n, first node)
+(``_forward_difference_rows``), and every fit is n dot products of those
+rows with its values.  Every fit must predict the counts it did not read
 before it is accepted as a polynomial.  There is one fit of counts,
 ``fit_face``: the Ehrhart polynomial of a closed face, the facet set ()
 being the polytope itself, fitted on both sides of zero, each histogram
@@ -43,8 +46,10 @@ and the boundary are not fitted but read off the polytope's fit L by one
 rule (``read_region``): interior (-1)^m L(-k), boundary L(k) - (-1)^m
 L(-k), the K-theory Euler class [O_Z] = 1 - [K_M] of the Calabi-Yau
 hypersurface Z.  The same rule reads a histogram's counts, a fitted
-count and a printed polynomial.  ``interpolate_counts`` fits through k =
-1..n+1, assuming nothing at k <= 0, for the two checks that need that:
+count and a fit, reflected and subtracted in integers
+(``IntegerFit.reflected``) before its one ``poly``.
+``interpolate_counts`` fits through k = 1..n+1, assuming nothing at
+k <= 0, for the two checks that need that:
 route (a) of ``hilbert`` and ``cross_check``'s reciprocity.  One reader,
 ``read_dilate``, checks and serves ``count_points`` (fresh passes, each
 scanned for the one face asked) and ``Prepared.count`` (the kept
@@ -61,8 +66,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from math import factorial, gcd
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from . import polynomial
@@ -568,7 +574,7 @@ def _facet_mask(face) -> int:
 def read_region(region: str, full, interior):
     """The count of ``region`` read off the polytope's count ``full`` =
     L(k) and its interior's ``interior`` = (-1)^m L(-k) (Ehrhart-Macdonald
-    reciprocity): counts, fitted values and polynomials alike.
+    reciprocity): counts, fitted values and fits alike.
 
     The boundary is L(k) - (-1)^m L(-k).  For a dim-m Delzant polytope
     with toric variety M and Z in |-K_M|, the K-theory Euler class of
@@ -730,32 +736,61 @@ class IntegerFit(NamedTuple):
         it takes an integer value at every integer."""
         return self.scaled(k) // self.denominator
 
+    def reflected(self, m: int) -> IntegerFit:
+        """(-1)^m p(-k): numerator i weighted by (-1)^(m+i).  Of a dim-m
+        polytope's Ehrhart polynomial, its interior's (Ehrhart-Macdonald
+        reciprocity)."""
+        return IntegerFit(
+            [(-1) ** (m + i) * c for i, c in enumerate(self.numerators)], self.denominator
+        )
+
+    def __sub__(self, other: IntegerFit) -> IntegerFit:
+        """The difference of two fits over their shared denominator, as a
+        fit and its reflection share theirs."""
+        if other.denominator != self.denominator:
+            raise ValueError("fits over different denominators")
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return IntegerFit([a - b for a, b in pairs], self.denominator)
+
     def poly(self) -> polynomial.UniPoly:
         return polynomial.UniPoly(Fraction(c, self.denominator) for c in self.numerators)
 
 
-def _forward_difference_fit(values, start: int = 1) -> IntegerFit:
-    """The polynomial of degree < n through (start + i, values[i]) for i < n.
+@cache
+def _forward_difference_rows(n: int, start: int) -> tuple[tuple[int, ...], ...]:
+    """The fit of n values at the nodes start..start+n-1 as integer rows:
+    numerator p of ``_forward_difference_fit`` is the dot product of row p
+    with the values, over the denominator (n-1)!.
 
     Newton's form p(k) = sum_i D^i y_0 C(k - start, i), where D^i y_0 is
-    the i-th forward difference, is summed in integers over the common
-    denominator (n-1)!: term i adds D^i y_0 (n-1)!/i! times the product of
-    (k - start - j) over j < i.
+    the i-th forward difference, summed over the common denominator
+    (n-1)!: term i adds D^i y_0 (n-1)!/i! times the product of (k - start
+    - j) over j < i.  The loop runs on the weights of the n values in each
+    difference, not on the values, so its rows serve every fit through
+    those nodes; cached, each (n, start) is built once per process.
     """
-    n = len(values)
-    numerators = [0] * n
-    diffs = list(values)
+    rows = [[0] * n for _ in range(n)]
+    diffs = [[int(i == j) for j in range(n)] for i in range(n)]  # values[i], as weights
     falling = [1]  # (k - start)(k - start - 1)...(k - start - i + 1), lowest power first
-    denominator = scale = factorial(n - 1)  # scale is (n-1)!/i!
+    scale = factorial(n - 1)  # (n-1)!/i!
     for i in range(n):
-        lead = diffs[0] * scale
+        lead = [w * scale for w in diffs[0]]
         for power, c in enumerate(falling):
-            numerators[power] += lead * c
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            rows[power] = [r + c * w for r, w in zip(rows[power], lead)]
+        diffs = [list(map(sub, b, a)) for a, b in zip(diffs, diffs[1:])]
         node = start + i
         falling = [a - node * b for a, b in zip([0, *falling], [*falling, 0])]
         scale //= i + 1
-    return IntegerFit(numerators, denominator)
+    return tuple(map(tuple, rows))
+
+
+def _forward_difference_fit(values, start: int = 1) -> IntegerFit:
+    """The polynomial of degree < n through (start + i, values[i]) for i < n:
+    n integer dot products with the cached rows of those nodes
+    (``_forward_difference_rows``), over (n-1)!."""
+    n = len(values)
+    rows = _forward_difference_rows(n, start)
+    return IntegerFit([sum(map(mul, row, values)) for row in rows], factorial(n - 1))
 
 
 def _check_probe(fit: IntegerFit, probe: int, actual: int, degree: int, kind: str) -> None:
@@ -856,10 +891,10 @@ def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
 
     The polytope's fit L (``fit_face``) through ``prep.histogram(k)``, the
     polytope's one histogram per dilate, at k = 1..h+1, h = ceil(m/2), and
-    the region read off it (``read_region``): the interior's is (-1)^m
-    L(-k) and the boundary's L(k) - (-1)^m L(-k), whose constant term is
-    1 - (-1)^m, though the boundary count of the zero dilate is
-    set-theoretically 1.  The fit assumes reciprocity; its probes at k =
+    the region read off it (``read_region``) in integers, then one
+    ``poly``: the interior's is (-1)^m L(-k) and the boundary's L(k) -
+    (-1)^m L(-k), whose constant term is 1 - (-1)^m, though the boundary
+    count of the zero dilate is set-theoretically 1.  The fit assumes reciprocity; its probes at k =
     +-(h + 1) check the polynomial's form.  Every vertex must be a
     lattice point (ValueError otherwise).
     """
@@ -868,5 +903,5 @@ def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
     for chart in prep.charts:
         chart.anchor_ints()  # raises off the lattice, where counts are quasi-polynomials
     m = prep.spec.dim
-    full = fit_face(prep.histogram, prep.face_counts, m).poly()
-    return read_region(kind, full, full.reflected(m))
+    full = fit_face(prep.histogram, prep.face_counts, m)
+    return read_region(kind, full, full.reflected(m)).poly()

@@ -7,10 +7,11 @@ formula on the boundary volume at the offsets k times the anchor
 of the volume formula as one univariate series, with no volume
 polynomial), and (c) direct brute-force counting; (a) and (c) are fitted
 to a polynomial in the dilation factor k.  Route (c) reads the boundary
-off the oracle's fit of the polytope L (``fit_face``), by the one reading
-of every boundary count (``read_region``): the K-theory Euler class of
-the Calabi-Yau hypersurface Z in |-K_M| is [O_Z] = 1 - [K_M], so H(k) =
-L(k) - (-1)^m L(-k), the second term by Serre duality on M.  The fit is
+off the oracle's fit of the polytope L (``fit_face``), in integers before
+its one ``poly``, by the one reading of every boundary count
+(``read_region``): the K-theory Euler class of the Calabi-Yau
+hypersurface Z in |-K_M| is [O_Z] = 1 - [K_M], so H(k) = L(k) - (-1)^m
+L(-k), the second term by Serre duality on M.  The fit is
 two-sided, so it assumes Ehrhart-Macdonald reciprocity and reads the
 dilates k = 1..h+1, h = ceil(m/2), not k = 1..m+1.  Route (a) fits from
 k = 1..m alone, with the probe k = m + 1 (``interpolate_counts``),
@@ -20,10 +21,14 @@ identities, so any disagreement aborts loudly: it always means an
 implementation bug or invalid input, never an acceptable warning.  Only
 then is the per-face table, each proper face's Ehrhart polynomial,
 fitted on both sides of zero (``fit_face``), from no dilate beyond
-route (a)'s.  Route (a) and the per-face table read every face count
-from one table per dilate (``Prepared.face_counts``: one superset-sum
-pass over the slab kernel's histogram), not from a histogram scan per
-face; the scan, ``read_count(..., "face")``, is the tests' oracle.
+route (a)'s: the kept histogram and face-count table of each dilate k =
+1..floor(m/2)+1 are read once into plain per-k lookups, handed to every
+face's fit, and each fit is a few integer dot products with the rows
+cached for its nodes (``counting._forward_difference_rows``).  Route
+(a) and the per-face table read every face count from one table per
+dilate (``Prepared.face_counts``: one superset-sum pass over the slab
+kernel's histogram), not from a histogram scan per face; the scan,
+``read_count(..., "face")``, is the tests' oracle.
 Route (c) and every brute comparison value of ``cross_check`` read the
 per-point classifier's histogram of the dilate
 (``Prepared.brute_histogram``, one per k), so the kernel is always
@@ -102,7 +107,8 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     read off it, so it assumes reciprocity; oracle counts that break it
     fit no polynomial, and that too is a disagreement.  Only
     once the three agree is each proper face fitted, on both sides of
-    zero, from the same tables.  Raises NotDelzantError on invalid input.
+    zero, from the same tables, each read once per dilate.  Raises
+    NotDelzantError on invalid input.
     """
     spec = prep.require_delzant().spec
     m = spec.dim
@@ -111,16 +117,21 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     ).poly()
     by_operator = symbolic_ehrhart(prep, "boundary")
     try:
-        oracle = fit_face(prep.brute_histogram, None, m).poly()  # the polytope reads no table
-        by_oracle, failure = read_region("boundary", oracle, oracle.reflected(m)), None
+        oracle = fit_face(prep.brute_histogram, None, m)  # the polytope reads no table
+        by_oracle, failure = read_region("boundary", oracle, oracle.reflected(m)).poly(), None
     except NotPolynomialError as exc:
         by_oracle, failure = None, exc
     agree = via_faces == by_operator == by_oracle
     per_face = {}
     if agree:
+        # a proper face has degree f < m, so its fit reads k = 1..ceil(f/2)+1,
+        # at most m // 2 + 1, each dilate's kept histogram and table read once
+        dilates = range(1, m // 2 + 2)
+        histograms = [None, *map(prep.histogram, dilates)].__getitem__
+        tables = [None, *map(prep.face_counts, dilates)].__getitem__
         for record in prep.lattice.proper_faces():
             face = record.active_set
-            per_face[face] = fit_face(prep.histogram, prep.face_counts, m, face).poly()
+            per_face[face] = fit_face(histograms, tables, m, face).poly()
     report = HilbertReport(
         by_inclusion_exclusion=via_faces,
         by_operator_formula=by_operator,

@@ -16,11 +16,13 @@ has the kernel's tight-mask histogram through it (``histogram``), read by
 superset-sum pass over the histogram), from which inclusion-exclusion,
 the per-face table and ``count --output json`` (``count``, through
 ``counting.read_dilate``: at k, or above k = m + 2 the fits through the
-tables at k = 1..h+1) read every face count.  Every fit is a closed
-face's (``counting.fit_face``), and the interior and boundary are read
-off the polytope's own fit by one rule (``counting.read_region``), the
-Euler-class reading of the Calabi-Yau hypersurface's Hilbert
-polynomial.
+tables at k = 1..h+1) read every face count; the per-face table reads
+each dilate's histogram and table here once and hands plain per-k
+lookups to its fits.  Every fit is a closed face's
+(``counting.fit_face``), integer dot products with rows cached per node
+set, and the interior and boundary are read off the polytope's own fit
+by one rule (``counting.read_region``), in integers, the Euler-class
+reading of the Calabi-Yau hypersurface's Hilbert polynomial.
 The brute comparison values come from a second histogram of each dilate,
 built by the per-point classifier (``brute_histogram``): the two share
 no code and are kept under different keys, so every brute value still

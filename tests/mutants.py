@@ -47,8 +47,31 @@ MUTANTS = (
         "src/delzant/polynomial.py",
         "return UniPoly((-1) ** (m + i) * c for i, c in enumerate(self.coeffs))",
         "return UniPoly((-1) ** m * c for i, c in enumerate(self.coeffs))",
+        (
+            "tests/test_counting.py::TestTwoSidedFit"
+            "::test_the_operator_interior_equals_brute_interior_counts",
+        ),
+        "the operator route's interior is (-1)^m L(-k): the coefficient of k^i weighs "
+        "(-1)^(m+i), not (-1)^m",
+    ),
+    Mutant(
+        "fit-reading-weights",
+        "src/delzant/counting.py",
+        "[(-1) ** (m + i) * c for i, c in enumerate(self.numerators)]",
+        "[(-1) ** m * c for i, c in enumerate(self.numerators)]",
         ("tests/test_counting.py::TestTwoSidedFit::test_equals_the_one_sided_fits",),
-        "the interior is (-1)^m L(-k): the coefficient of k^i weighs (-1)^(m+i), not (-1)^m",
+        "the fit's interior is (-1)^m L(-k): numerator i weighs (-1)^(m+i), not (-1)^m",
+    ),
+    Mutant(
+        "fit-row-nodes",
+        "src/delzant/counting.py",
+        "        node = start + i\n",
+        "        node = start + i + 1\n",
+        (
+            "tests/test_counting.py::TestForwardDifferenceFit"
+            "::test_matches_lagrange_interpolation_from_minus_h",
+        ),
+        "Newton's term i multiplies the factors (k - start - j) for j < i, node j at start + j",
     ),
     Mutant(
         "fit-face-sign",

@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -882,23 +883,65 @@ class TestEhrhartInterpolate:
         )
 
 
+def _value_lists(n, seed):
+    rng = random.Random(seed)
+    return [
+        [0] * n,
+        [rng.randint(-(10**6), -1) for _ in range(n)],
+        *([rng.randint(-50, 50) for _ in range(n)] for _ in range(20)),
+        [comb(k + n, n) for k in range(1, n + 1)],
+    ]
+
+
 class TestForwardDifferenceFit:
-    """The integer Newton fit against ``UniPoly.interpolate`` on k = 1..n."""
+    """The integer Newton fit, n dot products with the cached rows of its
+    nodes, against ``UniPoly.interpolate`` at every first node the fits
+    use: k = 1 (one-sided) and k = -h (two-sided, 2h + 1 nodes); its
+    integer reflection and difference against the polynomial's."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_lagrange_interpolation(self, n):
-        rng = random.Random(n)
-        value_lists = [
-            [0] * n,
-            [rng.randint(-(10**6), -1) for _ in range(n)],
-            *([rng.randint(-50, 50) for _ in range(n)] for _ in range(20)),
-            [comb(k + n, n) for k in range(1, n + 1)],
-        ]
-        for values in value_lists:
+        for values in _value_lists(n, n):
             nodes = list(enumerate(values, start=1))
             numerators, denominator = _forward_difference_fit(values)
             fit = UniPoly(Fraction(c, denominator) for c in numerators)
             assert fit == UniPoly.interpolate(nodes)
+
+    @pytest.mark.parametrize("h", range(5))
+    def test_matches_lagrange_interpolation_from_minus_h(self, h):
+        n = 2 * h + 1
+        for values in _value_lists(n, 100 + h):
+            nodes = list(enumerate(values, start=-h))
+            assert _forward_difference_fit(values, -h).poly() == UniPoly.interpolate(nodes)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_integer_reading_matches_the_polynomial_reading(self, m):
+        rng = random.Random(200 + m)
+        for _ in range(20):
+            values = [rng.randint(-50, 50) for _ in range(2 * m + 1)]
+            fit = _forward_difference_fit(values, -m)
+            reflected = fit.reflected(m)
+            assert reflected.poly() == fit.poly().reflected(m)
+            assert (fit - reflected).poly() == fit.poly() - fit.poly().reflected(m)
+        with pytest.raises(ValueError, match="different denominators"):
+            _forward_difference_fit([1, 2, 4]) - _forward_difference_fit([1, 2])
+
+    def test_one_hilbert_cy_builds_each_row_set_once(self, monkeypatch, tmp_path, capsys):
+        # cube_2, m = 3: route (a) fits k = 1..3; route (c) the polytope,
+        # k = -2..2; the squares and edges k = -1..1; the vertices k = 0
+        built = []
+        raw = counting_mod._forward_difference_rows.__wrapped__
+
+        def recording(n, start):
+            built.append((n, start))
+            return raw(n, start)
+
+        monkeypatch.setattr(counting_mod, "_forward_difference_rows", cache(recording))
+        path = tmp_path / "cube_2.poly"
+        path.write_text(corpus_text("cube_2"), encoding="utf-8")
+        assert main(["hilbert-cy", str(path)]) == 0
+        capsys.readouterr()
+        assert sorted(built) == [(1, 0), (3, -1), (3, 1), (5, -2)]
 
 
 # lattice polytopes beyond the corpus: blow-ups (dilated by 3, vertices cut
@@ -930,12 +973,12 @@ class TestTwoSidedFit:
 
     def test_equals_the_one_sided_fits(self, lattice_polytope):
         p, m = lattice_polytope, lattice_polytope.spec.dim
-        full = fit_face(p.histogram, p.face_counts, m).poly()
+        full = fit_face(p.histogram, p.face_counts, m)
         for region in ("full", "interior", "boundary"):
             degree = m - (region == "boundary")
             counts = lambda k: read_count(p.histogram(k), region)
             expected = interpolate_counts(counts, degree, region).poly()
-            assert read_region(region, full, full.reflected(m)) == expected, region
+            assert read_region(region, full, full.reflected(m)).poly() == expected, region
             nodes = [(k, counts(k)) for k in range(1, degree + 2)]
             assert UniPoly.interpolate(nodes) == expected
         for record in p.lattice.proper_faces():
@@ -954,10 +997,22 @@ class TestTwoSidedFit:
         for record in p.lattice.proper_faces():
             fit = fit_face(p.histogram, p.face_counts, m, record.active_set).poly()
             by_faces = by_faces + fit * (-1) ** (m - record.dim + 1)
-        full = fit_face(p.histogram, p.face_counts, m).poly()
-        by_reading = read_region("boundary", full, full.reflected(m))
+        full = fit_face(p.histogram, p.face_counts, m)
+        by_reading = read_region("boundary", full, full.reflected(m)).poly()
         assert by_faces == by_reading == symbolic_ehrhart(p, "boundary")
         assert by_reading.degree == m - 1
+
+    def test_the_per_face_table_equals_the_oracles_one_sided_fits(self, lattice_polytope):
+        # each face's fit through the per-point oracle's histograms at
+        # k = 1..f+2, each scanned for the face, shares no table, no
+        # two-sided node and no kernel pass with the per-face table
+        p = lattice_polytope
+        per_face = cy_hilbert_polynomial(p).per_face
+        faces = {record.active_set: record.dim for record in p.lattice.proper_faces()}
+        assert per_face.keys() == faces.keys()
+        for face, dim in faces.items():
+            counts = lambda k: read_count(p.brute_histogram(k), "face", face)
+            assert per_face[face] == interpolate_counts(counts, dim, "face").poly(), face
 
     def test_the_operator_interior_equals_brute_interior_counts(self, lattice_polytope):
         # the Todd vertex sum read by reciprocity, against the per-point
