@@ -58,8 +58,9 @@ two-sided fit, so neither its time nor its budget grows with k.  No
 stage rebuilds an input it is not handed: the box and the plan read the
 vertex charts, a pass reads its plan, and a fit its histograms and
 tables.  A fit reads in integers; only ``IntegerFit.poly`` builds a
-``UniPoly`` and reads the lazily loaded ``polynomial``, so a count runs
-no ``polynomial`` in any format.
+``UniPoly``, of the same integers reduced, with no Fraction, and reads
+the lazily loaded ``polynomial``, so a count runs no ``polynomial`` in
+any format.
 """
 
 from __future__ import annotations
@@ -718,7 +719,8 @@ def brute_histogram(
 
 class IntegerFit(NamedTuple):
     """A fitted polynomial as integer numerators, lowest power first, over
-    one denominator; only ``poly`` builds fractions."""
+    one denominator; ``poly`` hands them to ``UniPoly``, which keeps them
+    as integers, reduced."""
 
     numerators: list[int]
     denominator: int
@@ -753,7 +755,7 @@ class IntegerFit(NamedTuple):
         return IntegerFit([a - b for a, b in pairs], self.denominator)
 
     def poly(self) -> polynomial.UniPoly:
-        return polynomial.UniPoly(Fraction(c, self.denominator) for c in self.numerators)
+        return polynomial.UniPoly.over(self.numerators, self.denominator)
 
 
 @cache

@@ -35,11 +35,16 @@ b_1 = +1/2):
 
 Each series has one closed form here; the tests check Td and Ahat
 against a power series inversion of (1 - exp(-x))/x and of invAhat.
+The Bernoulli numbers of each order are built once per process
+(``_bernoulli_numbers``); the series are built afresh on each call, so
+a test that replaces ``bernoulli_numbers`` or ``series_coefficients``
+reaches both routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial, lcm
 
@@ -54,16 +59,23 @@ _PRODUCTS = {"full": ("Td", None), "boundary": ("Ahat", "invAhat")}
 
 
 def bernoulli_numbers(order: int) -> list[Fraction]:
-    """B_0..B_order by the defining recurrence, with the B_1 = +1/2 convention."""
+    """B_0..B_order, with the B_1 = +1/2 convention, as a fresh list."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    return list(_bernoulli_numbers(order))
+
+
+@cache
+def _bernoulli_numbers(order: int) -> tuple[Fraction, ...]:
+    """B_0..B_order by the defining recurrence; cached, each order is
+    built once per process."""
     numbers: list[Fraction] = []
     for n in range(order + 1):
         acc = Fraction(n + 1)
         for j in range(n):
             acc -= comb(n + 1, j) * numbers[j]
         numbers.append(acc / (n + 1))
-    return numbers
+    return tuple(numbers)
 
 
 def series_multiply(a, b, order: int) -> list:
@@ -202,8 +214,9 @@ def symbolic_ehrhart(prep, kind: str) -> UniPoly:
     gives its factor sigma x).  At the offsets k anchor, s_v = k S_v, and
     the coefficient of k^n is sum_v t_{v,m-n} S_v^n / (n! den_v).  The
     series are integer numerators over one denominator per series, and the
-    vertices' are summed over the lcm of the den_v; only the returned
-    coefficients are Fractions.  The interior's polynomial is read off the
+    vertices' are summed over the lcm of the den_v; the polynomial is
+    returned as those integers over one denominator, with no Fraction
+    built.  The interior's polynomial is read off the
     full one by Ehrhart-Macdonald reciprocity, (-1)^m L(-k), as every
     interior count is, with no series of its own.
     """
@@ -221,10 +234,13 @@ def symbolic_ehrhart(prep, kind: str) -> UniPoly:
         denominator *= summed_scale
     rows, common = _lawrence_rows(charts, _moment_direction(charts, m))
     numerators = [0] * (m + 1)
+    scaled = {}  # pairing c -> the series at c x; the vertices share few pairings
     for active, pairings, den in rows:
         series = [1] + [0] * m
         for c in pairings:  # the factor first: its zero coefficients are skipped
-            series = series_multiply([s * c**j for j, s in enumerate(base)], series, m)
+            if c not in scaled:
+                scaled[c] = [s * c**j for j, s in enumerate(base)]
+            series = series_multiply(scaled[c], series, m)
         if summed is not None:
             sigma = sum(pairings)
             factor = [0] + [s * sigma ** (j + 1) for j, s in enumerate(summed_series)]
@@ -234,7 +250,8 @@ def symbolic_ehrhart(prep, kind: str) -> UniPoly:
         for n in range(m + 1):
             numerators[n] += series[m - n] * power
             power *= s_anchor
-    return UniPoly(
-        Fraction(value, common * denominator * factorial(n))
-        for n, value in enumerate(numerators)
+    top = factorial(m)  # k^n's numerator over m! rather than n!
+    return UniPoly.over(
+        [value * (top // factorial(n)) for n, value in enumerate(numerators)],
+        common * denominator * top,
     )

@@ -10,22 +10,27 @@ Terms are ordered graded-lexicographically (total degree first, then the
 exponent tuple) whenever a canonical sequence is needed, e.g. for text
 serialization.  Arithmetic itself is order-free.
 
-Where Fractions are built: the ring operations here work on Fractions,
-but the hot producers hand in finished ones, each built once from
-integers (the volume's Lawrence sum and its derivatives in ``volume``,
-the fits in ``counting``), and ``UniPoly`` and ``MultiPoly`` keep a
-Fraction as given.  Evaluation (``_by_degree``) works on integer
-numerators over one denominator and builds one Fraction per value.
-Printing (``_format_term``) reads each coefficient's numerator and
-denominator as integers, with no Fraction arithmetic, comparison or
-``str``.
+Where Fractions are built: ``MultiPoly``'s ring operations work on
+Fractions, but the hot producers hand in finished ones, each built once
+from integers (the volume's Lawrence sum and its derivatives in
+``volume``), and ``MultiPoly`` keeps a Fraction as given.  ``UniPoly``
+keeps integers: numerators over one denominator, in one canonical form,
+handed in as integers by the fits in ``counting`` and the vertex sum in
+``operators`` (``UniPoly.over``).  It compares, reflects and prints its
+integers, and builds Fractions only when ``coeffs`` or ``coefficient``
+is read, for one value (``evaluate``), or in its own ring operations,
+which no stage of the package calls.  ``MultiPoly``'s evaluation
+(``_by_degree``) works on integer numerators over one denominator and
+builds one Fraction per value.  Printing (``_format_term``) reads each
+coefficient as a reduced numerator and denominator, with no Fraction
+arithmetic, comparison or ``str``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -158,7 +163,7 @@ class MultiPoly:
         whose coefficient of k^n is the degree-n part's value at the anchor."""
         by_degree, denominator = self._by_degree(anchor)
         top = max(by_degree, default=0)
-        return UniPoly(Fraction(by_degree.get(i, 0), denominator) for i in range(top + 1))
+        return UniPoly.over([by_degree.get(i, 0) for i in range(top + 1)], denominator)
 
     def _by_degree(self, values: Sequence) -> tuple[dict[int, int], int]:
         """Each degree's part evaluated at ``values``, as integer numerators
@@ -204,14 +209,13 @@ class MultiPoly:
         parts: list[str] = []
         for exps, coeff in terms:
             mono = "*".join(filter(None, map(list.__getitem__, powers, exps)))
-            parts.append(_format_term(coeff, mono, first=not parts))
+            parts.append(_format_term(coeff.numerator, coeff.denominator, mono, first=not parts))
         return "".join(parts)
 
 
-def _format_term(coeff: Fraction, mono: str, first: bool, sep: str = "*") -> str:
-    """One term of a text form, read off the integers n/d of ``coeff``:
-    they print as ``str(Fraction)`` does (``n/d``, or ``n`` when d = 1)."""
-    n, d = coeff.numerator, coeff.denominator
+def _format_term(n: int, d: int, mono: str, first: bool, sep: str = "*") -> str:
+    """One term of a text form, its coefficient the reduced n/d, d > 0:
+    it prints as ``str(Fraction(n, d))`` does (``n/d``, or ``n`` when d = 1)."""
     sign = "+"
     if n < 0:
         sign, n = "-", -n
@@ -228,46 +232,88 @@ def _format_term(coeff: Fraction, mono: str, first: bool, sep: str = "*") -> str
 
 
 class UniPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored in one form: integer ``numerators``, lowest power first and
+    with no trailing zero, over one ``denominator`` >= 1 that shares no
+    factor with all of them (the zero polynomial is no numerators over 1).
+    So two equal polynomials store the same integers.  ``over`` takes
+    integers, ``UniPoly(coeffs)`` ints or Fractions, brought over their
+    lcm; ``coeffs`` builds the reduced Fractions on read.
+    """
+
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        common = lcm(*(c.denominator for c in cs))
+        self._reduce([c.numerator * (common // c.denominator) for c in cs], common)
+
+    @classmethod
+    def over(cls, numerators: Sequence[int], denominator: int) -> "UniPoly":
+        """The polynomial whose coefficient of k^i is numerators[i] / denominator."""
+        poly = cls.__new__(cls)
+        poly._reduce(numerators, denominator)
+        return poly
+
+    def _reduce(self, numerators: Sequence[int], denominator: int) -> None:
+        """Store the canonical form: trailing zeros dropped, and one gcd
+        divided out, negated if the denominator is negative."""
+        if not denominator:
+            raise ZeroDivisionError("UniPoly over the denominator 0")
+        n = len(numerators)
+        while n and not numerators[n - 1]:
+            n -= 1
+        g = gcd(denominator, *numerators)
+        if denominator < 0:
+            g = -g
+        self.numerators = tuple([c // g for c in numerators[:n]])
+        self.denominator = denominator // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest power first, as reduced Fractions."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.numerators):
+            return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
     def evaluate(self, x) -> Fraction:
+        """The value at x = p/q, by Horner's rule on integers: the sum of
+        numerator_i p^i q^(n-i), n the degree, over the denominator times
+        q^n."""
         x = Fraction(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        p, q = x.numerator, x.denominator
+        total, scale = 0, 1
+        for c in reversed(self.numerators):
+            total = total * p + c * scale
+            scale *= q
+        return Fraction(total * q, self.denominator * scale)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, UniPoly)
+            and self.numerators == other.numerators
+            and self.denominator == other.denominator
+        )
 
     __hash__ = None
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
+        n = max(len(self.numerators), len(other.numerators))
         return UniPoly(
             [self.coefficient(i) + other.coefficient(i) for i in range(n)]
         )
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
+        n = max(len(self.numerators), len(other.numerators))
         return UniPoly(
             [self.coefficient(i) - other.coefficient(i) for i in range(n)]
         )
@@ -287,8 +333,11 @@ class UniPoly:
     def reflected(self, m: int) -> "UniPoly":
         """(-1)^m p(-k): the coefficient of k^i weighted by (-1)^(m+i).  Of
         a dim-m polytope's Ehrhart polynomial, its interior's (Ehrhart-
-        Macdonald reciprocity)."""
-        return UniPoly((-1) ** (m + i) * c for i, c in enumerate(self.coeffs))
+        Macdonald reciprocity).  The numerators weighted, over the same
+        denominator."""
+        return UniPoly.over(
+            [(-1) ** (m + i) * c for i, c in enumerate(self.numerators)], self.denominator
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
@@ -315,13 +364,15 @@ class UniPoly:
         return result
 
     def to_text(self) -> str:
-        """Descending-power text form, e.g. ``2k^2 + 2`` or ``(5/6)k^3 + (25/6)k``."""
-        if not self.coeffs:
+        """Descending-power text form, e.g. ``2k^2 + 2`` or ``(5/6)k^3 + (25/6)k``:
+        each coefficient reduced by one integer gcd, with no Fraction built."""
+        if not self.numerators:
             return "0"
+        denominator = self.denominator
         parts: list[str] = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            coeff = self.coeffs[power]
-            if not coeff:
+        for power in range(len(self.numerators) - 1, -1, -1):
+            n = self.numerators[power]
+            if not n:
                 continue
             if power == 0:
                 mono = ""
@@ -329,7 +380,8 @@ class UniPoly:
                 mono = "k"
             else:
                 mono = f"k^{power}"
-            parts.append(_format_term(coeff, mono, first=not parts, sep=""))
+            g = gcd(n, denominator)
+            parts.append(_format_term(n // g, denominator // g, mono, first=not parts, sep=""))
         return "".join(parts)
 
 

@@ -45,14 +45,52 @@ MUTANTS = (
     Mutant(
         "reading-weights",
         "src/delzant/polynomial.py",
-        "return UniPoly((-1) ** (m + i) * c for i, c in enumerate(self.coeffs))",
-        "return UniPoly((-1) ** m * c for i, c in enumerate(self.coeffs))",
+        "[(-1) ** (m + i) * c for i, c in enumerate(self.numerators)], self.denominator",
+        "[(-1) ** m * c for i, c in enumerate(self.numerators)], self.denominator",
         (
             "tests/test_counting.py::TestTwoSidedFit"
             "::test_the_operator_interior_equals_brute_interior_counts",
+            "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference::test_every_reading",
         ),
-        "the operator route's interior is (-1)^m L(-k): the coefficient of k^i weighs "
+        "the operator route's interior is (-1)^m L(-k): numerator i weighs "
         "(-1)^(m+i), not (-1)^m",
+    ),
+    Mutant(
+        "canonical-gcd",
+        "src/delzant/polynomial.py",
+        "g = gcd(denominator, *numerators)",
+        "g = 1",
+        (
+            "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference::test_every_reading",
+            "tests/test_polynomial.py"
+            "::test_unipoly_keeps_the_canonical_integers_of_the_given_fractions",
+        ),
+        "one stored form: equal polynomials store equal integers only once their "
+        "common factor is divided out",
+    ),
+    Mutant(
+        "canonical-sign",
+        "src/delzant/polynomial.py",
+        "        if denominator < 0:\n",
+        "        if False:\n",
+        (
+            "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference::test_every_reading",
+            "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference"
+            "::test_the_zero_polynomial",
+        ),
+        "one stored form: the denominator is positive, the sign kept by the numerators",
+    ),
+    Mutant(
+        "ahat-factor",
+        "src/delzant/operators.py",
+        "(2 - 2**j) * b / (2**j * factorial(j))",
+        "(1 - j) * b / (2**j * factorial(j))",
+        (
+            "tests/test_operators.py::TestSeriesCoefficients::test_ahat_from_inversion",
+            "tests/test_operators.py::TestSymbolicEhrhart::test_simplex4_boundary",
+        ),
+        "(x/2)/sinh(x/2) has x^j coefficient (2 - 2^j) B_j / (2^j j!); a factor right "
+        "at j = 0, 1 alone misses x^2 and beyond",
     ),
     Mutant(
         "fit-reading-weights",

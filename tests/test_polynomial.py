@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delzant.corpus import DELZANT_CORPUS
+from delzant.counting import fit_face, read_region
 from delzant.polynomial import (
     MultiPoly,
     UniPoly,
@@ -14,6 +16,7 @@ from delzant.polynomial import (
 )
 from generators import random_poly
 from reference_printer import multi_text, uni_text
+from unipoly_reference import FractionUniPoly
 
 
 class TestScalar:
@@ -270,9 +273,92 @@ class TestTextMatchesReference:
                 assert poly.to_text() == multi_text(poly)
 
 
-def test_unipoly_keeps_fraction_coefficients_as_given():
+# small and past 10^30, of either sign, and zero often enough to trail
+_NUMERATORS = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(-60, 60),
+    st.integers(-(10**40), 10**40),
+)
+
+
+def _assert_canonical(poly):
+    assert poly.denominator >= 1
+    assert gcd(poly.denominator, *poly.numerators) == 1
+    assert not poly.numerators or poly.numerators[-1] != 0
+    assert all(type(c) is int for c in (*poly.numerators, poly.denominator))
+
+
+class TestIntegerUniPolyMatchesReference:
+    """The integer ``UniPoly`` against the Fraction-coefficient reference,
+    built from the same numerators over the same denominator."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        numerators=st.lists(_NUMERATORS, max_size=6),
+        trailing=st.integers(0, 2),
+        shared=st.sampled_from([1, 2, 6, 720, 10**12]),
+        denominator=st.one_of(st.integers(-40, 40), st.integers(-(10**31), 10**31)).filter(bool),
+        m=st.integers(0, 5),
+        x=st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    )
+    @example(numerators=[], trailing=0, shared=1, denominator=1, m=0, x=Fraction(0))
+    @example(numerators=[0, 0], trailing=2, shared=6, denominator=-5, m=1, x=Fraction(3))
+    @example(numerators=[4, -6, 2], trailing=1, shared=2, denominator=-4, m=2, x=Fraction(-1, 2))
+    @example(numerators=[10**35, -1], trailing=0, shared=10**12, denominator=7, m=3, x=Fraction(2))
+    def test_every_reading(self, numerators, trailing, shared, denominator, m, x):
+        scaled = [c * shared for c in numerators] + [0] * trailing
+        poly = UniPoly.over(scaled, denominator * shared)
+        reference = FractionUniPoly(Fraction(c, denominator) for c in numerators)
+
+        _assert_canonical(poly)
+        assert poly.coeffs == reference.coeffs
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert poly.degree == reference.degree
+        for power in range(-1, reference.degree + 2):
+            assert poly.coefficient(power) == reference.coefficient(power)
+        assert poly.to_text() == uni_text(reference)
+        assert poly.evaluate(x) == reference.evaluate(x)
+        assert poly.reflected(m).coeffs == reference.reflected(m).coeffs
+        _assert_canonical(poly.reflected(m))
+
+        # one stored form: every door to the same polynomial stores the same integers
+        assert poly == UniPoly(reference.coeffs)
+        assert poly == UniPoly.over(numerators, denominator)
+        assert poly != poly + UniPoly([1])
+
+    def test_the_zero_polynomial(self):
+        for poly in (UniPoly(), UniPoly([0, 0]), UniPoly.over([0, 0, 0], -12)):
+            assert (poly.numerators, poly.denominator) == ((), 1)
+            assert poly == UniPoly()
+            assert poly.to_text() == "0"
+            assert poly.degree == -1
+            assert poly.evaluate(Fraction(7, 3)) == 0
+
+    def test_denominator_zero_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            UniPoly.over([1, 2], 0)
+
+    def test_every_fit_of_the_corpus(self, prepare):
+        """Each fit's integers give the polynomial its Fractions give: every
+        closed face's, and the interior and boundary read off the polytope's."""
+        for name in DELZANT_CORPUS:
+            p = prepare(name)
+            m = p.spec.dim
+            full = fit_face(p.histogram, p.face_counts, m)
+            fits = [fit_face(p.histogram, p.face_counts, m, face) for face in p.lattice.faces]
+            fits += [full.reflected(m), read_region("boundary", full, full.reflected(m))]
+            for fit in fits:
+                coeffs = [Fraction(c, fit.denominator) for c in fit.numerators]
+                assert fit.poly() == UniPoly(coeffs)
+                assert fit.poly().coeffs == FractionUniPoly(coeffs).coeffs
+
+
+def test_unipoly_keeps_the_canonical_integers_of_the_given_fractions():
     half = Fraction(1, 2)
     poly = UniPoly([half, 2, Fraction(0)])
-    assert poly.coeffs[0] is half
+    assert (poly.numerators, poly.denominator) == ((1, 4), 2)
+    shared = UniPoly.over([3, 12, 0], 6)
+    assert (shared.numerators, shared.denominator) == ((1, 4), 2)
+    assert shared == poly
     assert poly.coeffs == (half, Fraction(2))
-    assert type(poly.coeffs[1]) is Fraction
+    assert all(type(c) is Fraction for c in poly.coeffs)

@@ -14,14 +14,18 @@ command reuse it.
 """
 
 import argparse
+import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import delzant.cli as cli
 import delzant.counting as counting
+import delzant.operators as operators
+import delzant.polynomial as polynomial
 import delzant.polytope as polytope
 import delzant.volume as volume
 from delzant.cli import main
@@ -277,6 +281,81 @@ def test_ehrhart_polynomials_expand_no_operator_product(
     assert stage_calls["build_face_lattice"] == lattices
     assert stage_calls["volume_polynomial"] == products
     assert stage_calls["apply_operator_product"] == products
+
+
+@pytest.fixture
+def cube_4(tmp_path):
+    """The unit 4-cube: 80 proper faces."""
+    lines = ["dim 4"]
+    for i in range(4):
+        normal = ["0"] * 4
+        for sign, offset in (("-1", 0), ("1", 1)):
+            normal[i] = sign
+            lines.append(f"facet {' '.join(normal)} {offset}")
+    path = tmp_path / "cube_4.poly"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_hilbert_cy_builds_no_fraction_for_its_per_face_table(monkeypatch, cube_4, capsys):
+    """Each face's fit is handed to ``UniPoly`` as integers and printed off
+    them: no Fraction is built while a fit becomes a ``UniPoly``
+    (``IntegerFit.poly``) or a ``UniPoly`` is printed (``to_text``)."""
+    built, scope = Counter(), []
+    stored_new = Fraction.__dict__["__new__"]
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built[scope[-1] if scope else None] += 1
+        return new(cls, *args, **kwargs)
+
+    def scoped(name, method):
+        def wrapper(*args, **kwargs):
+            scope.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                scope.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(counting.IntegerFit, "poly", scoped("poly", counting.IntegerFit.poly))
+    monkeypatch.setattr(
+        polynomial.UniPoly, "to_text", scoped("to_text", polynomial.UniPoly.to_text)
+    )
+    Fraction.__new__ = staticmethod(counted_new)
+    try:
+        assert main(["hilbert-cy", "--output", "json", cube_4]) == 0
+        # the count is live: reading the coefficients builds them
+        scoped("coeffs", lambda: polynomial.UniPoly.over([1, 3], 2).coeffs)()
+    finally:
+        Fraction.__new__ = stored_new
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["per_face"]) == 80
+    assert built["poly"] == built["to_text"] == 0
+    assert built["coeffs"] == 2
+
+
+def test_bernoulli_numbers_are_built_once_per_order(cube_4, simplex_2, capsys):
+    """Each order's B_0..B_order is built once per process, however many
+    commands read it; the series built from them are not kept, so a test
+    that replaces ``bernoulli_numbers`` or ``series_coefficients`` still
+    reaches both operator routes."""
+    cached = operators._bernoulli_numbers
+    cached.cache_clear()
+    # cross-check on the triangle: the Todd product and the vertex sum at
+    # order 2, the A-hat product at order 1; hilbert-cy on the 4-cube:
+    # the A-hat vertex sum at order 4
+    for argv in (["cross-check", simplex_2], ["hilbert-cy", cube_4]):
+        assert main(argv) == 0
+    first = cached.cache_info()
+    assert first.misses == first.currsize == 3
+    for argv in (["cross-check", simplex_2], ["hilbert-cy", cube_4]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    second = cached.cache_info()
+    assert second.misses == first.misses
+    assert second.hits > first.hits
 
 
 def test_cross_check_oracle_never_enumerates_the_anchor(monkeypatch, simplex_2, capsys):
