@@ -32,12 +32,14 @@ oracle, read as the kernel's histograms are, and shares no classifying
 code with the kernel and reads nothing of its plan.  Both take their
 box, and the one check of k, from ``_box``.
 
-Counts are fitted by exact interpolation (integer forward differences,
-``IntegerFit``): the Newton expansion through n nodes from a first node
-is a set of integer rows over (n-1)!, built once per (n, first node)
+Counts are fitted by exact interpolation (integer forward differences):
+the Newton expansion through n nodes from a first node is a set of
+integer rows over (n-1)!, built once per (n, first node)
 (``_forward_difference_rows``), and every fit is n dot products of those
-rows with its values.  Every fit must predict the counts it did not read
-before it is accepted as a polynomial.  There is one fit of counts,
+rows with its values, returned as a ``UniPoly`` of those integers over
+(n-1)!, reduced, the one type of every polynomial in k.  Every fit must
+predict the counts it did not read, checked in integers, before it is
+accepted as a polynomial.  There is one fit of counts,
 ``fit_face``: the Ehrhart polynomial of a closed face, the facet set ()
 being the polytope itself, fitted on both sides of zero, each histogram
 at k giving the value at -k by Ehrhart-Macdonald reciprocity, so a
@@ -46,8 +48,8 @@ and the boundary are not fitted but read off the polytope's fit L by one
 rule (``read_region``): interior (-1)^m L(-k), boundary L(k) - (-1)^m
 L(-k), the K-theory Euler class [O_Z] = 1 - [K_M] of the Calabi-Yau
 hypersurface Z.  The same rule reads a histogram's counts, a fitted
-count and a fit, reflected and subtracted in integers
-(``IntegerFit.reflected``) before its one ``poly``.
+count (``UniPoly.at``, exact) and a fit, reflected and subtracted in
+integers (``UniPoly.reflected`` and ``UniPoly.__sub__``).
 ``interpolate_counts`` fits through k = 1..n+1, assuming nothing at
 k <= 0, for the two checks that need that:
 route (a) of ``hilbert`` and ``cross_check``'s reciprocity.  One reader,
@@ -57,17 +59,14 @@ histograms and tables): above k = m + 2, on a lattice polytope, it reads a
 two-sided fit, so neither its time nor its budget grows with k.  No
 stage rebuilds an input it is not handed: the box and the plan read the
 vertex charts, a pass reads its plan, and a fit its histograms and
-tables.  A fit reads in integers; only ``IntegerFit.poly`` builds a
-``UniPoly``, of the same integers reduced, with no Fraction, and reads
-the lazily loaded ``polynomial``, so a count runs no ``polynomial`` in
-any format.
+tables.  A fit reads in integers and builds no Fraction.  Only a fit
+reads the lazily loaded ``polynomial``, so a count up to k = m + 2, or
+of a polytope off the lattice, runs no ``polynomial`` in any format.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from math import factorial, gcd
 from operator import itemgetter, mul, sub
 from typing import NamedTuple
@@ -717,47 +716,6 @@ def brute_histogram(
     return _tight_masks(*_box(spec, k, budget, _bounding_box(spec, charts)))
 
 
-class IntegerFit(NamedTuple):
-    """A fitted polynomial as integer numerators, lowest power first, over
-    one denominator; ``poly`` hands them to ``UniPoly``, which keeps them
-    as integers, reduced."""
-
-    numerators: list[int]
-    denominator: int
-
-    def scaled(self, k: int) -> int:
-        """The denominator times the value at k, by Horner's rule in integers."""
-        value = 0
-        for c in reversed(self.numerators):
-            value = value * k + c
-        return value
-
-    def at(self, k: int) -> int:
-        """The value at the integer k.  Exact: every fit here takes integer
-        values at as many consecutive integers as it has coefficients, so
-        it takes an integer value at every integer."""
-        return self.scaled(k) // self.denominator
-
-    def reflected(self, m: int) -> IntegerFit:
-        """(-1)^m p(-k): numerator i weighted by (-1)^(m+i).  Of a dim-m
-        polytope's Ehrhart polynomial, its interior's (Ehrhart-Macdonald
-        reciprocity)."""
-        return IntegerFit(
-            [(-1) ** (m + i) * c for i, c in enumerate(self.numerators)], self.denominator
-        )
-
-    def __sub__(self, other: IntegerFit) -> IntegerFit:
-        """The difference of two fits over their shared denominator, as a
-        fit and its reflection share theirs."""
-        if other.denominator != self.denominator:
-            raise ValueError("fits over different denominators")
-        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
-        return IntegerFit([a - b for a, b in pairs], self.denominator)
-
-    def poly(self) -> polynomial.UniPoly:
-        return polynomial.UniPoly.over(self.numerators, self.denominator)
-
-
 @cache
 def _forward_difference_rows(n: int, start: int) -> tuple[tuple[int, ...], ...]:
     """The fit of n values at the nodes start..start+n-1 as integer rows:
@@ -786,28 +744,27 @@ def _forward_difference_rows(n: int, start: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _forward_difference_fit(values, start: int = 1) -> IntegerFit:
+def _forward_difference_fit(values, start: int = 1) -> polynomial.UniPoly:
     """The polynomial of degree < n through (start + i, values[i]) for i < n:
     n integer dot products with the cached rows of those nodes
     (``_forward_difference_rows``), over (n-1)!."""
     n = len(values)
     rows = _forward_difference_rows(n, start)
-    return IntegerFit([sum(map(mul, row, values)) for row in rows], factorial(n - 1))
+    return polynomial.UniPoly.over([sum(map(mul, row, values)) for row in rows], factorial(n - 1))
 
 
-def _check_probe(fit: IntegerFit, probe: int, actual: int, degree: int, kind: str) -> None:
+def _check_probe(fit: polynomial.UniPoly, probe: int, actual: int, degree: int, kind: str) -> None:
     """Raise NotPolynomialError unless ``fit`` predicts the count ``actual``
     at ``probe``, checked in integers: the fit's numerators at the probe
-    against the count times its denominator."""
-    predicted = fit.scaled(probe)
-    if predicted != actual * fit.denominator:
+    (``UniPoly.scaled``) against the count times its denominator."""
+    if fit.scaled(probe) != actual * fit.denominator:
         raise NotPolynomialError(
             f"{kind} counts are not a degree-{degree} polynomial: "
-            f"predicted {Fraction(predicted, fit.denominator)} at k={probe}, counted {actual}"
+            f"predicted {fit.evaluate(probe)} at k={probe}, counted {actual}"
         )
 
 
-def interpolate_counts(counts, degree: int, kind: str) -> IntegerFit:
+def interpolate_counts(counts, degree: int, kind: str) -> polynomial.UniPoly:
     """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
 
     ``counts`` is a callable k -> int.  The verification failure means the
@@ -815,7 +772,7 @@ def interpolate_counts(counts, degree: int, kind: str) -> IntegerFit:
     input always signals a bug.  The fit assumes nothing of its values at
     k <= 0, so it also checks the parity that ``interpolate_two_sided``
     assumes: it serves only route (a) of ``hilbert`` and ``cross_check``'s
-    reciprocity check, which read ``.poly()`` and ``.at(-k)``.
+    reciprocity check, which reads ``.at(-k)``.
     """
     fit = _forward_difference_fit([counts(k) for k in range(1, degree + 2)])
     probe = degree + 2
@@ -823,7 +780,7 @@ def interpolate_counts(counts, degree: int, kind: str) -> IntegerFit:
     return fit
 
 
-def interpolate_two_sided(pairs, degree: int, kind: str) -> IntegerFit:
+def interpolate_two_sided(pairs, degree: int, kind: str) -> polynomial.UniPoly:
     """Fit ``degree`` through k = -h..h, h = ceil(degree/2), and verify at
     k = h+1 and k = -(h+1).
 
@@ -845,11 +802,10 @@ def interpolate_two_sided(pairs, degree: int, kind: str) -> IntegerFit:
         above.append(at_k)
         below.append(at_minus_k)
     fit = _forward_difference_fit([*below[::-1], 1, *above], start=-h)
-    if 2 * h > degree and fit.numerators[-1]:
+    if fit.degree > degree:
         raise NotPolynomialError(
             f"{kind} counts are not a degree-{degree} polynomial: the fit through "
-            f"k = -{h}..{h} has k^{2 * h} coefficient "
-            f"{Fraction(fit.numerators[-1], fit.denominator)}"
+            f"k = -{h}..{h} has k^{2 * h} coefficient {fit.coefficient(2 * h)}"
         )
     probe = h + 1
     at_k, at_minus_k = pairs(probe)
@@ -858,7 +814,7 @@ def interpolate_two_sided(pairs, degree: int, kind: str) -> IntegerFit:
     return fit
 
 
-def fit_face(histograms, tables, m: int, face=()) -> IntegerFit:
+def fit_face(histograms, tables, m: int, face=()) -> polynomial.UniPoly:
     """The Ehrhart polynomial of the closed face cut out by the facet set
     ``face`` of a dim-m lattice polytope, () being the polytope itself,
     fitted on both sides of zero (``interpolate_two_sided``).
@@ -882,7 +838,7 @@ def fit_face(histograms, tables, m: int, face=()) -> IntegerFit:
     else:
         closed = lambda k: sum(histograms(k).values())
     if not closed(1):
-        return IntegerFit([], 1)
+        return polynomial.UniPoly()
     f = m - mask.bit_count()
     pairs = lambda k: (closed(k), (-1) ** f * histograms(k).get(mask, 0))
     return interpolate_two_sided(pairs, f, "face" if mask else "full")
@@ -893,12 +849,12 @@ def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
 
     The polytope's fit L (``fit_face``) through ``prep.histogram(k)``, the
     polytope's one histogram per dilate, at k = 1..h+1, h = ceil(m/2), and
-    the region read off it (``read_region``) in integers, then one
-    ``poly``: the interior's is (-1)^m L(-k) and the boundary's L(k) -
-    (-1)^m L(-k), whose constant term is 1 - (-1)^m, though the boundary
-    count of the zero dilate is set-theoretically 1.  The fit assumes reciprocity; its probes at k =
-    +-(h + 1) check the polynomial's form.  Every vertex must be a
-    lattice point (ValueError otherwise).
+    the region read off it (``read_region``) in integers: the interior's
+    is (-1)^m L(-k) and the boundary's L(k) - (-1)^m L(-k), whose
+    constant term is 1 - (-1)^m, though the boundary count of the zero
+    dilate is set-theoretically 1.  The fit assumes reciprocity; its
+    probes at k = +-(h + 1) check the polynomial's form.  Every vertex
+    must be a lattice point (ValueError otherwise).
     """
     if kind not in ("full", "interior", "boundary"):
         raise ValueError(f"unknown Ehrhart kind {kind!r}")
@@ -906,4 +862,4 @@ def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
         chart.anchor_ints()  # raises off the lattice, where counts are quasi-polynomials
     m = prep.spec.dim
     full = fit_face(prep.histogram, prep.face_counts, m)
-    return read_region(kind, full, full.reflected(m)).poly()
+    return read_region(kind, full, full.reflected(m))

@@ -7,8 +7,8 @@ formula on the boundary volume at the offsets k times the anchor
 of the volume formula as one univariate series, with no volume
 polynomial), and (c) direct brute-force counting; (a) and (c) are fitted
 to a polynomial in the dilation factor k.  Route (c) reads the boundary
-off the oracle's fit of the polytope L (``fit_face``), in integers before
-its one ``poly``, by the one reading of every boundary count
+off the oracle's fit of the polytope L (``fit_face``), in integers, by
+the one reading of every boundary count
 (``read_region``): the K-theory Euler class of the Calabi-Yau
 hypersurface Z in |-K_M| is [O_Z] = 1 - [K_M], so H(k) = L(k) - (-1)^m
 L(-k), the second term by Serre duality on M.  The fit is
@@ -114,11 +114,11 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
     m = spec.dim
     via_faces = interpolate_counts(
         lambda k: inclusion_exclusion_count(prep, k), max(m - 1, 0), "boundary"
-    ).poly()
+    )
     by_operator = symbolic_ehrhart(prep, "boundary")
     try:
         oracle = fit_face(prep.brute_histogram, None, m)  # the polytope reads no table
-        by_oracle, failure = read_region("boundary", oracle, oracle.reflected(m)).poly(), None
+        by_oracle, failure = read_region("boundary", oracle, oracle.reflected(m)), None
     except NotPolynomialError as exc:
         by_oracle, failure = None, exc
     agree = via_faces == by_operator == by_oracle
@@ -131,7 +131,7 @@ def cy_hilbert_polynomial(prep: Prepared) -> HilbertReport:
         tables = [None, *map(prep.face_counts, dilates)].__getitem__
         for record in prep.lattice.proper_faces():
             face = record.active_set
-            per_face[face] = fit_face(histograms, tables, m, face).poly()
+            per_face[face] = fit_face(histograms, tables, m, face)
     report = HilbertReport(
         by_inclusion_exclusion=via_faces,
         by_operator_formula=by_operator,

@@ -13,13 +13,15 @@ serialization.  Arithmetic itself is order-free.
 Where Fractions are built: ``MultiPoly``'s ring operations work on
 Fractions, but the hot producers hand in finished ones, each built once
 from integers (the volume's Lawrence sum and its derivatives in
-``volume``), and ``MultiPoly`` keeps a Fraction as given.  ``UniPoly``
-keeps integers: numerators over one denominator, in one canonical form,
-handed in as integers by the fits in ``counting`` and the vertex sum in
-``operators`` (``UniPoly.over``).  It compares, reflects and prints its
-integers, and builds Fractions only when ``coeffs`` or ``coefficient``
-is read, for one value (``evaluate``), or in its own ring operations,
-which no stage of the package calls.  ``MultiPoly``'s evaluation
+``volume``), and ``MultiPoly`` keeps a Fraction as given.  ``UniPoly``, the
+one type of every polynomial in k, keeps integers: numerators over one
+denominator, in one canonical form, returned as integers by every fit in
+``counting`` and the vertex sum in ``operators`` (``UniPoly.over``).  It
+compares, reflects, subtracts, evaluates at an integer (``at``) and
+prints its integers, with one Horner loop (``scaled``), and builds
+Fractions only when ``coeffs`` or ``coefficient`` is read or for one
+rational value (``evaluate``).  It has no sum or product: no stage of the
+package adds or multiplies two polynomials in k.  ``MultiPoly``'s evaluation
 (``_by_degree``) works on integer numerators over one denominator and
 builds one Fraction per value.  Printing (``_format_term``) reads each
 coefficient as a reduced numerator and denominator, with no Fraction
@@ -29,7 +31,7 @@ arithmetic, comparison or ``str``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -285,17 +287,30 @@ class UniPoly:
             return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
-    def evaluate(self, x) -> Fraction:
-        """The value at x = p/q, by Horner's rule on integers: the sum of
-        numerator_i p^i q^(n-i), n the degree, over the denominator times
-        q^n."""
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+    def scaled(self, p: int, q: int = 1) -> int:
+        """The denominator times q^n times the value at x = p/q, n the
+        degree: the sum of numerator_i p^i q^(n-i), by Horner's rule on
+        integers.  The one evaluation loop, read by ``evaluate``, ``at`` and
+        the fits' probes (``counting._check_probe``)."""
         total, scale = 0, 1
         for c in reversed(self.numerators):
             total = total * p + c * scale
             scale *= q
-        return Fraction(total * q, self.denominator * scale)
+        return total
+
+    def evaluate(self, x) -> Fraction:
+        """The value at x = p/q: ``scaled`` over the denominator times q^n."""
+        x = Fraction(x)
+        q = x.denominator
+        return Fraction(self.scaled(x.numerator, q), self.denominator * q ** max(self.degree, 0))
+
+    def at(self, k: int) -> int:
+        """The exact integer value at the integer k; ValueError if the
+        value there is not an integer."""
+        value, rest = divmod(self.scaled(k), self.denominator)
+        if rest:
+            raise ValueError(f"{self.to_text()} takes no integer value at k={k}")
+        return value
 
     def __eq__(self, other) -> bool:
         return (
@@ -306,29 +321,12 @@ class UniPoly:
 
     __hash__ = None
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.numerators), len(other.numerators))
-        return UniPoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.numerators), len(other.numerators))
-        return UniPoly(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
-
-    def __mul__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            c = Fraction(other)
-            return UniPoly([c * x for x in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
+        """The difference, in integers over the lcm of the two denominators."""
+        common = lcm(self.denominator, other.denominator)
+        a, b = common // self.denominator, common // other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return UniPoly.over([a * x - b * y for x, y in pairs], common)
 
     def reflected(self, m: int) -> "UniPoly":
         """(-1)^m p(-k): the coefficient of k^i weighted by (-1)^(m+i).  Of
@@ -341,27 +339,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
-
-    @classmethod
-    def interpolate(cls, points: Sequence[tuple]) -> "UniPoly":
-        """Unique polynomial of degree < len(points) through the given points."""
-        xs = [Fraction(x) for x, _ in points]
-        if len(set(xs)) != len(xs):
-            raise ValueError("interpolation nodes must be distinct")
-        result = cls()
-        for i, (_, y) in enumerate(points):
-            y = Fraction(y)
-            if y == 0:
-                continue
-            basis = cls([1])
-            denom = Fraction(1)
-            for j, xj in enumerate(xs):
-                if j == i:
-                    continue
-                basis = basis * cls([-xj, 1])
-                denom *= xs[i] - xj
-            result = result + basis * (y / denom)
-        return result
 
     def to_text(self) -> str:
         """Descending-power text form, e.g. ``2k^2 + 2`` or ``(5/6)k^3 + (25/6)k``:

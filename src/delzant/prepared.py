@@ -20,9 +20,10 @@ tables at k = 1..h+1) read every face count; the per-face table reads
 each dilate's histogram and table here once and hands plain per-k
 lookups to its fits.  Every fit is a closed face's
 (``counting.fit_face``), integer dot products with rows cached per node
-set, and the interior and boundary are read off the polytope's own fit
-by one rule (``counting.read_region``), in integers, the Euler-class
-reading of the Calabi-Yau hypersurface's Hilbert polynomial.
+set, returned as a ``polynomial.UniPoly``, and the interior and boundary
+are read off the polytope's own fit by one rule
+(``counting.read_region``), in integers, the Euler-class reading of the
+Calabi-Yau hypersurface's Hilbert polynomial.
 The brute comparison values come from a second histogram of each dilate,
 built by the per-point classifier (``brute_histogram``): the two share
 no code and are kept under different keys, so every brute value still
@@ -39,7 +40,8 @@ it, so each is built at most once however many checks read it.
 lazily (see the package docstring), and this module reads them only as
 ``module.name`` inside the stage that needs them: the charts, the
 Delzant report and the face lattice run none of them, a histogram runs
-``counting`` alone, and the default budget comes from ``errors``.
+``counting`` alone, a fit ``polynomial`` too, and the default budget
+comes from ``errors``.
 """
 
 from __future__ import annotations

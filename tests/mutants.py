@@ -50,10 +50,36 @@ MUTANTS = (
         (
             "tests/test_counting.py::TestTwoSidedFit"
             "::test_the_operator_interior_equals_brute_interior_counts",
+            "tests/test_counting.py::TestTwoSidedFit::test_equals_the_one_sided_fits",
             "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference::test_every_reading",
         ),
-        "the operator route's interior is (-1)^m L(-k): numerator i weighs "
-        "(-1)^(m+i), not (-1)^m",
+        "the interior, of the operator route and of every fit, is (-1)^m L(-k): "
+        "numerator i weighs (-1)^(m+i), not (-1)^m",
+    ),
+    Mutant(
+        "unipoly-sub-scale",
+        "src/delzant/polynomial.py",
+        "[a * x - b * y for x, y in pairs]",
+        "[a * x - y for x, y in pairs]",
+        (
+            "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference::test_every_reading",
+            "tests/test_polynomial.py::TestSubstituteDilation::test_ring_homomorphism",
+            "tests/test_counting.py::TestForwardDifferenceFit"
+            "::test_integer_reading_matches_the_fraction_reading",
+        ),
+        "a difference over the lcm of two denominators scales each side's numerators "
+        "by its own factor",
+    ),
+    Mutant(
+        "at-exact",
+        "src/delzant/polynomial.py",
+        "        if rest:\n",
+        "        if False:\n",
+        (
+            "tests/test_polynomial.py::TestIntegerUniPolyMatchesReference::test_every_reading",
+            "tests/test_polynomial.py::TestUniPoly::test_at_is_exact",
+        ),
+        "a value at k that is not an integer raises; a floor would be a silent wrong count",
     ),
     Mutant(
         "canonical-gcd",
@@ -93,14 +119,6 @@ MUTANTS = (
         "at j = 0, 1 alone misses x^2 and beyond",
     ),
     Mutant(
-        "fit-reading-weights",
-        "src/delzant/counting.py",
-        "[(-1) ** (m + i) * c for i, c in enumerate(self.numerators)]",
-        "[(-1) ** m * c for i, c in enumerate(self.numerators)]",
-        ("tests/test_counting.py::TestTwoSidedFit::test_equals_the_one_sided_fits",),
-        "the fit's interior is (-1)^m L(-k): numerator i weighs (-1)^(m+i), not (-1)^m",
-    ),
-    Mutant(
         "fit-row-nodes",
         "src/delzant/counting.py",
         "        node = start + i\n",
@@ -133,10 +151,11 @@ MUTANTS = (
     Mutant(
         "spare-coefficient",
         "src/delzant/counting.py",
-        "if 2 * h > degree and fit.numerators[-1]:",
-        "if False:",
+        "    if fit.degree > degree:\n",
+        "    if False:\n",
         ("tests/test_counting.py::TestTwoSidedFit::test_spare_top_coefficient_must_vanish",),
-        "when 2h > degree the fit's k^(2h) coefficient must vanish",
+        "the fit's degree may not pass the asked one: when 2h > degree its k^(2h) "
+        "coefficient must vanish",
     ),
     Mutant(
         "facet-mask",

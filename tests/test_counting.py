@@ -34,6 +34,7 @@ from delzant.polynomial import UniPoly
 from delzant.polytope import HalfSpaceSpec, enumerate_vertices
 from delzant.prepared import Prepared
 from generators import blow_up, product_spec
+from unipoly_reference import FractionUniPoly
 
 
 class TestCountPoints:
@@ -868,7 +869,7 @@ class TestEhrhartInterpolate:
         p = prepare(name)
         degree = p.spec.dim - (kind == "boundary")
         counts = lambda k: count_points(p.spec, k, kind, charts=p.charts)
-        assert ehrhart_interpolate(p, kind) == interpolate_counts(counts, degree, kind).poly()
+        assert ehrhart_interpolate(p, kind) == interpolate_counts(counts, degree, kind)
 
     def test_prediction_check_catches_non_polynomial_counts(self):
         # counts that lie at the probe node must be rejected
@@ -895,36 +896,41 @@ def _value_lists(n, seed):
 
 class TestForwardDifferenceFit:
     """The integer Newton fit, n dot products with the cached rows of its
-    nodes, against ``UniPoly.interpolate`` at every first node the fits
-    use: k = 1 (one-sided) and k = -h (two-sided, 2h + 1 nodes); its
-    integer reflection and difference against the polynomial's."""
+    nodes, against the Fraction reference's Lagrange interpolation
+    (``FractionUniPoly.interpolate``) at every first node the fits use:
+    k = 1 (one-sided) and k = -h (two-sided, 2h + 1 nodes); its reflection
+    and difference against the reference's."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_lagrange_interpolation(self, n):
         for values in _value_lists(n, n):
             nodes = list(enumerate(values, start=1))
-            numerators, denominator = _forward_difference_fit(values)
-            fit = UniPoly(Fraction(c, denominator) for c in numerators)
-            assert fit == UniPoly.interpolate(nodes)
+            fit = _forward_difference_fit(values)
+            assert fit.coeffs == FractionUniPoly.interpolate(nodes).coeffs
+            assert [fit.at(k) for k, _ in nodes] == values
 
     @pytest.mark.parametrize("h", range(5))
     def test_matches_lagrange_interpolation_from_minus_h(self, h):
         n = 2 * h + 1
         for values in _value_lists(n, 100 + h):
             nodes = list(enumerate(values, start=-h))
-            assert _forward_difference_fit(values, -h).poly() == UniPoly.interpolate(nodes)
+            fit = _forward_difference_fit(values, -h)
+            assert fit.coeffs == FractionUniPoly.interpolate(nodes).coeffs
 
     @pytest.mark.parametrize("m", range(5))
-    def test_integer_reading_matches_the_polynomial_reading(self, m):
+    def test_integer_reading_matches_the_fraction_reading(self, m):
         rng = random.Random(200 + m)
         for _ in range(20):
             values = [rng.randint(-50, 50) for _ in range(2 * m + 1)]
             fit = _forward_difference_fit(values, -m)
-            reflected = fit.reflected(m)
-            assert reflected.poly() == fit.poly().reflected(m)
-            assert (fit - reflected).poly() == fit.poly() - fit.poly().reflected(m)
-        with pytest.raises(ValueError, match="different denominators"):
-            _forward_difference_fit([1, 2, 4]) - _forward_difference_fit([1, 2])
+            reference = FractionUniPoly.interpolate(list(enumerate(values, start=-m)))
+            assert fit.reflected(m).coeffs == reference.reflected(m).coeffs
+            assert (fit - fit.reflected(m)).coeffs == (reference - reference.reflected(m)).coeffs
+        # fits over different denominators subtract over their lcm
+        one, other = [1, 2, 4], [1, 2]
+        difference = _forward_difference_fit(one) - _forward_difference_fit(other)
+        by_lagrange = [FractionUniPoly.interpolate(list(enumerate(v, 1))) for v in (one, other)]
+        assert difference.coeffs == (by_lagrange[0] - by_lagrange[1]).coeffs
 
     def test_one_hilbert_cy_builds_each_row_set_once(self, monkeypatch, tmp_path, capsys):
         # cube_2, m = 3: route (a) fits k = 1..3; route (c) the polytope,
@@ -977,15 +983,15 @@ class TestTwoSidedFit:
         for region in ("full", "interior", "boundary"):
             degree = m - (region == "boundary")
             counts = lambda k: read_count(p.histogram(k), region)
-            expected = interpolate_counts(counts, degree, region).poly()
-            assert read_region(region, full, full.reflected(m)).poly() == expected, region
+            expected = interpolate_counts(counts, degree, region)
+            assert read_region(region, full, full.reflected(m)) == expected, region
             nodes = [(k, counts(k)) for k in range(1, degree + 2)]
-            assert UniPoly.interpolate(nodes) == expected
+            assert FractionUniPoly.interpolate(nodes).coeffs == expected.coeffs
         for record in p.lattice.proper_faces():
             face = record.active_set
             counts = lambda k: read_count(p.histogram(k), "face", face)
-            expected = interpolate_counts(counts, record.dim, "face").poly()
-            assert fit_face(p.histogram, p.face_counts, m, face).poly() == expected
+            expected = interpolate_counts(counts, record.dim, "face")
+            assert fit_face(p.histogram, p.face_counts, m, face) == expected
 
     def test_the_euler_class_parallel_holds_as_polynomials(self, lattice_polytope):
         # the paper's parallel: inclusion-exclusion over the per-face fits,
@@ -993,13 +999,13 @@ class TestTwoSidedFit:
         # fit, L(k) - (-1)^m L(-k) (the Euler class 1 - [K_M]), equals the
         # A-hat vertex sum
         p, m = lattice_polytope, lattice_polytope.spec.dim
-        by_faces = UniPoly()
+        by_faces = FractionUniPoly()
         for record in p.lattice.proper_faces():
-            fit = fit_face(p.histogram, p.face_counts, m, record.active_set).poly()
-            by_faces = by_faces + fit * (-1) ** (m - record.dim + 1)
+            fit = fit_face(p.histogram, p.face_counts, m, record.active_set)
+            by_faces = by_faces + FractionUniPoly(fit.coeffs) * (-1) ** (m - record.dim + 1)
         full = fit_face(p.histogram, p.face_counts, m)
-        by_reading = read_region("boundary", full, full.reflected(m)).poly()
-        assert by_faces == by_reading == symbolic_ehrhart(p, "boundary")
+        by_reading = read_region("boundary", full, full.reflected(m))
+        assert UniPoly(by_faces.coeffs) == by_reading == symbolic_ehrhart(p, "boundary")
         assert by_reading.degree == m - 1
 
     def test_the_per_face_table_equals_the_oracles_one_sided_fits(self, lattice_polytope):
@@ -1012,7 +1018,7 @@ class TestTwoSidedFit:
         assert per_face.keys() == faces.keys()
         for face, dim in faces.items():
             counts = lambda k: read_count(p.brute_histogram(k), "face", face)
-            assert per_face[face] == interpolate_counts(counts, dim, "face").poly(), face
+            assert per_face[face] == interpolate_counts(counts, dim, "face"), face
 
     def test_the_operator_interior_equals_brute_interior_counts(self, lattice_polytope):
         # the Todd vertex sum read by reciprocity, against the per-point
@@ -1031,11 +1037,10 @@ class TestTwoSidedFit:
         rng = random.Random(degree)
         for _ in range(20):
             nodes = [(0, 1)] + [(k, rng.randint(-50, 50)) for k in range(1, degree + 1)]
-            poly = UniPoly.interpolate(nodes)
-            value = lambda k: int(poly.evaluate(k))
-            fit = interpolate_two_sided(lambda k: (value(k), value(-k)), degree, "full")
-            assert fit.poly() == poly
-            assert [fit.at(k) for k in (-7, 0, 97)] == [value(k) for k in (-7, 0, 97)]
+            poly = FractionUniPoly.interpolate(nodes)
+            fit = interpolate_two_sided(lambda k: (poly.at(k), poly.at(-k)), degree, "full")
+            assert fit.coeffs == poly.coeffs
+            assert [fit.at(k) for k in (-7, 0, 97)] == [poly.at(k) for k in (-7, 0, 97)]
 
     def test_spare_top_coefficient_must_vanish(self):
         # degree 1 fits k = -1, 0, 1; 1 + k^2 there has k^2 coefficient 1
@@ -1087,7 +1092,7 @@ class TestTwoSidedFit:
         p = prepare("cube_unit")
         for face in ((0, 1), (0, 2, 4, 1)):
             fit = fit_face(p.histogram, p.face_counts, 3, face)
-            assert fit.poly() == UniPoly() and fit.at(997) == 0
+            assert fit == UniPoly() and fit.at(997) == 0
 
 
 class TestFittedCount:

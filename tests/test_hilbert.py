@@ -15,14 +15,15 @@ from delzant.hilbert import (
 )
 from delzant.polynomial import UniPoly, euler_expansion_levels
 from delzant.prepared import Prepared
+from unipoly_reference import FractionUniPoly
 
 
 def binomial_poly(shift, m):
     """C(k + shift, m) as a polynomial in k: prod_{i=0}^{m-1} (k + shift - i) / m!"""
-    out = UniPoly([1])
+    out = FractionUniPoly([1])
     for i in range(m):
-        out = out * UniPoly([shift - i, 1])
-    return out * Fraction(1, factorial(m))
+        out = out * FractionUniPoly([shift - i, 1])
+    return UniPoly((out * Fraction(1, factorial(m))).coeffs)
 
 
 class TestInclusionExclusion:

@@ -86,12 +86,24 @@ def test_import_version_validate_and_faces_run_no_lazy_module():
         ["count", "--k", "2"],
         ["count", "--k", "2", "--output", "json"],
         ["count", "--k", "2", "--output", "tsv"],
-        ["count", "--k", "40", "--region", "boundary"],  # read off a fit
-        ["count", "--k", "40", "--output", "json"],
     ],
 )
 def test_count_runs_counting_alone(argv):
     assert run_lines([*argv, corpus("prism")]) == [["import", []], [0, ["counting"]]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--k", "40", "--region", "boundary"],
+        ["count", "--k", "40", "--output", "json"],
+        ["count", "--k", "40", "--region", "face=1", "--output", "tsv"],
+    ],
+)
+def test_a_fitted_count_runs_counting_and_polynomial(argv):
+    # above k = m + 2 the count is read off a fit, which is a UniPoly
+    steps = run_lines([*argv, corpus("prism")])
+    assert steps == [["import", []], [0, ["polynomial", "counting"]]]
 
 
 def test_interpolated_ehrhart_runs_counting_and_polynomial_only():

@@ -55,15 +55,16 @@ class TestSubstituteDilation:
     def test_ring_homomorphism(self):
         rng = random.Random(11)
         anchor = (2, Fraction(1, 3), -1)
+        # products and sums in the Fraction reference, differences in UniPoly
+        in_k = lambda poly: FractionUniPoly(poly.substitute_dilation(anchor).coeffs)
         for _ in range(25):
             p = random_poly(rng)
             q = random_poly(rng)
-            assert (p * q).substitute_dilation(anchor) == p.substitute_dilation(
+            assert in_k(p * q) == in_k(p) * in_k(q)
+            assert in_k(p + q) == in_k(p) + in_k(q)
+            assert (p - q).substitute_dilation(anchor) == p.substitute_dilation(
                 anchor
-            ) * q.substitute_dilation(anchor)
-            assert (p + q).substitute_dilation(anchor) == p.substitute_dilation(
-                anchor
-            ) + q.substitute_dilation(anchor)
+            ) - q.substitute_dilation(anchor)
             for k in (1, 2, 3):
                 assert p.substitute_dilation(anchor).evaluate(k) == p.evaluate(
                     [k * x for x in anchor]
@@ -171,13 +172,14 @@ class TestEulerExpansion:
 
 class TestUniPoly:
     def test_interpolate_recovers_polynomial(self):
+        # the Lagrange reference every fit is compared with
         target = UniPoly([2, 0, 2])  # 2k^2 + 2
         points = [(k, target.evaluate(k)) for k in range(1, 4)]
-        assert UniPoly.interpolate(points) == target
+        assert FractionUniPoly.interpolate(points).coeffs == target.coeffs
 
     def test_interpolate_needs_distinct_nodes(self):
         with pytest.raises(ValueError):
-            UniPoly.interpolate([(1, 1), (1, 2)])
+            FractionUniPoly.interpolate([(1, 1), (1, 2)])
 
     def test_text_forms(self):
         assert UniPoly([2, 0, 2]).to_text() == "2k^2 + 2"
@@ -187,6 +189,13 @@ class TestUniPoly:
         assert UniPoly([1, -1]).to_text() == "-k + 1"
         assert UniPoly().to_text() == "0"
         assert UniPoly([0, 3]).to_text() == "3k"
+
+    def test_at_is_exact(self):
+        triangular = UniPoly([0, Fraction(1, 2), Fraction(1, 2)])  # k(k + 1)/2
+        big = 10**20
+        assert [triangular.at(k) for k in (-3, 0, 4, big)] == [3, 0, 10, big * (big + 1) // 2]
+        with pytest.raises(ValueError, match=r"^\(1/2\)k \+ 1 takes no integer value at k=-3$"):
+            UniPoly([1, Fraction(1, 2)]).at(-3)
 
     def test_degree_and_trim(self):
         assert UniPoly([1, 2, 0, 0]).degree == 1
@@ -279,6 +288,7 @@ _NUMERATORS = st.one_of(
     st.integers(-60, 60),
     st.integers(-(10**40), 10**40),
 )
+_DENOMINATORS = st.one_of(st.integers(-40, 40), st.integers(-(10**31), 10**31)).filter(bool)
 
 
 def _assert_canonical(poly):
@@ -288,24 +298,50 @@ def _assert_canonical(poly):
     assert all(type(c) is int for c in (*poly.numerators, poly.denominator))
 
 
+def _at(poly, k):
+    """``poly.at(k)``, or None where it raises ValueError (no integer value)."""
+    try:
+        return poly.at(k)
+    except ValueError:
+        return None
+
+
 class TestIntegerUniPolyMatchesReference:
     """The integer ``UniPoly`` against the Fraction-coefficient reference,
-    built from the same numerators over the same denominator."""
+    built from the same numerators over the same denominator; the
+    difference against a second such pair, ``others`` over
+    ``other_denominator``."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
         numerators=st.lists(_NUMERATORS, max_size=6),
         trailing=st.integers(0, 2),
         shared=st.sampled_from([1, 2, 6, 720, 10**12]),
-        denominator=st.one_of(st.integers(-40, 40), st.integers(-(10**31), 10**31)).filter(bool),
+        denominator=_DENOMINATORS,
         m=st.integers(0, 5),
         x=st.fractions(min_value=-20, max_value=20, max_denominator=9),
+        others=st.lists(_NUMERATORS, max_size=6),
+        other_denominator=_DENOMINATORS,
     )
-    @example(numerators=[], trailing=0, shared=1, denominator=1, m=0, x=Fraction(0))
-    @example(numerators=[0, 0], trailing=2, shared=6, denominator=-5, m=1, x=Fraction(3))
-    @example(numerators=[4, -6, 2], trailing=1, shared=2, denominator=-4, m=2, x=Fraction(-1, 2))
-    @example(numerators=[10**35, -1], trailing=0, shared=10**12, denominator=7, m=3, x=Fraction(2))
-    def test_every_reading(self, numerators, trailing, shared, denominator, m, x):
+    @example(
+        numerators=[], trailing=0, shared=1, denominator=1, m=0, x=Fraction(0),
+        others=[], other_denominator=1,
+    )
+    @example(
+        numerators=[0, 0], trailing=2, shared=6, denominator=-5, m=1, x=Fraction(3),
+        others=[0, 3], other_denominator=10,
+    )
+    @example(  # integer-valued: -(k - 1)(k - 2)/2
+        numerators=[4, -6, 2], trailing=1, shared=2, denominator=-4, m=2, x=Fraction(-1, 2),
+        others=[1], other_denominator=3,
+    )
+    @example(  # (10^35 - k)/7 has no integer value at k = 2
+        numerators=[10**35, -1], trailing=0, shared=10**12, denominator=7, m=3, x=Fraction(2),
+        others=[5, 1], other_denominator=-7,
+    )
+    def test_every_reading(
+        self, numerators, trailing, shared, denominator, m, x, others, other_denominator
+    ):
         scaled = [c * shared for c in numerators] + [0] * trailing
         poly = UniPoly.over(scaled, denominator * shared)
         reference = FractionUniPoly(Fraction(c, denominator) for c in numerators)
@@ -318,13 +354,30 @@ class TestIntegerUniPolyMatchesReference:
             assert poly.coefficient(power) == reference.coefficient(power)
         assert poly.to_text() == uni_text(reference)
         assert poly.evaluate(x) == reference.evaluate(x)
+        k = int(x)
+        assert _at(poly, k) == _at(reference, k)
         assert poly.reflected(m).coeffs == reference.reflected(m).coeffs
         _assert_canonical(poly.reflected(m))
+
+        # differences: over unequal denominators, with poly itself (zero), and
+        # with near = poly - other, whose top terms cancel poly's when other's
+        # degree is lower
+        other = UniPoly.over(others, other_denominator)
+        other_reference = FractionUniPoly(Fraction(c, other_denominator) for c in others)
+        near = reference - other_reference
+        for subtrahend, by_reference in (
+            (other, other_reference),
+            (poly, reference),
+            (UniPoly(near.coeffs), near),
+        ):
+            difference = poly - subtrahend
+            _assert_canonical(difference)
+            assert difference.coeffs == (reference - by_reference).coeffs
 
         # one stored form: every door to the same polynomial stores the same integers
         assert poly == UniPoly(reference.coeffs)
         assert poly == UniPoly.over(numerators, denominator)
-        assert poly != poly + UniPoly([1])
+        assert poly != poly - UniPoly([1])
 
     def test_the_zero_polynomial(self):
         for poly in (UniPoly(), UniPoly([0, 0]), UniPoly.over([0, 0, 0], -12)):
@@ -339,8 +392,9 @@ class TestIntegerUniPolyMatchesReference:
             UniPoly.over([1, 2], 0)
 
     def test_every_fit_of_the_corpus(self, prepare):
-        """Each fit's integers give the polynomial its Fractions give: every
-        closed face's, and the interior and boundary read off the polytope's."""
+        """Every fit is a canonical ``UniPoly`` whose integers give the
+        polynomial its Fractions give: every closed face's, and the interior
+        and boundary read off the polytope's, against the reference's."""
         for name in DELZANT_CORPUS:
             p = prepare(name)
             m = p.spec.dim
@@ -348,9 +402,12 @@ class TestIntegerUniPolyMatchesReference:
             fits = [fit_face(p.histogram, p.face_counts, m, face) for face in p.lattice.faces]
             fits += [full.reflected(m), read_region("boundary", full, full.reflected(m))]
             for fit in fits:
+                _assert_canonical(fit)
                 coeffs = [Fraction(c, fit.denominator) for c in fit.numerators]
-                assert fit.poly() == UniPoly(coeffs)
-                assert fit.poly().coeffs == FractionUniPoly(coeffs).coeffs
+                assert fit == UniPoly(coeffs)
+                assert fit.coeffs == FractionUniPoly(coeffs).coeffs
+            reference = FractionUniPoly(full.coeffs)
+            assert fits[-1].coeffs == (reference - reference.reflected(m)).coeffs
 
 
 def test_unipoly_keeps_the_canonical_integers_of_the_given_fractions():

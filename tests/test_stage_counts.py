@@ -24,6 +24,7 @@ import pytest
 
 import delzant.cli as cli
 import delzant.counting as counting
+import delzant.hilbert as hilbert
 import delzant.operators as operators
 import delzant.polynomial as polynomial
 import delzant.polytope as polytope
@@ -298,10 +299,11 @@ def cube_4(tmp_path):
 
 
 def test_hilbert_cy_builds_no_fraction_for_its_per_face_table(monkeypatch, cube_4, capsys):
-    """Each face's fit is handed to ``UniPoly`` as integers and printed off
-    them: no Fraction is built while a fit becomes a ``UniPoly``
-    (``IntegerFit.poly``) or a ``UniPoly`` is printed (``to_text``)."""
-    built, scope = Counter(), []
+    """Each face's fit is a ``UniPoly`` of integers, fitted, probed and
+    printed off them: no Fraction is built while a face is fitted
+    (``fit_face``, route (c)'s fit of the polytope included) or a
+    ``UniPoly`` is printed (``to_text``)."""
+    built, entered, scope = Counter(), Counter(), []
     stored_new = Fraction.__dict__["__new__"]
     new = Fraction.__new__
 
@@ -311,6 +313,7 @@ def test_hilbert_cy_builds_no_fraction_for_its_per_face_table(monkeypatch, cube_
 
     def scoped(name, method):
         def wrapper(*args, **kwargs):
+            entered[name] += 1
             scope.append(name)
             try:
                 return method(*args, **kwargs)
@@ -319,7 +322,7 @@ def test_hilbert_cy_builds_no_fraction_for_its_per_face_table(monkeypatch, cube_
 
         return wrapper
 
-    monkeypatch.setattr(counting.IntegerFit, "poly", scoped("poly", counting.IntegerFit.poly))
+    monkeypatch.setattr(hilbert, "fit_face", scoped("fit_face", counting.fit_face))
     monkeypatch.setattr(
         polynomial.UniPoly, "to_text", scoped("to_text", polynomial.UniPoly.to_text)
     )
@@ -332,7 +335,8 @@ def test_hilbert_cy_builds_no_fraction_for_its_per_face_table(monkeypatch, cube_
         Fraction.__new__ = stored_new
     report = json.loads(capsys.readouterr().out)
     assert len(report["per_face"]) == 80
-    assert built["poly"] == built["to_text"] == 0
+    assert entered["fit_face"] == 80 + 1  # each proper face, and route (c)'s polytope
+    assert built["fit_face"] == built["to_text"] == 0
     assert built["coeffs"] == 2
 
 
