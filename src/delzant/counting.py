@@ -37,20 +37,22 @@ the Newton expansion through n nodes from a first node is a set of
 integer rows over (n-1)!, built once per (n, first node)
 (``_forward_difference_rows``), and every fit is n dot products of those
 rows with its values, returned as a ``UniPoly`` of those integers over
-(n-1)!, reduced, the one type of every polynomial in k.  Every fit must
-predict the counts it did not read, checked in integers, before it is
-accepted as a polynomial.  There is one fit of counts,
+(n-1)!, reduced, the one type of every polynomial in k.  Every fit
+reads more counts than its degree needs and interpolates all of them,
+and one rule accepts it (``_forward_difference_fit``): the interpolant's
+degree may not pass the degree asked.  There is one fit of counts,
 ``fit_face``: the Ehrhart polynomial of a closed face, the facet set ()
 being the polytope itself, fitted on both sides of zero, each histogram
 at k giving the value at -k by Ehrhart-Macdonald reciprocity, so a
-degree-n fit reads only the dilates k = 1..ceil(n/2)+1.  The interior
+degree-n fit reads only the dilates k = 1..ceil(n/2)+1, its values at
+k = -(ceil(n/2)+1)..ceil(n/2)+1.  The interior
 and the boundary are not fitted but read off the polytope's fit L by one
 rule (``read_region``): interior (-1)^m L(-k), boundary L(k) - (-1)^m
 L(-k), the K-theory Euler class [O_Z] = 1 - [K_M] of the Calabi-Yau
 hypersurface Z.  The same rule reads a histogram's counts, a fitted
 count (``UniPoly.at``, exact) and a fit, reflected and subtracted in
 integers (``UniPoly.reflected`` and ``UniPoly.__sub__``).
-``interpolate_counts`` fits through k = 1..n+1, assuming nothing at
+``interpolate_counts`` fits through k = 1..n+2, assuming nothing at
 k <= 0, for the two checks that need that:
 route (a) of ``hilbert`` and ``cross_check``'s reciprocity.  One reader,
 ``read_dilate``, checks and serves ``count_points`` (fresh passes, each
@@ -744,80 +746,46 @@ def _forward_difference_rows(n: int, start: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _forward_difference_fit(values, start: int = 1) -> polynomial.UniPoly:
-    """The polynomial of degree < n through (start + i, values[i]) for i < n:
-    n integer dot products with the cached rows of those nodes
-    (``_forward_difference_rows``), over (n-1)!."""
+def _forward_difference_fit(values, start: int, degree: int, kind: str) -> polynomial.UniPoly:
+    """The polynomial through (start + i, values[i]) for every i < n: n
+    integer dot products with the cached rows of those nodes
+    (``_forward_difference_rows``), over (n-1)!, and the one rule that
+    accepts every fit.
+
+    n values at consecutive integers lie on a polynomial of degree at most
+    ``degree`` exactly when their interpolant through all n does (every
+    forward difference of a higher order vanishes), so the fit is accepted
+    only if its degree is at most ``degree``; NotPolynomialError otherwise.
+    """
     n = len(values)
     rows = _forward_difference_rows(n, start)
-    return polynomial.UniPoly.over([sum(map(mul, row, values)) for row in rows], factorial(n - 1))
-
-
-def _check_probe(fit: polynomial.UniPoly, probe: int, actual: int, degree: int, kind: str) -> None:
-    """Raise NotPolynomialError unless ``fit`` predicts the count ``actual``
-    at ``probe``, checked in integers: the fit's numerators at the probe
-    (``UniPoly.scaled``) against the count times its denominator."""
-    if fit.scaled(probe) != actual * fit.denominator:
+    fit = polynomial.UniPoly.over([sum(map(mul, row, values)) for row in rows], factorial(n - 1))
+    if fit.degree > degree:
         raise NotPolynomialError(
             f"{kind} counts are not a degree-{degree} polynomial: "
-            f"predicted {fit.evaluate(probe)} at k={probe}, counted {actual}"
+            f"the fit through k = {start}..{start + n - 1} has degree {fit.degree}"
         )
+    return fit
 
 
 def interpolate_counts(counts, degree: int, kind: str) -> polynomial.UniPoly:
-    """Fit ``degree`` from counts at k = 1..degree+1 and verify at degree+2.
+    """Fit ``degree`` through the counts at k = 1..degree+2
+    (``_forward_difference_fit``), one more than the degree needs.
 
-    ``counts`` is a callable k -> int.  The verification failure means the
+    ``counts`` is a callable k -> int.  A fit of higher degree means the
     counts do not follow a polynomial of that degree, which for lattice
     input always signals a bug.  The fit assumes nothing of its values at
-    k <= 0, so it also checks the parity that ``interpolate_two_sided``
-    assumes: it serves only route (a) of ``hilbert`` and ``cross_check``'s
-    reciprocity check, which reads ``.at(-k)``.
+    k <= 0, so it also checks the parity that ``fit_face`` assumes: it
+    serves only route (a) of ``hilbert`` and ``cross_check``'s reciprocity
+    check, which reads ``.at(-k)``.
     """
-    fit = _forward_difference_fit([counts(k) for k in range(1, degree + 2)])
-    probe = degree + 2
-    _check_probe(fit, probe, counts(probe), degree, kind)
-    return fit
-
-
-def interpolate_two_sided(pairs, degree: int, kind: str) -> polynomial.UniPoly:
-    """Fit ``degree`` through k = -h..h, h = ceil(degree/2), and verify at
-    k = h+1 and k = -(h+1).
-
-    ``pairs`` is a callable k -> (value at k, value at -k), read for k =
-    1..h+1, and the value at 0 is 1, the one point of a closed face's
-    zero dilate: each count at k > 0 supplies its value at -k too, by
-    reciprocity (``fit_face``), so a degree-n fit reads h + 1 dilates
-    instead of n + 2.  The 2h + 1 nodes fit a polynomial of degree up to
-    2h; when 2h > degree its top coefficient must be 0.  The probes are
-    the two values at k = h + 1 and -(h + 1), which no node read, each
-    checked in integers as ``interpolate_counts`` checks its own.  The fit
-    assumes the values at -k; the probes and the top coefficient are its
-    checks of the polynomial's form.
-    """
-    h = -(-degree // 2)
-    above, below = [], []
-    for k in range(1, h + 1):
-        at_k, at_minus_k = pairs(k)
-        above.append(at_k)
-        below.append(at_minus_k)
-    fit = _forward_difference_fit([*below[::-1], 1, *above], start=-h)
-    if fit.degree > degree:
-        raise NotPolynomialError(
-            f"{kind} counts are not a degree-{degree} polynomial: the fit through "
-            f"k = -{h}..{h} has k^{2 * h} coefficient {fit.coefficient(2 * h)}"
-        )
-    probe = h + 1
-    at_k, at_minus_k = pairs(probe)
-    _check_probe(fit, probe, at_k, degree, kind)
-    _check_probe(fit, -probe, at_minus_k, degree, kind)
-    return fit
+    return _forward_difference_fit([counts(k) for k in range(1, degree + 3)], 1, degree, kind)
 
 
 def fit_face(histograms, tables, m: int, face=()) -> polynomial.UniPoly:
     """The Ehrhart polynomial of the closed face cut out by the facet set
     ``face`` of a dim-m lattice polytope, () being the polytope itself,
-    fitted on both sides of zero (``interpolate_two_sided``).
+    fitted on both sides of zero.
 
     ``histograms`` is a callable k -> the tight-mask histogram of the
     k-fold dilate, and ``tables`` k -> its face counts by facet mask, read
@@ -827,10 +795,14 @@ def fit_face(histograms, tables, m: int, face=()) -> polynomial.UniPoly:
     is exactly S.  So by Ehrhart-Macdonald reciprocity, L(-k) = (-1)^f
     L°(k) (Beck and Robins, *Computing the Continuous Discretely*, ch. 4),
     each histogram at k > 0 gives the value at -k as (-1)^f hist[S], and
-    the value at 0 is 1.  The interior and boundary are read off the fit
-    of () (``read_region``).  A facet set that cuts out no face (no point
-    at k = 1, where every vertex is a lattice point) reads the zero
-    polynomial and is not fitted.
+    the value at 0 is 1.  The dilates k = 1..h+1, h = ceil(f/2), read in
+    ascending order, give the 2h + 3 values at k = -(h+1)..h+1, whose fit
+    must have degree at most f (``_forward_difference_fit``): two values
+    more than the degree needs on even f and three on odd f, the values
+    at -k the checks of the relative interior's counts.  The interior and
+    boundary are read off the fit of () (``read_region``).  A facet set
+    that cuts out no face (no point at k = 1, where every vertex is a
+    lattice point) reads the zero polynomial and is not fitted.
     """
     mask = _facet_mask(face)
     if mask:
@@ -840,8 +812,12 @@ def fit_face(histograms, tables, m: int, face=()) -> polynomial.UniPoly:
     if not closed(1):
         return polynomial.UniPoly()
     f = m - mask.bit_count()
-    pairs = lambda k: (closed(k), (-1) ** f * histograms(k).get(mask, 0))
-    return interpolate_two_sided(pairs, f, "face" if mask else "full")
+    above, below = [], []
+    for k in range(1, -(-f // 2) + 2):
+        above.append(closed(k))
+        below.append((-1) ** f * histograms(k).get(mask, 0))
+    values = [*below[::-1], 1, *above]
+    return _forward_difference_fit(values, -len(above), f, "face" if mask else "full")
 
 
 def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
@@ -852,9 +828,9 @@ def ehrhart_interpolate(prep, kind: str = "full") -> polynomial.UniPoly:
     the region read off it (``read_region``) in integers: the interior's
     is (-1)^m L(-k) and the boundary's L(k) - (-1)^m L(-k), whose
     constant term is 1 - (-1)^m, though the boundary count of the zero
-    dilate is set-theoretically 1.  The fit assumes reciprocity; its
-    probes at k = +-(h + 1) check the polynomial's form.  Every vertex
-    must be a lattice point (ValueError otherwise).
+    dilate is set-theoretically 1.  The fit assumes reciprocity; its values
+    at k = +-(h + 1), beyond the degree's nodes, check the polynomial's
+    form.  Every vertex must be a lattice point (ValueError otherwise).
     """
     if kind not in ("full", "interior", "boundary"):
         raise ValueError(f"unknown Ehrhart kind {kind!r}")

@@ -13,9 +13,11 @@ the one reading of every boundary count
 hypersurface Z in |-K_M| is [O_Z] = 1 - [K_M], so H(k) = L(k) - (-1)^m
 L(-k), the second term by Serre duality on M.  The fit is
 two-sided, so it assumes Ehrhart-Macdonald reciprocity and reads the
-dilates k = 1..h+1, h = ceil(m/2), not k = 1..m+1.  Route (a) fits from
-k = 1..m alone, with the probe k = m + 1 (``interpolate_counts``),
-assuming nothing at k <= 0, so it checks the parity route (c) assumes.
+dilates k = 1..h+1, h = ceil(m/2), not k = 1..m+1.  Route (a) fits
+through k = 1..m+1, one dilate more than its degree m - 1 needs
+(``interpolate_counts``), assuming nothing at k <= 0, so it checks the
+parity route (c) assumes.  Every fit is accepted by one rule: the
+interpolant through every count it read has at most the degree asked.
 Each route gives a plain ``UniPoly`` in k.  The three are proven-equal
 identities, so any disagreement aborts loudly: it always means an
 implementation bug or invalid input, never an acceptable warning.  Only

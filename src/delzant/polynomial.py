@@ -290,8 +290,7 @@ class UniPoly:
     def scaled(self, p: int, q: int = 1) -> int:
         """The denominator times q^n times the value at x = p/q, n the
         degree: the sum of numerator_i p^i q^(n-i), by Horner's rule on
-        integers.  The one evaluation loop, read by ``evaluate``, ``at`` and
-        the fits' probes (``counting._check_probe``)."""
+        integers.  The one evaluation loop, read by ``evaluate`` and ``at``."""
         total, scale = 0, 1
         for c in reversed(self.numerators):
             total = total * p + c * scale

@@ -20,7 +20,9 @@ tables at k = 1..h+1) read every face count; the per-face table reads
 each dilate's histogram and table here once and hands plain per-k
 lookups to its fits.  Every fit is a closed face's
 (``counting.fit_face``), integer dot products with rows cached per node
-set, returned as a ``polynomial.UniPoly``, and the interior and boundary
+set, returned as a ``polynomial.UniPoly`` and accepted only if its
+degree is at most the face's, though it interpolates more dilates' counts
+than that degree needs; the interior and boundary
 are read off the polytope's own fit by one rule
 (``counting.read_region``), in integers, the Euler-class reading of the
 Calabi-Yau hypersurface's Hilbert polynomial.

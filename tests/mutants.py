@@ -132,30 +132,51 @@ MUTANTS = (
     Mutant(
         "fit-face-sign",
         "src/delzant/counting.py",
-        "pairs = lambda k: (closed(k), (-1) ** f * histograms(k).get(mask, 0))",
-        "pairs = lambda k: (closed(k), histograms(k).get(mask, 0))",
-        ("tests/test_counting.py::TestTwoSidedFit::test_equals_the_one_sided_fits",),
+        "below.append((-1) ** f * histograms(k).get(mask, 0))",
+        "below.append(histograms(k).get(mask, 0))",
+        (
+            "tests/test_counting.py::TestTwoSidedFit::test_equals_the_one_sided_fits",
+            "tests/test_counting.py::TestOneAcceptanceRule"
+            "::test_every_value_of_the_two_sided_fit_is_checked",
+        ),
         "a face's value at -k is (-1)^f times its relative interior's count",
     ),
     Mutant(
-        "minus-probe",
-        "src/delzant/counting.py",
-        "    _check_probe(fit, -probe, at_minus_k, degree, kind)\n",
-        "",
-        (
-            "tests/test_counting.py::TestTwoSidedFit"
-            "::test_an_interior_count_off_by_one_is_rejected_at_minus_the_probe",
-        ),
-        "the probe at -(h+1) is the fit's one check of the interior count",
-    ),
-    Mutant(
-        "spare-coefficient",
+        "fit-degree-bound",
         "src/delzant/counting.py",
         "    if fit.degree > degree:\n",
-        "    if False:\n",
-        ("tests/test_counting.py::TestTwoSidedFit::test_spare_top_coefficient_must_vanish",),
-        "the fit's degree may not pass the asked one: when 2h > degree its k^(2h) "
-        "coefficient must vanish",
+        "    if fit.degree > degree + 1:\n",
+        (
+            "tests/test_counting.py::TestOneAcceptanceRule"
+            "::test_every_count_of_the_one_sided_fit_is_checked",
+            "tests/test_counting.py::TestTwoSidedFit::test_counts_of_a_higher_degree_are_rejected",
+        ),
+        "a fit is accepted only if its interpolant through every value read has at most "
+        "the degree asked, not one more",
+    ),
+    Mutant(
+        "fit-face-outer-nodes",
+        "src/delzant/counting.py",
+        "    for k in range(1, -(-f // 2) + 2):\n",
+        "    for k in range(1, -(-f // 2) + 1):\n",
+        (
+            "tests/test_counting.py::TestOneAcceptanceRule"
+            "::test_every_value_of_the_two_sided_fit_is_checked",
+        ),
+        "a two-sided fit of degree f reads the dilates k = 1..ceil(f/2)+1: without the "
+        "outermost nodes an even degree is fitted and checked by nothing",
+    ),
+    Mutant(
+        "counts-one-fewer",
+        "src/delzant/counting.py",
+        "[counts(k) for k in range(1, degree + 3)]",
+        "[counts(k) for k in range(1, degree + 2)]",
+        (
+            "tests/test_counting.py::TestOneAcceptanceRule"
+            "::test_every_count_of_the_one_sided_fit_is_checked",
+        ),
+        "a one-sided fit reads one count more than its degree needs, the count that "
+        "checks it",
     ),
     Mutant(
         "facet-mask",

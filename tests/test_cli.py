@@ -400,7 +400,7 @@ class TestExitCodes:
 
     def test_fitted_count_budget_splits_json_from_text_and_tsv(self, poly_file, capsys):
         # Above k = m + 2 every format reads the boundary off the polytope's
-        # fit (degree 3: nodes k = 1, 2 and the probe k = 3, a 4^3 box), as
+        # fit (degree 3: the dilates k = 1..3, the last a 4^3 box), as
         # JSON reads its total and interior, so a budget of 30 stops them all.
         argv = ("count", "--k", "10", "--region", "boundary", "--budget", "30")
         cube = poly_file("cube_unit")
@@ -408,7 +408,7 @@ class TestExitCodes:
         for output in ("text", "tsv", "json"):
             assert run(capsys, *argv, "--output", output, cube) == (5, "", error)
         # A face still parts them: text and TSV fit the facet alone (degree 2:
-        # the node k = 1 and the probe k = 2, a 3^3 box), while JSON also fits
+        # the dilates k = 1, 2, the last a 3^3 box), while JSON also fits
         # the polytope.  This pins today's split; ROADMAP item 8c (one budget
         # total per command) is the change allowed to move it.
         argv = ("count", "--k", "10", "--region", "face=1", "--budget", "30")

@@ -21,7 +21,6 @@ from delzant.counting import (
     face_counts,
     fit_face,
     interpolate_counts,
-    interpolate_two_sided,
     read_count,
     read_region,
     tight_histogram,
@@ -177,7 +176,7 @@ class TestTightHistogram:
 
         monkeypatch.setattr(counting_mod, "tight_histogram", recording)
         cy_hilbert_polynomial(Prepared(load("cube_unit")))
-        # m = 3: the facets' degree-2 fits need k = 1..3 and the probe k = 4
+        # m = 3: route (a)'s degree-2 fit reads k = 1..4, one more than it needs
         assert built == [1, 2, 3, 4]
 
 
@@ -872,7 +871,7 @@ class TestEhrhartInterpolate:
         assert ehrhart_interpolate(p, kind) == interpolate_counts(counts, degree, kind)
 
     def test_prediction_check_catches_non_polynomial_counts(self):
-        # counts that lie at the probe node must be rejected
+        # counts that lie at the last node read must be rejected
         def lying_counts(k):
             return k if k < 4 else k + 1
 
@@ -880,7 +879,7 @@ class TestEhrhartInterpolate:
             interpolate_counts(lying_counts, 2, "full")
         assert str(err.value) == (
             "full counts are not a degree-2 polynomial: "
-            "predicted 4 at k=4, counted 5"
+            "the fit through k = 1..4 has degree 3"
         )
 
 
@@ -898,14 +897,15 @@ class TestForwardDifferenceFit:
     """The integer Newton fit, n dot products with the cached rows of its
     nodes, against the Fraction reference's Lagrange interpolation
     (``FractionUniPoly.interpolate``) at every first node the fits use:
-    k = 1 (one-sided) and k = -h (two-sided, 2h + 1 nodes); its reflection
+    k = 1 (one-sided) and k = -h (two-sided, 2h + 1 nodes, h = ceil(f/2) + 1
+    for a face of dimension f); its reflection
     and difference against the reference's."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_lagrange_interpolation(self, n):
         for values in _value_lists(n, n):
             nodes = list(enumerate(values, start=1))
-            fit = _forward_difference_fit(values)
+            fit = _forward_difference_fit(values, 1, n - 1, "full")
             assert fit.coeffs == FractionUniPoly.interpolate(nodes).coeffs
             assert [fit.at(k) for k, _ in nodes] == values
 
@@ -914,7 +914,7 @@ class TestForwardDifferenceFit:
         n = 2 * h + 1
         for values in _value_lists(n, 100 + h):
             nodes = list(enumerate(values, start=-h))
-            fit = _forward_difference_fit(values, -h)
+            fit = _forward_difference_fit(values, -h, n - 1, "full")
             assert fit.coeffs == FractionUniPoly.interpolate(nodes).coeffs
 
     @pytest.mark.parametrize("m", range(5))
@@ -922,19 +922,21 @@ class TestForwardDifferenceFit:
         rng = random.Random(200 + m)
         for _ in range(20):
             values = [rng.randint(-50, 50) for _ in range(2 * m + 1)]
-            fit = _forward_difference_fit(values, -m)
+            fit = _forward_difference_fit(values, -m, 2 * m, "full")
             reference = FractionUniPoly.interpolate(list(enumerate(values, start=-m)))
             assert fit.reflected(m).coeffs == reference.reflected(m).coeffs
             assert (fit - fit.reflected(m)).coeffs == (reference - reference.reflected(m)).coeffs
         # fits over different denominators subtract over their lcm
         one, other = [1, 2, 4], [1, 2]
-        difference = _forward_difference_fit(one) - _forward_difference_fit(other)
+        difference = _forward_difference_fit(one, 1, 2, "full") - _forward_difference_fit(
+            other, 1, 1, "full"
+        )
         by_lagrange = [FractionUniPoly.interpolate(list(enumerate(v, 1))) for v in (one, other)]
         assert difference.coeffs == (by_lagrange[0] - by_lagrange[1]).coeffs
 
     def test_one_hilbert_cy_builds_each_row_set_once(self, monkeypatch, tmp_path, capsys):
-        # cube_2, m = 3: route (a) fits k = 1..3; route (c) the polytope,
-        # k = -2..2; the squares and edges k = -1..1; the vertices k = 0
+        # cube_2, m = 3: route (a) fits k = 1..4; route (c) the polytope,
+        # k = -3..3; the squares and edges k = -2..2; the vertices k = -1..1
         built = []
         raw = counting_mod._forward_difference_rows.__wrapped__
 
@@ -947,7 +949,7 @@ class TestForwardDifferenceFit:
         path.write_text(corpus_text("cube_2"), encoding="utf-8")
         assert main(["hilbert-cy", str(path)]) == 0
         capsys.readouterr()
-        assert sorted(built) == [(1, 0), (3, -1), (3, 1), (5, -2)]
+        assert sorted(built) == [(3, -1), (4, 1), (5, -2), (7, -3)]
 
 
 # lattice polytopes beyond the corpus: blow-ups (dilated by 3, vertices cut
@@ -973,9 +975,44 @@ def lattice_polytope(request, prepare):
     return prepare(request.param)
 
 
+def _face_lookups(poly, f, face, moved=None):
+    """Fake ``histograms`` and ``tables`` of a closed face cut out by the
+    facet set ``face``, of dimension f: its count at k is poly(k) and its
+    relative interior's (-1)^f poly(-k), so its value at -k by reciprocity
+    is poly(-k); ``moved`` = (j, delta) adds delta to the value at j (j > 0
+    its count at j, j < 0 the value at j).  Also returns the list of the
+    dilates k read, in the order read."""
+    mask = sum(1 << i for i in face)
+    read = []
+
+    def value(j):
+        return poly.at(j) + (moved[1] if moved and moved[0] == j else 0)
+
+    def histograms(k):
+        read.append(k)
+        inside = (-1) ** f * value(-k)
+        return {mask: inside} if mask else {0: inside, 1: value(k) - inside}
+
+    def tables(k):
+        read.append(k)
+        return {mask: value(k)}
+
+    return histograms, tables, read
+
+
+def _integer_valued(degree, rng):
+    """A random integer-valued polynomial of exactly ``degree``, 1 at k = 0:
+    integer values at k = 0..degree make its values integers everywhere."""
+    while True:
+        nodes = [(0, 1)] + [(k, rng.randint(-50, 50)) for k in range(1, degree + 1)]
+        poly = FractionUniPoly.interpolate(nodes)
+        if poly.degree == degree and poly.at(1):
+            return poly
+
+
 class TestTwoSidedFit:
-    """Fits of closed faces through k = -h..h, each negative node read by
-    reciprocity, and the regions read off the polytope's fit."""
+    """Fits of closed faces through k = -(h+1)..h+1, each negative node read
+    by reciprocity, and the regions read off the polytope's fit."""
 
     def test_equals_the_one_sided_fits(self, lattice_polytope):
         p, m = lattice_polytope, lattice_polytope.spec.dim
@@ -1030,29 +1067,20 @@ class TestTwoSidedFit:
             assert interior.evaluate(k) == read_count(p.brute_histogram(k), "interior"), k
         assert interior == ehrhart_interpolate(p, "interior")
 
-    @pytest.mark.parametrize("degree", range(8))
-    def test_recovers_any_polynomial(self, degree):
-        # any degree and parity, not only Ehrhart polynomials: integer
-        # values at k = 0..degree, 1 at k = 0, make a polynomial integer-valued
-        rng = random.Random(degree)
-        for _ in range(20):
-            nodes = [(0, 1)] + [(k, rng.randint(-50, 50)) for k in range(1, degree + 1)]
-            poly = FractionUniPoly.interpolate(nodes)
-            fit = interpolate_two_sided(lambda k: (poly.at(k), poly.at(-k)), degree, "full")
-            assert fit.coeffs == poly.coeffs
-            assert [fit.at(k) for k in (-7, 0, 97)] == [poly.at(k) for k in (-7, 0, 97)]
-
-    def test_spare_top_coefficient_must_vanish(self):
-        # degree 1 fits k = -1, 0, 1; 1 + k^2 there has k^2 coefficient 1
+    def test_counts_of_a_higher_degree_are_rejected(self):
+        # an edge, degree 1, fits k = -2..2; 1 + k^2 there has degree 2
+        poly = FractionUniPoly([1, 0, 1])
+        histograms, tables, _ = _face_lookups(poly, 1, (0, 1))
         with pytest.raises(NotPolynomialError) as err:
-            interpolate_two_sided(lambda k: (k * k + 1, k * k + 1), 1, "boundary")
+            fit_face(histograms, tables, 3, (0, 1))
         assert str(err.value) == (
-            "boundary counts are not a degree-1 polynomial: "
-            "the fit through k = -1..1 has k^2 coefficient 1"
+            "face counts are not a degree-1 polynomial: "
+            "the fit through k = -2..2 has degree 2"
         )
 
-    def test_a_count_off_by_one_at_the_probe_is_rejected(self, prepare):
-        # simplex_3, full: the nodes read k = 1, 2 and the probe k = 3
+    def test_a_count_off_by_one_at_the_outer_node_is_rejected(self, prepare):
+        # simplex_3, full: the dilates read are k = 1, 2, 3; one interior
+        # point more at k = 3 moves the values at k = 3 and k = -3, +1 and -1
         p = prepare("simplex_3")
 
         def histograms(k):
@@ -1064,14 +1092,14 @@ class TestTwoSidedFit:
         with pytest.raises(NotPolynomialError) as err:
             fit_face(histograms, p.face_counts, 3)
         assert str(err.value) == (
-            "full counts are not a degree-3 polynomial: predicted 20 at k=3, counted 21"
+            "full counts are not a degree-3 polynomial: the fit through k = -3..3 has degree 5"
         )
         assert fit_face(p.histogram, p.face_counts, 3).at(3) == 20
 
-    def test_an_interior_count_off_by_one_is_rejected_at_minus_the_probe(self, prepare):
-        # simplex_3: a boundary point at the probe k = 3 read as interior
-        # keeps the total, 20, so the probe k = 3 passes; the interior,
-        # C(2, 3) = 0, reads 1, and the fit's value at k = -3 is -0
+    def test_an_interior_count_off_by_one_is_rejected_at_minus_the_outer_node(self, prepare):
+        # simplex_3: a boundary point at the outer dilate k = 3 read as
+        # interior keeps the total, 20, at k = 3; the interior, C(2, 3) = 0,
+        # reads 1, so the value at k = -3 reads -1, not -0
         p = prepare("simplex_3")
 
         def histograms(k):
@@ -1084,7 +1112,7 @@ class TestTwoSidedFit:
         with pytest.raises(NotPolynomialError) as err:
             fit_face(histograms, p.face_counts, 3)
         assert str(err.value) == (
-            "full counts are not a degree-3 polynomial: predicted 0 at k=-3, counted -1"
+            "full counts are not a degree-3 polynomial: the fit through k = -3..3 has degree 6"
         )
         assert read_count(p.histogram(3), "interior") == 0
 
@@ -1093,6 +1121,52 @@ class TestTwoSidedFit:
         for face in ((0, 1), (0, 2, 4, 1)):
             fit = fit_face(p.histogram, p.face_counts, 3, face)
             assert fit == UniPoly() and fit.at(997) == 0
+
+
+class TestOneAcceptanceRule:
+    """Every value a fit reads is checked: values of a polynomial of the
+    asked degree are accepted, and moving any one of them by +-1 is
+    rejected, for the one-sided fit (k = 1..n+2) and the two-sided fit of
+    the polytope and of a proper face (the dilates k = 1..h+1, h =
+    ceil(n/2), each giving the values at k and at -k), at any degree and
+    parity, not only of Ehrhart polynomials."""
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_every_count_of_the_one_sided_fit_is_checked(self, degree):
+        rng = random.Random(300 + degree)
+        for _ in range(5):
+            poly = _integer_valued(degree, rng)
+            read = []
+            counts = lambda k: read.append(k) or poly.at(k)
+            fit = interpolate_counts(counts, degree, "full")
+            assert read == list(range(1, degree + 3))
+            nodes = [(k, poly.at(k)) for k in range(1, degree + 2)]
+            assert fit.coeffs == FractionUniPoly.interpolate(nodes).coeffs
+            for j, delta in product(read, (1, -1)):
+                moved = lambda k: poly.at(k) + delta * (k == j)
+                with pytest.raises(NotPolynomialError):
+                    interpolate_counts(moved, degree, "full")
+
+    @pytest.mark.parametrize("face", [(), (0, 2)], ids=["polytope", "face"])
+    @pytest.mark.parametrize("degree", range(8))
+    def test_every_value_of_the_two_sided_fit_is_checked(self, degree, face):
+        rng = random.Random(400 + degree)
+        m, h = degree + len(face), -(-degree // 2)
+        for _ in range(5):
+            poly = _integer_valued(degree, rng)
+            histograms, tables, read = _face_lookups(poly, degree, face)
+            fit = fit_face(histograms, tables, m, face)
+            assert read == sorted(read) and set(read) == set(range(1, h + 2))
+            nodes = [(k, poly.at(k)) for k in range(degree + 1)]
+            assert fit.coeffs == FractionUniPoly.interpolate(nodes).coeffs
+            for k, sign, delta in product(range(1, h + 2), (1, -1), (1, -1)):
+                histograms, tables, _ = _face_lookups(poly, degree, face, (sign * k, delta))
+                if sign * k == 1 and poly.at(1) + delta == 0:
+                    # no point at k = 1 reads as no face, fitted by nothing
+                    assert fit_face(histograms, tables, m, face) == UniPoly()
+                    continue
+                with pytest.raises(NotPolynomialError):
+                    fit_face(histograms, tables, m, face)
 
 
 class TestFittedCount:

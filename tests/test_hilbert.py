@@ -127,8 +127,8 @@ class TestCyHilbertPolynomial:
     def test_oracle_counts_that_break_reciprocity_fit_no_polynomial(self, monkeypatch):
         # route (c) reads the boundary off the oracle's fit of simplex_2, L(k),
         # which assumes L(-k) = (-1)^2 L°(k): counts L(k) + 1 read 4 at k = 1
-        # and 0 at k = -1, so the fit k^2 + 2k + 1 misses the probe k = 2, and
-        # the routes disagree with no oracle polynomial
+        # and 0 at k = -1, so the fit through k = -2..2 has degree 4, not 2,
+        # and the routes disagree with no oracle polynomial
         real = counting.brute_histogram
 
         def lying(spec, k, **kwargs):
@@ -144,7 +144,7 @@ class TestCyHilbertPolynomial:
         assert str(err.value) == (
             "boundary Hilbert polynomial routes disagree: inclusion-exclusion 3k, "
             "operator 3k, oracle none (full counts are not a degree-2 "
-            "polynomial: predicted 9 at k=2, counted 7)"
+            "polynomial: the fit through k = -2..2 has degree 4)"
         )
 
 

@@ -110,7 +110,7 @@ def test_cross_check_builds_each_stage_once(stage_calls, simplex_2, capsys):
     assert stage_calls["face_counts"] == 5
     assert stage_calls["face scans"] == 0
     # every brute comparison value (2 operator counts, 5 inclusion-exclusion
-    # dilates, route (c)'s two-sided node k = 1 and probe k = 2, and 5
+    # dilates, route (c)'s two-sided fit through the dilates k = 1, 2, and 5
     # interior counts of reciprocity) reads the oracle's one histogram per
     # k = 1..5
     assert stage_calls["brute_histogram"] == 5
@@ -130,19 +130,19 @@ def test_hilbert_cy_fits_one_sided_for_route_a_alone(stage_calls, simplex_2, cap
     assert main(["hilbert-cy", simplex_2]) == 0
     capsys.readouterr()
     assert stage_calls["interpolate_counts"] == 1
-    # route (a): k = 1, 2 and the probe k = 3; each edge's fit reads k = 1
-    # and the probe k = 2, each vertex's the probe k = 1
+    # route (a): k = 1, 2, 3 for degree 1; each edge's fit reads k = 1, 2,
+    # each vertex's k = 1
     assert stage_calls["tight_histogram"] == 3
     assert stage_calls["face_counts"] == 3
     assert stage_calls["face scans"] == 0
-    # route (c): the node k = 1 and the probe k = 2
+    # route (c): the dilates k = 1, 2, the values at k = -2..2
     assert stage_calls["brute_histogram"] == 2
 
 
 @pytest.mark.parametrize(
     "argv, tables, scans",
     [
-        # boundary degree 1: k = 1, 2 and the probe k = 3, shared by
+        # boundary degree 1: k = 1, 2, 3, shared by
         # inclusion-exclusion and every per-face fit
         (("hilbert-cy",), 3, 0),
         (("count", "--k", "2", "--output", "json"), 1, 0),
@@ -150,8 +150,8 @@ def test_hilbert_cy_fits_one_sided_for_route_a_alone(stage_calls, simplex_2, cap
         # text output counts one region by ``count_points``: a fresh
         # histogram, scanned for the face, and no table
         (("count", "--k", "2", "--region", "face=3"), 0, 1),
-        # above k = m + 2 the edge's fit reads the node k = 1 and the probe
-        # k = 2, each pass scanned once
+        # above k = m + 2 the edge's fit reads the dilates k = 1, 2, each
+        # pass scanned once
         (("count", "--k", "1000", "--region", "face=3"), 0, 2),
     ],
     ids=lambda value: "-".join(value).replace("--", "") if isinstance(value, tuple) else None,
@@ -170,8 +170,8 @@ def test_face_counts_come_from_one_table_per_dilate(
 @pytest.mark.parametrize(
     "kind, histograms",
     [
-        # two-sided, degree 2 or 1: the nodes k = -1, 0, 1 read k = 1 (its
-        # value at -1 by reciprocity), then the probe k = 2
+        # two-sided, degree 2: the values at k = -2..2 read off the dilates
+        # k = 1, 2, each at k and, by reciprocity, at -k
         ("full", 2),
         ("interior", 2),
         ("boundary", 2),
@@ -191,12 +191,12 @@ def test_ehrhart_interpolation_reads_one_histogram_per_node(
 @pytest.mark.parametrize(
     "argv, kernel, oracle",
     [
-        # route (a) and the per-face table fit one-sided, from k = 1, 2 and
-        # the probe k = 3; route (c) two-sided, from the oracle's node k = 1
-        # (its value at -1 by reciprocity) and the probe k = 2
+        # route (a) fits one-sided, from k = 1, 2, 3, and the per-face table
+        # reads its dilates; route (c) two-sided, from the oracle's dilates
+        # k = 1, 2, each at k and, by reciprocity, at -k
         (("hilbert-cy",), 3, 2),
         # above k = m + 2 = 4, every region and face is read off a fit
-        # through k = 1 and the probe k = 2, never a pass at k = 1000
+        # through the dilates k = 1, 2, never a pass at k = 1000
         (("count", "--k", "1000"), 2, 0),
         (("count", "--k", "1000", "--region", "face=1"), 2, 0),
         (("count", "--k", "1000", "--output", "json"), 2, 0),
@@ -299,7 +299,7 @@ def cube_4(tmp_path):
 
 
 def test_hilbert_cy_builds_no_fraction_for_its_per_face_table(monkeypatch, cube_4, capsys):
-    """Each face's fit is a ``UniPoly`` of integers, fitted, probed and
+    """Each face's fit is a ``UniPoly`` of integers, fitted, checked and
     printed off them: no Fraction is built while a face is fitted
     (``fit_face``, route (c)'s fit of the polytope included) or a
     ``UniPoly`` is printed (``to_text``)."""
